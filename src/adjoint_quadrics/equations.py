@@ -15,15 +15,17 @@ weight coordinates.  Every family vanishes identically on the basis
 vectors e^rho and, by the invariance theorem, on the whole orbit of e^rho
 under the elementary group.
 
-The 2pi/3 and pi builders construct each form twice, from the raw
-companion-set definition and from the square description, and insist the
-results agree; a disagreement would mean a structure-constant identity
-failed, so it is raised as a program error.
-
 A full equation set holds one pi/2 form per maximal square, one 2pi/3
 form per ordered orthogonal pair (both orders are emitted; the
 orderedness is visible in the counts), and one pi form per unordered
-pair.
+pair.  Bulk generation builds all three families at once as flat
+monomial arrays from the Gram matrix, the sum table and the sign table.
+It checks the 2pi/3 and pi families against their square descriptions,
+and the pi/2 coefficients against the other pair order, as whole-array
+comparisons; a disagreement would mean a structure-constant identity
+failed, so it is raised as a program error.  The per-form builders keep
+their own checks and serve as the reference the bulk arrays are tested
+against.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ from .squares import InvalidPairError, MaximalSquare, square_of_pair, enumerate_
 # Safety bounds for the vectorized integer evaluation path.
 _INT64_SAFE_COORD = 1 << 26
 _INT64_SAFE_MODULUS = 1 << 20
+# Bulk evaluation runs over slices of about this many monomials, so its
+# temporaries are a few hundred KB that the allocator reuses call after
+# call.  Whole-set temporaries (8 MB each for E8) are mapped afresh and
+# page-faulted on each call, or not, depending on the allocator's history
+# in the process.
+_EVAL_SLICE = 1 << 16
 
 
 class FormKind(str, enum.Enum):
@@ -214,16 +222,24 @@ def evaluate_form(form: QuadraticForm, v: AdjointVector):
 
 @dataclass
 class EquationSet:
-    """All forms for one system, indexed by (kind, key), in canonical order."""
+    """All forms for one system, indexed by (kind, key), in canonical order.
+
+    The flattened monomial arrays are fixed at construction: the generator
+    passes the arrays it built the forms from, and a set built from forms
+    alone flattens them once here.  Nothing is filled in later, so a set
+    can be shared across threads.
+    """
 
     system: SystemId
     forms: tuple[QuadraticForm, ...]
     _by_key: dict = field(default_factory=dict, repr=False)
-    _compiled: object = field(default=None, repr=False)
+    _compiled: "_Compiled | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self._by_key:
             self._by_key = {(f.kind, f.key): f for f in self.forms}
+        if self._compiled is None:
+            self._compiled = _Compiled.from_forms(self.forms)
 
     def counts(self) -> dict[str, int]:
         out = {k.value: 0 for k in FormKind}
@@ -235,8 +251,6 @@ class EquationSet:
         return self._by_key[(kind, key)]
 
     def compiled(self) -> "_Compiled":
-        if self._compiled is None:
-            self._compiled = _Compiled(self.forms)
         return self._compiled
 
     def check_vector(self, v: AdjointVector):
@@ -263,29 +277,54 @@ class EquationSet:
 class _Compiled:
     """Flattened monomial arrays for bulk evaluation of a whole set."""
 
-    def __init__(self, forms):
+    def __init__(self, ia: np.ndarray, ib: np.ndarray, c: np.ndarray, offsets: np.ndarray):
+        """Form f owns monomials offsets[f]:offsets[f+1] of the int64 arrays."""
+        if np.any(offsets[1:] == offsets[:-1]):
+            raise RuntimeError("empty form cannot be compiled")
+        self.ia = ia
+        self.ib = ib
+        self.c = c
+        self.offsets = offsets
+        self.n_forms = len(offsets) - 1
+        # Evaluation walks runs of whole forms of about _EVAL_SLICE monomials:
+        # (first form, end form, monomial slice, form starts in the slice).
+        cuts = np.searchsorted(offsets, np.arange(0, offsets[-1], _EVAL_SLICE), side="right") - 1
+        bounds = np.append(np.unique(cuts), self.n_forms).tolist()
+        self._slices = [
+            (f0, f1, slice(int(offsets[f0]), int(offsets[f1])), offsets[f0:f1] - offsets[f0])
+            for f0, f1 in zip(bounds, bounds[1:])
+        ]
+
+    @classmethod
+    def from_forms(cls, forms) -> "_Compiled":
         ia, ib, cs, offsets = [], [], [], [0]
         for f in forms:
-            if not f.monomials:
-                raise RuntimeError("empty form cannot be compiled")
             for a, b, c in f.monomials:
                 ia.append(a)
                 ib.append(b)
                 cs.append(c)
             offsets.append(len(ia))
-        self.ia = np.array(ia, dtype=np.int64)
-        self.ib = np.array(ib, dtype=np.int64)
-        self.c = np.array(cs, dtype=np.int64)
-        self.offsets = np.array(offsets, dtype=np.int64)
-        self.n_forms = len(forms)
+        return cls(
+            np.array(ia, dtype=np.int64),
+            np.array(ib, dtype=np.int64),
+            np.array(cs, dtype=np.int64),
+            np.array(offsets, dtype=np.int64),
+        )
+
+    def _sums(self, products) -> np.ndarray:
+        """Per-form sums of products(s) over the monomial slices s."""
+        values = np.empty(self.n_forms, dtype=np.int64)
+        for f0, f1, s, starts in self._slices:
+            values[f0:f1] = np.add.reduceat(products(s), starts)
+        return values
 
     def _values_numpy(self, varr: np.ndarray) -> np.ndarray:
-        prods = self.c * varr[self.ia] * varr[self.ib]
-        return np.add.reduceat(prods, self.offsets[:-1])
+        return self._sums(lambda s: self.c[s] * varr[self.ia[s]] * varr[self.ib[s]])
 
     def _values_numpy_mod(self, varr: np.ndarray, m: int) -> np.ndarray:
-        prods = (self.c % m) * varr[self.ia] % m * varr[self.ib] % m
-        return np.add.reduceat(prods, self.offsets[:-1]) % m
+        return (
+            self._sums(lambda s: (self.c[s] % m) * varr[self.ia[s]] % m * varr[self.ib[s]] % m) % m
+        )
 
     def first_nonzero(self, v: AdjointVector):
         from .rings import IntegerRing, IntegersMod
@@ -325,22 +364,223 @@ class _Compiled:
         return None, None
 
 
+# Bulk generation holds a family's monomials as two parallel arrays: the
+# sort key (form * dim + a) * dim + b with a <= b, and the coefficient.
+# Key order is the canonical monomial order within and across forms.
+# Pairs become monomials, and flat arrays become forms, a block at a time:
+# that keeps the temporaries small next to the finished set (an E8 block's
+# pair x root mask is 0.25 MB), which holds peak memory under what the
+# per-pair generator needed.
+_PAIR_BLOCK = 1024
+_FORM_CHUNK = 1024
+
+
+def _sort_keys(key, c):
+    """(key, c) in key order; the sort is stable, so a few already sorted
+    runs merge in linear time.  A repeated key is a program error."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if np.any(key[1:] == key[:-1]):
+        raise RuntimeError("quadratic form repeated a monomial")
+    return key, c[order]
+
+
+def _monomials(form, a, b, c, dim: int):
+    """Sorted (key, c) of the monomials c v_a v_b of form `form` with c != 0."""
+    keep = c != 0
+    a, b = a[keep], b[keep]
+    key = form[keep].astype(np.int64)
+    key *= dim
+    key += np.minimum(a, b)
+    key *= dim
+    key += np.maximum(a, b)
+    return _sort_keys(key, c[keep])
+
+
+def _merge(x, y):
+    return _sort_keys(np.concatenate([x[0], y[0]]), np.concatenate([x[1], y[1]]))
+
+
+def _same(x, y) -> bool:
+    return np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
+
+
+def _blocks(build, ii, jj, dim: int, *args):
+    """(key, c) of build(ii, jj, *args) run over blocks of pairs and joined,
+    with form ids counted from the first pair."""
+    keys, cs = [], []
+    for lo in range(0, len(ii), _PAIR_BLOCK):
+        key, c = build(ii[lo : lo + _PAIR_BLOCK], jj[lo : lo + _PAIR_BLOCK], *args)
+        key += lo * dim * dim
+        keys.append(key)
+        cs.append(c)
+    return np.concatenate(keys), np.concatenate(cs)
+
+
+def _pair_mask(gram, ii, jj, x: int, y: int):
+    """(p, g) for every root g with <g, ii[p]> = x and <g, jj[p]> = y."""
+    mask = (gram == x)[ii]
+    mask &= (gram == y)[jj]
+    return np.nonzero(mask)
+
+
+def _square_index(rs: RootSystem, squares):
+    """(square_of, members, start, size) for the enumerated squares.
+
+    square_of[g, d] is the number of the square holding the orthogonal pair
+    (g, d), or -1; square s has the members members[start[s]:][:size[s]],
+    sorted by position.
+    """
+    n = rs.n_roots
+    size = 2 * np.array([sq.k for sq in squares])
+    sid = np.repeat(np.arange(len(squares)), size)
+    # Members come pair by pair, so even and odd entries are the partners.
+    mem = np.array([rs.index[r] for sq in squares for r in sq.members()])
+    square_of = np.full((n, n), -1, dtype=np.int32)
+    square_of[mem[0::2], mem[1::2]] = sid[0::2]
+    square_of[mem[1::2], mem[0::2]] = sid[0::2]
+    return square_of, np.sort(sid * n + mem) - sid * n, np.cumsum(size) - size, size
+
+
+def _other_members(index, ii, jj):
+    """(p, m) for every member m of the square through the pair
+    (ii[p], jj[p]) other than the pair itself, sorted by p, then m."""
+    square_of, mem, start, size = index
+    s = square_of[ii, jj]
+    if np.any(s < 0):
+        raise RuntimeError("orthogonal pair lies in no enumerated square")
+    sizes = size[s]
+    p = np.repeat(np.arange(len(ii)), sizes)
+    pos = np.arange(len(p)) + np.repeat(start[s] - (np.cumsum(sizes) - sizes), sizes)
+    m = mem[pos]
+    keep = (m != ii[p]) & (m != jj[p])
+    return p[keep], m[keep]
+
+
+def _pi2_monomials(rs: RootSystem, signs: SignTable, squares):
+    """v_a v_b - sum N_{a,-g} N_{b,-d} v_g v_d per square, rooted at the
+    square's first pair (a, b)."""
+    neg, t = rs._neg, signs._table
+    k = np.array([sq.k for sq in squares])
+    g = np.array([rs.index[x] for sq in squares for x, _ in sq.pairs])
+    d = np.array([rs.index[y] for sq in squares for _, y in sq.pairs])
+    form = np.repeat(np.arange(len(squares)), k)
+    lead = np.zeros(len(g), dtype=bool)
+    lead[np.cumsum(k) - k] = True
+    a, b = g[lead][form], d[lead][form]
+    c1 = t[a, neg[g]] * t[b, neg[d]]
+    c2 = t[a, neg[d]] * t[b, neg[g]]
+    if np.any((c1 != c2) & ~lead):
+        raise RuntimeError("pi/2 coefficient depends on the pair order")
+    return _monomials(form, g, d, np.where(lead, 1, -c1), rs.dim_v)
+
+
+def _two_pi3_monomials(ii, jj, rs: RootSystem, signs: SignTable, gram, index):
+    """The 2pi/3 form of each ordered pair (alpha, beta) = (ii[p], jj[p])."""
+    neg, t, sums, dim = rs._neg, signs._table, rs._sum_idx, rs.dim_v
+    # Raw definition: -N_{g,d} v_g v_d over gamma at angle pi/3 to both
+    # alpha and beta, with delta = alpha - gamma.
+    p, g = _pair_mask(gram, ii, jj, 1, 1)
+    d = sums[ii[p], neg[g]]
+    raw = _monomials(p, g, d, -t[g, d], dim)
+    # Square description: N_{alpha,-m} v_{alpha-m} v_m over the other members m.
+    p, m = _other_members(index, ii, jj)
+    a, neg_m = ii[p], neg[m]
+    if not _same(raw, _monomials(p, sums[a, neg_m], m, t[a, neg_m], dim)):
+        raise RuntimeError("2pi/3 square form disagrees with the raw definition")
+    # Zero weights: -v_alpha * sum_s <beta, alpha_s> v_s.
+    c = -rs._pairings[jj]
+    p, s = np.nonzero(c)
+    return _merge(raw, _monomials(p, ii[p], rs.n_roots + s, c[p, s], dim))
+
+
+def _pi_monomials(ii, jj, rs: RootSystem, gram, index):
+    """The pi form of each unordered pair (alpha, beta) = (ii[p], jj[p])."""
+    neg, n, dim = rs._neg, rs.n_roots, rs.dim_v
+    # Raw definition: v_g v_{-g} over gamma at angle 2pi/3 to alpha, signed
+    # by <gamma, beta>.
+    p, g = _pair_mask(gram, ii, jj, -1, 1)
+    q, h = _pair_mask(gram, ii, jj, -1, -1)
+    g = np.concatenate([g, h])
+    c = np.ones(len(g), np.int8)
+    c[len(p) :] = -1
+    raw = _monomials(np.concatenate([p, q]), g, neg[g], c, dim)
+    # Square description: v_{alpha-m} v_{m-alpha} - v_m v_{-m} over the
+    # other members m.
+    p, m = _other_members(index, ii, jj)
+    g = np.concatenate([rs._sum_idx[ii[p], neg[m]], m])
+    c = np.ones(len(g), np.int8)
+    c[len(m) :] = -1
+    if not _same(raw, _monomials(np.concatenate([p, p]), g, neg[g], c, dim)):
+        raise RuntimeError("pi square form disagrees with the raw definition")
+    # Zero weights: -(sum_s <alpha, alpha_s> v_s)(sum_t <beta, alpha_t> v_t),
+    # one monomial per s <= t.
+    pa, pb = rs._pairings[ii], rs._pairings[jj]
+    s, u = np.triu_indices(rs.rank)
+    c = -(pa[:, s] * pb[:, u] + np.where(s == u, 0, pa[:, u] * pb[:, s]))
+    p, q = np.nonzero(c)
+    return _merge(raw, _monomials(p, n + s[q], n + u[q], c[p, q], dim))
+
+
+def _forms_from_arrays(system, kinds, keys, compiled: "_Compiled"):
+    """QuadraticForm tuples over the compiled arrays, form f taking kind
+    kinds[f] and key keys[f]."""
+    off = compiled.offsets
+    forms = []
+    for lo in range(0, compiled.n_forms, _FORM_CHUNK):
+        hi = min(lo + _FORM_CHUNK, compiled.n_forms)
+        span = slice(int(off[lo]), int(off[hi]))
+        monos = list(
+            zip(compiled.ia[span].tolist(), compiled.ib[span].tolist(), compiled.c[span].tolist())
+        )
+        bounds = (off[lo : hi + 1] - off[lo]).tolist()
+        forms.extend(
+            QuadraticForm(system, kinds[f], keys[f], tuple(monos[bounds[i] : bounds[i + 1]]))
+            for i, f in enumerate(range(lo, hi))
+        )
+    return tuple(forms)
+
+
 def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     """One pi/2 form per square, one 2pi/3 form per ordered orthogonal pair,
     one pi form per unordered pair, in deterministic key order."""
-    forms: list[QuadraticForm] = []
-    for square in enumerate_squares(rs):
-        forms.append(pi2_form_for_square(rs, signs, square))
-    n = rs.n_roots
-    gram = rs._gram
-    for i in range(n):
-        for j in np.nonzero(gram[i] == 0)[0].tolist():
-            forms.append(two_pi3_form(rs, signs, rs.roots[i], rs.roots[j]))
-    for i in range(n):
-        for j in np.nonzero(gram[i] == 0)[0].tolist():
-            if j > i:
-                forms.append(pi_form(rs, signs, rs.roots[i], rs.roots[j]))
-    return EquationSet(rs.system, tuple(forms))
+    squares = enumerate_squares(rs)
+    gram = rs._gram.astype(np.int8)
+    ii, jj = np.nonzero(gram == 0)
+    upper = ii < jj
+    index = _square_index(rs, squares)
+    dim = rs.dim_v
+    roots = rs.roots
+    pair_keys = [(roots[i], roots[j]) for i, j in zip(ii.tolist(), jj.tolist())]
+    families = [
+        (FormKind.PI2, [tuple(sq.sigma) for sq in squares], _pi2_monomials(rs, signs, squares)),
+        (
+            FormKind.TWO_PI3,
+            pair_keys,
+            _blocks(_two_pi3_monomials, ii, jj, dim, rs, signs, gram, index),
+        ),
+        (
+            FormKind.PI,
+            [key for key, u in zip(pair_keys, upper.tolist()) if u],
+            _blocks(_pi_monomials, ii[upper], jj[upper], dim, rs, gram, index),
+        ),
+    ]
+    kinds, keys, counts = [], [], []
+    for kind, family_keys, (key, _) in families:
+        kinds += [kind] * len(family_keys)
+        keys += family_keys
+        counts.append(np.bincount(key // (dim * dim), minlength=len(family_keys)))
+    key = np.concatenate([key for _, _, (key, _) in families])
+    c = np.concatenate([c for _, _, (_, c) in families]).astype(np.int64)
+    # Peak memory comes while the tuples are built, so the keys go first.
+    del families
+    ia, ib = np.divmod(key % (dim * dim), dim)
+    del key
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=offsets[1:])
+    compiled = _Compiled(ia, ib, c, offsets)
+    forms = _forms_from_arrays(rs.system, kinds, keys, compiled)
+    return EquationSet(rs.system, forms, _compiled=compiled)
 
 
 def eqset_from_json(rs: RootSystem, doc) -> EquationSet:

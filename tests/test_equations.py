@@ -1,16 +1,22 @@
+import hashlib
 import json
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from adjoint_quadrics import (
     AdjointVector,
+    EquationSet,
     FormKind,
     IntegersMod,
     IntegerRing,
     ZeroWeight,
     basis_vector,
+    build_root_system,
+    build_sign_table,
     enumerate_squares,
     eqset_from_json,
     evaluate_form,
@@ -307,3 +313,180 @@ def test_dimension_mismatch_rejected(eqset_for, system):
         eqset.check_vector(v6)
     with pytest.raises(ValueError):
         evaluate_form(eqset.forms[0], v6)
+
+
+# sha256 of the compiled arrays ia || ib || c || offsets as int64 bytes, and
+# of the `equations` JSON text, as produced by the per-pair generator that
+# the vectorised one replaced.  Generation must stay byte-identical.
+COMPILED_SHA256 = {
+    "D5": "424ac7e298b93e631bc1d4e633f486e4f5c42c6f4cf4c4adbff8ac9dd5f47477",
+    "D6": "c9fb91241ca8fc132c74c1ea6fe81f4384f414af0eb463885b3e60081a7509ec",
+    "D7": "eb758acd0ace809a527b42485696ad374f8a9ac7e33c092c8278f145bd499404",
+    "E6": "c039cc4bc88221de6f4e8819403fe515a66352d707615d2c4748f8b5d36bac3f",
+    "E7": "e160ebf7650cb89d93a9b3baf4df1e75f3163753016468b8501222d626626fcc",
+    "E8": "f02cf4c654e377e37527f317fc1e07415203b0b03cad95a0a717fcda778f8db7",
+}
+JSON_SHA256 = {
+    "D5": "c85c6b4eaf9c1d4788ee92a3be2a78eb338c49915cd8e24308b0497adeb46a64",
+    "D6": "425f9947ac1557232d0a17b9d4decd2fbbaa5d491c4e393d5e2176f1f3616946",
+    "E6": "a1ae248c28003e35cb001388186dbc8788c485bbcf8b7dc98c6d9c5b2c0c0767",
+}
+
+
+def _reference_form(rs, signs, squares_by_sigma, form):
+    """The same form from the per-form builder for its kind and key."""
+    if form.kind is FormKind.PI2:
+        return pi2_form_for_square(rs, signs, squares_by_sigma[form.key])
+    build = two_pi3_form if form.kind is FormKind.TWO_PI3 else pi_form
+    return build(rs, signs, *form.key)
+
+
+def _assert_matches_builders(rs, signs, forms):
+    by_sigma = {sq.sigma: sq for sq in enumerate_squares(rs)}
+    for f in forms:
+        assert f == _reference_form(rs, signs, by_sigma, f), (f.kind, f.key)
+
+
+@pytest.mark.parametrize("name", ["D5", "D6", "E6", "E7"])
+def test_generator_matches_per_form_builders(system, eqset_for, name):
+    rs, signs = system(name)
+    _assert_matches_builders(rs, signs, eqset_for(name).forms)
+
+
+def test_generator_matches_per_form_builders_sampled_e8(system, eqset_for):
+    rs, signs = system("E8")
+    forms = eqset_for("E8").forms
+    sample = [forms[i] for i in random.Random(12).sample(range(len(forms)), 1200)]
+    kinds = {f.kind for f in sample}
+    assert kinds == set(FormKind)
+    _assert_matches_builders(rs, signs, sample)
+
+
+@pytest.mark.parametrize("name", ["D5", "D6", "D7", "E6", "E7", "E8"])
+def test_generated_arrays_pinned_and_equal_to_flattened_forms(system, eqset_for, name):
+    rs, _ = system(name)
+    eqset = eqset_for(name)
+    compiled = eqset.compiled()
+    arrays = (compiled.ia, compiled.ib, compiled.c, compiled.offsets)
+    flat = EquationSet(rs.system, eqset.forms).compiled()
+    for got, want in zip(arrays, (flat.ia, flat.ib, flat.c, flat.offsets)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert digest == COMPILED_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(JSON_SHA256))
+def test_equations_json_pinned(system, eqset_for, name):
+    rs, _ = system(name)
+    text = eqset_for(name).to_json(rs)
+    assert hashlib.sha256(text.encode()).hexdigest() == JSON_SHA256[name]
+
+
+def _fresh(name):
+    # Never the session-cached fixtures: these tests corrupt the sign table.
+    rs = build_root_system(name)
+    return rs, build_sign_table(rs)
+
+
+def _entries_read_by_pi2(rs):
+    neg = rs._neg.tolist()
+    used = set()
+    for sq in enumerate_squares(rs):
+        a, b = (rs.root_index(r) for r in sq.pairs[0])
+        for g, d in sq.pairs:
+            gi, di = rs.root_index(g), rs.root_index(d)
+            used |= {(a, neg[gi]), (b, neg[di]), (a, neg[di]), (b, neg[gi])}
+    return used
+
+
+def test_bulk_two_pi3_check_fires_on_corrupted_sign():
+    # Flip N_{gamma,delta} of a 2pi/3 raw monomial that no pi/2 form reads,
+    # so the 2pi/3 comparison is the check that must catch it.
+    rs, signs = _fresh("D5")
+    pi2_entries = _entries_read_by_pi2(rs)
+    ii, jj = np.nonzero(rs._gram == 0)
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        gammas = np.nonzero((rs._gram[i] == 1) & (rs._gram[j] == 1))[0].tolist()
+        entries = [(g, int(rs._sum_idx[i, rs._neg[g]])) for g in gammas]
+        hits = [e for e in entries if e not in pi2_entries]
+        if hits:
+            break
+    g, d = hits[0]
+    signs._table[g, d] *= -1
+    with pytest.raises(RuntimeError, match="2pi/3 square form disagrees"):
+        generate_all_equations(rs, signs)
+    with pytest.raises(RuntimeError, match="2pi/3 square form disagrees"):
+        two_pi3_form(rs, signs, rs.roots[i], rs.roots[j])
+
+
+def test_bulk_pi2_check_fires_on_corrupted_sign():
+    rs, signs = _fresh("D5")
+    sq = enumerate_squares(rs)[0]
+    a = rs.root_index(sq.pairs[0][0])
+    g = rs.root_index(sq.pairs[1][0])
+    signs._table[a, rs._neg[g]] *= -1
+    with pytest.raises(RuntimeError, match="pi/2 coefficient depends"):
+        generate_all_equations(rs, signs)
+    with pytest.raises(RuntimeError, match="pi/2 coefficient depends"):
+        pi2_form_for_square(rs, signs, sq)
+
+
+def test_concurrent_checks_leave_set_unchanged():
+    # check_vector writes nothing into the set, so four threads sharing one
+    # freshly generated set give the serial verdicts and leave it as it was.
+    rs, signs = _fresh("D5")
+    eqset = generate_all_equations(rs, signs)
+    attrs = dict(vars(eqset))
+    compiled = eqset.compiled()
+    arrays = [a.copy() for a in (compiled.ia, compiled.ib, compiled.c, compiled.offsets)]
+    rng = random.Random(5)
+    vectors = [basis_vector(rs, IntegerRing(), rho) for rho in rs.roots[::8]]
+    vectors.append(basis_vector(rs, IntegerRing(), ZeroWeight(1)))
+    for ring, top in ((IntegerRing(), 3), (IntegersMod(6), 5), (IntegerRing(), 10**30)):
+        for _ in range(3):
+            vectors.append(AdjointVector(rs, ring, [rng.randint(0, top) for _ in range(rs.dim_v)]))
+
+    n_threads = 4
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def work(t):
+        barrier.wait(timeout=30)
+        results[t] = [eqset.check_vector(v) for v in vectors]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+
+    serial = [eqset.check_vector(v) for v in vectors]
+    assert any(ok for ok, _ in serial) and not all(ok for ok, _ in serial)
+    assert results == [serial] * n_threads
+    assert vars(eqset).keys() == attrs.keys()
+    assert all(vars(eqset)[k] is attrs[k] for k in attrs)
+    assert eqset.compiled() is compiled
+    for got, want in zip((compiled.ia, compiled.ib, compiled.c, compiled.offsets), arrays):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_sliced_evaluation_matches_whole_set_sums(system, eqset_for, name):
+    # Sets this large are evaluated in several runs of whole forms; the
+    # per-form values must equal one reduceat over all monomials.
+    rs, _ = system(name)
+    compiled = eqset_for(name).compiled()
+    assert len(compiled._slices) > 1
+    varr = np.random.default_rng(7).integers(-50, 50, rs.dim_v)
+    whole = np.add.reduceat(
+        compiled.c * varr[compiled.ia] * varr[compiled.ib], compiled.offsets[:-1]
+    )
+    assert np.array_equal(compiled._values_numpy(varr), whole)
+    assert np.array_equal(compiled._values_numpy_mod(varr % 7, 7), whole % 7)
