@@ -2,7 +2,8 @@
 
 Reports are emitted as JSON on stdout; human-oriented progress lines go
 to stderr and are suppressed by --quiet.  Exit status 0 means every
-requested check passed.
+requested check passed, 1 that a check computed a negative verdict, and
+2 that the input was bad; the error is then a JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import argparse
 import json
 import sys
 
-from .action import Word
+from .action import AdjointVector, Word
 from .equations import FormKind, eqset_from_json, generate_all_equations
-from .rings import ring_from_name
+from .rings import PolynomialRing, Ring, ring_from_name
 from .root_system import build_root_system
 from .signs import build_sign_table
 from .squares import enumerate_squares
@@ -22,6 +23,68 @@ from .verify import SUITE_NAMES, report_json, run_suite, verify_orbit_membership
 
 def _add_system(parser):
     parser.add_argument("--system", required=True, help="root system, e.g. D5, D6, E6, E7, E8")
+
+
+class InputError(ValueError):
+    """A vector file, word file or --rho value without the documented shape."""
+
+
+def _read_json(path: str):
+    with open(path) as f:
+        return json.load(f)
+
+
+def _input_ring(name) -> Ring:
+    """The ring that the elements of a vector or word are parsed over."""
+    if not isinstance(name, str):
+        raise InputError("ring must be a string")
+    ring = ring_from_name(name)
+    if isinstance(ring, PolynomialRing):
+        raise InputError("ring 'poly' has no element syntax; use int or zmod:<m>")
+    return ring
+
+
+def _check_element(s) -> None:
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise InputError(f"ring element must be a string or an integer, not {json.dumps(s)}")
+
+
+def _root(rs, value) -> tuple:
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise InputError(f"root must be an array of integers, not {json.dumps(value)}")
+    rs.root_index(value)
+    return tuple(value)
+
+
+def _load_vector(path: str, rs) -> AdjointVector:
+    """{"system", "ring", "coords": [element, ...]} with one element per weight."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise InputError("vector file must hold a JSON object")
+    if doc.get("system") != str(rs.system):
+        raise InputError("vector system mismatch")
+    ring = _input_ring(doc.get("ring"))
+    if not isinstance(doc.get("coords"), list):
+        raise InputError("vector coords must be an array")
+    for s in doc["coords"]:
+        _check_element(s)
+    coords = [ring.parse(s) for s in doc["coords"]]
+    if len(coords) != rs.dim_v:
+        raise InputError("vector has wrong length")
+    return AdjointVector(rs, ring, coords)
+
+
+def _load_word(path: str, rs, ring: Ring) -> Word:
+    """[{"rho": root, "xi": element}, ...]"""
+    doc = _read_json(path)
+    if not isinstance(doc, list) or not all(isinstance(e, dict) for e in doc):
+        raise InputError("word file must hold a JSON array of {rho, xi} objects")
+    for e in doc:
+        _root(rs, e.get("rho"))
+        _check_element(e.get("xi"))
+    return Word.from_json(doc, rs, ring)
 
 
 def _progress(quiet: bool):
@@ -92,22 +155,9 @@ def cmd_equations(args) -> int:
 def cmd_check(args) -> int:
     rs = build_root_system(args.system)
     signs = build_sign_table(rs)
-    with open(args.vector) as f:
-        vdoc = json.load(f)
-    if vdoc["system"] != str(rs.system):
-        print(json.dumps({"error": "vector system mismatch"}), file=sys.stderr)
-        return 2
-    ring = ring_from_name(vdoc["ring"])
-    from .action import AdjointVector
-
-    coords = [ring.parse(s) for s in vdoc["coords"]]
-    if len(coords) != rs.dim_v:
-        print(json.dumps({"error": "vector has wrong length"}), file=sys.stderr)
-        return 2
-    v = AdjointVector(rs, ring, coords)
+    v = _load_vector(args.vector, rs)
     if args.equations:
-        with open(args.equations) as f:
-            eqset = eqset_from_json(rs, json.load(f))
+        eqset = eqset_from_json(rs, _read_json(args.equations))
     else:
         eqset = generate_all_equations(rs, signs)
     ok, witness = eqset.check_vector(v)
@@ -118,11 +168,9 @@ def cmd_check(args) -> int:
 def cmd_orbit(args) -> int:
     rs = build_root_system(args.system)
     signs = build_sign_table(rs)
-    ring = ring_from_name(args.ring)
-    with open(args.word) as f:
-        word = Word.from_json(json.load(f), rs, ring)
-    rho = tuple(int(x) for x in json.loads(args.rho))
-    rs.root_index(rho)
+    ring = _input_ring(args.ring)
+    word = _load_word(args.word, rs, ring)
+    rho = _root(rs, json.loads(args.rho))
     eqset = generate_all_equations(rs, signs)
     ok, witness = verify_orbit_membership(rs, signs, eqset, word, rho, ring)
     doc = {

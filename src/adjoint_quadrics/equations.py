@@ -26,24 +26,45 @@ comparisons; a disagreement would mean a structure-constant identity
 failed, so it is raised as a program error.  The per-form builders keep
 their own checks and serve as the reference the bulk arrays are tested
 against.
+
+`EquationSet.check_vector` decides over Z and Z/m exactly, on one path
+through the compiled arrays.  Z/m coordinates are first lifted to
+[0, m).  Every value is at most B = S * max|x|^2 in size, where S is the
+largest sum of |c| over one form, fixed at construction.  If B < 2^62
+(and m < 2^62), one int64 pass gives every value exactly, reduced mod m
+for Z/m.  Otherwise the set is evaluated modulo as many primes below
+2^31 as it takes for their product to exceed 2B.  Over Z a value is
+zero iff all its residues are, and only the witness is rebuilt by the
+Chinese remainder theorem; over Z/m every value is rebuilt (Garner's
+mixed-radix digits in int64, summed as Python ints) and reduced mod m.
+Other rings, such as the polynomial ring, evaluate the forms one at a
+time through `evaluate_form`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .action import AdjointVector
+from .rings import IntegerRing, IntegersMod
 from .root_system import Root, RootSystem, SystemId
 from .signs import SignTable
 from .squares import InvalidPairError, MaximalSquare, square_of_pair, enumerate_squares
 
-# Safety bounds for the vectorized integer evaluation path.
-_INT64_SAFE_COORD = 1 << 26
-_INT64_SAFE_MODULUS = 1 << 20
+# One int64 pass is exact when S * max|x|^2, which bounds every product
+# and partial sum, is below this.
+_ONE_PASS_BOUND = 1 << 62
+# Residue arithmetic runs modulo primes below 2^31, so a product of two
+# residues fits in int64; a form's sum of residue products times
+# coefficients does too while the form's sum of |c| is below 2^32.
+_PRIME_LIMIT = 1 << 31
+_MAX_WEIGHT = 1 << 32
 # Bulk evaluation runs over slices of about this many monomials, so its
 # temporaries are a few hundred KB that the allocator reuses call after
 # call.  Whole-set temporaries (8 MB each for E8) are mapped afresh and
@@ -257,11 +278,22 @@ class EquationSet:
         """(all_vanish, witness) where witness names the first failing form."""
         if v.rs.system != self.system:
             raise ValueError(f"vector is over {v.rs.system}, equations over {self.system}")
-        idx, value = self.compiled().first_nonzero(v)
+        ring = v.ring
+        if isinstance(ring, IntegerRing):
+            idx, value = self._compiled.first_nonzero(v.coords)
+        elif isinstance(ring, IntegersMod):
+            idx, value = self._compiled.first_nonzero(v.coords, ring.modulus)
+        else:
+            idx = value = None
+            for i, f in enumerate(self.forms):
+                x = evaluate_form(f, v)
+                if not ring.is_zero(x):
+                    idx, value = i, x
+                    break
         if idx is None:
             return True, None
         f = self.forms[idx]
-        return False, {"kind": f.kind.value, "key": f.key_json(), "value": v.ring.format(value)}
+        return False, {"kind": f.kind.value, "key": f.key_json(), "value": ring.format(value)}
 
     def to_json_doc(self, rs: RootSystem):
         return {
@@ -294,6 +326,12 @@ class _Compiled:
             (f0, f1, slice(int(offsets[f0]), int(offsets[f1])), offsets[f0:f1] - offsets[f0])
             for f0, f1 in zip(bounds, bounds[1:])
         ]
+        # The largest sum of |c| over one form, so every value is at most
+        # weight * max|x|^2 in size.  Clipping keeps the int64 sums exact.
+        weight = self._sums(lambda s: np.abs(np.clip(self.c[s], -_MAX_WEIGHT, _MAX_WEIGHT)))
+        self.weight = max(int(weight.max(initial=0)), 1)
+        if self.weight >= _MAX_WEIGHT:
+            raise ValueError("a form's coefficients sum to 2^32 or more in size")
 
     @classmethod
     def from_forms(cls, forms) -> "_Compiled":
@@ -321,47 +359,85 @@ class _Compiled:
     def _values_numpy(self, varr: np.ndarray) -> np.ndarray:
         return self._sums(lambda s: self.c[s] * varr[self.ia[s]] * varr[self.ib[s]])
 
-    def _values_numpy_mod(self, varr: np.ndarray, m: int) -> np.ndarray:
-        return (
-            self._sums(lambda s: (self.c[s] % m) * varr[self.ia[s]] % m * varr[self.ib[s]] % m) % m
-        )
+    def _residues(self, xs, p: int) -> np.ndarray:
+        """Every form's value modulo the prime p < 2^31, in [0, p)."""
+        r = np.array([x % p for x in xs], dtype=np.int64)
+        return self._sums(lambda s: r[self.ia[s]] * r[self.ib[s]] % p * self.c[s]) % p
 
-    def first_nonzero(self, v: AdjointVector):
-        from .rings import IntegerRing, IntegersMod
+    def _bound(self, xs) -> int:
+        return max((abs(x) for x in xs), default=0) ** 2 * self.weight
 
-        ring = v.ring
-        coords = v.coords
-        if isinstance(ring, IntegersMod) and ring.modulus <= _INT64_SAFE_MODULUS:
-            varr = np.fromiter(coords, dtype=np.int64, count=len(coords))
-            values = self._values_numpy_mod(varr, ring.modulus)
-            nz = np.nonzero(values)[0]
+    def _values_mod(self, coords, m: int) -> np.ndarray:
+        """Every form's value modulo m, in [0, m)."""
+        xs = [x % m for x in coords]
+        bound = self._bound(xs)
+        # One pass is exact below 2^62, and m must fit in int64 to reduce by it.
+        if max(bound, m) < _ONE_PASS_BOUND:
+            return self._values_numpy(np.array(xs, dtype=np.int64)) % m
+        primes = _primes_above(2 * bound)
+        return _crt([self._residues(xs, p) for p in primes], primes) % m
+
+    def first_nonzero(self, coords, modulus: int | None = None):
+        """(index, value) of the first form that does not vanish at the
+        integer coordinates, or (None, None).  With a modulus the forms are
+        read over Z/modulus and the value is a residue in [0, modulus)."""
+        if modulus is not None:
+            values = self._values_mod(coords, modulus)
+        elif (bound := self._bound(coords)) < _ONE_PASS_BOUND:
+            values = self._values_numpy(np.array(coords, dtype=np.int64))
+        else:
+            # |value| <= bound < product / 2, so a value is zero iff every
+            # residue is; only the witness is recovered in full.
+            primes = _primes_above(2 * bound)
+            residues = [self._residues(coords, p) for p in primes]
+            nz = np.flatnonzero(np.logical_or.reduce([r != 0 for r in residues]))
             if len(nz) == 0:
                 return None, None
-            i = int(nz[0])
-            return i, int(values[i])
-        if isinstance(ring, IntegerRing) and max(abs(x) for x in coords) < _INT64_SAFE_COORD:
-            varr = np.fromiter(coords, dtype=np.int64, count=len(coords))
-            values = self._values_numpy(varr)
-            nz = np.nonzero(values)[0]
-            if len(nz) == 0:
-                return None, None
-            i = int(nz[0])
-            return i, int(values[i])
-        # Exact fallback, one form at a time.
-        ia, ib, cs, off = self.ia, self.ib, self.c, self.offsets
-        for fi in range(self.n_forms):
-            total = ring.zero
-            for p in range(int(off[fi]), int(off[fi + 1])):
-                total = ring.add(
-                    total,
-                    ring.mul(
-                        ring.from_int(int(cs[p])),
-                        ring.mul(coords[int(ia[p])], coords[int(ib[p])]),
-                    ),
-                )
-            if not ring.is_zero(total):
-                return fi, total
-        return None, None
+            return int(nz[0]), int(_crt([r[nz[:1]] for r in residues], primes)[0])
+        nz = np.flatnonzero(values)
+        if len(nz) == 0:
+            return None, None
+        return int(nz[0]), int(values[nz[0]])
+
+
+@functools.cache
+def _prime(j: int) -> int:
+    """The (j+1)-th largest prime below 2^31, found by trial division."""
+    n = _PRIME_LIMIT - 1 if j == 0 else _prime(j - 1) - 2
+    while not np.all(n % np.arange(3, math.isqrt(n) + 1, 2)):
+        n -= 2
+    return n
+
+
+def _primes_above(bound: int) -> list[int]:
+    """The largest primes below 2^31, as many as it takes for their product
+    to exceed bound, and at least one."""
+    primes = [_prime(0)]
+    while math.prod(primes) <= bound:
+        primes.append(_prime(len(primes)))
+    return primes
+
+
+def _crt(residues, primes) -> np.ndarray:
+    """The integers in (-M/2, M/2], M the product of the primes, with the
+    given residues elementwise, as Python ints in an object array.
+
+    Garner's algorithm: the mixed-radix digits d_j, with
+    x = d_0 + d_1 p_0 + d_2 p_0 p_1 + ..., are found in int64; only the
+    final Horner sum is done in Python ints.
+    """
+    digits = []
+    for j, (r, p) in enumerate(zip(residues, primes)):
+        acc = np.zeros_like(r)  # d_0 + d_1 p_0 + ... + d_{j-1} p_0 ... p_{j-2}, mod p
+        for d, q in zip(digits[::-1], primes[:j][::-1]):
+            acc = (acc * q + d) % p
+        inv = pow(math.prod(primes[:j]), -1, p)
+        digits.append((r - acc) % p * inv % p)
+    values = digits[-1].astype(object)
+    for d, q in zip(digits[-2::-1], primes[-2::-1]):
+        values = values * q + d
+    product = math.prod(primes)
+    return np.where(values > product // 2, values - product, values)
 
 
 # Bulk generation holds a family's monomials as two parallel arrays: the

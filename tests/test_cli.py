@@ -158,3 +158,50 @@ def test_bad_system_errors(capsys):
     code, _, err = run_cli(capsys, "roots", "--system", "D4")
     assert code == 2
     assert "error" in json.loads(err.splitlines()[-1])
+
+
+def _d5_coords():
+    coords = ["0"] * 45
+    coords[0] = "1"
+    return coords
+
+
+_WORD = [{"rho": [0, 1, 0, 0, 0], "xi": "3"}]
+
+
+@pytest.mark.parametrize(
+    "command, vector, word",
+    [
+        ("check", [{"system": "D5", "ring": "int", "coords": _d5_coords()}], None),
+        ("check", {"system": "D5", "ring": "int", "coords": 7}, None),
+        ("check", {"system": "D5", "ring": "int", "coords": "0" * 45}, None),
+        ("check", {"system": "D5", "ring": "poly", "coords": _d5_coords()}, None),
+        ("orbit", None, {"rho": [0, 1, 0, 0, 0], "xi": "3"}),
+        ("orbit", None, [{"rho": [0, 1, 0, 0, 0], "xi": [3]}]),
+        ("orbit", None, [{"rho": 5, "xi": "3"}]),
+        ("orbit-poly", None, _WORD),
+    ],
+    ids=[
+        "vector-array",
+        "coords-number",
+        "coords-string",
+        "vector-poly",
+        "word-object",
+        "xi-list",
+        "rho-number",
+        "orbit-poly",
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, command, vector, word):
+    # Exit 1 means a computed off-orbit verdict, so bad input must not reach it.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(vector if word is None else word))
+    if command == "check":
+        args = ["check", "--system", "D5", "--vector", str(path)]
+    else:
+        args = ["orbit", "--system", "D5", "--word", str(path), "--rho", "[1, 0, 0, 0, 0]"]
+        if command == "orbit-poly":
+            args += ["--ring", "poly"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert set(json.loads(err.splitlines()[-1])) == {"error"}

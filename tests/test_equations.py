@@ -6,14 +6,20 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adjoint_quadrics import (
     AdjointVector,
+    Elementary,
     EquationSet,
     FormKind,
     IntegersMod,
     IntegerRing,
+    PolynomialRing,
+    QuadraticForm,
+    Word,
     ZeroWeight,
+    apply_word,
     basis_vector,
     build_root_system,
     build_sign_table,
@@ -251,28 +257,110 @@ def test_compiled_matches_direct_over_zmod(eqset_for, system):
     rng = random.Random(9)
     ring = IntegersMod(6)
     v = AdjointVector(rs, ring, [rng.randrange(6) for _ in range(rs.dim_v)])
-    compiled = eqset.compiled()
-    varr = np.array(v.coords, dtype=np.int64)
-    values = compiled._values_numpy_mod(varr, 6)
+    values = eqset.compiled()._values_mod(v.coords, 6)
     for idx in rng.sample(range(len(eqset.forms)), 40):
         assert evaluate_form(eqset.forms[idx], v) == int(values[idx])
 
 
 def test_compiled_big_integer_fallback(eqset_for, system):
-    # Coordinates beyond the int64-safe bound must take the exact path and
-    # agree with direct evaluation.
+    # Values far beyond int64 go through the residues and must agree with
+    # direct evaluation: verdict, first failing form and its exact value.
     rs, _ = system("D5")
     eqset = eqset_for("D5")
+    compiled = eqset.compiled()
     ring = IntegerRing()
     big = 10**40
     v = AdjointVector(rs, ring, [0] * rs.dim_v)
     v.coords[0] = big
     v.coords[1] = big + 1
-    ok, witness = eqset.check_vector(v)
-    direct_bad = [f for f in eqset.forms if evaluate_form(f, v) != 0]
-    assert ok == (not direct_bad)
-    if direct_bad:
-        assert witness is not None
+    off = v.copy()
+    off.coords[rs.n_roots] = -big
+    # Squares fit in int64 here, but a form's sum of |c| times them does not.
+    level = AdjointVector(rs, ring, [3 << 29] * rs.dim_v)
+    for w in (v, off, level):
+        assert compiled._bound(w.coords) >= 1 << 62
+        direct = [(i, x) for i, f in enumerate(eqset.forms) if (x := evaluate_form(f, w)) != 0]
+        if not direct:
+            assert compiled.first_nonzero(w.coords) == (None, None)
+            assert eqset.check_vector(w) == (True, None)
+            continue
+        idx, value = compiled.first_nonzero(w.coords)
+        assert (idx, value) == direct[0]
+        assert abs(value) >= 1 << 62
+        f = eqset.forms[idx]
+        witness = {"kind": f.kind.value, "key": f.key_json(), "value": str(value)}
+        assert eqset.check_vector(w) == (False, witness)
+    assert eqset.check_vector(v)[0] and not eqset.check_vector(off)[0]
+
+
+def _direct_check(eqset, v):
+    """check_vector's answer, one form at a time through evaluate_form."""
+    for f in eqset.forms:
+        x = evaluate_form(f, v)
+        if not v.ring.is_zero(x):
+            return False, {"kind": f.kind.value, "key": f.key_json(), "value": v.ring.format(x)}
+    return True, None
+
+
+def test_unreduced_zmod_coordinates_are_lifted(eqset_for, system):
+    # Z/m coordinates need not be reduced: an orbit vector shifted by
+    # multiples of m is the same point, on or beyond the int64 range.
+    rs, signs = system("D5")
+    eqset = eqset_for("D5")
+    for m in (7, 10**30):
+        ring = IntegersMod(m)
+        word = Word((Elementary(rs.roots[3], 2), Elementary(rs.roots[17], 5)))
+        v = apply_word(rs, signs, word, basis_vector(rs, ring, rs.roots[0]))
+        assert eqset.check_vector(v) == (True, None)
+        for shift in (m << 59, m << 61, m << 80, -(m << 59)):
+            shifted = AdjointVector(rs, ring, [x + shift for x in v.coords])
+            assert _direct_check(eqset, shifted) == (True, None)
+            assert eqset.check_vector(shifted) == (True, None)
+        # Off the orbit, the witness value is the residue in [0, m).
+        off = AdjointVector(rs, ring, [x + (m << 59) for x in v.coords])
+        off.coords[40] += 1
+        verdict = eqset.check_vector(off)
+        assert verdict == _direct_check(eqset, off)
+        assert verdict[0] is False and 0 < int(verdict[1]["value"]) < m
+
+
+def test_polynomial_vectors_take_the_per_form_route(eqset_for, system):
+    rs, _ = system("D5")
+    eqset = eqset_for("D5")
+    ring = PolynomialRing()
+    x = ring.variable("x")
+    v = AdjointVector(rs, ring, [ring.zero] * rs.dim_v)
+    v.coords[0] = x
+    assert eqset.check_vector(v) == (True, None)
+    v.coords[rs.n_roots] = x * x
+    verdict = eqset.check_vector(v)
+    assert verdict == _direct_check(eqset, v)
+    assert verdict[0] is False and verdict[1]["value"] != "0"
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_check_vector_matches_evaluate_form(eqset_for, system, data):
+    # Scaled orbit vectors make every form vanish; a perturbed coordinate
+    # usually breaks one.  Scales up to 10^60 need more than ten primes.
+    rs, signs = system("D5")
+    eqset = eqset_for("D5")
+    modulus = data.draw(st.none() | st.integers(2, 10**30), label="modulus")
+    ring = IntegerRing() if modulus is None else IntegersMod(modulus)
+    roots = st.sampled_from(rs.roots)
+    factors = data.draw(st.lists(st.tuples(roots, st.integers(-5, 5)), max_size=3), label="word")
+    word = Word(tuple(Elementary(rho, xi) for rho, xi in factors))
+    v = apply_word(rs, signs, word, basis_vector(rs, IntegerRing(), data.draw(roots, label="rho")))
+    scale = data.draw(st.integers(-(10**60), 10**60), label="scale")
+    coords = [scale * x for x in v.coords]
+    if modulus is not None:
+        lifts = st.integers(-(10**40), 10**40)
+        coords = [x + modulus * data.draw(lifts) for x in coords]
+    if data.draw(st.booleans(), label="perturb"):
+        i = data.draw(st.integers(0, rs.dim_v - 1), label="at")
+        coords[i] += data.draw(st.integers(-(10**60), 10**60), label="by")
+    w = AdjointVector(rs, ring, coords)
+    assert eqset.check_vector(w) == _direct_check(eqset, w)
 
 
 def test_key_indexing(eqset_for, system):
@@ -439,11 +527,19 @@ def test_concurrent_checks_leave_set_unchanged():
     eqset = generate_all_equations(rs, signs)
     attrs = dict(vars(eqset))
     compiled = eqset.compiled()
+    compiled_attrs = dict(vars(compiled))
     arrays = [a.copy() for a in (compiled.ia, compiled.ib, compiled.c, compiled.offsets)]
     rng = random.Random(5)
     vectors = [basis_vector(rs, IntegerRing(), rho) for rho in rs.roots[::8]]
     vectors.append(basis_vector(rs, IntegerRing(), ZeroWeight(1)))
-    for ring, top in ((IntegerRing(), 3), (IntegersMod(6), 5), (IntegerRing(), 10**30)):
+    big_mod = IntegersMod(10**12 - 1)
+    vectors += [basis_vector(rs, big_mod, rho) for rho in rs.roots[::20]]
+    for ring, top in (
+        (IntegerRing(), 3),
+        (IntegersMod(6), 5),
+        (IntegerRing(), 10**30),
+        (big_mod, 10**12 - 2),
+    ):
         for _ in range(3):
             vectors.append(AdjointVector(rs, ring, [rng.randint(0, top) for _ in range(rs.dim_v)]))
 
@@ -473,6 +569,8 @@ def test_concurrent_checks_leave_set_unchanged():
     assert vars(eqset).keys() == attrs.keys()
     assert all(vars(eqset)[k] is attrs[k] for k in attrs)
     assert eqset.compiled() is compiled
+    assert vars(compiled).keys() == compiled_attrs.keys()
+    assert all(vars(compiled)[k] is compiled_attrs[k] for k in compiled_attrs)
     for got, want in zip((compiled.ia, compiled.ib, compiled.c, compiled.offsets), arrays):
         assert np.array_equal(got, want)
 
@@ -489,4 +587,16 @@ def test_sliced_evaluation_matches_whole_set_sums(system, eqset_for, name):
         compiled.c * varr[compiled.ia] * varr[compiled.ib], compiled.offsets[:-1]
     )
     assert np.array_equal(compiled._values_numpy(varr), whole)
-    assert np.array_equal(compiled._values_numpy_mod(varr % 7, 7), whole % 7)
+    assert np.array_equal(compiled._values_mod(varr.tolist(), 7), whole % 7)
+
+
+def test_oversized_coefficients_rejected(system):
+    # Residue sums stay exact in int64 only while a form's sum of |c| is
+    # below 2^32, so a set past that is refused at construction.
+    rs, _ = system("D5")
+    ok = QuadraticForm(rs.system, FormKind.PI, ((), ()), ((0, 1, 2**31 - 1), (0, 2, 2**31)))
+    EquationSet(rs.system, (ok,))
+    for c in (2**32, -(2**63)):
+        form = QuadraticForm(rs.system, FormKind.PI, ((), ()), ((0, 1, c),))
+        with pytest.raises(ValueError, match="2\\^32"):
+            EquationSet(rs.system, (form,))
