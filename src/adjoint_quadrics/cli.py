@@ -13,7 +13,7 @@ import json
 import sys
 
 from .action import AdjointVector, Word
-from .equations import FormKind, eqset_from_json, generate_all_equations
+from .equations import FormKind, generate_all_equations
 from .rings import PolynomialRing, Ring, ring_from_name
 from .root_system import build_root_system
 from .signs import build_sign_table
@@ -134,10 +134,7 @@ def cmd_equations(args) -> int:
     signs = build_sign_table(rs)
     eqset = generate_all_equations(rs, signs)
     if args.kind != "all":
-        kind = FormKind(_KIND_ALIASES.get(args.kind, args.kind))
-        from .equations import EquationSet
-
-        eqset = EquationSet(rs.system, tuple(f for f in eqset.forms if f.kind is kind))
+        eqset = eqset.of_kind(FormKind(_KIND_ALIASES.get(args.kind, args.kind)))
     text = eqset.to_json(rs)
     if args.out and args.out != "-":
         with open(args.out, "w") as f:
@@ -156,10 +153,7 @@ def cmd_check(args) -> int:
     rs = build_root_system(args.system)
     signs = build_sign_table(rs)
     v = _load_vector(args.vector, rs)
-    if args.equations:
-        eqset = eqset_from_json(rs, _read_json(args.equations))
-    else:
-        eqset = generate_all_equations(rs, signs)
+    eqset = generate_all_equations(rs, signs)
     ok, witness = eqset.check_vector(v)
     print(json.dumps({"ok": ok, "witness": witness}, sort_keys=True, separators=(",", ":")))
     return 0 if ok else 1
@@ -228,7 +222,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="evaluate the forms on a vector file")
     _add_system(p)
     p.add_argument("--vector", required=True)
-    p.add_argument("--equations", help="equation file from the equations subcommand")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("orbit", help="check a word applied to a basis vector")

@@ -27,6 +27,12 @@ failed, so it is raised as a program error.  The per-form builders keep
 their own checks and serve as the reference the bulk arrays are tested
 against.
 
+An `EquationSet` holds the per-form kinds and keys, the flattened
+monomial arrays and an index from (kind, key) to position, and nothing
+else: a `QuadraticForm` is built from the
+arrays only when it is read (`forms[i]`, `form_for`, JSON output, a
+failing check's witness).  Checks over Z and Z/m read the arrays alone.
+
 `EquationSet.check_vector` decides over Z and Z/m exactly, on one path
 through the compiled arrays.  Z/m coordinates are first lifted to
 [0, m).  Every value is at most B = S * max|x|^2 in size, where S is the
@@ -35,8 +41,10 @@ largest sum of |c| over one form, fixed at construction.  If B < 2^62
 for Z/m.  Otherwise the set is evaluated modulo as many primes below
 2^31 as it takes for their product to exceed 2B.  Over Z a value is
 zero iff all its residues are, and only the witness is rebuilt by the
-Chinese remainder theorem; over Z/m every value is rebuilt (Garner's
-mixed-radix digits in int64, summed as Python ints) and reduced mod m.
+Chinese remainder theorem.  Over Z/m every value is rebuilt from Garner's
+mixed-radix digits (found in int64) and reduced mod m: for m < 2^31 the
+digits of value + B are summed mod m in int64, for larger m as Python
+ints.
 Other rings, such as the polynomial ring, evaluate the forms one at a
 time through `evaluate_form`.
 """
@@ -45,9 +53,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,12 +75,14 @@ _ONE_PASS_BOUND = 1 << 62
 # coefficients does too while the form's sum of |c| is below 2^32.
 _PRIME_LIMIT = 1 << 31
 _MAX_WEIGHT = 1 << 32
-# Bulk evaluation runs over slices of about this many monomials, so its
-# temporaries are a few hundred KB that the allocator reuses call after
-# call.  Whole-set temporaries (8 MB each for E8) are mapped afresh and
-# page-faulted on each call, or not, depending on the allocator's history
-# in the process.
-_EVAL_SLICE = 1 << 16
+# Bulk evaluation runs over slices of about this many monomials, so each
+# temporary is 128 KB, which the allocator reuses call after call.  Larger
+# ones are handed back to the OS when freed and page-faulted in again on
+# the next call, or not, depending on the allocator's history in the
+# process: 8 MB whole-set temporaries on E8, and 512 KB slices (2^16
+# monomials) on D7, which took about 640 minor faults per check.  Smaller
+# slices (2^12) cost E8 checks about 15% in loop overhead.
+_EVAL_SLICE = 1 << 14
 
 
 class FormKind(str, enum.Enum):
@@ -241,35 +253,55 @@ def evaluate_form(form: QuadraticForm, v: AdjointVector):
     return total
 
 
-@dataclass
+_KINDS = tuple(FormKind)
+
+
 class EquationSet:
     """All forms for one system, indexed by (kind, key), in canonical order.
 
-    The flattened monomial arrays are fixed at construction: the generator
-    passes the arrays it built the forms from, and a set built from forms
-    alone flattens them once here.  Nothing is filled in later, so a set
-    can be shared across threads.
+    A set is stored as its per-form kind codes, its keys and the flattened
+    monomial arrays, all fixed at construction: the generator passes the
+    arrays it built, and a set built from forms flattens them once here.
+    `forms` builds each QuadraticForm on request from the arrays, so the
+    same form read twice is equal but not identical.  Nothing is filled in
+    later, so a set can be shared across threads.
     """
 
-    system: SystemId
-    forms: tuple[QuadraticForm, ...]
-    _by_key: dict = field(default_factory=dict, repr=False)
-    _compiled: "_Compiled | None" = field(default=None, repr=False)
+    def __init__(self, system: SystemId, forms=(), *, _parts=None):
+        """The set of `forms`; the generator passes `_parts` = (kind codes
+        into _KINDS as int8, keys, _Compiled) instead."""
+        if _parts is None:
+            forms = tuple(forms)
+            codes = np.array([_KINDS.index(f.kind) for f in forms], dtype=np.int8)
+            _parts = codes, tuple(f.key for f in forms), _Compiled.from_forms(forms)
+        self.system = system
+        self._kinds, self._keys, self._compiled = _parts
+        self._index = dict(zip(zip(self._kinds.tolist(), self._keys), range(len(self._keys))))
 
-    def __post_init__(self):
-        if not self._by_key:
-            self._by_key = {(f.kind, f.key): f for f in self.forms}
-        if self._compiled is None:
-            self._compiled = _Compiled.from_forms(self.forms)
+    @property
+    def forms(self) -> "_Forms":
+        return _Forms(self)
+
+    def _form(self, i: int) -> QuadraticForm:
+        c = self._compiled
+        s = slice(c.offsets[i], c.offsets[i + 1])
+        monos = tuple(zip(c.ia[s].tolist(), c.ib[s].tolist(), c.c[s].tolist()))
+        return QuadraticForm(self.system, _KINDS[self._kinds[i]], self._keys[i], monos)
 
     def counts(self) -> dict[str, int]:
-        out = {k.value: 0 for k in FormKind}
-        for f in self.forms:
-            out[f.kind.value] += 1
-        return out
+        n = np.bincount(self._kinds, minlength=len(_KINDS)).tolist()
+        return {k.value: c for k, c in zip(_KINDS, n)}
 
     def form_for(self, kind: FormKind, key: tuple) -> QuadraticForm:
-        return self._by_key[(kind, key)]
+        return self._form(self._index[(_KINDS.index(kind), key)])
+
+    def of_kind(self, kind: FormKind) -> "EquationSet":
+        """The forms of one kind, in order, as a set of their own."""
+        rows = np.flatnonzero(self._kinds == _KINDS.index(kind))
+        keys = tuple(self._keys[i] for i in rows.tolist())
+        return EquationSet(
+            self.system, _parts=(self._kinds[rows], keys, self._compiled.take(rows))
+        )
 
     def compiled(self) -> "_Compiled":
         return self._compiled
@@ -292,7 +324,7 @@ class EquationSet:
                     break
         if idx is None:
             return True, None
-        f = self.forms[idx]
+        f = self._form(idx)
         return False, {"kind": f.kind.value, "key": f.key_json(), "value": ring.format(value)}
 
     def to_json_doc(self, rs: RootSystem):
@@ -304,6 +336,30 @@ class EquationSet:
 
     def to_json(self, rs: RootSystem) -> str:
         return json.dumps(self.to_json_doc(rs), sort_keys=True, separators=(",", ":"))
+
+
+class _Forms(Sequence):
+    """The forms of a set, read-only; each is built when it is read."""
+
+    __slots__ = ("_eqset",)
+
+    def __init__(self, eqset: EquationSet):
+        self._eqset = eqset
+
+    def __len__(self) -> int:
+        return self._eqset._compiled.n_forms
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return self._eqset._form(range(len(self))[i])
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, list, _Forms)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
 
 
 class _Compiled:
@@ -321,7 +377,8 @@ class _Compiled:
         # Evaluation walks runs of whole forms of about _EVAL_SLICE monomials:
         # (first form, end form, monomial slice, form starts in the slice).
         cuts = np.searchsorted(offsets, np.arange(0, offsets[-1], _EVAL_SLICE), side="right") - 1
-        bounds = np.append(np.unique(cuts), self.n_forms).tolist()
+        # Not np.unique: it imports numpy.ma, about 10 ms of a cold set-up.
+        bounds = sorted(set(cuts.tolist())) + [self.n_forms]
         self._slices = [
             (f0, f1, slice(int(offsets[f0]), int(offsets[f1])), offsets[f0:f1] - offsets[f0])
             for f0, f1 in zip(bounds, bounds[1:])
@@ -349,6 +406,14 @@ class _Compiled:
             np.array(offsets, dtype=np.int64),
         )
 
+    def take(self, rows: np.ndarray) -> "_Compiled":
+        """The arrays of the forms `rows`, in that order."""
+        sizes = np.diff(self.offsets)[rows]
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        mono = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], sizes)
+        return _Compiled(self.ia[mono], self.ib[mono], self.c[mono], offsets)
+
     def _sums(self, products) -> np.ndarray:
         """Per-form sums of products(s) over the monomial slices s."""
         values = np.empty(self.n_forms, dtype=np.int64)
@@ -375,7 +440,13 @@ class _Compiled:
         if max(bound, m) < _ONE_PASS_BOUND:
             return self._values_numpy(np.array(xs, dtype=np.int64)) % m
         primes = _primes_above(2 * bound)
-        return _crt([self._residues(xs, p) for p in primes], primes) % m
+        residues = [self._residues(xs, p) for p in primes]
+        if m >= _PRIME_LIMIT:
+            return _crt(residues, primes) % m
+        # value + bound is in [0, 2 bound], below the product of the primes,
+        # so its mixed-radix digits give it mod m in int64, uncentred.
+        shifted = [(r + bound % p) % p for r, p in zip(residues, primes)]
+        return (_mixed_radix_mod(_garner(shifted, primes), primes, m) - bound % m) % m
 
     def first_nonzero(self, coords, modulus: int | None = None):
         """(index, value) of the first form that does not vanish at the
@@ -418,21 +489,31 @@ def _primes_above(bound: int) -> list[int]:
     return primes
 
 
-def _crt(residues, primes) -> np.ndarray:
-    """The integers in (-M/2, M/2], M the product of the primes, with the
-    given residues elementwise, as Python ints in an object array.
+def _mixed_radix_mod(digits, primes, m: int):
+    """(d_0 + d_1 p_0 + d_2 p_0 p_1 + ...) mod m < 2^31 elementwise, by
+    Horner's rule in int64: each step's product stays below 2^62."""
+    acc = 0
+    for d, q in zip(digits[::-1], primes[: len(digits)][::-1]):
+        acc = (acc * q + d) % m
+    return acc
 
-    Garner's algorithm: the mixed-radix digits d_j, with
-    x = d_0 + d_1 p_0 + d_2 p_0 p_1 + ..., are found in int64; only the
-    final Horner sum is done in Python ints.
-    """
+
+def _garner(residues, primes) -> list[np.ndarray]:
+    """Garner's mixed-radix digits d_j in [0, p_j) of the integers x in
+    [0, M), M the product of the primes, with the given residues
+    elementwise: x = d_0 + d_1 p_0 + d_2 p_0 p_1 + ..., found in int64."""
     digits = []
     for j, (r, p) in enumerate(zip(residues, primes)):
-        acc = np.zeros_like(r)  # d_0 + d_1 p_0 + ... + d_{j-1} p_0 ... p_{j-2}, mod p
-        for d, q in zip(digits[::-1], primes[:j][::-1]):
-            acc = (acc * q + d) % p
         inv = pow(math.prod(primes[:j]), -1, p)
-        digits.append((r - acc) % p * inv % p)
+        digits.append((r - _mixed_radix_mod(digits, primes, p)) % p * inv % p)
+    return digits
+
+
+def _crt(residues, primes) -> np.ndarray:
+    """The integers in (-M/2, M/2], M the product of the primes, with the
+    given residues elementwise, as Python ints in an object array: the
+    Garner digits are summed in Python ints."""
+    digits = _garner(residues, primes)
     values = digits[-1].astype(object)
     for d, q in zip(digits[-2::-1], primes[-2::-1]):
         values = values * q + d
@@ -443,12 +524,10 @@ def _crt(residues, primes) -> np.ndarray:
 # Bulk generation holds a family's monomials as two parallel arrays: the
 # sort key (form * dim + a) * dim + b with a <= b, and the coefficient.
 # Key order is the canonical monomial order within and across forms.
-# Pairs become monomials, and flat arrays become forms, a block at a time:
-# that keeps the temporaries small next to the finished set (an E8 block's
-# pair x root mask is 0.25 MB), which holds peak memory under what the
-# per-pair generator needed.
+# Pairs become monomials a block at a time: that keeps the temporaries
+# small next to the finished set (an E8 block's pair x root mask is
+# 0.25 MB).
 _PAIR_BLOCK = 1024
-_FORM_CHUNK = 1024
 
 
 def _sort_keys(key, c):
@@ -598,25 +677,6 @@ def _pi_monomials(ii, jj, rs: RootSystem, gram, index):
     return _merge(raw, _monomials(p, n + s[q], n + u[q], c[p, q], dim))
 
 
-def _forms_from_arrays(system, kinds, keys, compiled: "_Compiled"):
-    """QuadraticForm tuples over the compiled arrays, form f taking kind
-    kinds[f] and key keys[f]."""
-    off = compiled.offsets
-    forms = []
-    for lo in range(0, compiled.n_forms, _FORM_CHUNK):
-        hi = min(lo + _FORM_CHUNK, compiled.n_forms)
-        span = slice(int(off[lo]), int(off[hi]))
-        monos = list(
-            zip(compiled.ia[span].tolist(), compiled.ib[span].tolist(), compiled.c[span].tolist())
-        )
-        bounds = (off[lo : hi + 1] - off[lo]).tolist()
-        forms.extend(
-            QuadraticForm(system, kinds[f], keys[f], tuple(monos[bounds[i] : bounds[i + 1]]))
-            for i, f in enumerate(range(lo, hi))
-        )
-    return tuple(forms)
-
-
 def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     """One pi/2 form per square, one 2pi/3 form per ordered orthogonal pair,
     one pi form per unordered pair, in deterministic key order."""
@@ -626,8 +686,8 @@ def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     upper = ii < jj
     index = _square_index(rs, squares)
     dim = rs.dim_v
-    roots = rs.roots
-    pair_keys = [(roots[i], roots[j]) for i, j in zip(ii.tolist(), jj.tolist())]
+    root = rs.roots.__getitem__
+    pair_keys = list(zip(map(root, ii.tolist()), map(root, jj.tolist())))
     families = [
         (FormKind.PI2, [tuple(sq.sigma) for sq in squares], _pi2_monomials(rs, signs, squares)),
         (
@@ -637,26 +697,24 @@ def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
         ),
         (
             FormKind.PI,
-            [key for key, u in zip(pair_keys, upper.tolist()) if u],
+            list(itertools.compress(pair_keys, upper.tolist())),
             _blocks(_pi_monomials, ii[upper], jj[upper], dim, rs, gram, index),
         ),
     ]
-    kinds, keys, counts = [], [], []
+    codes, keys, counts = [], [], []
     for kind, family_keys, (key, _) in families:
-        kinds += [kind] * len(family_keys)
+        codes += [_KINDS.index(kind)] * len(family_keys)
         keys += family_keys
         counts.append(np.bincount(key // (dim * dim), minlength=len(family_keys)))
     key = np.concatenate([key for _, _, (key, _) in families])
     c = np.concatenate([c for _, _, (_, c) in families]).astype(np.int64)
-    # Peak memory comes while the tuples are built, so the keys go first.
     del families
     ia, ib = np.divmod(key % (dim * dim), dim)
     del key
     offsets = np.zeros(len(keys) + 1, dtype=np.int64)
     np.cumsum(np.concatenate(counts), out=offsets[1:])
     compiled = _Compiled(ia, ib, c, offsets)
-    forms = _forms_from_arrays(rs.system, kinds, keys, compiled)
-    return EquationSet(rs.system, forms, _compiled=compiled)
+    return EquationSet(rs.system, _parts=(np.array(codes, np.int8), tuple(keys), compiled))
 
 
 def eqset_from_json(rs: RootSystem, doc) -> EquationSet:

@@ -53,16 +53,18 @@ def test_equations_check_orbit_flow(tmp_path, capsys):
     assert doc["counts"] == {"pi/2": 90, "2pi/3": 560, "pi": 280}
 
     # A root basis vector satisfies everything.
-    rs_doc = json.loads((eqfile).read_text())
     coords = ["0"] * 45
     coords[0] = "1"
     vec = {"system": "D5", "ring": "int", "coords": coords}
     vfile = tmp_path / "v.json"
     vfile.write_text(json.dumps(vec))
-    code, out, _ = run_cli(
-        capsys, "check", "--system", "D5", "--vector", str(vfile), "--equations", str(eqfile)
-    )
+    code, out, _ = run_cli(capsys, "check", "--system", "D5", "--vector", str(vfile))
     assert code == 0 and json.loads(out)["ok"] is True
+
+    # check regenerates the set; equation files are no longer read.
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--system", "D5", "--vector", str(vfile), "--equations", str(eqfile)])
+    assert exc.value.code == 2
 
     # A zero-weight basis vector does not.
     coords = ["0"] * 45

@@ -34,6 +34,7 @@ from adjoint_quadrics import (
     square_of_pair,
     two_pi3_form,
 )
+from adjoint_quadrics import equations
 
 # True form counts (pi/2 per square, 2pi/3 per ordered orthogonal pair,
 # pi per unordered pair).  D_l square counts reflect the two square sizes.
@@ -324,6 +325,53 @@ def test_unreduced_zmod_coordinates_are_lifted(eqset_for, system):
         assert verdict[0] is False and 0 < int(verdict[1]["value"]) < m
 
 
+@pytest.mark.parametrize("m", [2**31 - 1, 2**31 - 2, 2**31])
+def test_moduli_near_2_31_match_evaluate_form(eqset_for, system, m):
+    # Coordinates near m need several primes.  Below 2^31 the values are
+    # rebuilt mod m in int64; 2^31 - 1 is also the first prime, so only the
+    # composite 2^31 - 2 shows a missing shift by the bound.
+    rs, signs = system("D5")
+    eqset = eqset_for("D5")
+    compiled = eqset.compiled()
+    ring = IntegersMod(m)
+    rng = random.Random(m)
+    word = Word(tuple(Elementary(rng.choice(rs.roots), rng.randrange(m)) for _ in range(4)))
+    v = apply_word(rs, signs, word, basis_vector(rs, ring, rs.roots[5]))
+    off = v.copy()
+    off.coords[rs.n_roots + 2] = rng.randrange(m)
+    for w in (v, off):
+        assert len(equations._primes_above(2 * compiled._bound(w.coords))) >= 2
+        values = compiled._values_mod(w.coords, m)
+        assert values.tolist() == [evaluate_form(f, w) for f in eqset.forms]
+        assert eqset.check_vector(w) == _direct_check(eqset, w)
+    assert eqset.check_vector(v) == (True, None) and not eqset.check_vector(off)[0]
+
+
+def test_checks_build_only_the_witness_form(system, monkeypatch):
+    # Generation and Z, Z/m checks read the compiled arrays; the one form
+    # built is a failing check's witness.
+    rs, signs = system("E6")
+    built = []
+    real = equations.QuadraticForm
+
+    def counting(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(equations, "QuadraticForm", counting)
+    eqset = generate_all_equations(rs, signs)
+    assert built == []
+    for ring in (IntegerRing(), IntegersMod(7), IntegersMod(2**31 - 1), IntegersMod(10**12 - 1)):
+        v = basis_vector(rs, ring, rs.roots[9])
+        v.coords[rs.root_index(rs.roots[9])] = ring.parse(str(3 << 40))
+        assert eqset.check_vector(v) == (True, None)
+        assert built == []
+        ok, witness = eqset.check_vector(basis_vector(rs, ring, ZeroWeight(2)))
+        assert not ok and len(built) == 1
+        f = built.pop()
+        assert witness["kind"] == f.kind.value and witness["key"] == f.key_json()
+
+
 def test_polynomial_vectors_take_the_per_form_route(eqset_for, system):
     rs, _ = system("D5")
     eqset = eqset_for("D5")
@@ -364,10 +412,26 @@ def test_check_vector_matches_evaluate_form(eqset_for, system, data):
 
 
 def test_key_indexing(eqset_for, system):
+    # Forms are built when read, so form_for gives an equal form, not the
+    # same object, and it is the one at the keyed position.
     rs, _ = system("D5")
     eqset = eqset_for("D5")
-    f = eqset.forms[0]
-    assert eqset.form_for(f.kind, f.key) is f
+    for i in (0, 95, len(eqset.forms) - 1):
+        f = eqset.forms[i]
+        g = eqset.form_for(f.kind, f.key)
+        assert g == f
+        assert eqset.forms.index(g) == i
+
+
+def test_of_kind_keeps_forms_in_order(eqset_for):
+    eqset = eqset_for("D5")
+    for kind in FormKind:
+        part = eqset.of_kind(kind)
+        assert part.forms == [f for f in eqset.forms if f.kind is kind]
+        assert part.forms != part.forms[::-1]
+        assert part.counts() == {k.value: len(part.forms) * (k is kind) for k in FormKind}
+        f = part.forms[-1]
+        assert part.form_for(kind, f.key) == f
 
 
 def test_json_round_trip_byte_identical(eqset_for, system):
@@ -405,7 +469,9 @@ def test_dimension_mismatch_rejected(eqset_for, system):
 
 # sha256 of the compiled arrays ia || ib || c || offsets as int64 bytes, and
 # of the `equations` JSON text, as produced by the per-pair generator that
-# the vectorised one replaced.  Generation must stay byte-identical.
+# the vectorised one replaced (the D7 and E7 JSON digests by the vectorised
+# generator while it still built every form up front).  Generation must
+# stay byte-identical.
 COMPILED_SHA256 = {
     "D5": "424ac7e298b93e631bc1d4e633f486e4f5c42c6f4cf4c4adbff8ac9dd5f47477",
     "D6": "c9fb91241ca8fc132c74c1ea6fe81f4384f414af0eb463885b3e60081a7509ec",
@@ -417,7 +483,9 @@ COMPILED_SHA256 = {
 JSON_SHA256 = {
     "D5": "c85c6b4eaf9c1d4788ee92a3be2a78eb338c49915cd8e24308b0497adeb46a64",
     "D6": "425f9947ac1557232d0a17b9d4decd2fbbaa5d491c4e393d5e2176f1f3616946",
+    "D7": "06175387c2daadf43bcab1f84cd3720cf9406c9d5884e70185ef7868ed1c8c82",
     "E6": "a1ae248c28003e35cb001388186dbc8788c485bbcf8b7dc98c6d9c5b2c0c0767",
+    "E7": "5860c4c4e80ef147878df3e0fb84aa5e75033242ab19bb1a0ac9057c020eb82b",
 }
 
 
@@ -521,8 +589,9 @@ def test_bulk_pi2_check_fires_on_corrupted_sign():
 
 
 def test_concurrent_checks_leave_set_unchanged():
-    # check_vector writes nothing into the set, so four threads sharing one
-    # freshly generated set give the serial verdicts and leave it as it was.
+    # check_vector, form_for and reading forms write nothing into the set,
+    # so four threads sharing one freshly generated set give the serial
+    # answers and leave it as it was.
     rs, signs = _fresh("D5")
     eqset = generate_all_equations(rs, signs)
     attrs = dict(vars(eqset))
@@ -543,13 +612,23 @@ def test_concurrent_checks_leave_set_unchanged():
         for _ in range(3):
             vectors.append(AdjointVector(rs, ring, [rng.randint(0, top) for _ in range(rs.dim_v)]))
 
+    picks = rng.sample(range(len(eqset.forms)), 30) + [-1]
+    keys = [(f.kind, f.key) for f in eqset.forms[::40]]
+
+    def answers():
+        return (
+            [eqset.check_vector(v) for v in vectors],
+            [eqset.forms[i] for i in picks],
+            [eqset.form_for(kind, key) for kind, key in keys],
+        )
+
     n_threads = 4
     barrier = threading.Barrier(n_threads)
     results = [None] * n_threads
 
     def work(t):
         barrier.wait(timeout=30)
-        results[t] = [eqset.check_vector(v) for v in vectors]
+        results[t] = answers()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -563,8 +642,9 @@ def test_concurrent_checks_leave_set_unchanged():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
 
-    serial = [eqset.check_vector(v) for v in vectors]
-    assert any(ok for ok, _ in serial) and not all(ok for ok, _ in serial)
+    serial = answers()
+    verdicts = serial[0]
+    assert any(ok for ok, _ in verdicts) and not all(ok for ok, _ in verdicts)
     assert results == [serial] * n_threads
     assert vars(eqset).keys() == attrs.keys()
     assert all(vars(eqset)[k] is attrs[k] for k in attrs)
