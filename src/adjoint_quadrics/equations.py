@@ -65,7 +65,7 @@ from .action import AdjointVector
 from .rings import IntegerRing, IntegersMod
 from .root_system import Root, RootSystem, SystemId
 from .signs import SignTable
-from .squares import InvalidPairError, MaximalSquare, square_of_pair, enumerate_squares
+from .squares import InvalidPairError, MaximalSquare, square_of_pair
 
 # One int64 pass is exact when S * max|x|^2, which bounds every product
 # and partial sum, is below this.
@@ -579,28 +579,10 @@ def _pair_mask(gram, ii, jj, x: int, y: int):
     return np.nonzero(mask)
 
 
-def _square_index(rs: RootSystem, squares):
-    """(square_of, members, start, size) for the enumerated squares.
-
-    square_of[g, d] is the number of the square holding the orthogonal pair
-    (g, d), or -1; square s has the members members[start[s]:][:size[s]],
-    sorted by position.
-    """
-    n = rs.n_roots
-    size = 2 * np.array([sq.k for sq in squares])
-    sid = np.repeat(np.arange(len(squares)), size)
-    # Members come pair by pair, so even and odd entries are the partners.
-    mem = np.array([rs.index[r] for sq in squares for r in sq.members()])
-    square_of = np.full((n, n), -1, dtype=np.int32)
-    square_of[mem[0::2], mem[1::2]] = sid[0::2]
-    square_of[mem[1::2], mem[0::2]] = sid[0::2]
-    return square_of, np.sort(sid * n + mem) - sid * n, np.cumsum(size) - size, size
-
-
 def _other_members(index, ii, jj):
     """(p, m) for every member m of the square through the pair
-    (ii[p], jj[p]) other than the pair itself, sorted by p, then m."""
-    square_of, mem, start, size = index
+    (ii[p], jj[p]) other than the pair itself, grouped by p."""
+    square_of, mem, start, size = index.square_of, index.members, index.start, index.size
     s = square_of[ii, jj]
     if np.any(s < 0):
         raise RuntimeError("orthogonal pair lies in no enumerated square")
@@ -612,14 +594,13 @@ def _other_members(index, ii, jj):
     return p[keep], m[keep]
 
 
-def _pi2_monomials(rs: RootSystem, signs: SignTable, squares):
+def _pi2_monomials(rs: RootSystem, signs: SignTable):
     """v_a v_b - sum N_{a,-g} N_{b,-d} v_g v_d per square, rooted at the
     square's first pair (a, b)."""
-    neg, t = rs._neg, signs._table
-    k = np.array([sq.k for sq in squares])
-    g = np.array([rs.index[x] for sq in squares for x, _ in sq.pairs])
-    d = np.array([rs.index[y] for sq in squares for _, y in sq.pairs])
-    form = np.repeat(np.arange(len(squares)), k)
+    neg, t, index = rs._neg, signs._table, rs._square_index
+    k = index.size // 2
+    g, d = index.members[0::2], index.members[1::2]
+    form = np.repeat(np.arange(len(k)), k)
     lead = np.zeros(len(g), dtype=bool)
     lead[np.cumsum(k) - k] = True
     a, b = g[lead][form], d[lead][form]
@@ -680,16 +661,15 @@ def _pi_monomials(ii, jj, rs: RootSystem, gram, index):
 def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     """One pi/2 form per square, one 2pi/3 form per ordered orthogonal pair,
     one pi form per unordered pair, in deterministic key order."""
-    squares = enumerate_squares(rs)
     gram = rs._gram.astype(np.int8)
     ii, jj = np.nonzero(gram == 0)
     upper = ii < jj
-    index = _square_index(rs, squares)
+    index = rs._square_index
     dim = rs.dim_v
     root = rs.roots.__getitem__
     pair_keys = list(zip(map(root, ii.tolist()), map(root, jj.tolist())))
     families = [
-        (FormKind.PI2, [tuple(sq.sigma) for sq in squares], _pi2_monomials(rs, signs, squares)),
+        (FormKind.PI2, [sq.sigma for sq in rs.squares], _pi2_monomials(rs, signs)),
         (
             FormKind.TWO_PI3,
             pair_keys,

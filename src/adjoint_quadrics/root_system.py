@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,6 +121,69 @@ class ZeroWeight:
 Weight = Root | ZeroWeight
 
 
+@dataclass(frozen=True)
+class MaximalSquare:
+    """2k roots in k orthogonal pairs with constant pairwise sum sigma.
+
+    Signed indices follow the pair layout: pair p (0-based) holds members
+    with signed indices p+1 and -(p+1).
+    """
+
+    sigma: tuple[int, ...]
+    pairs: tuple[tuple[Root, Root], ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.pairs)
+
+    def member(self, i: int) -> Root:
+        """Member at signed index i in {1..k, -k..-1}."""
+        if i == 0 or abs(i) > self.k:
+            raise ValueError(f"signed index {i} out of range for k={self.k}")
+        a, b = self.pairs[abs(i) - 1]
+        return a if i > 0 else b
+
+    def members(self) -> list[Root]:
+        """All 2k members, pair by pair."""
+        out = []
+        for a, b in self.pairs:
+            out.append(a)
+            out.append(b)
+        return out
+
+    def signed_indices(self) -> list[int]:
+        return [i for p in range(1, self.k + 1) for i in (p, -p)]
+
+    def index_of(self, root: Root) -> int | None:
+        """Signed index of a member, or None."""
+        for p, (a, b) in enumerate(self.pairs):
+            if root == a:
+                return p + 1
+            if root == b:
+                return -(p + 1)
+        return None
+
+    def to_json(self):
+        return {"sigma": list(self.sigma), "pairs": [[list(a), list(b)] for a, b in self.pairs]}
+
+
+class SquareIndex(NamedTuple):
+    """The squares of a root system as arrays of root positions.
+
+    square_of[g, d] is the number of the square holding the orthogonal pair
+    (g, d), or -1.  Square s has the members members[start[s]:][:size[s]]
+    in its pair layout: pair p is members[start[s] + 2p] and the entry after
+    it, so position 2p holds signed index p+1 and position 2p+1 holds
+    -(p+1).  sigma[s] is the square's common pair sum.
+    """
+
+    square_of: np.ndarray
+    members: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    sigma: np.ndarray
+
+
 def cartan_matrix(system: SystemId) -> np.ndarray:
     """Cartan matrix in Bourbaki numbering, as an integer array."""
     l = system.rank
@@ -166,7 +230,9 @@ def _positive_roots(cartan: np.ndarray) -> list[Root]:
 class RootSystem:
     """Closed root set with exact doubled inner products and weight indexing.
 
-    Immutable after construction; safe for shared read-only use.  Use
+    Immutable after construction; safe for shared read-only use.  The
+    maximal squares are built with the roots: ``squares`` holds them sorted
+    by sigma, and ``_square_index`` holds them as arrays.  Use
     :func:`build_root_system` to construct one.
     """
 
@@ -208,10 +274,54 @@ class RootSystem:
             s = tuple(a + b for a, b in zip(self.roots[i], self.roots[j]))
             sum_idx[i, j] = self.index[s]
         self._sum_idx = sum_idx
+        # Rank of each root in lexicographic order (canonical order is by
+        # height first).
+        self._lex = np.empty(self.n_roots, dtype=np.int64)
+        self._lex[np.lexsort(r_mat.T[::-1])] = np.arange(self.n_roots)
         self._check_construction()
-        # Lazily filled by the squares module (read-mostly cache).
-        self._square_cache: dict = {}
-        self._squares_enumerated = False
+        self.squares, self._square_index = self._build_squares()
+
+    def _build_squares(self) -> tuple[tuple[MaximalSquare, ...], SquareIndex]:
+        """Every maximal square, sorted by sigma, and their index arrays.
+
+        The orthogonal pairs are grouped by their sum.  Within a pair the
+        lexicographically smaller root comes first, and pairs are sorted by
+        their smaller member; the source never fixes an indexing, so
+        determinism is the only requirement.
+        """
+        n, coeffs = self.n_roots, self._coeffs
+        ii, jj = np.nonzero(np.triu(self._gram == 0, k=1))
+        sums = coeffs[ii] + coeffs[jj]
+        order = np.lexsort(sums.T[::-1])
+        ii, jj, sums = ii[order], jj[order], sums[order]
+        new = np.ones(len(sums), dtype=bool)
+        new[1:] = (sums[1:] != sums[:-1]).any(axis=1)
+        sid = np.cumsum(new) - 1
+        sigma = sums[new]
+        lex = self._lex
+        swap = lex[jj] < lex[ii]
+        first, second = np.where(swap, jj, ii), np.where(swap, ii, jj)
+        order = np.lexsort((lex[first], sid))
+        first, second, sid = first[order], second[order], sid[order]
+        k = np.bincount(sid, minlength=len(sigma))
+        if np.any(k < 2):
+            raise RuntimeError(f"{self.system}: a square has fewer than two pairs")
+        members = np.empty(2 * len(first), dtype=np.int64)
+        members[0::2], members[1::2] = first, second
+        square_of = np.full((n, n), -1, dtype=np.int16)
+        square_of[first, second] = sid
+        square_of[second, first] = sid
+        size = 2 * k
+        index = SquareIndex(square_of, members, np.cumsum(size) - size, size, sigma)
+
+        root = self.roots.__getitem__
+        pairs = list(zip(map(root, first.tolist()), map(root, second.tolist())))
+        bounds = np.cumsum(k).tolist()
+        squares = tuple(
+            MaximalSquare(tuple(sig), tuple(pairs[hi - kk : hi]))
+            for sig, hi, kk in zip(sigma.tolist(), bounds, k.tolist())
+        )
+        return squares, index
 
     def _check_construction(self) -> None:
         # Cross-check: the set must be closed under all simple reflections

@@ -12,7 +12,9 @@ where triality lives, and why rank 4 is refused.  All operations here
 work with each square's own pair count.
 
 Signed indices follow the pair layout: pair p (0-based) holds members
-with signed indices p+1 and -(p+1).
+with signed indices p+1 and -(p+1).  The squares are built once, with the
+root system (RootSystem.squares and its square index); the functions here
+only read them.
 
 This module also classifies the position of an arbitrary root relative
 to a square (five angle classes, decided by the doubled product with
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .root_system import Root, RootSystem
+from .root_system import MaximalSquare, Root, RootSystem
 from .signs import SignTable
 
 
@@ -40,96 +42,20 @@ class NotAnA3TripleError(ValueError):
     """The supplied roots do not form an A_3 fundamental triple."""
 
 
-@dataclass(frozen=True)
-class MaximalSquare:
-    """2k roots in k orthogonal pairs with constant pairwise sum sigma."""
-
-    sigma: tuple[int, ...]
-    pairs: tuple[tuple[Root, Root], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.pairs)
-
-    def member(self, i: int) -> Root:
-        """Member at signed index i in {1..k, -k..-1}."""
-        if i == 0 or abs(i) > self.k:
-            raise ValueError(f"signed index {i} out of range for k={self.k}")
-        a, b = self.pairs[abs(i) - 1]
-        return a if i > 0 else b
-
-    def members(self) -> list[Root]:
-        """All 2k members, pair by pair."""
-        out = []
-        for a, b in self.pairs:
-            out.append(a)
-            out.append(b)
-        return out
-
-    def signed_indices(self) -> list[int]:
-        return [i for p in range(1, self.k + 1) for i in (p, -p)]
-
-    def index_of(self, root: Root) -> int | None:
-        """Signed index of a member, or None."""
-        for p, (a, b) in enumerate(self.pairs):
-            if root == a:
-                return p + 1
-            if root == b:
-                return -(p + 1)
-        return None
-
-    def to_json(self):
-        return {"sigma": list(self.sigma), "pairs": [[list(a), list(b)] for a, b in self.pairs]}
-
-
-def _canonical_pairs(pairs: list[tuple[Root, Root]]) -> tuple[tuple[Root, Root], ...]:
-    # Within a pair the lexicographically smaller root comes first; pairs are
-    # sorted by their smaller member.  The source never fixes an indexing, so
-    # determinism is the only requirement.
-    fixed = [(a, b) if a <= b else (b, a) for a, b in pairs]
-    fixed.sort(key=lambda p: p[0])
-    return tuple(fixed)
-
-
 def square_of_pair(rs: RootSystem, alpha: Root, beta: Root) -> MaximalSquare:
     """The unique maximal square containing the orthogonal pair {alpha, beta}."""
     ai, bi = rs.root_index(alpha), rs.root_index(beta)
     if rs.dot2_idx(ai, bi) != 0:
         raise InvalidPairError(f"{alpha} and {beta} are not orthogonal")
-    sigma = tuple(a + b for a, b in zip(alpha, beta))
-    cached = rs._square_cache.get(sigma)
-    if cached is not None:
-        return cached
-    members = [g for g in rs.roots if tuple(s - x for s, x in zip(sigma, g)) in rs.index]
-    pairs = []
-    seen = set()
-    for g in members:
-        if g in seen:
-            continue
-        partner = tuple(s - x for s, x in zip(sigma, g))
-        seen.add(g)
-        seen.add(partner)
-        pairs.append((g, partner))
-    if len(pairs) < 2:
-        raise RuntimeError(f"square through {alpha}, {beta} has {len(pairs)} pair(s)")
-    square = MaximalSquare(sigma, _canonical_pairs(pairs))
-    rs._square_cache[sigma] = square
-    return square
+    s = int(rs._square_index.square_of[ai, bi])
+    if s < 0:
+        raise RuntimeError(f"{alpha} and {beta} lie in no square")
+    return rs.squares[s]
 
 
 def enumerate_squares(rs: RootSystem) -> list[MaximalSquare]:
     """Every maximal square exactly once, sorted by sigma."""
-    if not rs._squares_enumerated:
-        ii, jj = np.nonzero(np.triu(rs._gram == 0, k=1))
-        by_sigma: dict[tuple[int, ...], list[tuple[Root, Root]]] = {}
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            a, b = rs.roots[i], rs.roots[j]
-            sigma = tuple(x + y for x, y in zip(a, b))
-            by_sigma.setdefault(sigma, []).append((a, b))
-        for sigma, pairs in by_sigma.items():
-            rs._square_cache[sigma] = MaximalSquare(sigma, _canonical_pairs(pairs))
-        rs._squares_enumerated = True
-    return [rs._square_cache[s] for s in sorted(rs._square_cache)]
+    return list(rs.squares)
 
 
 class SquareAngle(enum.Enum):

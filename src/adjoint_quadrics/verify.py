@@ -16,6 +16,18 @@ Angle classes pi/2 and pi/3 carry no direct ledger entry; for those the
 suite verifies the commutator reduction x_rho(xi) = [x_a(xi), x_b(eps)]
 with both factors in already-covered classes, symbolically in xi on a
 generic vector.
+
+The jacobi and combinatorics suites are batched.  Their samples are drawn
+with exactly the rng calls of _random_root, _random_orthogonal_pair and
+_random_square, in the order the checks report, but kept as root and
+square numbers; the batch module then evaluates both sides of every
+comparison on blocks of samples with numpy, over the sign table, the Gram
+and sum tables and the root system's square index.  Two-way checks keep
+both computations: the companion sets are a direct scan over the roots
+against the square formulas, as in pair_sets.  Failure entries are built
+for the failing samples only, in sample order, so the reports are the
+ones the per-sample loops gave.  The scalar helpers of the squares module
+stay the reference the batched checks are tested against.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import batch
 from .action import (
     AdjointVector,
     Elementary,
@@ -49,15 +62,10 @@ from .rings import IntegerRing, IntegersMod, PolynomialRing, Ring
 from .root_system import Root, RootSystem, ZeroWeight, build_root_system
 from .signs import SignTable, build_sign_table
 from .squares import (
+    _ANGLE_BY_DOT2,
     MaximalSquare,
     SquareAngle,
     classify_root_vs_square,
-    conjugate_pair,
-    enumerate_squares,
-    extend_a3_to_d4,
-    modified_square,
-    pair_sets,
-    sign_column,
     square_of_pair,
 )
 
@@ -516,10 +524,12 @@ def suite_jacobi(rs: RootSystem, signs: SignTable, seed=0, samples: int | None =
     if samples is None:
         samples = 50_000
 
-    table = signs._table.astype(np.int64)
+    table = signs._table
     gram = rs._gram
     n = rs.n_roots
     neg = rs._neg
+    index = rs._square_index
+    roots = rs.roots
 
     bad = int(np.count_nonzero((table != 0) != (gram == -1)))
     rep.add("nonzero-iff-sum-is-root", n * n, [{"count": bad}] * (1 if bad else 0))
@@ -539,103 +549,32 @@ def suite_jacobi(rs: RootSystem, signs: SignTable, seed=0, samples: int | None =
     bad = int(np.count_nonzero((t1 != t2) | (t2 != t3)))
     rep.add("triangle", len(ii), [{"count": bad}] * (1 if bad else 0))
 
+    quads, triples, cartan = batch.jacobi_samples(rs, rng, samples, exhaustive)
+    tb = batch.Tables(rs, signs)
+
+    def root_lists(*positions):
+        return [list(roots[x]) for x in positions]
+
+    # N_{a,-g} N_{b,-d} = N_{a,-d} N_{b,-g} on two pairs of one square.
+    drawn, (bad,) = batch.blocked(batch.quadruple_block, tb, quads)
     failures = []
-    attempted = 0
-    if exhaustive:
-        quads = (
-            (sq, p, q)
-            for sq in enumerate_squares(rs)
-            for p in range(sq.k)
-            for q in range(sq.k)
-            if p != q
-        )
-    else:
-        def _sampled_quads():
-            for _ in range(samples):
-                sq = _random_square(rs, rng)
-                p = rng.randrange(sq.k)
-                q = rng.randrange(sq.k - 1)
-                if q >= p:
-                    q += 1
-                yield sq, p, q
-        quads = _sampled_quads()
-    for sq, p, q in quads:
-        a, b = sq.pairs[p]
-        g, d = sq.pairs[q]
-        ai, bi = rs.root_index(a), rs.root_index(b)
-        gi, di = rs.root_index(g), rs.root_index(d)
-        lhs = signs.n_idx(ai, int(neg[gi])) * signs.n_idx(bi, int(neg[di]))
-        rhs = signs.n_idx(ai, int(neg[di])) * signs.n_idx(bi, int(neg[gi]))
-        attempted += 1
-        if lhs != rhs:
-            failures.append({"pair": [list(a), list(b)], "other": [list(g), list(d)]})
-    rep.add("orthogonal-quadruple", attempted, failures)
+    for x in np.flatnonzero(bad):
+        a, b, g, d = batch.quadruple(index, *(c[x] for c in drawn))
+        failures.append({"pair": root_lists(a, b), "other": root_lists(g, d)})
+    rep.add("orthogonal-quadruple", len(bad), failures)
 
     # Pure-N Jacobi cocycle on triples with alpha+beta and alpha+beta+gamma
     # roots and no two of alpha, beta, gamma opposite (opposite pairs bracket
     # into the Cartan part, handled by the next check).
-    failures = []
-    attempted = 0
-    sum_idx = rs._sum_idx
-    if exhaustive:
-        def _all_triples():
-            for i, j in zip(ii.tolist(), jj.tolist()):
-                h = int(sum_idx[i, j])
-                for g in np.nonzero(gram[h] == -1)[0].tolist():
-                    yield i, j, g, h
-        triples = _all_triples()
-    else:
-        def _sampled_triples():
-            pair_count = len(ii)
-            for _ in range(samples):
-                t = rng.randrange(pair_count)
-                i, j = int(ii[t]), int(jj[t])
-                h = int(sum_idx[i, j])
-                opts = np.nonzero(gram[h] == -1)[0]
-                g = int(opts[rng.randrange(len(opts))])
-                yield i, j, g, h
-        triples = _sampled_triples()
-    for i, j, g, h in triples:
-        if g == int(neg[i]) or g == int(neg[j]):
-            continue
-        total = signs.n_idx(i, j) * signs.n_idx(h, g)
-        bg = int(sum_idx[j, g])
-        if bg >= 0:
-            total += signs.n_idx(j, g) * signs.n_idx(bg, i)
-        ga = int(sum_idx[g, i])
-        if ga >= 0:
-            total += signs.n_idx(g, i) * signs.n_idx(ga, j)
-        attempted += 1
-        if total != 0:
-            failures.append({"triple": [list(rs.roots[i]), list(rs.roots[j]), list(rs.roots[g])]})
-    rep.add("jacobi-cocycle", attempted, failures)
+    drawn, (skip, bad) = batch.blocked(batch.cocycle_block, tb, triples)
+    failures = [{"triple": root_lists(*(c[x] for c in drawn))} for x in np.flatnonzero(bad)]
+    rep.add("jacobi-cocycle", int(np.count_nonzero(~skip)), failures)
 
     # Jacobi with gamma = -beta: the middle bracket lands in the Cartan part,
     # [e_b, e_-b] = h_b, contributing the pairing <alpha, beta>.
-    failures = []
-    attempted = 0
-    if exhaustive:
-        cj_iter = ((i, j) for i in range(n) for j in range(n) if j != i and j != int(neg[i]))
-    else:
-        def _sampled_cj():
-            for _ in range(samples):
-                i = rng.randrange(n)
-                j = rng.randrange(n)
-                if j != i and j != int(neg[i]):
-                    yield i, j
-        cj_iter = _sampled_cj()
-    for i, j in cj_iter:
-        total = rs.dot2_idx(i, j)
-        ab = int(sum_idx[i, j])
-        if ab >= 0:
-            total += signs.n_idx(i, j) * signs.n_idx(ab, int(neg[j]))
-        amb = int(sum_idx[i, int(neg[j])])
-        if amb >= 0:
-            total += signs.n_idx(int(neg[j]), i) * signs.n_idx(amb, j)
-        attempted += 1
-        if total != 0:
-            failures.append({"pair": [list(rs.roots[i]), list(rs.roots[j])]})
-    rep.add("cartan-jacobi", attempted, failures)
+    drawn, (skip, bad) = batch.blocked(batch.cartan_block, tb, cartan)
+    failures = [{"pair": root_lists(*(c[x] for c in drawn))} for x in np.flatnonzero(bad)]
+    rep.add("cartan-jacobi", int(np.count_nonzero(~skip)), failures)
 
     rep.wall_time_s = time.perf_counter() - t0
     return rep
@@ -687,9 +626,10 @@ def suite_combinatorics(
     exhaustive = rs.n_roots <= _EXHAUSTIVE_ROOT_LIMIT
     if samples is None:
         samples = 10_000
+    tb = batch.Tables(rs, signs)
+    gram, roots, squares = rs._gram, rs.roots, rs.squares
 
-    squares = enumerate_squares(rs)
-    n_pairs = int(np.count_nonzero(np.triu(rs._gram == 0, k=1)))
+    n_pairs = int(np.count_nonzero(np.triu(gram == 0, k=1)))
     # Squares partition the orthogonal pairs; every E-system square has
     # exactly k pairs, D_l squares have l-1 or 3.
     sizes_ok = (
@@ -704,141 +644,83 @@ def suite_combinatorics(
         [] if ok_census else [{"squares": len(squares), "k": rs.k, "pairs": n_pairs}],
     )
 
-    # Companion sets: counts, dual construction (inside pair_sets), the
-    # square made of S_pi negatives, and conjugate-pair structure.
-    if exhaustive:
-        pair_iter = [
-            (rs.roots[i], rs.roots[j])
-            for i in range(rs.n_roots)
-            for j in np.nonzero(rs._gram[i] == 0)[0].tolist()
-        ]
-    else:
-        pair_iter = [_random_orthogonal_pair(rs, rng) for _ in range(samples)]
-    failures = []
-    conj_failures = []
-    for alpha, beta in pair_iter:
-        try:
-            ps = pair_sets(rs, alpha, beta)
-        except RuntimeError as exc:
-            failures.append({"pair": [list(alpha), list(beta)], "error": str(exc)})
-            continue
-        sq = square_of_pair(rs, alpha, beta)
-        expected = 2 * sq.k - 2
-        neg_gammas = {rs.negate(g) for g, _ in ps.pi} | {alpha, beta}
-        if (
-            len(ps.half_pi) != sq.k - 1
-            or len(ps.two_thirds) != expected
-            or len(ps.pi) != expected
-            or len(ps.pi_prime) != expected
-            or neg_gammas != set(sq.members())
-        ):
-            failures.append({"pair": [list(alpha), list(beta)]})
-            continue
-        orbits = set()
-        good = True
-        for pr in ps.two_thirds:
-            conj = conjugate_pair(rs, alpha, beta, pr)
-            if conj == pr or conj not in ps.two_thirds:
-                good = False
-                break
-            if conjugate_pair(rs, alpha, beta, conj) != pr:
-                good = False
-                break
-            orbits.add(frozenset((pr, conj)))
-        if not good or len(orbits) != sq.k - 1:
-            conj_failures.append({"pair": [list(alpha), list(beta)]})
-    rep.add("companion-sets", len(pair_iter), failures)
-    rep.add("conjugate-pairs", len(pair_iter), conj_failures)
+    pairs, configs, sign_squares, modified, triples = batch.combinatorics_samples(
+        rs, rng, samples, exhaustive
+    )
 
-    # Position lemma.
-    if exhaustive:
-        cl_iter = [(rho, sq) for rho in rs.roots for sq in squares]
-    else:
-        cl_iter = [(_random_root(rs, rng), _random_square(rs, rng)) for _ in range(samples)]
+    def pair(x):
+        return [list(roots[alpha[x]]), list(roots[beta[x]])]
+
+    def sigma(s):
+        return list(squares[s].sigma)
+
+    def signed(pos):
+        return int(pos // 2 + 1) * (1 if pos % 2 == 0 else -1)
+
+    # Companion sets: the direct scans against the square formulas, the
+    # counts, the square made of S_pi negatives, and conjugate pairs.
+    (alpha, beta), (differ, wrong, conj_bad) = batch.blocked(batch.companion_block, tb, pairs)
+    failures = [
+        {"pair": pair(x), "error": "companion-set scan disagrees with square formula"}
+        if differ[x]
+        else {"pair": pair(x)}
+        for x in np.flatnonzero(differ | wrong)
+    ]
+    rep.add("companion-sets", len(alpha), failures)
+    conj_failures = [{"pair": pair(x)} for x in np.flatnonzero(conj_bad & ~differ & ~wrong)]
+    rep.add("conjugate-pairs", len(alpha), conj_failures)
+
+    # Position lemma.  A class that cannot be resolved fails with
+    # classify_root_vs_square's message.
+    (rho, cl_sq), (d, ok, missing) = batch.blocked(batch.position_block, tb, configs)
     failures = []
-    for rho, sq in cl_iter:
-        cls = classify_root_vs_square(rs, rho, sq)
-        if not _class_pattern_ok(rs, rho, sq, cls):
-            failures.append({"rho": list(rho), "sigma": list(sq.sigma), "class": cls.kind.value})
-    rep.add("position-classes", len(cl_iter), failures)
+    for x in np.flatnonzero(~ok):
+        root, sq = roots[rho[x]], squares[cl_sq[x]]
+        failure = {"rho": list(root), "sigma": list(sq.sigma)}
+        kind = _ANGLE_BY_DOT2.get(int(d[x]))
+        if kind is None:
+            failure["error"] = f"impossible doubled product {d[x]} with sigma {sq.sigma}"
+        elif missing[x]:
+            sign = "" if kind is SquareAngle.IN_SQUARE else "-"
+            failure["error"] = f"{sign}{root} pairs with sigma like a member but is not one"
+        else:
+            failure["class"] = kind.value
+        failures.append(failure)
+    rep.add("position-classes", len(rho), failures)
 
     # Sign-column lemma: c(h) = c(h)_j * c(j) componentwise.
-    if exhaustive:
-        sc_iter = squares
-    else:
-        sc_iter = [_random_square(rs, rng) for _ in range(min(samples, 1000))]
-    failures = []
-    attempted = 0
-    for sq in sc_iter:
-        idxs = sq.signed_indices()
-        cols = {j: sign_column(rs, signs, sq, j) for j in idxs}
-        for j in idxs:
-            for h in idxs:
-                attempted += 1
-                ch, cj = cols[h], cols[j]
-                if any(ch[i] != ch[j] * cj[i] for i in idxs):
-                    failures.append({"sigma": list(sq.sigma), "j": j, "h": h})
-    rep.add("sign-columns", attempted, failures)
+    (sc_sq,), (bad,) = batch.blocked(batch.sign_column_block, tb, sign_squares)
+    failures = [
+        {"sigma": sigma(sc_sq[x]), "j": signed(j), "h": signed(h)}
+        for x, j, h in zip(*np.nonzero(bad))
+    ]
+    rep.add("sign-columns", int(np.sum(tb.index.size[sc_sq] ** 2)), failures)
 
     # Modified squares keep the stated members and stay maximal squares.
-    failures = []
-    attempted = 0
-    ms_iter = squares if exhaustive else [_random_square(rs, rng) for _ in range(200)]
-    for sq in ms_iter:
-        for j in sq.signed_indices():
-            attempted += 1
-            try:
-                out = modified_square(rs, sq, j)
-            except RuntimeError as exc:
-                failures.append({"sigma": list(sq.sigma), "j": j, "error": str(exc)})
-                continue
-            ok = out.member(j) == sq.member(j) and out.member(-j) == rs.negate(sq.member(-j))
-            members = out.members()
-            for x in range(len(members)):
-                for y in range(x + 1, len(members)):
-                    d = rs.doubled_inner(members[x], members[y])
-                    paired = out.index_of(members[x]) == -out.index_of(members[y])
-                    if d != (0 if paired else 1):
-                        ok = False
-            if not ok:
-                failures.append({"sigma": list(sq.sigma), "j": j})
-    rep.add("modified-squares", attempted, failures)
+    (ms_sq,), (error, bad) = batch.blocked(batch.modified_square_block, tb, modified)
+    failures = [
+        {"sigma": sigma(ms_sq[x]), "j": signed(j), "error": "modified square member is not a root"}
+        if error[x, j]
+        else {"sigma": sigma(ms_sq[x]), "j": signed(j)}
+        for x, j in zip(*np.nonzero(error | bad))
+    ]
+    rep.add("modified-squares", int(np.sum(tb.index.size[ms_sq])), failures)
 
     # A_3 triples extend to D_4.
+    (a, b, c), (found, delta, ok) = batch.blocked(batch.a3_block, tb, triples)
     failures = []
-    if exhaustive:
-        triples = []
-        for a in rs.roots:
-            ai = rs.root_index(a)
-            for bi in np.nonzero(rs._gram[ai] == -1)[0].tolist():
-                b = rs.roots[bi]
-                for ci in np.nonzero((rs._gram[ai] == 0) & (rs._gram[bi] == -1))[0].tolist():
-                    triples.append((a, b, rs.roots[ci]))
-    else:
-        triples = []
-        while len(triples) < samples:
-            a = _random_root(rs, rng)
-            ai = rs.root_index(a)
-            bs = np.nonzero(rs._gram[ai] == -1)[0]
-            b = rs.roots[int(bs[rng.randrange(len(bs))])]
-            bi = rs.root_index(b)
-            cs = np.nonzero((rs._gram[ai] == 0) & (rs._gram[bi] == -1))[0]
-            if len(cs) == 0:
-                continue
-            triples.append((a, b, rs.roots[int(cs[rng.randrange(len(cs))])]))
-    for a, b, c in triples:
-        try:
-            d = extend_a3_to_d4(rs, a, b, c)
-        except RuntimeError as exc:
-            failures.append({"triple": [list(a), list(b), list(c)], "error": str(exc)})
-            continue
-        if (
-            rs.doubled_inner(d, a) != 0
-            or rs.doubled_inner(d, c) != 0
-            or rs.doubled_inner(d, b) != -1
-        ):
-            failures.append({"triple": [list(a), list(b), list(c)], "delta": list(d)})
-    rep.add("a3-extension", len(triples), failures)
+    for x in np.flatnonzero(~ok):
+        triple = [roots[a[x]], roots[b[x]], roots[c[x]]]
+        if found[x]:
+            failures.append({"triple": [list(r) for r in triple], "delta": list(roots[delta[x]])})
+        else:
+            failures.append(
+                {
+                    "triple": [list(r) for r in triple],
+                    "error": "no D_4 extension found for ({}, {}, {})".format(*triple),
+                }
+            )
+    rep.add("a3-extension", len(a), failures)
 
     rep.wall_time_s = time.perf_counter() - t0
     return rep
@@ -1039,6 +921,8 @@ def run_suite(
     """
     if suite != "all" and suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     wanted = SUITE_NAMES if suite == "all" else (suite,)
     rs = build_root_system(system)
     signs = build_sign_table(rs)

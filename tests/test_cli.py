@@ -207,3 +207,17 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, vector, word):
     code, out, err = run_cli(capsys, *args)
     assert code == 2 and out == ""
     assert set(json.loads(err.splitlines()[-1])) == {"error"}
+
+
+@pytest.mark.parametrize(
+    "system, suite, samples",
+    [("D5", "cases", "-3"), ("E7", "combinatorics", "0")],
+)
+def test_verify_rejects_samples_below_one(capsys, system, suite, samples):
+    # A non-positive count used to report a vacuous pass (or a negative
+    # attempted count) with exit 0.
+    code, out, err = run_cli(
+        capsys, "verify", "--system", system, "--suite", suite, "--samples", samples
+    )
+    assert code == 2 and out == ""
+    assert "samples" in json.loads(err.splitlines()[-1])["error"]

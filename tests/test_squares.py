@@ -1,10 +1,13 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from adjoint_quadrics import (
     InvalidPairError,
+    build_root_system,
     NotAnA3TripleError,
     SquareAngle,
     classify_root_vs_square,
@@ -256,3 +259,45 @@ def test_extension_rejects_non_triples(system):
     a = rs.simple_root(1)
     with pytest.raises(NotAnA3TripleError):
         extend_a3_to_d4(rs, a, a, a)
+
+
+def test_concurrent_square_lookups_leave_system_unchanged():
+    # The squares are built with the root system, so four threads sharing a
+    # fresh D5 get the serial answers and write nothing into it.
+    serial_rs = build_root_system("D5")
+    pairs = _orthogonal_pairs(serial_rs)
+
+    def answers(rs):
+        return [square_of_pair(rs, a, b) for a, b in pairs], enumerate_squares(rs)
+
+    serial = answers(serial_rs)
+    rs = build_root_system("D5")
+    attrs = dict(vars(rs))
+    arrays = {k: v.copy() for k, v in attrs.items() if isinstance(v, np.ndarray)}
+    index = [a.copy() for a in rs._square_index]
+
+    n_threads = 4
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def work(t):
+        barrier.wait(timeout=30)
+        results[t] = answers(rs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+
+    assert results == [serial] * n_threads
+    assert vars(rs).keys() == attrs.keys()
+    assert all(vars(rs)[k] is attrs[k] for k in attrs)
+    assert all(np.array_equal(getattr(rs, k), v) for k, v in arrays.items())
+    assert all(np.array_equal(got, want) for got, want in zip(rs._square_index, index))
