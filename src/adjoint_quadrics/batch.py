@@ -25,9 +25,10 @@ from .root_system import RootSystem
 from .signs import SignTable
 from .squares import _ANGLE_BY_DOT2
 
-# Samples per block.  A block x roots int64 array of E8 is 120 KB, which
-# keeps a verify session's peak memory where the scalar checks had it.  The
-# jacobi kernels hold a few numbers per sample, so they take larger blocks.
+# Samples per block.  A block x roots int64 array of E8 is then 120 KB;
+# blocks of 128 and 256 raised a verify-e7 session's peak memory and saved
+# no time.  The jacobi kernels hold a few numbers per sample, so they take
+# larger blocks.
 BLOCK = 64
 ELEMENTWISE_BLOCK = 1024
 
