@@ -1,8 +1,8 @@
 """Batched forms of the square and structure-constant checks.
 
 The jacobi and combinatorics suites (see verify) draw their samples one at
-a time, with the rng calls of the scalar helpers, but keep them as root and
-square numbers.  The functions here check whole arrays of such samples, a
+a time, with the draws below that every sampled suite makes, and keep them
+as root and square numbers.  The functions here check whole arrays of such samples, a
 block of BLOCK at a time, reading the root system's tables (_gram,
 _sum_idx, _neg, _pairings), the sign table and the square index.  Each
 returns per-sample verdicts; the scalar helpers in squares (pair_sets,
@@ -51,35 +51,33 @@ def _nth_bit(bits: int, r: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-class Sampler:
-    """The draws of _random_root, _random_orthogonal_pair and _random_square,
-    with the same rng calls, as root and square numbers.  The option lists
-    are built once, not once per draw."""
+# The random draws of every sampled suite, as root and square numbers.
 
-    def __init__(self, rs: RootSystem, rng: random.Random):
-        self.rng = rng
-        self.n = rs.n_roots
-        self.square_of = rs._square_index.square_of
-        self.orthogonal = _options(rs._gram == 0)
 
-    def root(self) -> int:
-        return self.rng.randrange(self.n)
+def draw_root(rs: RootSystem, rng: random.Random) -> int:
+    return rng.randrange(rs.n_roots)
 
-    def pick(self, opts: list[int]) -> int:
-        return opts[self.rng.randrange(len(opts))]
 
-    def orthogonal_pair(self) -> tuple[int, int]:
-        while True:
-            i = self.rng.randrange(self.n)
-            opts = self.orthogonal[i]
-            if opts:
-                return i, self.pick(opts)
+def pick(rng: random.Random, opts) -> int:
+    return opts[rng.randrange(len(opts))]
 
-    def square(self) -> int:
-        s = int(self.square_of[self.orthogonal_pair()])
-        if s < 0:
-            raise RuntimeError("an orthogonal pair lies in no square")
-        return s
+
+def draw_orthogonal_pair(rs: RootSystem, rng: random.Random) -> tuple[int, int]:
+    """A root, redrawn while it is orthogonal to none, and a root orthogonal
+    to it."""
+    while True:
+        i = rng.randrange(rs.n_roots)
+        opts = rs._orthogonal[i]
+        if opts:
+            return i, pick(rng, opts)
+
+
+def draw_square(rs: RootSystem, rng: random.Random) -> int:
+    """The square through draw_orthogonal_pair's pair."""
+    s = int(rs._square_index.square_of[draw_orthogonal_pair(rs, rng)])
+    if s < 0:
+        raise RuntimeError("an orthogonal pair lies in no square")
+    return s
 
 
 class Tables:
@@ -89,7 +87,8 @@ class Tables:
     key(sigma) - key(gamma).  Every vector looked up here is a signed sum
     of at most three roots, so its coefficients are at most 3h in absolute
     value, h being the largest root coefficient; R = 8h + 1 makes the key
-    injective on such vectors and the roots together.
+    injective on such vectors and the roots together.  Where 3h sum_s R^s
+    does not fit in int64 (D_16 and up), the keys are Python ints.
     """
 
     def __init__(self, rs: RootSystem, signs: SignTable):
@@ -101,8 +100,10 @@ class Tables:
         self.table = signs._table
         self.index = rs._square_index
         coeffs = rs._coeffs
-        radix = 8 * int(np.abs(coeffs).max()) + 1
-        self.key = coeffs @ radix ** np.arange(rs.rank, dtype=np.int64)
+        h = int(np.abs(coeffs).max())
+        powers = [(8 * h + 1) ** s for s in range(rs.rank)]
+        dtype = np.int64 if 3 * h * sum(powers) <= np.iinfo(np.int64).max else object
+        self.key = coeffs.astype(dtype) @ np.array(powers, dtype=dtype)
         self._order = np.argsort(self.key)
         self._sorted = self.key[self._order]
         # The order of squares._unordered.
@@ -128,14 +129,6 @@ class Tables:
     def codes(self) -> int:
         return (self.n + 1) ** 2
 
-    def member_rows(self, s):
-        """(p, pos, m): every member m of square s[p], pos its place in the
-        pair layout."""
-        size = self.index.size[s]
-        p = np.repeat(np.arange(len(s)), size)
-        pos = np.arange(len(p)) - np.repeat(np.cumsum(size) - size, size)
-        return p, pos, self.index.members[self.index.start[s][p] + pos]
-
     def member_block(self, s, width: int):
         """(len(s), width) members of squares s, all of 2k = width members."""
         return self.index.members[self.index.start[s][:, None] + np.arange(width)]
@@ -159,19 +152,18 @@ def _drawn(count: int, width: int, draw, size: int = BLOCK):
 
 def blocked(kernel, tb: Tables, sample_blocks):
     """kernel(tb, *block) over the blocks: (the samples, the kernel's
-    outputs), each joined over the blocks.  The samples are kept as int16
-    (every root, square and pair number of a supported system is below
-    2^15), so a suite holds little more than its verdicts."""
+    outputs), each joined over the blocks.  The samples are kept as int32,
+    so a suite holds little more than its verdicts."""
     samples, outputs = None, []
     for block in sample_blocks:
         block = tuple(np.asarray(a, dtype=np.int64) for a in block)
         if samples is None:
-            samples = [array("h") for _ in block]
+            samples = [array("i") for _ in block]
         for kept, a in zip(samples, block):
-            kept.frombytes(a.astype(np.int16).tobytes())
+            kept.frombytes(a.astype(np.int32).tobytes())
         outputs.append(kernel(tb, *block))
     return (
-        tuple(np.frombuffer(kept, dtype=np.int16) for kept in samples),
+        tuple(np.frombuffer(kept, dtype=np.int32) for kept in samples),
         tuple(np.concatenate(c) for c in zip(*outputs)),
     )
 
@@ -181,36 +173,17 @@ def _by_size(tb: Tables, s, kernel, outputs: int, *shape):
     outputs, padded with False to (len(s), *shape)."""
     sizes = tb.index.size[s]
     out = [np.zeros((len(s),) + shape, dtype=bool) for _ in range(outputs)]
-    for width in _unique(sizes).tolist():
+    for width in np.unique(sizes).tolist():
         sel = np.flatnonzero(sizes == width)
         for o, part in zip(out, kernel(tb, s[sel], width)):
             o[(sel,) + tuple(slice(0, w) for w in part.shape[1:])] = part
     return tuple(out)
 
 
-# np.unique and np.isin import numpy.ma, which a session would then hold;
-# these two do the same by one sort.
-def _unique(x):
-    """np.unique(x)."""
-    x = np.sort(x)
-    keep = np.ones(len(x), dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
-    return x[keep]
-
-
-def _isin(x, pool):
-    """np.isin(x, pool)."""
-    pool = np.sort(pool)
-    if len(pool) == 0:
-        return np.zeros(len(x), dtype=bool)
-    pos = np.minimum(np.searchsorted(pool, x), len(pool) - 1)
-    return pool[pos] == x
-
-
 def _differ(n: int, codes: int, left, right):
     """Per sample p < n: do the row sets {(p, code)} of left and right differ?"""
-    a = _unique(left[0] * codes + left[1])
-    b = _unique(right[0] * codes + right[1])
+    a = np.unique(left[0] * codes + left[1])
+    b = np.unique(right[0] * codes + right[1])
     out = np.zeros(n, dtype=bool)
     out[np.setxor1d(a, b, assume_unique=True) // codes] = True
     return out
@@ -218,7 +191,7 @@ def _differ(n: int, codes: int, left, right):
 
 def _distinct(n: int, codes: int, rows):
     """Per sample p < n: the number of distinct codes among its rows."""
-    return np.bincount(_unique(rows[0] * codes + rows[1]) // codes, minlength=n)
+    return np.bincount(np.unique(rows[0] * codes + rows[1]) // codes, minlength=n)
 
 
 def conjugate(tb: Tables, x, y, alpha, beta):
@@ -266,7 +239,7 @@ def companion_block(tb: Tables, alpha, beta):
     pi_prime_scan = (p, tb.code(g, neg[g], ordered=True))
 
     # Square formulas, from the square index.
-    q, pos, m = tb.member_rows(s)
+    q, pos, m = tb.index.member_rows(s)
     mate = tb.index.members[tb.index.start[s][q] + (pos ^ 1)]
     c = tb.code(m, mate)
     keep = (pos % 2 == 0) & (c != own[q])
@@ -291,7 +264,7 @@ def companion_block(tb: Tables, alpha, beta):
     for rows in (two_sq, pi_sq, pi_prime_sq):
         wrong |= _distinct(b, codes, rows) != 2 * k - 2
     # -S_pi together with {alpha, beta} must be the square's members.
-    pb, _, members = tb.member_rows(s)
+    pb, _, members = tb.index.member_rows(s)
     ends = np.arange(b)
     wrong |= _differ(
         b,
@@ -306,7 +279,7 @@ def companion_block(tb: Tables, alpha, beta):
     gp, dp = conjugate(tb, m, a_minus_m, a, beta[q])
     conj = tb.code(gp, dp)
     back = tb.code(*conjugate(tb, gp, dp, a, beta[q]))
-    ok = (gp >= 0) & (conj != pair) & _isin(q * codes + conj, q * codes + pair)
+    ok = (gp >= 0) & (conj != pair) & np.isin(q * codes + conj, q * codes + pair)
     ok &= back == pair
     orbit = np.minimum(pair, conj) * codes + np.maximum(pair, conj)
     conj_bad = np.bincount(q[~ok], minlength=b) > 0
@@ -322,7 +295,7 @@ def position_block(tb: Tables, rho, s):
     gram = tb.gram
     b = len(rho)
     d = np.einsum("ij,ij->i", tb.pairings[rho], tb.index.sigma[s])
-    p, pos, m = tb.member_rows(s)
+    p, pos, m = tb.index.member_rows(s)
     # The signed index of rho or -rho, as index_of finds it.
     target = np.where(d == 2, rho, np.where(d == -2, tb.neg[rho], -1))
     hit = m == target[p]
@@ -352,7 +325,7 @@ def position_block(tb: Tables, rho, s):
     ok = np.bincount(p[~row_ok], minlength=b) == 0
     # Class pi/2 also needs a pair orthogonal to rho.
     ok &= (d != 0) | (np.bincount(p[(x == 0) & (y == 0)], minlength=b) > 0)
-    ok &= _isin(d, np.array(list(_ANGLE_BY_DOT2))) & ~missing
+    ok &= np.isin(d, np.array(list(_ANGLE_BY_DOT2))) & ~missing
     return d, ok, missing
 
 
@@ -483,20 +456,19 @@ def jacobi_samples(rs: RootSystem, rng: random.Random, samples: int, exhaustive:
             blocks(ii[pp], jj[pp], g, size=ELEMENTWISE_BLOCK),
             blocks(*np.divmod(np.arange(n * n), n), size=ELEMENTWISE_BLOCK),
         )
-    draw = Sampler(rs, rng)
     ks = (index.size // 2).tolist()
     up = _options(gram == -1)
     ii, jj, kk = ii.tolist(), jj.tolist(), kk.tolist()
 
     def quadruple():
-        s = draw.square()
+        s = draw_square(rs, rng)
         p = rng.randrange(ks[s])
         q = rng.randrange(ks[s] - 1)
         return s, p, q + (q >= p)
 
     def triple():
         x = rng.randrange(len(kk))
-        return ii[x], jj[x], draw.pick(up[kk[x]])
+        return ii[x], jj[x], pick(rng, up[kk[x]])
 
     def pair():
         return rng.randrange(n), rng.randrange(n)
@@ -526,23 +498,25 @@ def combinatorics_samples(rs: RootSystem, rng: random.Random, samples: int, exha
             blocks(every),
             blocks(a[p], b[p], c),
         )
-    draw = Sampler(rs, rng)
     up = _options(gram == -1)
     # The options for c, as bit sets: orthogonal to a, at 2pi/3 to b.
     orthogonal, sums = _bit_rows(gram == 0), _bit_rows(gram == -1)
 
     def triple():
         while True:
-            a = draw.root()
-            b = draw.pick(up[a])
+            a = draw_root(rs, rng)
+            b = pick(rng, up[a])
             cs = orthogonal[a] & sums[b]
             if cs:
                 return a, b, _nth_bit(cs, rng.randrange(cs.bit_count()))
 
+    def square():
+        return (draw_square(rs, rng),)
+
     return (
-        _drawn(samples, 2, draw.orthogonal_pair),
-        _drawn(samples, 2, lambda: (draw.root(), draw.square())),
-        _drawn(min(samples, 1000), 1, lambda: (draw.square(),)),
-        _drawn(200, 1, lambda: (draw.square(),)),
+        _drawn(samples, 2, lambda: draw_orthogonal_pair(rs, rng)),
+        _drawn(samples, 2, lambda: (draw_root(rs, rng), draw_square(rs, rng))),
+        _drawn(min(samples, 1000), 1, square),
+        _drawn(200, 1, square),
         _drawn(samples, 3, triple),
     )

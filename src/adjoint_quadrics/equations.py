@@ -582,14 +582,10 @@ def _pair_mask(gram, ii, jj, x: int, y: int):
 def _other_members(index, ii, jj):
     """(p, m) for every member m of the square through the pair
     (ii[p], jj[p]) other than the pair itself, grouped by p."""
-    square_of, mem, start, size = index.square_of, index.members, index.start, index.size
-    s = square_of[ii, jj]
+    s = index.square_of[ii, jj]
     if np.any(s < 0):
         raise RuntimeError("orthogonal pair lies in no enumerated square")
-    sizes = size[s]
-    p = np.repeat(np.arange(len(ii)), sizes)
-    pos = np.arange(len(p)) + np.repeat(start[s] - (np.cumsum(sizes) - sizes), sizes)
-    m = mem[pos]
+    p, _, m = index.member_rows(s)
     keep = (m != ii[p]) & (m != jj[p])
     return p[keep], m[keep]
 

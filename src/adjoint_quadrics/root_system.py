@@ -183,6 +183,14 @@ class SquareIndex(NamedTuple):
     size: np.ndarray
     sigma: np.ndarray
 
+    def member_rows(self, s):
+        """(p, pos, m) for every member m of square s[p], grouped by p; pos
+        is m's place in the pair layout."""
+        size = self.size[s]
+        p = np.repeat(np.arange(len(s)), size)
+        pos = np.arange(len(p)) - np.repeat(np.cumsum(size) - size, size)
+        return p, pos, self.members[self.start[s][p] + pos]
+
 
 def cartan_matrix(system: SystemId) -> np.ndarray:
     """Cartan matrix in Bourbaki numbering, as an integer array."""
@@ -278,6 +286,10 @@ class RootSystem:
         # height first).
         self._lex = np.empty(self.n_roots, dtype=np.int64)
         self._lex[np.lexsort(r_mat.T[::-1])] = np.arange(self.n_roots)
+        # Row i: the positions of the roots orthogonal to root i, for draws.
+        self._orthogonal = tuple(
+            tuple(np.flatnonzero(row).tolist()) for row in self._gram == 0
+        )
         self._check_construction()
         self.squares, self._square_index = self._build_squares()
 
@@ -308,7 +320,7 @@ class RootSystem:
             raise RuntimeError(f"{self.system}: a square has fewer than two pairs")
         members = np.empty(2 * len(first), dtype=np.int64)
         members[0::2], members[1::2] = first, second
-        square_of = np.full((n, n), -1, dtype=np.int16)
+        square_of = np.full((n, n), -1, dtype=np.int32)
         square_of[first, second] = sid
         square_of[second, first] = sid
         size = 2 * k

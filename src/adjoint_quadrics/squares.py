@@ -42,6 +42,24 @@ class NotAnA3TripleError(ValueError):
     """The supplied roots do not form an A_3 fundamental triple."""
 
 
+# The messages of the program errors below.  The batched suites report the
+# same strings for the samples that fail.
+_SCAN_DISAGREES = "companion-set scan disagrees with square formula"
+_NOT_A_ROOT = "modified square member is not a root"
+
+
+def _impossible_product(d: int, sigma) -> str:
+    return f"impossible doubled product {d} with sigma {sigma}"
+
+
+def _not_a_member(rho: Root, opposite: bool) -> str:
+    return f"{'-' if opposite else ''}{rho} pairs with sigma like a member but is not one"
+
+
+def _no_extension(alpha: Root, beta: Root, gamma: Root) -> str:
+    return f"no D_4 extension found for ({alpha}, {beta}, {gamma})"
+
+
 def square_of_pair(rs: RootSystem, alpha: Root, beta: Root) -> MaximalSquare:
     """The unique maximal square containing the orthogonal pair {alpha, beta}."""
     ai, bi = rs.root_index(alpha), rs.root_index(beta)
@@ -94,16 +112,16 @@ def classify_root_vs_square(rs: RootSystem, rho: Root, square: MaximalSquare) ->
     d = rs.doubled_inner_vec(rho, square.sigma)
     kind = _ANGLE_BY_DOT2.get(d)
     if kind is None:
-        raise RuntimeError(f"impossible doubled product {d} with sigma {square.sigma}")
+        raise RuntimeError(_impossible_product(d, square.sigma))
     if kind is SquareAngle.IN_SQUARE:
         i = square.index_of(rho)
         if i is None:
-            raise RuntimeError(f"{rho} pairs with sigma like a member but is not one")
+            raise RuntimeError(_not_a_member(rho, opposite=False))
         return AngleClass(kind, i)
     if kind is SquareAngle.OPPOSITE_SQUARE:
         i = square.index_of(rs.negate(rho))
         if i is None:
-            raise RuntimeError(f"-{rho} pairs with sigma like a member but is not one")
+            raise RuntimeError(_not_a_member(rho, opposite=True))
         return AngleClass(kind, i)
     return AngleClass(kind)
 
@@ -127,7 +145,7 @@ def modified_square(rs: RootSystem, square: MaximalSquare, j: int) -> MaximalSqu
         gi = tuple(x - y for x, y in zip(bj, square.member(p)))
         gmi = tuple(x - y for x, y in zip(bj, square.member(-p)))
         if gi not in rs.index or gmi not in rs.index:
-            raise RuntimeError("modified square member is not a root")
+            raise RuntimeError(_NOT_A_ROOT)
         pairs.append((gi, gmi))
     return MaximalSquare(tuple(x - y for x, y in zip(bj, square.member(-j))), tuple(pairs))
 
@@ -232,9 +250,9 @@ def pair_sets(rs: RootSystem, alpha: Root, beta: Root) -> PairSets:
     }
 
     if half_pi_scan != half_pi_sq or two_thirds_scan != two_thirds_sq:
-        raise RuntimeError("companion-set scan disagrees with square formula")
+        raise RuntimeError(_SCAN_DISAGREES)
     if pi_scan != pi_sq or pi_prime_scan != pi_prime_sq:
-        raise RuntimeError("companion-set scan disagrees with square formula")
+        raise RuntimeError(_SCAN_DISAGREES)
     return PairSets(
         frozenset(half_pi_sq),
         frozenset(two_thirds_sq),
@@ -284,5 +302,5 @@ def extend_a3_to_d4(rs: RootSystem, alpha: Root, beta: Root, gamma: Root) -> Roo
     g = rs._gram
     hits = np.nonzero((g[ai] == 0) & (g[ci] == 0) & (g[bi] == -1))[0]
     if len(hits) == 0:
-        raise RuntimeError(f"no D_4 extension found for ({alpha}, {beta}, {gamma})")
+        raise RuntimeError(_no_extension(alpha, beta, gamma))
     return rs.roots[int(hits[0])]

@@ -18,8 +18,8 @@ with both factors in already-covered classes, symbolically in xi on a
 generic vector.
 
 The jacobi and combinatorics suites are batched.  Their samples are drawn
-with exactly the rng calls of _random_root, _random_orthogonal_pair and
-_random_square, in the order the checks report, but kept as root and
+one at a time with the draws every sampled suite makes (batch.draw_root,
+batch.draw_square), in the order the checks report, and kept as root and
 square numbers; the batch module then evaluates both sides of every
 comparison on blocks of samples with numpy, over the sign table, the Gram
 and sum tables and the root system's square index.  Two-way checks keep
@@ -63,8 +63,13 @@ from .root_system import Root, RootSystem, ZeroWeight, build_root_system
 from .signs import SignTable, build_sign_table
 from .squares import (
     _ANGLE_BY_DOT2,
+    _NOT_A_ROOT,
+    _SCAN_DISAGREES,
     MaximalSquare,
     SquareAngle,
+    _impossible_product,
+    _no_extension,
+    _not_a_member,
     classify_root_vs_square,
     square_of_pair,
 )
@@ -441,21 +446,11 @@ def _rng_for(seed, label: str) -> random.Random:
 
 
 def _random_root(rs, rng) -> Root:
-    return rs.roots[rng.randrange(rs.n_roots)]
-
-
-def _random_orthogonal_pair(rs, rng):
-    while True:
-        i = rng.randrange(rs.n_roots)
-        opts = np.nonzero(rs._gram[i] == 0)[0]
-        if len(opts):
-            j = int(opts[rng.randrange(len(opts))])
-            return rs.roots[i], rs.roots[j]
+    return rs.roots[batch.draw_root(rs, rng)]
 
 
 def _random_square(rs, rng) -> MaximalSquare:
-    a, b = _random_orthogonal_pair(rs, rng)
-    return square_of_pair(rs, a, b)
+    return rs.squares[batch.draw_square(rs, rng)]
 
 
 def _roots_at_sigma_angle(rs, square, dot2_value: int) -> list[int]:
@@ -661,7 +656,7 @@ def suite_combinatorics(
     # counts, the square made of S_pi negatives, and conjugate pairs.
     (alpha, beta), (differ, wrong, conj_bad) = batch.blocked(batch.companion_block, tb, pairs)
     failures = [
-        {"pair": pair(x), "error": "companion-set scan disagrees with square formula"}
+        {"pair": pair(x), "error": _SCAN_DISAGREES}
         if differ[x]
         else {"pair": pair(x)}
         for x in np.flatnonzero(differ | wrong)
@@ -679,10 +674,9 @@ def suite_combinatorics(
         failure = {"rho": list(root), "sigma": list(sq.sigma)}
         kind = _ANGLE_BY_DOT2.get(int(d[x]))
         if kind is None:
-            failure["error"] = f"impossible doubled product {d[x]} with sigma {sq.sigma}"
+            failure["error"] = _impossible_product(int(d[x]), sq.sigma)
         elif missing[x]:
-            sign = "" if kind is SquareAngle.IN_SQUARE else "-"
-            failure["error"] = f"{sign}{root} pairs with sigma like a member but is not one"
+            failure["error"] = _not_a_member(root, kind is SquareAngle.OPPOSITE_SQUARE)
         else:
             failure["class"] = kind.value
         failures.append(failure)
@@ -699,7 +693,7 @@ def suite_combinatorics(
     # Modified squares keep the stated members and stay maximal squares.
     (ms_sq,), (error, bad) = batch.blocked(batch.modified_square_block, tb, modified)
     failures = [
-        {"sigma": sigma(ms_sq[x]), "j": signed(j), "error": "modified square member is not a root"}
+        {"sigma": sigma(ms_sq[x]), "j": signed(j), "error": _NOT_A_ROOT}
         if error[x, j]
         else {"sigma": sigma(ms_sq[x]), "j": signed(j)}
         for x, j in zip(*np.nonzero(error | bad))
@@ -714,12 +708,7 @@ def suite_combinatorics(
         if found[x]:
             failures.append({"triple": [list(r) for r in triple], "delta": list(roots[delta[x]])})
         else:
-            failures.append(
-                {
-                    "triple": [list(r) for r in triple],
-                    "error": "no D_4 extension found for ({}, {}, {})".format(*triple),
-                }
-            )
+            failures.append({"triple": [list(r) for r in triple], "error": _no_extension(*triple)})
     rep.add("a3-extension", len(a), failures)
 
     rep.wall_time_s = time.perf_counter() - t0

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -259,6 +260,17 @@ def test_extension_rejects_non_triples(system):
     a = rs.simple_root(1)
     with pytest.raises(NotAnA3TripleError):
         extend_a3_to_d4(rs, a, a, a)
+
+
+def test_square_of_pair_past_int16_on_d17():
+    # D_17 has 16 C(17, 4) + 34 = 38,114 squares, more than an int16 numbers.
+    rs = build_root_system("D17")
+    assert len(rs.squares) == 16 * math.comb(17, 4) + 2 * 17
+    for s in (32_767, 32_768, len(rs.squares) - 1):
+        sq = rs.squares[s]
+        for a, b in sq.pairs:
+            assert square_of_pair(rs, a, b) is sq
+            assert sq.sigma == tuple(x + y for x, y in zip(a, b))
 
 
 def test_concurrent_square_lookups_leave_system_unchanged():

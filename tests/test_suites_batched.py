@@ -24,13 +24,11 @@ from adjoint_quadrics import (
     sign_column,
     square_of_pair,
 )
+from adjoint_quadrics import batch
 from adjoint_quadrics.batch import (
-    Sampler,
     Tables,
     _bit_rows,
-    _isin,
     _nth_bit,
-    _unique,
     a3_block,
     blocked,
     blocks,
@@ -40,13 +38,10 @@ from adjoint_quadrics.batch import (
     position_block,
     sign_column_block,
 )
+from adjoint_quadrics.equations import _other_members
 from adjoint_quadrics.squares import _ANGLE_BY_DOT2
 from adjoint_quadrics.verify import (
     _class_pattern_ok,
-    _random_orthogonal_pair,
-    _random_root,
-    _random_square,
-    _rng_for,
     suite_combinatorics,
     suite_jacobi,
 )
@@ -80,17 +75,6 @@ def test_suite_reports_pinned(system, name, seed, samples):
     assert _digest(reports) == PINNED[name, seed, samples]
 
 
-def test_sampler_draws_like_the_scalar_helpers(system):
-    rs, _ = system("E7")
-    draw = Sampler(rs, _rng_for(1, "draws"))
-    rng = _rng_for(1, "draws")
-    for _ in range(2000):
-        assert rs.roots[draw.root()] == _random_root(rs, rng)
-        i, j = draw.orthogonal_pair()
-        assert (rs.roots[i], rs.roots[j]) == _random_orthogonal_pair(rs, rng)
-        assert rs.squares[draw.square()] == _random_square(rs, rng)
-
-
 def _samples(rs, exhaustive: bool):
     """(pairs, (rho, square) configurations, squares, A_3 triples) as
     position arrays: every one of each, or 500 seeded draws of each."""
@@ -103,8 +87,7 @@ def _samples(rs, exhaustive: bool):
         p, c = np.nonzero((gram[a] == 0) & (gram[b] == -1))
         return (alpha, beta), (rho, cl), squares, (a[p], b[p], c)
     rng = random.Random(500)
-    pos = rs.index.__getitem__
-    pairs = [tuple(map(pos, _random_orthogonal_pair(rs, rng))) for _ in range(500)]
+    pairs = [batch.draw_orthogonal_pair(rs, rng) for _ in range(500)]
     configs = [(rng.randrange(n), rng.randrange(n_sq)) for _ in range(500)]
     squares = [rng.randrange(n_sq) for _ in range(500)]
     a, b = np.nonzero(gram == -1)
@@ -240,7 +223,7 @@ def test_batched_checks_match_scalar_helpers(system, name, exhaustive):
     _compare_with_scalar(rs, signs, _samples(rs, exhaustive))
 
 
-def test_batched_checks_match_scalar_helpers_on_corrupted_tables():
+def test_batched_checks_match_scalar_helpers_on_corrupted_tables(monkeypatch):
     # One pair of roots at angle pi/3 recorded as orthogonal, and one
     # structure constant flipped without its antisymmetric partner: the
     # scans, the position patterns, the modified-square products and the
@@ -258,10 +241,9 @@ def test_batched_checks_match_scalar_helpers_on_corrupted_tables():
     # (x, y) now reads as orthogonal but lies in no square.
     with pytest.raises(RuntimeError, match="no square"):
         square_of_pair(rs, rs.roots[x], rs.roots[y])
-    draw = Sampler(rs, random.Random(0))
-    draw.orthogonal_pair = lambda: (x, y)
+    monkeypatch.setattr(batch, "draw_orthogonal_pair", lambda rs, rng: (x, y))
     with pytest.raises(RuntimeError, match="no square"):
-        draw.square()
+        batch.draw_square(rs, random.Random(0))
     differ, _, _ = blocked(companion_block, tb, blocks(np.array([x]), np.array([y])))[1]
     assert differ.tolist() == [True]
     (alpha, beta), (rho, cl), squares, (a, b, c) = samples
@@ -271,15 +253,32 @@ def test_batched_checks_match_scalar_helpers_on_corrupted_tables():
     assert np.array(blocked(modified_square_block, tb, blocks(squares))[1]).any()
 
 
-def test_set_helpers_match_numpy():
-    rng = np.random.default_rng(3)
-    for size in (0, 1, 50):
-        x = rng.integers(0, 20, size)
-        pool = rng.integers(0, 20, rng.integers(0, 30))
-        assert np.array_equal(_unique(x), np.unique(x))
-        assert np.array_equal(_isin(x, pool), np.isin(x, pool))
+def test_batched_checks_on_d17():
+    # D_17 has 38,114 squares, so square numbers pass 2^15, and its root
+    # keys pass int64, so Tables holds them as Python ints.
+    rs = build_root_system("D17")
+    signs = build_sign_table(rs)
+    tb = Tables(rs, signs)
+    assert tb.key.dtype == object
+    rng = np.random.default_rng(17)
+    i, j = rng.integers(0, rs.n_roots, (2, 2000))
+    assert tb.lookup(tb.key[i] - tb.key[j]).tolist() == rs._sum_idx[i, rs._neg[j]].tolist()
 
-
+    index, roots = rs._square_index, rs.roots
+    squares = np.arange(len(rs.squares) - 8, len(rs.squares))
+    p, pos, m = index.member_rows(squares)
+    first = pos % 2 == 0
+    alpha, beta = m[first], index.members[index.start[squares][p[first]] + pos[first] + 1]
+    assert index.square_of[alpha, beta].tolist() == squares[p[first]].tolist()
+    drawn, outputs = blocked(companion_block, tb, blocks(alpha, beta))
+    assert [d.tolist() for d in drawn] == [alpha.tolist(), beta.tolist()]
+    assert not np.array(outputs).any()
+    for x, y in zip(alpha[:4], beta[:4]):
+        assert _scalar_companion(rs, roots[x], roots[y]) == (False, False, False)
+    q, others = _other_members(index, alpha, beta)
+    for k, (x, y, s) in enumerate(zip(alpha.tolist(), beta.tolist(), squares[p[first]])):
+        members = index.members[index.start[s] :][: index.size[s]].tolist()
+        assert sorted(others[q == k].tolist()) == sorted(set(members) - {x, y})
 def test_nth_bit_counts_like_flatnonzero():
     rng = random.Random(7)
     for _ in range(200):
