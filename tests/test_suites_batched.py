@@ -41,6 +41,7 @@ from adjoint_quadrics.batch import (
 from adjoint_quadrics.equations import _other_members
 from adjoint_quadrics.squares import _ANGLE_BY_DOT2
 from adjoint_quadrics.verify import (
+    SuiteReport,
     _class_pattern_ok,
     suite_combinatorics,
     suite_jacobi,
@@ -373,3 +374,43 @@ def test_square_index_swap_fails_companion_sets():
     companion = checks["companion-sets"]
     assert 0 < companion["passed"] < companion["attempted"]
     assert companion["failures"][0]["error"] == "companion-set scan disagrees with square formula"
+
+
+def test_unresolved_samples_report_the_scalar_messages(monkeypatch):
+    # Corrupted tables under which classify_root_vs_square and
+    # extend_a3_to_d4 would raise: the suite reports their messages, word
+    # for word, as the per-sample loops did.  Every failure is kept.
+    add = SuiteReport.add
+    monkeypatch.setattr(
+        SuiteReport, "add", lambda self, *args, **kw: add(self, *args, witness_limit=10**6)
+    )
+    rs = build_root_system("D5")
+    signs = build_sign_table(rs)
+    gram, index = rs._gram, rs._square_index
+    # Member m of square 0 moved into square 1 of the index.
+    members = index.members
+    square_0 = members[: index.size[0]]
+    square_1 = members[index.start[1] :][: index.size[1]]
+    x = index.start[1] + np.flatnonzero(~np.isin(square_1, square_0))[0]
+    m = rs.roots[members[0]]
+    members[0], members[x] = members[x], members[0]
+    # The last square's sigma tripled in the index.
+    last = len(rs.squares) - 1
+    index.sigma[last] *= 3
+    # No root extends the first A_3 triple (a, b, c).
+    a, b = (int(v) for v in np.argwhere(gram == -1)[0])
+    c = int(np.flatnonzero((gram[a] == 0) & (gram[b] == -1))[0])
+    hits = np.flatnonzero((gram[a] == 0) & (gram[c] == 0) & (gram[b] == -1))
+    gram[a, hits] = gram[hits, a] = 1
+
+    rep = suite_combinatorics(rs, signs, seed=0)
+    checks = {c["name"]: c for c in rep.checks}
+    errors = {f.get("error") for f in checks["position-classes"]["failures"]}
+    assert f"{m} pairs with sigma like a member but is not one" in errors
+    assert f"-{rs.negate(m)} pairs with sigma like a member but is not one" in errors
+    assert f"impossible doubled product -6 with sigma {rs.squares[last].sigma}" in errors
+    a, b, c = (rs.roots[v] for v in (a, b, c))
+    assert {
+        "triple": [list(a), list(b), list(c)],
+        "error": f"no D_4 extension found for ({a}, {b}, {c})",
+    } in checks["a3-extension"]["failures"]
