@@ -2,8 +2,8 @@
 
 The jacobi and combinatorics suites (see verify) draw their samples one at
 a time, with the draws below that every sampled suite makes, and keep them
-as root and square numbers.  The functions here check whole arrays of such samples, a
-block of BLOCK at a time, reading the root system's tables (_gram,
+as root and square numbers.  The functions here check whole arrays of such
+samples, a block of BLOCK at a time, reading the root system's tables (_gram,
 _sum_idx, _neg, _pairings), the sign table and the square index.  Each
 returns per-sample verdicts; the scalar helpers in squares (pair_sets,
 conjugate_pair, sign_column, modified_square, extend_a3_to_d4,
