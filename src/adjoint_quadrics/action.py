@@ -10,7 +10,10 @@ zero-weight coordinates v_s follows the classical coordinate rules:
   4. the rho coordinate becomes
      v_rho - sum_s <rho, alpha_s> xi v_s - xi^2 v_{-rho}.
 
-Vectors are value-semantic: applying a unipotent returns a fresh vector.
+The root system holds these rules as sparse rows for every root, built
+with it (RootSystem._action_rows); the rows' structure constants are read
+from the sign table each time they are used.  Vectors are value-semantic:
+applying a unipotent returns a fresh vector.
 Words act left to right with the last factor applied first, so the word
 x_1 x_2 ... x_n sends v to x_1(x_2(...x_n(v))).
 """
@@ -18,6 +21,8 @@ x_1 x_2 ... x_n sends v to x_1(x_2(...x_n(v))).
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .rings import Ring
 from .root_system import Root, RootSystem, Weight
@@ -94,34 +99,20 @@ def basis_vector(rs: RootSystem, ring: Ring, weight: Weight) -> AdjointVector:
     return v
 
 
-class _Plan:
-    """Precomputed index lists for the action of one root's unipotents."""
-
-    __slots__ = ("rho_pos", "neg_rho_pos", "shifts", "zero_gains", "rho_zero")
-
-    def __init__(self, rs: RootSystem, rho_idx: int):
-        n = rs.n_roots
-        neg = rs._neg
-        self.rho_pos = rho_idx
-        self.neg_rho_pos = int(neg[rho_idx])
-        # Rule 2: targets lambda = mu + rho over roots mu with mu + rho a root.
-        self.shifts = [
-            (int(rs._sum_idx[rho_idx, mu]), mu)
-            for mu in range(n)
-            if rs._sum_idx[rho_idx, mu] >= 0
-        ]
-        rho = rs.roots[rho_idx]
-        self.zero_gains = [(n + s, rho[s]) for s in range(rs.rank) if rho[s] != 0]
-        pair = rs._pairings[rho_idx]
-        self.rho_zero = [(n + s, int(pair[s])) for s in range(rs.rank) if pair[s] != 0]
-
-
-def _plan_for(rs: RootSystem, signs: SignTable, rho_idx: int) -> _Plan:
-    plan = signs._plans.get(rho_idx)
-    if plan is None:
-        plan = _Plan(rs, rho_idx)
-        signs._plans[rho_idx] = plan
-    return plan
+def elementary_rows(rs: RootSystem, signs: SignTable, rho: np.ndarray):
+    """The rows of x_r(xi) for each root position r in rho, joined:
+    (owner, target, degree, source, coef), owner being the index into rho.
+    The shift rows' structure constants N_{r, source} are read from the
+    sign table here, so the rows always act with the table's signs."""
+    rows = rs._action_rows
+    lo, hi = rows.start[rho], rows.start[rho + 1]
+    count = hi - lo
+    owner = np.repeat(np.arange(len(rho)), count)
+    at = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    source, shift = rows.source[at], rows.shift[at]
+    coef = rows.coef[at]
+    coef[shift] = signs._table[rho[owner[shift]], source[shift]]
+    return owner, rows.target[at], rows.degree[at], source, coef
 
 
 def apply_elementary(
@@ -136,22 +127,21 @@ def apply_elementary(
         raise ValueError("vector and root system do not match")
     ring = v.ring
     xi = elem.xi
-    rho_idx = rs.root_index(elem.rho)
-    plan = _plan_for(rs, signs, rho_idx)
+    r = rs.root_index(elem.rho)
+    # elementary_rows for the one root, by slices: the joined form's numpy
+    # calls cost about as much as the loop below on D5.
+    rows = rs._action_rows
+    lo, hi = rows.start[r : r + 2].tolist()
+    source, shift = rows.source[lo:hi], rows.shift[lo:hi]
+    coef = rows.coef[lo:hi].copy()
+    coef[shift] = signs._table[r, source[shift]]
+    powers = (None, xi, ring.mul(xi, xi))
     old = v.coords
     w = list(old)
-    for target, src in plan.shifts:
-        nval = signs.n_idx(rho_idx, src)
-        gain = ring.mul(ring.from_int(nval), ring.mul(xi, old[src]))
-        w[target] = ring.add(w[target], gain)
-    vm = old[plan.neg_rho_pos]
-    for zpos, ms in plan.zero_gains:
-        w[zpos] = ring.add(w[zpos], ring.mul(ring.from_int(ms), ring.mul(xi, vm)))
-    acc = old[plan.rho_pos]
-    for zpos, pr in plan.rho_zero:
-        acc = ring.sub(acc, ring.mul(ring.from_int(pr), ring.mul(xi, old[zpos])))
-    acc = ring.sub(acc, ring.mul(ring.mul(xi, xi), vm))
-    w[plan.rho_pos] = acc
+    for t, d, s, c in zip(
+        rows.target[lo:hi].tolist(), rows.degree[lo:hi].tolist(), source.tolist(), coef.tolist()
+    ):
+        w[t] = ring.add(w[t], ring.mul(ring.from_int(c), ring.mul(powers[d], old[s])))
     return AdjointVector(rs, ring, w)
 
 

@@ -1,4 +1,5 @@
-"""Batched forms of the square and structure-constant checks.
+"""Batched forms of the square, structure-constant, ledger and commutator
+checks.
 
 The jacobi and combinatorics suites (see verify) draw their samples one at
 a time, with the draws below that every sampled suite makes, and keep them
@@ -7,7 +8,10 @@ samples, a block of BLOCK at a time, reading the root system's tables (_gram,
 _sum_idx, _neg, _pairings), the sign table and the square index.  Each
 returns per-sample verdicts; the scalar helpers in squares (pair_sets,
 conjugate_pair, sign_column, modified_square, extend_a3_to_d4,
-classify_root_vs_square) are the reference they are tested against.
+classify_root_vs_square) are the reference they are tested against.  The
+ledger and commutator kernels at the end check a block of the cases and
+commutator suites' identities on integer coefficient arrays, through the
+roots' action rows; the Poly evaluation in verify is their reference.
 
 Roots are looked up by a signed mixed-radix key of their coefficient
 vector (Tables.lookup), so a direct scan such as "every gamma with
@@ -21,6 +25,7 @@ from array import array
 
 import numpy as np
 
+from .action import elementary_rows
 from .root_system import RootSystem
 from .signs import SignTable
 from .squares import _ANGLE_BY_DOT2
@@ -520,3 +525,119 @@ def combinatorics_samples(rs: RootSystem, rng: random.Random, samples: int, exha
         _drawn(200, 1, square),
         _drawn(samples, 3, triple),
     )
+
+
+# The ledger and commutator kernels.  A polynomial over Z[xi, v] or a matrix
+# polynomial over Z[xi] is held as its terms (case, xi-degree, p, q, coef):
+# coef xi^degree v_p v_q with p <= q, or the coefficient of xi^degree at
+# row p, column q.  x_rho(xi) has xi-degree 2 and the identities at most 4,
+# so a term packs into the int64 key ((case * 5 + degree) * dim + p) * dim + q.
+# A block holds at most 4 k BLOCK cases (the forms of the fixes-square
+# configurations, k pairs per square), so the keys stay below
+# 4 k BLOCK * 5 dim^2, about 10^10 on D_17.  A coefficient is a sum of fewer
+# than dim^4 products of a form coefficient (at most 8 in absolute value)
+# and at most four row coefficients (at most 6), below 2^51 through D_17.
+_DEGREES = 5
+
+
+def _collect(dim: int, *parts):
+    """The terms of the parts, each (case, degree, p, q, coef), summed by
+    (case, degree, p, q), zero sums dropped, ordered by case."""
+    case, degree, p, q, coef = (np.concatenate(column) for column in zip(*parts))
+    key = ((case * _DEGREES + degree) * dim + p) * dim + q
+    order = np.argsort(key, kind="stable")
+    key, coef = key[order], coef[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    sums = np.add.reduceat(coef, first) if len(key) else coef
+    keep = sums != 0
+    key, sums = key[first][keep], sums[keep]
+    rest, q = np.divmod(key, dim)
+    rest, p = np.divmod(rest, dim)
+    case, degree = np.divmod(rest, _DEGREES)
+    return case, degree, p, q, sums
+
+
+def _targeted(keys, wanted):
+    """For each key in wanted: the first index of it in the sorted keys and
+    how many times it occurs there."""
+    lo = np.searchsorted(keys, wanted)
+    return lo, np.searchsorted(keys, wanted, side="right") - lo
+
+
+def _expand(counts):
+    """For each n in counts, the indices 0..n-1: (owner, index)."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def ledger_block(rs: RootSystem, signs: SignTable, rho, form, target):
+    """The residuals f(x_rho(xi) v) - f(v) - t(v) of a block of ledger cases,
+    v generic, as their nonzero terms (case, degree, p, q, coef).
+
+    rho holds each case's root position; form is (case, a, b, c) for the
+    monomials c v_a v_b of each f; target is (case, degree, a, b, c) for the
+    terms c xi^degree v_a v_b of each t.  Every monomial of f is expanded
+    through the rows of x_rho(xi) on both of its coordinates, leaving out
+    the product of the two identity rows, which is f(v) itself.
+    """
+    dim = rs.dim_v
+    owner, rt, rd, rsrc, rc = elementary_rows(rs, signs, rho)
+    keys = owner * dim + rt
+    case, a, b, c = form
+    la, na = _targeted(keys, case * dim + a)
+    lb, nb = _targeted(keys, case * dim + b)
+    # Per monomial, the pairs (i, j) of a row into a and a row into b, 0
+    # standing for the identity row, without (0, 0).
+    m, k = _expand((na + 1) * (nb + 1) - 1)
+    i, j = np.divmod(k + 1, nb[m] + 1)
+
+    def through(lo, x, i):
+        on = i > 0
+        row = np.where(on, lo[m] + i - 1, 0)
+        return np.where(on, rsrc[row], x[m]), np.where(on, rd[row], 0), np.where(on, rc[row], 1)
+
+    sa, da, ca = through(la, a, i)
+    sb, db, cb = through(lb, b, j)
+    tc, td, ta, tb, tco = target
+    return _collect(
+        dim,
+        (case[m], da + db, np.minimum(sa, sb), np.maximum(sa, sb), c[m] * ca * cb),
+        (tc, td, np.minimum(ta, tb), np.maximum(ta, tb), -tco),
+    )
+
+
+def commutator_block(rs: RootSystem, signs: SignTable, rho, a, b, eps: int):
+    """Per case: is x_a(xi) x_b(eps) x_a(-xi) x_b(-eps) = x_rho(xi), as
+    matrices over Z[xi], coefficient by coefficient?  eps is 1 or -1.
+
+    The product is built right to left as I + S: a factor I + N turns it
+    into I + S + N + N S.  The terms of S are (case, degree, row, column,
+    coef).
+    """
+    dim = rs.dim_v
+    s = (np.zeros(0, dtype=np.int64),) * 5
+    rows_a, rows_b = elementary_rows(rs, signs, a), elementary_rows(rs, signs, b)
+    for (owner, rt, rd, rsrc, rc), scale, on_xi in (
+        (rows_b, -eps, False),
+        (rows_a, -1, True),
+        (rows_b, eps, False),
+        (rows_a, 1, True),
+    ):
+        # x_root(t) with t = scale xi or t = scale, scale = +-1: coef t^degree.
+        rc = rc * np.where(rd % 2 == 1, scale, 1)
+        rdeg = rd if on_xi else np.zeros_like(rd)
+        # N S: the row (target, source) meets S's terms at row source.
+        scase, sdeg, srow, scol, scoef = s
+        order = np.argsort(scase * dim + srow, kind="stable")
+        lo, count = _targeted((scase * dim + srow)[order], owner * dim + rsrc)
+        x, k = _expand(count)
+        hit = order[lo[x] + k]
+        s = _collect(
+            dim,
+            s,
+            (owner, rdeg, rt, rsrc, rc),
+            (owner[x], rdeg[x] + sdeg[hit], rt[x], scol[hit], rc[x] * scoef[hit]),
+        )
+    owner, rt, rd, rsrc, rc = elementary_rows(rs, signs, rho)
+    left = _collect(dim, s, (owner, rd, rt, rsrc, -rc))[0]
+    return np.bincount(left, minlength=len(rho)) == 0

@@ -192,6 +192,24 @@ class SquareIndex(NamedTuple):
         return p, pos, self.members[self.start[s][p] + pos]
 
 
+class ActionRows(NamedTuple):
+    """x_rho(xi) = I + xi E1 + xi^2 E2 for every root rho, as sparse rows.
+
+    Row i adds coef[i] xi^degree[i] v[source[i]] to w[target[i]].  Root r's
+    rows are start[r]:start[r + 1], sorted by (target, degree, source).  On
+    a shift row (shift[i], rule 2 of the action) coef is 1: the structure
+    constant N_{rho, source} multiplies it, and the sign table holds that
+    (see action.elementary_rows).
+    """
+
+    target: np.ndarray
+    degree: np.ndarray
+    source: np.ndarray
+    coef: np.ndarray
+    shift: np.ndarray
+    start: np.ndarray
+
+
 def cartan_matrix(system: SystemId) -> np.ndarray:
     """Cartan matrix in Bourbaki numbering, as an integer array."""
     l = system.rank
@@ -240,7 +258,8 @@ class RootSystem:
 
     Immutable after construction; safe for shared read-only use.  The
     maximal squares are built with the roots: ``squares`` holds them sorted
-    by sigma, and ``_square_index`` holds them as arrays.  Use
+    by sigma, and ``_square_index`` holds them as arrays.  So are the rows
+    of every root's unipotent, ``_action_rows``.  Use
     :func:`build_root_system` to construct one.
     """
 
@@ -291,7 +310,32 @@ class RootSystem:
             tuple(np.flatnonzero(row).tolist()) for row in self._gram == 0
         )
         self._check_construction()
+        self._action_rows = self._build_action_rows()
         self.squares, self._square_index = self._build_squares()
+
+    def _build_action_rows(self) -> ActionRows:
+        """The rows of every x_rho(xi), by the four rules of the action
+        module: a root lambda = rho + mu gains N_{rho,mu} xi v_mu; zero
+        coordinate s gains rho_s xi v_{-rho}; the rho coordinate loses
+        <rho, alpha_s> xi v_s and xi^2 v_{-rho}."""
+        n, neg = self.n_roots, self._neg
+        r2, mu = np.nonzero(self._gram == -1)
+        r3, s3 = np.nonzero(self._coeffs)
+        r4, s4 = np.nonzero(self._pairings)
+        every = np.arange(n)
+        ones = np.ones_like
+        root = np.concatenate([r2, r3, r4, every])
+        target = np.concatenate([self._sum_idx[r2, mu], n + s3, r4, every])
+        degree = np.concatenate([ones(r2), ones(r3), ones(r4), 2 * ones(every)])
+        source = np.concatenate([mu, neg[r3], n + s4, neg])
+        coef = np.concatenate(
+            [ones(r2), self._coeffs[r3, s3], -self._pairings[r4, s4], -ones(every)]
+        )
+        shift = np.arange(len(root)) < len(r2)
+        order = np.argsort(((root * self.dim_v + target) * 3 + degree) * self.dim_v + source)
+        start = np.concatenate([[0], np.cumsum(np.bincount(root, minlength=n))])
+        columns = (target, degree, source, coef, shift)
+        return ActionRows(*(column[order] for column in columns), start)
 
     def _build_squares(self) -> tuple[tuple[MaximalSquare, ...], SquareIndex]:
         """Every maximal square, sorted by sigma, and their index arrays.

@@ -56,8 +56,6 @@ class SignTable:
         ss = rs._sum_idx[ii, jj]
         table[ii, jj] = eps[ii, jj] * eta[ii] * eta[jj] * eta[ss]
         self._table = table
-        # Action plans for elementary unipotents, filled lazily (action module).
-        self._plans: dict = {}
 
     def n_idx(self, i: int, j: int) -> int:
         """Structure constant by root positions, without validation."""

@@ -17,6 +17,21 @@ suite verifies the commutator reduction x_rho(xi) = [x_a(xi), x_b(eps)]
 with both factors in already-covered classes, symbolically in xi on a
 generic vector.
 
+The cases and commutator suites check their identities on exact integer
+coefficient arrays, a block of samples at a time (case_identities,
+commutator_reductions, batch.ledger_block and batch.commutator_block).
+Each identity is at most quadratic in v and quartic in xi, and x_rho(xi)
+is the root's action rows, I + xi E1 + xi^2 E2.  A ledger case expands f
+through the rows of its rho, subtracts the target forms and passes iff
+every coefficient of xi^k v_p v_q is zero; a reduction composes the four
+factors as a matrix polynomial over Z[xi] and compares it with the rows of
+x_rho(xi), coefficient by coefficient.  The per-sample set-up (draws,
+squares, classes, sub-cases, forms) is the scalar code's, and a failing
+case's residual is printed as the Poly it equals, so the reports are the
+ones the Poly evaluation gave.  verify_case_identity and
+verify_commutator_reduction keep that evaluation over PolynomialRing, as
+the reference the batched checks are tested against.
+
 The jacobi and combinatorics suites are batched.  Their samples are drawn
 one at a time with the draws every sampled suite makes (batch.draw_root,
 batch.draw_square), in the order the checks report, and kept as root and
@@ -58,7 +73,7 @@ from .equations import (
     pi_form,
     two_pi3_form,
 )
-from .rings import IntegerRing, IntegersMod, PolynomialRing, Ring
+from .rings import IntegerRing, IntegersMod, Poly, PolynomialRing, Ring
 from .root_system import Root, RootSystem, ZeroWeight, build_root_system
 from .signs import SignTable, build_sign_table
 from .squares import (
@@ -258,6 +273,25 @@ def _build_form(rs, signs, phi: FormKind, alpha, beta) -> QuadraticForm:
     return pi_form(rs, signs, alpha, beta)
 
 
+def _prepare_case(rs, signs, alpha, beta, rho, phi: FormKind):
+    """What verify_case_identity decides before any arithmetic: (angle
+    class, sub-case, config, form, [(int coeff, xi power, target form)])."""
+    square = square_of_pair(rs, alpha, beta)
+    cls = classify_root_vs_square(rs, rho, square)
+    if phi is FormKind.PI2 and cls.kind is SquareAngle.IN_SQUARE:
+        # The pi/2 form is square-keyed up to sign; root it at rho's pair.
+        alpha, beta = rho, _diff(square.sigma, rho)
+    subcase, targets = _ledger_target(rs, signs, phi, alpha, beta, rho, cls.kind, square)
+    form = _build_form(rs, signs, phi, alpha, beta)
+    config = {
+        "alpha": list(alpha),
+        "beta": list(beta),
+        "rho": list(rho),
+        "phi": phi.value,
+    }
+    return cls.kind.value, subcase, config, form, targets
+
+
 def verify_case_identity(
     rs: RootSystem,
     signs: SignTable,
@@ -270,36 +304,74 @@ def verify_case_identity(
     """Check one ledger identity symbolically; the residual must vanish.
 
     With strict=True a nonzero residual raises VerificationFailure with the
-    residual attached instead of returning a failed result.
+    residual attached instead of returning a failed result.  This is the
+    Poly reference for case_identities, which the suite runs.
     """
-    square = square_of_pair(rs, alpha, beta)
-    cls = classify_root_vs_square(rs, rho, square)
-    if phi is FormKind.PI2 and cls.kind is SquareAngle.IN_SQUARE:
-        # The pi/2 form is square-keyed up to sign; root it at rho's pair.
-        alpha, beta = rho, _diff(square.sigma, rho)
-    subcase, targets = _ledger_target(rs, signs, phi, alpha, beta, rho, cls.kind, square)
-
+    angle, subcase, config, form, targets = _prepare_case(rs, signs, alpha, beta, rho, phi)
     ring = PolynomialRing()
     xi = ring.variable("xi")
     v = generic_vector(rs, ring)
     w = apply_elementary(rs, signs, Elementary(rho, xi), v)
-    form = _build_form(rs, signs, phi, alpha, beta)
     delta = evaluate_form(form, w) - evaluate_form(form, v)
     target = ring.zero
     for coeff, power, tform in targets:
         target = target + ring.from_int(coeff) * xi**power * evaluate_form(tform, v)
     residual = delta - target
-    config = {
-        "alpha": list(alpha),
-        "beta": list(beta),
-        "rho": list(rho),
-        "phi": phi.value,
-    }
     if residual.is_zero():
-        return CaseResult(True, cls.kind.value, phi.value, subcase, config)
+        return CaseResult(True, angle, phi.value, subcase, config)
     if strict:
         raise VerificationFailure(f"nonzero residual for {config}: {residual}")
-    return CaseResult(False, cls.kind.value, phi.value, subcase, config, str(residual))
+    return CaseResult(False, angle, phi.value, subcase, config, str(residual))
+
+
+def _ledger_residuals(rs, signs, cases) -> list:
+    """Per case (rho, form, [(coeff, power, target form)]): the nonzero
+    terms (degree, p, q, coef) of f(x_rho(xi) v) - f(v) - sum coeff
+    xi^power g(v), from batch.ledger_block."""
+    if not cases:
+        return []
+    rho = np.array([rs.root_index(r) for r, _, _ in cases], dtype=np.int64)
+    mono = [(i,) + m for i, (_, form, _) in enumerate(cases) for m in form.monomials]
+    tgt = [
+        (i, power, a, b, coeff * c)
+        for i, (_, _, targets) in enumerate(cases)
+        for coeff, power, tform in targets
+        for a, b, c in tform.monomials
+    ]
+    form = np.array(mono, dtype=np.int64).reshape(-1, 4).T
+    target = np.array(tgt, dtype=np.int64).reshape(-1, 5).T
+    case, *terms = batch.ledger_block(rs, signs, rho, tuple(form), tuple(target))
+    bounds = np.searchsorted(case, np.arange(len(cases) + 1)).tolist()
+    terms = list(zip(*(t.tolist() for t in terms)))
+    return [terms[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _residual_text(rs, terms) -> str:
+    """str() of the Poly with these terms, over the variables xi, v0, v1,
+    ... registered in verify_case_identity's order."""
+    ring = PolynomialRing()
+    ring.variable("xi")
+    generic_vector(rs, ring)
+    return str(Poly(ring, {(0,) * d + (p + 1, q + 1): c for d, p, q, c in terms}))
+
+
+def case_identities(rs: RootSystem, signs: SignTable, phi: FormKind, configs) -> list:
+    """verify_case_identity on each (alpha, beta, rho), checked together on
+    integer coefficient arrays: per config, its CaseResult, or the
+    RuntimeError its set-up raised."""
+    results, prepared = [], []
+    for alpha, beta, rho in configs:
+        try:
+            prepared.append((len(results), rho, *_prepare_case(rs, signs, alpha, beta, rho, phi)))
+        except RuntimeError as exc:
+            results.append(exc)
+            continue
+        results.append(None)
+    residuals = _ledger_residuals(rs, signs, [(rho, form, t) for _, rho, *_, form, t in prepared])
+    for (i, _, angle, subcase, config, _, _), terms in zip(prepared, residuals):
+        residual = _residual_text(rs, terms) if terms else None
+        results[i] = CaseResult(not terms, angle, phi.value, subcase, config, residual)
+    return results
 
 
 @dataclass
@@ -312,6 +384,20 @@ class CommutatorResult:
     mode: str = "reduction"
 
 
+_MOVED = "a form moved under a root orthogonal to the square"
+_NO_EPSILON = "no epsilon makes the commutator match"
+
+
+def _square_forms(rs, signs, square):
+    """The forms attached to a square, built one at a time, in the order
+    the fixes-square check reads them."""
+    for a, b in square.pairs:
+        yield pi2_form(rs, signs, a, b)
+        yield two_pi3_form(rs, signs, a, b)
+        yield two_pi3_form(rs, signs, b, a)
+        yield pi_form(rs, signs, a, b)
+
+
 def _verify_square_fixed(rs, signs, rho, square) -> bool:
     """For rho orthogonal to every member: x_rho(xi) must leave every form
     attached to the square unchanged, identically in xi and v."""
@@ -319,30 +405,16 @@ def _verify_square_fixed(rs, signs, rho, square) -> bool:
     xi = ring.variable("xi")
     v = generic_vector(rs, ring)
     w = apply_elementary(rs, signs, Elementary(rho, xi), v)
-    for a, b in square.pairs:
-        for form in (
-            pi2_form(rs, signs, a, b),
-            two_pi3_form(rs, signs, a, b),
-            two_pi3_form(rs, signs, b, a),
-            pi_form(rs, signs, a, b),
-        ):
-            if not (evaluate_form(form, w) - evaluate_form(form, v)).is_zero():
-                return False
+    for form in _square_forms(rs, signs, square):
+        if not (evaluate_form(form, w) - evaluate_form(form, v)).is_zero():
+            return False
     return True
 
 
-def verify_commutator_reduction(
-    rs: RootSystem, signs: SignTable, rho: Root, square: MaximalSquare
-) -> CommutatorResult:
-    """Find the decomposition x_rho(xi) = [x_a(xi), x_b(eps)] named by the
-    angle class (pi/2 or pi/3) and verify it as an operator identity on a
-    generic vector, symbolically in xi.
-
-    One sub-case of class pi/2 has no such decomposition: rho orthogonal to
-    every member of the square (occurs in D_6 and E_7, never in D_5, E_6 or
-    E_8).  There x_rho(xi) provably fixes everything the square's forms
-    touch, which is verified directly instead (mode "fixes-square").
-    """
+def _reduction_plan(rs, rho, square):
+    """What verify_commutator_reduction decides before any arithmetic:
+    (config, plan), plan being a failed CommutatorResult, None for the
+    fixes-square sub-case, or the factors (a, b, their angle classes)."""
     cls = classify_root_vs_square(rs, rho, square)
     config = {"rho": list(rho), "sigma": list(square.sigma), "class": cls.kind.value}
     if cls.kind is SquareAngle.PERP:
@@ -356,13 +428,7 @@ def verify_commutator_reduction(
                 chosen = x
                 break
         if chosen is None:
-            ok = _verify_square_fixed(rs, signs, rho, square)
-            return CommutatorResult(
-                ok,
-                config,
-                mode="fixes-square",
-                detail=None if ok else "a form moved under a root orthogonal to the square",
-            )
+            return config, None
         a = tuple(p + r for p, r in zip(chosen, rho))  # beta_{-j} + rho, lies in the square
         b = rs.negate(chosen)
         expected = (SquareAngle.IN_SQUARE, SquareAngle.OPPOSITE_SQUARE)
@@ -377,7 +443,7 @@ def verify_commutator_reduction(
                 chosen = y
                 break
         if chosen is None:
-            return CommutatorResult(False, config, detail="no member at angle pi/3 found")
+            return config, CommutatorResult(False, config, detail="no member at angle pi/3 found")
         a = _diff(rho, chosen)  # rho - beta_{-1}
         b = chosen
         expected = (SquareAngle.TWO_THIRDS, SquareAngle.IN_SQUARE)
@@ -385,19 +451,41 @@ def verify_commutator_reduction(
         raise ValueError("commutator reduction applies to angle classes pi/2 and pi/3 only")
 
     if not (rs.is_root(a) and rs.is_root(b)):
-        return CommutatorResult(False, config, detail="factor is not a root")
+        return config, CommutatorResult(False, config, detail="factor is not a root")
     factor_classes = (
-        classify_root_vs_square(rs, a, square).kind,
-        classify_root_vs_square(rs, b, square).kind,
+        classify_root_vs_square(rs, a, square).kind.value,
+        classify_root_vs_square(rs, b, square).kind.value,
     )
-    if factor_classes != expected:
-        return CommutatorResult(
+    if factor_classes != tuple(k.value for k in expected):
+        return config, CommutatorResult(
             False,
             config,
-            factor_classes=(factor_classes[0].value, factor_classes[1].value),
+            factor_classes=factor_classes,
             detail="factor angle classes differ from the named ones",
         )
+    return config, (a, b, factor_classes)
 
+
+def verify_commutator_reduction(
+    rs: RootSystem, signs: SignTable, rho: Root, square: MaximalSquare
+) -> CommutatorResult:
+    """Find the decomposition x_rho(xi) = [x_a(xi), x_b(eps)] named by the
+    angle class (pi/2 or pi/3) and verify it as an operator identity on a
+    generic vector, symbolically in xi.
+
+    One sub-case of class pi/2 has no such decomposition: rho orthogonal to
+    every member of the square (occurs in D_6 and E_7, never in D_5, E_6 or
+    E_8).  There x_rho(xi) provably fixes everything the square's forms
+    touch, which is verified directly instead (mode "fixes-square").  This
+    is the Poly reference for commutator_reductions, which the suite runs.
+    """
+    config, plan = _reduction_plan(rs, rho, square)
+    if isinstance(plan, CommutatorResult):
+        return plan
+    if plan is None:
+        ok = _verify_square_fixed(rs, signs, rho, square)
+        return CommutatorResult(ok, config, mode="fixes-square", detail=None if ok else _MOVED)
+    a, b, factor_classes = plan
     ring = PolynomialRing()
     xi = ring.variable("xi")
     v = generic_vector(rs, ring)
@@ -413,11 +501,65 @@ def verify_commutator_reduction(
         )
         lhs = apply_word(rs, signs, word, v)
         if lhs.coords == rhs.coords:
-            return CommutatorResult(
-                True, config, epsilon=eps,
-                factor_classes=(factor_classes[0].value, factor_classes[1].value),
-            )
-    return CommutatorResult(False, config, detail="no epsilon makes the commutator match")
+            return CommutatorResult(True, config, epsilon=eps, factor_classes=factor_classes)
+    return CommutatorResult(False, config, detail=_NO_EPSILON)
+
+
+def commutator_reductions(rs: RootSystem, signs: SignTable, configs) -> list:
+    """verify_commutator_reduction on each (rho, square), checked together
+    on integer coefficient arrays: per config, its CommutatorResult, or the
+    RuntimeError its set-up raised.  The fixes-square sub-case is the
+    ledger check with no target forms."""
+    results, reductions, fixed = [], [], []
+    for rho, square in configs:
+        try:
+            config, plan = _reduction_plan(rs, rho, square)
+        except RuntimeError as exc:
+            results.append(exc)
+            continue
+        if plan is None:
+            # Build the forms in order, as _verify_square_fixed reads them;
+            # a builder that raises ends the list.
+            forms, error = [], None
+            try:
+                for form in _square_forms(rs, signs, square):
+                    forms.append(form)
+            except RuntimeError as exc:
+                error = exc
+            fixed.append((len(results), config, rho, forms, error))
+        elif not isinstance(plan, CommutatorResult):
+            a, b, classes = plan
+            positions = [rs.root_index(r) for r in (rho, a, b)]
+            reductions.append((len(results), config, classes, positions))
+        results.append(plan)
+
+    if reductions:
+        rho, a, b = np.array([pos for *_, pos in reductions], dtype=np.int64).T
+        epsilon = np.zeros(len(rho), dtype=np.int64)
+        for eps in (1, -1):
+            left = np.flatnonzero(epsilon == 0)
+            if len(left):
+                match = batch.commutator_block(rs, signs, rho[left], a[left], b[left], eps)
+                epsilon[left[match]] = eps
+        for (i, config, classes, _), eps in zip(reductions, epsilon.tolist()):
+            if eps:
+                results[i] = CommutatorResult(True, config, epsilon=eps, factor_classes=classes)
+            else:
+                results[i] = CommutatorResult(False, config, detail=_NO_EPSILON)
+
+    residuals = _ledger_residuals(
+        rs, signs, [(rho, form, []) for _, _, rho, forms, _ in fixed for form in forms]
+    )
+    lo = 0
+    for i, config, _, forms, error in fixed:
+        ok = not any(residuals[lo : lo + len(forms)])
+        lo += len(forms)
+        if ok and error is not None:
+            results[i] = error
+        else:
+            detail = None if ok else _MOVED
+            results[i] = CommutatorResult(ok, config, mode="fixes-square", detail=detail)
+    return results
 
 
 def verify_orbit_membership(
@@ -725,24 +867,23 @@ def suite_cases(rs: RootSystem, signs: SignTable, seed=0, samples: int | None = 
         angle, phi, subcase = entry
         rng = _rng_for(seed, f"cases/{angle}/{phi.value}/{subcase}")
         failures = []
-        for _ in range(samples):
-            alpha, beta, rho = sample_case_config(rs, rng, entry)
-            try:
-                result = verify_case_identity(rs, signs, alpha, beta, rho, phi)
-            except RuntimeError as exc:
-                failures.append(
-                    {
-                        "config": {"alpha": list(alpha), "beta": list(beta), "rho": list(rho)},
-                        "error": str(exc),
-                    }
-                )
-                continue
-            if result.angle != angle or (
-                subcase not in ("re-rooted", "any") and result.subcase != subcase
-            ):
-                failures.append({"config": result.config, "error": "sampler missed the sub-case"})
-            elif not result.ok:
-                failures.append({"config": result.config, "residual": result.residual})
+        for lo in range(0, samples, batch.BLOCK):
+            configs = [
+                sample_case_config(rs, rng, entry) for _ in range(min(batch.BLOCK, samples - lo))
+            ]
+            results = case_identities(rs, signs, phi, configs)
+            for (alpha, beta, rho), result in zip(configs, results):
+                if isinstance(result, RuntimeError):
+                    config = {"alpha": list(alpha), "beta": list(beta), "rho": list(rho)}
+                    failures.append({"config": config, "error": str(result)})
+                elif result.angle != angle or (
+                    subcase not in ("re-rooted", "any") and result.subcase != subcase
+                ):
+                    failures.append(
+                        {"config": result.config, "error": "sampler missed the sub-case"}
+                    )
+                elif not result.ok:
+                    failures.append({"config": result.config, "residual": result.residual})
         rep.add(f"{angle}/{phi.value}/{subcase}", samples, failures)
     rep.wall_time_s = time.perf_counter() - t0
     return rep
@@ -765,30 +906,34 @@ def suite_commutator(
         # Keep sampling until `samples` configurations carrying the named
         # decomposition are verified; configurations where rho is orthogonal
         # to the whole square (no decomposition exists) are verified by the
-        # fixes-square route and tallied on top.
+        # fixes-square route and tallied on top.  Each block draws no more
+        # attempts than could still be needed, so the suite stops where a
+        # one-at-a-time loop would.
         while reductions < samples and attempts < 60 * samples:
-            attempts += 1
-            square = _random_square(rs, rng)
-            cands = _roots_at_sigma_angle(rs, square, dval)
-            for _ in range(200):
-                if cands:
-                    break
+            configs = []
+            for _ in range(min(samples - reductions, 60 * samples - attempts, batch.BLOCK)):
                 square = _random_square(rs, rng)
                 cands = _roots_at_sigma_angle(rs, square, dval)
-            else:
-                raise RuntimeError(f"no square with roots in class {label} found")
-            rho = rs.roots[cands[rng.randrange(len(cands))]]
-            try:
-                result = verify_commutator_reduction(rs, signs, rho, square)
-            except RuntimeError as exc:
-                failures.append({"rho": list(rho), "sigma": list(square.sigma), "error": str(exc)})
-                continue
-            if not result.ok:
-                failures.append({"config": result.config, "detail": result.detail})
-            elif result.mode == "fixes-square":
-                trivial += 1
-            else:
-                reductions += 1
+                for _ in range(200):
+                    if cands:
+                        break
+                    square = _random_square(rs, rng)
+                    cands = _roots_at_sigma_angle(rs, square, dval)
+                else:
+                    raise RuntimeError(f"no square with roots in class {label} found")
+                configs.append((rs.roots[cands[rng.randrange(len(cands))]], square))
+            attempts += len(configs)
+            for (rho, square), result in zip(configs, commutator_reductions(rs, signs, configs)):
+                if isinstance(result, RuntimeError):
+                    failures.append(
+                        {"rho": list(rho), "sigma": list(square.sigma), "error": str(result)}
+                    )
+                elif not result.ok:
+                    failures.append({"config": result.config, "detail": result.detail})
+                elif result.mode == "fixes-square":
+                    trivial += 1
+                else:
+                    reductions += 1
         rep.add(f"class-{label}", reductions + trivial + len(failures), failures)
         rep.checks[-1]["reductions"] = reductions
         rep.checks[-1]["fixes_square"] = trivial

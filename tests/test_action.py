@@ -1,4 +1,7 @@
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -13,6 +16,8 @@ from adjoint_quadrics import (
     apply_elementary,
     apply_word,
     basis_vector,
+    build_root_system,
+    build_sign_table,
     inverse_word,
     zero_vector,
     zero_weight_combo,
@@ -251,3 +256,60 @@ def test_system_mismatch_rejected(system):
     v6 = zero_vector(rs6, ring)
     with pytest.raises(ValueError):
         apply_elementary(rs5, signs5, Elementary(rs5.roots[0], 1), v6)
+
+
+def test_concurrent_words_leave_system_unchanged():
+    # The action rows are built with the root system and the signs are read
+    # from the table, so four threads applying words through a fresh D5 get
+    # the serial answers and write nothing into the system or the table.
+    def words(rs):
+        rng = random.Random(12)
+        return [
+            Word(
+                tuple(
+                    Elementary(rs.roots[rng.randrange(rs.n_roots)], rng.randint(-2, 2))
+                    for _ in range(8)
+                )
+            )
+            for _ in range(40)
+        ]
+
+    def answers(rs, signs):
+        ring = IntegerRing()
+        return [
+            apply_word(rs, signs, word, basis_vector(rs, ring, rs.roots[k % rs.n_roots])).coords
+            for k, word in enumerate(words(rs))
+        ]
+
+    serial_rs = build_root_system("D5")
+    serial = answers(serial_rs, build_sign_table(serial_rs))
+    rs = build_root_system("D5")
+    signs = build_sign_table(rs)
+    attrs = dict(vars(rs)), dict(vars(signs))
+    state = pickle.dumps((vars(rs), vars(signs)))
+
+    n_threads = 4
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def work(t):
+        barrier.wait(timeout=30)
+        results[t] = answers(rs, signs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+
+    assert results == [serial] * n_threads
+    for obj, before in zip((rs, signs), attrs):
+        assert vars(obj).keys() == before.keys()
+        assert all(vars(obj)[k] is before[k] for k in before)
+    assert pickle.dumps((vars(rs), vars(signs))) == state

@@ -1,9 +1,11 @@
-"""The batched jacobi and combinatorics suites against the scalar helpers.
+"""The batched suites against their scalar references.
 
-The suites draw their samples as root and square numbers and check them a
-block at a time.  These tests pin their reports, compare each batched check
-sample by sample with the scalar helper it replaces, and show that
-corrupting a table makes the right checks fail.
+The jacobi and combinatorics suites draw their samples as root and square
+numbers and check them a block at a time; the cases and commutator suites
+check their identities on integer coefficient arrays built from the action
+rows.  These tests pin their reports, compare each batched check sample by
+sample with the scalar helper or Poly computation it replaces, and show
+that corrupting a table makes the right checks fail.
 """
 
 import hashlib
@@ -41,10 +43,21 @@ from adjoint_quadrics.batch import (
 from adjoint_quadrics.equations import _other_members
 from adjoint_quadrics.squares import _ANGLE_BY_DOT2
 from adjoint_quadrics.verify import (
+    LEDGER_ENTRIES,
     SuiteReport,
     _class_pattern_ok,
+    _random_square,
+    _rng_for,
+    _roots_at_sigma_angle,
+    case_identities,
+    commutator_reductions,
+    sample_case_config,
+    suite_cases,
     suite_combinatorics,
+    suite_commutator,
     suite_jacobi,
+    verify_case_identity,
+    verify_commutator_reduction,
 )
 
 # sha256 of report_json([suite_jacobi(...), suite_combinatorics(...)]) as the
@@ -414,3 +427,196 @@ def test_unresolved_samples_report_the_scalar_messages(monkeypatch):
         "triple": [list(a), list(b), list(c)],
         "error": f"no D_4 extension found for ({a}, {b}, {c})",
     } in checks["a3-extension"]["failures"]
+
+
+# sha256 of report_json([suite_cases(...), suite_commutator(...)]) as the
+# Poly evaluation gave it, before the ledger was checked on coefficient
+# arrays.
+LEDGER_PINNED = {
+    ("D5", 0, None): "aef9f5f618faf2efe5c97d6ac02cbcc1c28b07faac4ca73157d71fc2e247ba9d",
+    ("D6", 0, None): "6195440fcab70a8ac2445e3e6de46bd0208e562052ff2adc4eb7e3337e9ae852",
+    ("E6", 0, None): "abf9a13a32abeda8598a1d40b901372fad2a9d386b86005b861c2fd7173ce633",
+    ("E7", 0, None): "4db5c694fca44a20e372c1a174fc830e0293adef706540553e6aefa1c7fee69e",
+    ("E8", 0, None): "4a2898f8ad3b47cad7220b22e5f755b3d8e305d738e5a92ef23201337203e3c4",
+    ("E7", 5, 3): "f55d724975abf9d741097be3694e412c26c1476a43d112cc846704506c98646f",
+}
+
+
+@pytest.mark.parametrize("name, seed, samples", sorted(LEDGER_PINNED, key=str))
+def test_ledger_reports_pinned(system, name, seed, samples):
+    rs, signs = system(name)
+    reports = [suite_cases(rs, signs, seed, samples), suite_commutator(rs, signs, seed, samples)]
+    assert all(r.ok for r in reports)
+    assert _digest(reports) == LEDGER_PINNED[name, seed, samples]
+
+
+def _same_case_results(rs, signs, per_entry, seed):
+    """case_identities against verify_case_identity on per_entry seeded
+    samples of every ledger entry: the same verdicts and residual strings,
+    and the same errors.  Returns the number of failing cases."""
+    failing = 0
+    for entry in LEDGER_ENTRIES:
+        rng = _rng_for(seed, f"agree/{entry}")
+        configs = [sample_case_config(rs, rng, entry) for _ in range(per_entry)]
+        phi = entry[1]
+        for (alpha, beta, rho), got in zip(configs, case_identities(rs, signs, phi, configs)):
+            try:
+                want = verify_case_identity(rs, signs, alpha, beta, rho, phi)
+            except RuntimeError as exc:
+                assert isinstance(got, RuntimeError) and str(got) == str(exc)
+                continue
+            assert got == want
+            failing += not want.ok
+    return failing
+
+
+@pytest.mark.parametrize("name, per_entry", [("D5", 30), ("E6", 12), ("E8", 4), ("D17", 2)])
+def test_case_identities_match_poly(system, name, per_entry):
+    rs, signs = system(name)
+    assert _same_case_results(rs, signs, per_entry, seed=1) == 0
+
+
+def _commutator_configs(rs, seed, per_class):
+    """(rho, square) draws of both commutator classes, as the suite draws
+    them."""
+    configs = []
+    for label, dval in (("pi/2", 0), ("pi/3", 1)):
+        rng = _rng_for(seed, f"commutator/{label}")
+        for _ in range(per_class):
+            square = _random_square(rs, rng)
+            cands = _roots_at_sigma_angle(rs, square, dval)
+            while not cands:
+                square = _random_square(rs, rng)
+                cands = _roots_at_sigma_angle(rs, square, dval)
+            configs.append((rs.roots[cands[rng.randrange(len(cands))]], square))
+    return configs
+
+
+def _same_commutator_results(rs, signs, configs):
+    """commutator_reductions against verify_commutator_reduction: the same
+    verdict, epsilon, mode, factor classes and detail, and the same errors.
+    Returns the results."""
+    got = commutator_reductions(rs, signs, configs)
+    for (rho, square), result in zip(configs, got):
+        try:
+            want = verify_commutator_reduction(rs, signs, rho, square)
+        except RuntimeError as exc:
+            assert isinstance(result, RuntimeError) and str(result) == str(exc)
+            continue
+        assert result == want
+    return got
+
+
+@pytest.mark.parametrize("name", ["D5", "E7"])
+def test_commutator_reductions_match_poly(system, name):
+    rs, signs = system(name)
+    results = _same_commutator_results(rs, signs, _commutator_configs(rs, seed=2, per_class=60))
+    assert all(r.ok for r in results)
+    modes = {(r.mode, r.epsilon) for r in results}
+    assert {("reduction", 1), ("reduction", -1)} <= modes
+    # E_7 has roots orthogonal to a whole square.
+    assert (("fixes-square", None) in modes) == (name == "E7")
+
+
+# The failing checks (name, attempted, passed) and report digests the Poly
+# evaluation gave on _flip_one_sign's tables.
+LEDGER_FLIPPED = {
+    ("D5", 0, None): (
+        [
+            ("0/pi/2/re-rooted", 100, 90),
+            ("0/2pi/3/j=1", 100, 89),
+            ("0/2pi/3/j=-1", 100, 94),
+            ("0/2pi/3/j!=+-1", 100, 92),
+            ("0/pi/j=1", 100, 90),
+            ("0/pi/j=-1", 100, 93),
+            ("0/pi/j!=+-1", 100, 92),
+            ("pi/pi/2/any", 100, 96),
+            ("pi/2pi/3/j=1", 100, 95),
+            ("pi/2pi/3/j=-1", 100, 91),
+            ("pi/2pi/3/j!=+-1", 100, 95),
+            ("pi/pi/j=1", 100, 93),
+            ("pi/pi/j=-1", 100, 95),
+            ("pi/pi/j!=+-1", 100, 97),
+            ("2pi/3/pi/2/any", 100, 98),
+            ("2pi/3/2pi/3/(b1,rho)=-1", 100, 98),
+            ("2pi/3/2pi/3/(b1,rho)=0", 100, 92),
+            ("2pi/3/pi/(b1,rho)=-1", 100, 91),
+            ("2pi/3/pi/(b1,rho)=0", 100, 97),
+            ("class-pi/2", 119, 100),
+            ("class-pi/3", 118, 100),
+        ],
+        "750e3070e01d17bb080e5c395508d045695040beb4db6468151898023cd81aa7",
+    ),
+    ("E7", 3, 20): (
+        [
+            ("0/2pi/3/j=1", 20, 19),
+            ("0/2pi/3/j!=+-1", 20, 19),
+            ("0/pi/j=1", 20, 19),
+            ("0/pi/j!=+-1", 20, 19),
+            ("pi/2pi/3/j=-1", 20, 18),
+            ("class-pi/2", 23, 21),
+            ("class-pi/3", 21, 20),
+        ],
+        "4f4053ba698db23f4997c2ca7607c7d48ff042ea5802678b2cdb38bdf5d19e92",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, seed, samples", sorted(LEDGER_FLIPPED, key=str))
+def test_flipped_sign_fails_the_ledger_like_poly(name, seed, samples):
+    rs, signs = _flip_one_sign(name)
+    reports = [suite_cases(rs, signs, seed, samples), suite_commutator(rs, signs, seed, samples)]
+    failing = [
+        (c["name"], c["attempted"], c["passed"])
+        for r in reports
+        for c in r.checks
+        if c["passed"] != c["attempted"]
+    ]
+    checks, digest = LEDGER_FLIPPED[name, seed, samples]
+    assert failing == checks
+    assert _digest(reports) == digest
+    # Case by case, with every residual string, against the Poly reference.
+    assert _same_case_results(rs, signs, 6, seed=4) > 0
+    results = _same_commutator_results(rs, signs, _commutator_configs(rs, seed=4, per_class=20))
+    assert not all(r.ok for r in results)
+
+
+def test_corrupted_action_row_fails_both_suites():
+    # One fixed coefficient of one root's rows: the xi^2 row of root 0,
+    # -xi^2 v_{-rho} turned into +xi^2 v_{-rho}.
+    rs = build_root_system("D5")
+    signs = build_sign_table(rs)
+    rows = rs._action_rows
+    at = rows.start[0] + np.flatnonzero(rows.degree[rows.start[0] : rows.start[1]] == 2)
+    assert len(at) == 1 and rows.coef[at[0]] == -1
+    rows.coef[at[0]] = 1
+    cases, commutator = suite_cases(rs, signs, seed=0), suite_commutator(rs, signs, seed=0)
+    assert not cases.ok and not commutator.ok
+    rho = [list(rs.roots[0])]
+    for check in cases.checks:
+        assert all(f["config"]["rho"] in rho for f in check["failures"])
+    assert _same_case_results(rs, signs, 6, seed=5) > 0
+
+
+def test_fixes_square_verdicts_follow_the_form_order():
+    # E_7 roots orthogonal to a whole square.  One zero-weight row of such a
+    # root is corrupted, so its unipotent moves the squares' 2pi/3 forms,
+    # and a sign pair is flipped, so some form builders raise, before or
+    # after the first moved form.  Config by config, the batched check must
+    # give the Poly reference's verdict, or raise where it raises.
+    rs, signs = _flip_one_sign("E7")
+    index, rows, n = rs._square_index, rs._action_rows, rs.n_roots
+    perp = []
+    for s in range(len(rs.squares)):
+        members = index.members[index.start[s] :][: index.size[s]]
+        perp += [(r, s) for r in np.flatnonzero((rs._gram[:, members] == 0).all(1)).tolist()]
+    rho = next(r for r, _ in perp if np.count_nonzero(rs._coeffs[r]) >= 3)
+    at = rows.start[rho] + np.flatnonzero(rows.target[rows.start[rho] : rows.start[rho + 1]] >= n)
+    rows.coef[at[0]] += 1
+    picked = [(r, s) for r, s in perp if r != rho][::150] + [(r, s) for r, s in perp if r == rho]
+    configs = [(rs.roots[r], rs.squares[s]) for r, s in picked]
+    results = _same_commutator_results(rs, signs, configs)
+    outcomes = {
+        "error" if isinstance(r, RuntimeError) else "fixed" if r.ok else r.detail for r in results
+    }
+    assert outcomes == {"error", "fixed", "a form moved under a root orthogonal to the square"}
