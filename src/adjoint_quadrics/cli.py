@@ -29,9 +29,16 @@ class InputError(ValueError):
     """A vector file, word file or --rho value without the documented shape."""
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError("JSON nested too deeply") from None
+
+
 def _read_json(path: str):
     with open(path) as f:
-        return json.load(f)
+        return _parse_json(f.read())
 
 
 def _input_ring(name) -> Ring:
@@ -164,7 +171,7 @@ def cmd_orbit(args) -> int:
     signs = build_sign_table(rs)
     ring = _input_ring(args.ring)
     word = _load_word(args.word, rs, ring)
-    rho = _root(rs, json.loads(args.rho))
+    rho = _root(rs, _parse_json(args.rho))
     eqset = generate_all_equations(rs, signs)
     ok, witness = verify_orbit_membership(rs, signs, eqset, word, rho, ring)
     doc = {

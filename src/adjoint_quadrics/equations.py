@@ -19,13 +19,15 @@ A full equation set holds one pi/2 form per maximal square, one 2pi/3
 form per ordered orthogonal pair (both orders are emitted; the
 orderedness is visible in the counts), and one pi form per unordered
 pair.  Bulk generation builds all three families at once as flat
-monomial arrays from the Gram matrix, the sum table and the sign table.
-It checks the 2pi/3 and pi families against their square descriptions,
-and the pi/2 coefficients against the other pair order, as whole-array
-comparisons; a disagreement would mean a structure-constant identity
-failed, so it is raised as a program error.  The per-form builders keep
-their own checks and serve as the reference the bulk arrays are tested
-against.
+monomial arrays through the square descriptions above, from the square
+index, the sum table and the sign table.  The per-form builders
+two_pi3_form and pi_form follow the other description, through the
+companion sets of the pair, and pi2_form reads the square's pairs.
+Neither side checks itself: the tests compare every generated form with
+its per-form builder, and the identities that make the descriptions
+agree are verification checks (combinatorics companion-sets for the
+monomials, jacobi triangle and negation for the 2pi/3 signs, jacobi
+orthogonal-quadruple for the pi/2 coefficients).
 
 An `EquationSet` holds the per-form kinds and keys, the flattened
 monomial arrays and an index from (kind, key) to position, and nothing
@@ -151,11 +153,8 @@ def pi2_form(rs: RootSystem, signs: SignTable, alpha: Root, beta: Root) -> Quadr
         gi, di = rs.root_index(g), rs.root_index(d)
         if {gi, di} == {ai, bi}:
             continue
-        c1 = signs.n_idx(ai, int(neg[gi])) * signs.n_idx(bi, int(neg[di]))
-        c2 = signs.n_idx(ai, int(neg[di])) * signs.n_idx(bi, int(neg[gi]))
-        if c1 != c2:
-            raise RuntimeError("pi/2 coefficient depends on the pair order")
-        _put(acc, gi, di, -c1)
+        c = signs.n_idx(ai, int(neg[gi])) * signs.n_idx(bi, int(neg[di]))
+        _put(acc, gi, di, -c)
     return _finish(rs.system, FormKind.PI2, tuple(square.sigma), acc)
 
 
@@ -166,29 +165,16 @@ def pi2_form_for_square(rs: RootSystem, signs: SignTable, square: MaximalSquare)
 
 
 def two_pi3_form(rs: RootSystem, signs: SignTable, alpha: Root, beta: Root) -> QuadraticForm:
+    """-sum N_{g,a-g} v_g v_{a-g} over the roots g at angle pi/3 to both
+    alpha and beta, less v_alpha * sum_s <beta, alpha_s> v_s."""
     ai, bi = rs.root_index(alpha), rs.root_index(beta)
     if rs.dot2_idx(ai, bi) != 0:
         raise InvalidPairError(f"{alpha} and {beta} are not orthogonal")
-    square = square_of_pair(rs, alpha, beta)
     neg = rs._neg
     acc: dict = {}
-    for m in square.members():
-        if m == alpha or m == beta:
-            continue
-        mi = rs.root_index(m)
-        diff = int(rs._sum_idx[ai, int(neg[mi])])  # alpha - m
-        _put(acc, diff, mi, signs.n_idx(ai, int(neg[mi])))
-
-    # Cross-check against the raw companion-set definition.
-    ga, gb = rs._gram[ai], rs._gram[bi]
-    raw: dict = {}
-    for gi in np.nonzero((ga == 1) & (gb == 1))[0].tolist():
-        di = int(rs._sum_idx[ai, int(neg[gi])])  # delta = alpha - gamma
-        a, b = (gi, di) if gi < di else (di, gi)
-        raw[(a, b)] = -signs.n_idx(gi, di)
-    if raw != acc:
-        raise RuntimeError("2pi/3 square form disagrees with the raw definition")
-
+    for gi in np.flatnonzero((rs._gram[ai] == 1) & (rs._gram[bi] == 1)).tolist():
+        di = int(rs._sum_idx[ai, int(neg[gi])])  # alpha - gamma
+        _put(acc, gi, di, -signs.n_idx(gi, di))
     for s in range(rs.rank):
         c = int(rs._pairings[bi, s])
         if c:
@@ -197,30 +183,17 @@ def two_pi3_form(rs: RootSystem, signs: SignTable, alpha: Root, beta: Root) -> Q
 
 
 def pi_form(rs: RootSystem, signs: SignTable, alpha: Root, beta: Root) -> QuadraticForm:
+    """sum <g, beta> v_g v_{-g} over the roots g at angle 2pi/3 to alpha,
+    less (sum_s <alpha, alpha_s> v_s)(sum_t <beta, alpha_t> v_t)."""
     ai, bi = rs.root_index(alpha), rs.root_index(beta)
     if rs.dot2_idx(ai, bi) != 0:
         raise InvalidPairError(f"{alpha} and {beta} are not orthogonal")
-    square = square_of_pair(rs, alpha, beta)
     neg = rs._neg
     acc: dict = {}
-    for m in square.members():
-        if m == alpha or m == beta:
-            continue
-        mi = rs.root_index(m)
-        diff = int(rs._sum_idx[ai, int(neg[mi])])  # alpha - m
-        _put(acc, diff, int(neg[diff]), 1)
-        _put(acc, mi, int(neg[mi]), -1)
-
-    ga, gb = rs._gram[ai], rs._gram[bi]
-    raw: dict = {}
-    for gi in np.nonzero((ga == -1) & (gb == 1))[0].tolist():
-        a, b = gi, int(neg[gi])
-        raw[(a, b) if a < b else (b, a)] = 1
-    for gi in np.nonzero((ga == -1) & (gb == -1))[0].tolist():
-        a, b = gi, int(neg[gi])
-        raw[(a, b) if a < b else (b, a)] = -1
-    if raw != acc:
-        raise RuntimeError("pi square form disagrees with the raw definition")
+    for gi in np.flatnonzero(rs._gram[ai] == -1).tolist():
+        c = int(rs._gram[bi, gi])
+        if c:
+            _put(acc, gi, int(neg[gi]), c)
 
     pa, pb = rs._pairings[ai], rs._pairings[bi]
     base = rs.n_roots
@@ -556,10 +529,6 @@ def _merge(x, y):
     return _sort_keys(np.concatenate([x[0], y[0]]), np.concatenate([x[1], y[1]]))
 
 
-def _same(x, y) -> bool:
-    return np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
-
-
 def _blocks(build, ii, jj, dim: int, *args):
     """(key, c) of build(ii, jj, *args) run over blocks of pairs and joined,
     with form ids counted from the first pair."""
@@ -570,13 +539,6 @@ def _blocks(build, ii, jj, dim: int, *args):
         keys.append(key)
         cs.append(c)
     return np.concatenate(keys), np.concatenate(cs)
-
-
-def _pair_mask(gram, ii, jj, x: int, y: int):
-    """(p, g) for every root g with <g, ii[p]> = x and <g, jj[p]> = y."""
-    mask = (gram == x)[ii]
-    mask &= (gram == y)[jj]
-    return np.nonzero(mask)
 
 
 def _other_members(index, ii, jj):
@@ -600,81 +562,56 @@ def _pi2_monomials(rs: RootSystem, signs: SignTable):
     lead = np.zeros(len(g), dtype=bool)
     lead[np.cumsum(k) - k] = True
     a, b = g[lead][form], d[lead][form]
-    c1 = t[a, neg[g]] * t[b, neg[d]]
-    c2 = t[a, neg[d]] * t[b, neg[g]]
-    if np.any((c1 != c2) & ~lead):
-        raise RuntimeError("pi/2 coefficient depends on the pair order")
-    return _monomials(form, g, d, np.where(lead, 1, -c1), rs.dim_v)
+    c = t[a, neg[g]] * t[b, neg[d]]
+    return _monomials(form, g, d, np.where(lead, 1, -c), rs.dim_v)
 
 
-def _two_pi3_monomials(ii, jj, rs: RootSystem, signs: SignTable, gram, index):
+def _two_pi3_monomials(ii, jj, rs: RootSystem, signs: SignTable):
     """The 2pi/3 form of each ordered pair (alpha, beta) = (ii[p], jj[p])."""
-    neg, t, sums, dim = rs._neg, signs._table, rs._sum_idx, rs.dim_v
-    # Raw definition: -N_{g,d} v_g v_d over gamma at angle pi/3 to both
-    # alpha and beta, with delta = alpha - gamma.
-    p, g = _pair_mask(gram, ii, jj, 1, 1)
-    d = sums[ii[p], neg[g]]
-    raw = _monomials(p, g, d, -t[g, d], dim)
-    # Square description: N_{alpha,-m} v_{alpha-m} v_m over the other members m.
-    p, m = _other_members(index, ii, jj)
+    neg, t, dim = rs._neg, signs._table, rs.dim_v
+    # N_{alpha,-m} v_{alpha-m} v_m over the other square members m.
+    p, m = _other_members(rs._square_index, ii, jj)
     a, neg_m = ii[p], neg[m]
-    if not _same(raw, _monomials(p, sums[a, neg_m], m, t[a, neg_m], dim)):
-        raise RuntimeError("2pi/3 square form disagrees with the raw definition")
+    members = _monomials(p, rs._sum_idx[a, neg_m], m, t[a, neg_m], dim)
     # Zero weights: -v_alpha * sum_s <beta, alpha_s> v_s.
     c = -rs._pairings[jj]
     p, s = np.nonzero(c)
-    return _merge(raw, _monomials(p, ii[p], rs.n_roots + s, c[p, s], dim))
+    return _merge(members, _monomials(p, ii[p], rs.n_roots + s, c[p, s], dim))
 
 
-def _pi_monomials(ii, jj, rs: RootSystem, gram, index):
+def _pi_monomials(ii, jj, rs: RootSystem):
     """The pi form of each unordered pair (alpha, beta) = (ii[p], jj[p])."""
     neg, n, dim = rs._neg, rs.n_roots, rs.dim_v
-    # Raw definition: v_g v_{-g} over gamma at angle 2pi/3 to alpha, signed
-    # by <gamma, beta>.
-    p, g = _pair_mask(gram, ii, jj, -1, 1)
-    q, h = _pair_mask(gram, ii, jj, -1, -1)
-    g = np.concatenate([g, h])
-    c = np.ones(len(g), np.int8)
-    c[len(p) :] = -1
-    raw = _monomials(np.concatenate([p, q]), g, neg[g], c, dim)
-    # Square description: v_{alpha-m} v_{m-alpha} - v_m v_{-m} over the
-    # other members m.
-    p, m = _other_members(index, ii, jj)
+    # v_{alpha-m} v_{m-alpha} - v_m v_{-m} over the other square members m.
+    p, m = _other_members(rs._square_index, ii, jj)
     g = np.concatenate([rs._sum_idx[ii[p], neg[m]], m])
     c = np.ones(len(g), np.int8)
     c[len(m) :] = -1
-    if not _same(raw, _monomials(np.concatenate([p, p]), g, neg[g], c, dim)):
-        raise RuntimeError("pi square form disagrees with the raw definition")
+    members = _monomials(np.concatenate([p, p]), g, neg[g], c, dim)
     # Zero weights: -(sum_s <alpha, alpha_s> v_s)(sum_t <beta, alpha_t> v_t),
     # one monomial per s <= t.
     pa, pb = rs._pairings[ii], rs._pairings[jj]
     s, u = np.triu_indices(rs.rank)
     c = -(pa[:, s] * pb[:, u] + np.where(s == u, 0, pa[:, u] * pb[:, s]))
     p, q = np.nonzero(c)
-    return _merge(raw, _monomials(p, n + s[q], n + u[q], c[p, q], dim))
+    return _merge(members, _monomials(p, n + s[q], n + u[q], c[p, q], dim))
 
 
 def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     """One pi/2 form per square, one 2pi/3 form per ordered orthogonal pair,
     one pi form per unordered pair, in deterministic key order."""
-    gram = rs._gram.astype(np.int8)
-    ii, jj = np.nonzero(gram == 0)
+    ii, jj = np.nonzero(rs._gram == 0)
     upper = ii < jj
-    index = rs._square_index
     dim = rs.dim_v
     root = rs.roots.__getitem__
     pair_keys = list(zip(map(root, ii.tolist()), map(root, jj.tolist())))
     families = [
         (FormKind.PI2, [sq.sigma for sq in rs.squares], _pi2_monomials(rs, signs)),
-        (
-            FormKind.TWO_PI3,
-            pair_keys,
-            _blocks(_two_pi3_monomials, ii, jj, dim, rs, signs, gram, index),
-        ),
+        (FormKind.TWO_PI3, pair_keys, _blocks(_two_pi3_monomials, ii, jj, dim, rs, signs)),
         (
             FormKind.PI,
             list(itertools.compress(pair_keys, upper.tolist())),
-            _blocks(_pi_monomials, ii[upper], jj[upper], dim, rs, gram, index),
+            _blocks(_pi_monomials, ii[upper], jj[upper], dim, rs),
         ),
     ]
     codes, keys, counts = [], [], []

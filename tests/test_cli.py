@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from adjoint_quadrics import build_root_system
 from adjoint_quadrics.cli import main
 
 
@@ -221,3 +226,94 @@ def test_verify_rejects_samples_below_one(capsys, system, suite, samples):
     )
     assert code == 2 and out == ""
     assert "samples" in json.loads(err.splitlines()[-1])["error"]
+
+
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("where", ["vector", "word", "rho"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, where):
+    # json raises RecursionError on deep nesting; that is bad input, not a
+    # negative verdict and not a traceback.
+    path = tmp_path / "input.json"
+    path.write_text(_DEEP if where != "rho" else "[]")
+    if where == "vector":
+        args = ["check", "--system", "D5", "--vector", str(path)]
+    else:
+        rho = _DEEP if where == "rho" else "[1, 0, 0, 0, 0]"
+        args = ["orbit", "--system", "D5", "--word", str(path), "--rho", rho]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert json.loads(err.splitlines()[-1]) == {"error": "JSON nested too deeply"}
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=5,
+)
+_D5_ROOTS = [list(r) for r in build_root_system("D5").roots]
+_element = st.integers(-2, 2) | st.integers(-2, 2).map(str)
+
+
+@st.composite
+def _near_valid(draw, valid):
+    """A valid document from `valid`, or a random one, or the valid one with
+    the value at one path replaced by a random one."""
+    doc = copy.deepcopy(draw(valid))
+    spoil = draw(st.integers(0, 3))
+    if spoil == 0:
+        return doc
+    if spoil == 1:
+        return draw(_json)
+    parent, key = None, None
+    value = doc
+    while isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        parent = value
+        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+        value = value[key]
+    if parent is None:
+        return draw(_json)
+    parent[key] = draw(_json)
+    return doc
+
+
+_basis = st.integers(0, 44).map(lambda i: ["1" if j == i else "0" for j in range(45)])
+_vector = _near_valid(
+    st.fixed_dictionaries(
+        {
+            "system": st.just("D5"),
+            "ring": st.sampled_from(["int", "zmod:4"]),
+            "coords": _basis | st.lists(_element, min_size=45, max_size=45),
+        }
+    )
+)
+_root = st.sampled_from(_D5_ROOTS)
+_word = _near_valid(st.lists(st.fixed_dictionaries({"rho": _root, "xi": _element}), max_size=3))
+_rho = st.builds(json.dumps, _root | _near_valid(_root)) | st.text(max_size=8)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_cli_fuzz_exit_codes(tmp_path_factory, data):
+    # Whatever the vector file, word file or --rho value, main returns 0, 1
+    # or 2 and raises nothing, and 1 comes only with a computed verdict.
+    path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
+    if data.draw(st.booleans(), label="check"):
+        path.write_text(json.dumps(data.draw(_vector, label="vector")))
+        args = ["check", "--system", "D5", "--vector", str(path)]
+    else:
+        path.write_text(json.dumps(data.draw(_word, label="word")))
+        ring = data.draw(st.sampled_from(["int", "int", "zmod:4", "zmod:0", "poly"]), label="ring")
+        rho = data.draw(_rho, label="rho")
+        args = ["orbit", "--system", "D5", "--word", str(path), f"--rho={rho}", "--ring", ring]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 1, 2)
+    event(f"{args[0]} exit {code}")
+    if code == 1:
+        doc = json.loads(out.getvalue())
+        assert doc["ok"] is False and doc["witness"] is not None
+    if code == 2:
+        assert out.getvalue() == ""

@@ -35,6 +35,7 @@ from adjoint_quadrics import (
     two_pi3_form,
 )
 from adjoint_quadrics import equations
+from adjoint_quadrics.verify import suite_jacobi
 
 # True form counts (pi/2 per square, 2pi/3 per ordered orthogonal pair,
 # pi per unordered pair).  D_l square counts reflect the two square sizes.
@@ -503,7 +504,7 @@ def _assert_matches_builders(rs, signs, forms):
         assert f == _reference_form(rs, signs, by_sigma, f), (f.kind, f.key)
 
 
-@pytest.mark.parametrize("name", ["D5", "D6", "E6", "E7"])
+@pytest.mark.parametrize("name", ["D5", "D6", "D7", "E6", "E7"])
 def test_generator_matches_per_form_builders(system, eqset_for, name):
     rs, signs = system(name)
     _assert_matches_builders(rs, signs, eqset_for(name).forms)
@@ -556,10 +557,9 @@ def _entries_read_by_pi2(rs):
     return used
 
 
-def test_bulk_two_pi3_check_fires_on_corrupted_sign():
-    # Flip N_{gamma,delta} of a 2pi/3 raw monomial that no pi/2 form reads,
-    # so the 2pi/3 comparison is the check that must catch it.
-    rs, signs = _fresh("D5")
+def _flip_two_pi3_sign(rs, signs):
+    # N_{gamma,delta} of a 2pi/3 monomial that no pi/2 form reads, so only
+    # the 2pi/3 forms change.
     pi2_entries = _entries_read_by_pi2(rs)
     ii, jj = np.nonzero(rs._gram == 0)
     for i, j in zip(ii.tolist(), jj.tolist()):
@@ -570,22 +570,26 @@ def test_bulk_two_pi3_check_fires_on_corrupted_sign():
             break
     g, d = hits[0]
     signs._table[g, d] *= -1
-    with pytest.raises(RuntimeError, match="2pi/3 square form disagrees"):
-        generate_all_equations(rs, signs)
-    with pytest.raises(RuntimeError, match="2pi/3 square form disagrees"):
-        two_pi3_form(rs, signs, rs.roots[i], rs.roots[j])
 
 
-def test_bulk_pi2_check_fires_on_corrupted_sign():
-    rs, signs = _fresh("D5")
+def _flip_pi2_sign(rs, signs):
+    # N_{a,-g}, a from the first pair of the first square, g from its second.
     sq = enumerate_squares(rs)[0]
     a = rs.root_index(sq.pairs[0][0])
     g = rs.root_index(sq.pairs[1][0])
     signs._table[a, rs._neg[g]] *= -1
-    with pytest.raises(RuntimeError, match="pi/2 coefficient depends"):
-        generate_all_equations(rs, signs)
-    with pytest.raises(RuntimeError, match="pi/2 coefficient depends"):
-        pi2_form_for_square(rs, signs, sq)
+
+
+@pytest.mark.parametrize("flip", [_flip_two_pi3_sign, _flip_pi2_sign], ids=["two_pi3", "pi2"])
+def test_jacobi_suite_fails_on_corrupted_form_sign(flip):
+    # The generator builds the 2pi/3 and pi/2 coefficients from one
+    # description each; the identities that make the other descriptions
+    # agree are jacobi checks, and each fails on a single flipped entry.
+    rs, signs = _fresh("D5")
+    flip(rs, signs)
+    report = suite_jacobi(rs, signs, seed=0)
+    failing = {c["name"] for c in report.checks if c["passed"] != c["attempted"]}
+    assert {"antisymmetry", "negation", "triangle", "orthogonal-quadruple"} <= failing
 
 
 def test_concurrent_checks_leave_set_unchanged():
