@@ -49,6 +49,21 @@ digits of value + B are summed mod m in int64, for larger m as Python
 ints.
 Other rings, such as the polynomial ring, evaluate the forms one at a
 time through `evaluate_form`.
+
+A monomial c v_a v_b is exactly 0 unless a and b are both in the
+vector's support (its nonzero coordinates, after the lift over Z/m), so
+a check evaluates only the monomials that the support reaches and takes
+every other form to be 0.  The compiled arrays carry an index for this:
+the monomial numbers sorted by a, as int32, with each coordinate's start
+(4 MB on E8).  The candidates of a check are the index entries under its
+support coordinates.  With P the number of passes the check makes (1 on
+the one-pass route, else the number of primes), the check gathers the
+candidates, keeps those whose b is in the support too and evaluates
+them alone on every pass exactly when candidates * 6 < P * (monomials in
+the set); otherwise it walks the whole set.  Both walks give every form
+the same value.  The index is built with the arrays at construction and
+never written afterwards, so a set stays immutable and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -85,6 +100,25 @@ _MAX_WEIGHT = 1 << 32
 # monomials) on D7, which took about 640 minor faults per check.  Smaller
 # slices (2^12) cost E8 checks about 15% in loop overhead.
 _EVAL_SLICE = 1 << 14
+# A check evaluates only the monomials that its vector's support reaches
+# while their candidates, the index entries of the support coordinates,
+# are fewer than passes / _RESTRICT_SHARE of the set.  Gathering costs
+# several int64 passes' worth per candidate, but it is paid once, however
+# many residue passes follow.  Both routes were timed on every check of
+# the benchmark streams (seed 1: 384 E8, 1,027 E7 and 576 D7 checks, 2
+# vCPUs).  The restricted route first lost at candidate shares of 0.13 to
+# 0.15 on one int64 pass (E7, E8) and of 0.27 on 3 or 4 residue passes
+# (D7).  With this constant the checks took 1-2% longer in total than
+# with the faster route picked for each (2-3% on seed 2); with a cut at
+# a share of 1/4 regardless of passes, 12% (E7) to 40% (D7) longer.
+_RESTRICT_SHARE = 6
+
+
+def _restricted(candidates: int, monomials: int, passes: int) -> bool:
+    """Whether a vector whose support coordinates list `candidates` of the
+    set's `monomials` in the index is evaluated, in `passes` passes, on the
+    monomials of its support alone."""
+    return candidates * _RESTRICT_SHARE < monomials * passes
 
 
 class FormKind(str, enum.Enum):
@@ -249,7 +283,13 @@ class EquationSet:
             _parts = codes, tuple(f.key for f in forms), _Compiled.from_forms(forms)
         self.system = system
         self._kinds, self._keys, self._compiled = _parts
-        self._index = dict(zip(zip(self._kinds.tolist(), self._keys), range(len(self._keys))))
+        # One key -> position dict per kind code: on E8 it takes about 17 ms
+        # to build, one dict keyed by (kind code, key) tuples 29 ms.
+        self._index = []
+        for k in range(len(_KINDS)):
+            mask = self._kinds == k
+            keys = itertools.compress(self._keys, mask.tolist())
+            self._index.append(dict(zip(keys, np.flatnonzero(mask).tolist())))
 
     @property
     def forms(self) -> "_Forms":
@@ -266,7 +306,7 @@ class EquationSet:
         return {k.value: c for k, c in zip(_KINDS, n)}
 
     def form_for(self, kind: FormKind, key: tuple) -> QuadraticForm:
-        return self._form(self._index[(_KINDS.index(kind), key)])
+        return self._form(self._index[_KINDS.index(kind)][key])
 
     def of_kind(self, kind: FormKind) -> "EquationSet":
         """The forms of one kind, in order, as a set of their own."""
@@ -283,6 +323,9 @@ class EquationSet:
         """(all_vanish, witness) where witness names the first failing form."""
         if v.rs.system != self.system:
             raise ValueError(f"vector is over {v.rs.system}, equations over {self.system}")
+        if len(v.coords) != v.rs.dim_v:
+            n = len(v.coords)
+            raise ValueError(f"vector has {n} coordinates, {self.system} has {v.rs.dim_v}")
         ring = v.ring
         if isinstance(ring, IntegerRing):
             idx, value = self._compiled.first_nonzero(v.coords)
@@ -336,7 +379,8 @@ class _Forms(Sequence):
 
 
 class _Compiled:
-    """Flattened monomial arrays for bulk evaluation of a whole set."""
+    """Flattened monomial arrays for bulk evaluation of a whole set, and an
+    index of the monomials by their first coordinate."""
 
     def __init__(self, ia: np.ndarray, ib: np.ndarray, c: np.ndarray, offsets: np.ndarray):
         """Form f owns monomials offsets[f]:offsets[f+1] of the int64 arrays."""
@@ -347,18 +391,36 @@ class _Compiled:
         self.c = c
         self.offsets = offsets
         self.n_forms = len(offsets) - 1
-        # Evaluation walks runs of whole forms of about _EVAL_SLICE monomials:
-        # (first form, end form, monomial slice, form starts in the slice).
+        # The whole-set walk runs over pieces of whole forms of about
+        # _EVAL_SLICE monomials: (values slice, ia, ib and c of the
+        # monomials as views, form starts in the piece).
         cuts = np.searchsorted(offsets, np.arange(0, offsets[-1], _EVAL_SLICE), side="right") - 1
         # Not np.unique: it imports numpy.ma, about 10 ms of a cold set-up.
         bounds = sorted(set(cuts.tolist())) + [self.n_forms]
-        self._slices = [
-            (f0, f1, slice(int(offsets[f0]), int(offsets[f1])), offsets[f0:f1] - offsets[f0])
-            for f0, f1 in zip(bounds, bounds[1:])
-        ]
+        pieces = []
+        for f0, f1 in zip(bounds, bounds[1:]):
+            s = slice(int(offsets[f0]), int(offsets[f1]))
+            pieces.append((slice(f0, f1), ia[s], ib[s], c[s], offsets[f0:f1] - offsets[f0]))
+        self._whole = (range(self.n_forms), tuple(pieces))
+        # The index: coordinate a's monomials are the numbers
+        # _by_a[_a_start[a]:_a_start[a + 1]], in increasing order.  It is
+        # built by sorting the keys a * n + (monomial number), which keeps
+        # every temporary in int32 on E8 (8 MB at most, about 15 ms), where
+        # np.argsort would build an int64 permutation of the whole set.
+        n = len(ia)
+        dim = int(max(ia.max(initial=-1), ib.max(initial=-1))) + 1
+        key = ia.astype(np.int32 if dim * n < 1 << 31 else np.int64)
+        key *= n
+        key += np.arange(n, dtype=key.dtype)
+        key.sort()
+        self._a_start = np.searchsorted(key, np.arange(dim + 1, dtype=key.dtype) * n)
+        key %= n
+        self._by_a = key.astype(np.int32, copy=False)
         # The largest sum of |c| over one form, so every value is at most
         # weight * max|x|^2 in size.  Clipping keeps the int64 sums exact.
-        weight = self._sums(lambda s: np.abs(np.clip(self.c[s], -_MAX_WEIGHT, _MAX_WEIGHT)))
+        weight = self._sums(
+            lambda a, b, c: np.abs(np.clip(c, -_MAX_WEIGHT, _MAX_WEIGHT)), self._whole
+        )
         self.weight = max(int(weight.max(initial=0)), 1)
         if self.weight >= _MAX_WEIGHT:
             raise ValueError("a form's coefficients sum to 2^32 or more in size")
@@ -387,33 +449,82 @@ class _Compiled:
         mono = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], sizes)
         return _Compiled(self.ia[mono], self.ib[mono], self.c[mono], offsets)
 
-    def _sums(self, products) -> np.ndarray:
-        """Per-form sums of products(s) over the monomial slices s."""
-        values = np.empty(self.n_forms, dtype=np.int64)
-        for f0, f1, s, starts in self._slices:
-            values[f0:f1] = np.add.reduceat(products(s), starts)
+    def _support(self, xs) -> np.ndarray:
+        """The coordinates where xs is nonzero that some monomial reads."""
+        return np.array(
+            [i for i, x in enumerate(xs[: len(self._a_start) - 1]) if x], dtype=np.intp
+        )
+
+    def _candidates(self, support: np.ndarray) -> int:
+        """How many monomials the index lists under the support coordinates."""
+        return int((self._a_start[support + 1] - self._a_start[support]).sum())
+
+    def _walk(self, xs, passes: int):
+        """The walk that evaluates the set at the coordinates xs in `passes`
+        passes: the restricted one of `_gather` where `_restricted` says it
+        is cheaper, else the whole-set walk."""
+        support = self._support(xs)
+        if _restricted(self._candidates(support), len(self.c), passes):
+            return self._gather(support)
+        return self._whole
+
+    def _gather(self, support: np.ndarray):
+        """(forms, pieces) over the monomials c v_a v_b with a and b both in
+        `support`, the only ones that can be nonzero there: forms are the
+        numbers of the forms holding such a monomial, ascending, and the one
+        piece is laid out as in the whole-set walk.  Every other form is
+        exactly 0."""
+        starts = self._a_start
+        runs = [self._by_a[starts[a] : starts[a + 1]] for a in support.tolist()]
+        mono = np.concatenate(runs) if runs else np.zeros(0, dtype=np.int32)
+        inside = np.zeros(len(starts) - 1, dtype=bool)
+        inside[support] = True
+        # int64 indices spare numpy a conversion on each use below.
+        mono = mono[inside[np.take(self.ib, mono)]].astype(np.int64)
+        if len(mono) == 0:
+            return np.zeros(0, dtype=np.int64), ()
+        # Monomial order is form order.
+        mono.sort()
+        form = np.searchsorted(self.offsets, mono, side="right") - 1
+        first = np.flatnonzero(np.diff(form, prepend=-1))
+        return form[first], ((slice(None), self.ia[mono], self.ib[mono], self.c[mono], first),)
+
+    def _sums(self, products, walk) -> np.ndarray:
+        """The sums of products(ia, ib, c) over each form of the walk."""
+        forms, pieces = walk
+        values = np.empty(len(forms), dtype=np.int64)
+        for out, a, b, c, starts in pieces:
+            values[out] = np.add.reduceat(products(a, b, c), starts)
         return values
 
-    def _values_numpy(self, varr: np.ndarray) -> np.ndarray:
-        return self._sums(lambda s: self.c[s] * varr[self.ia[s]] * varr[self.ib[s]])
+    def _values_numpy(self, varr: np.ndarray, walk) -> np.ndarray:
+        return self._sums(lambda a, b, c: c * varr[a] * varr[b], walk)
 
-    def _residues(self, xs, p: int) -> np.ndarray:
-        """Every form's value modulo the prime p < 2^31, in [0, p)."""
+    def _residues(self, xs, p: int, walk) -> np.ndarray:
+        """The walk's form values modulo the prime p < 2^31, in [0, p)."""
         r = np.array([x % p for x in xs], dtype=np.int64)
-        return self._sums(lambda s: r[self.ia[s]] * r[self.ib[s]] % p * self.c[s]) % p
+        return self._sums(lambda a, b, c: r[a] * r[b] % p * c, walk) % p
 
     def _bound(self, xs) -> int:
         return max((abs(x) for x in xs), default=0) ** 2 * self.weight
 
-    def _values_mod(self, coords, m: int) -> np.ndarray:
-        """Every form's value modulo m, in [0, m)."""
-        xs = [x % m for x in coords]
+    def _exact(self, xs, modulus: int | None = None):
+        """(bound, primes) for exact evaluation at the integer coordinates
+        xs: every value is at most bound in size, and primes is empty when
+        one int64 pass is exact (reduced mod the modulus, if any)."""
         bound = self._bound(xs)
-        # One pass is exact below 2^62, and m must fit in int64 to reduce by it.
-        if max(bound, m) < _ONE_PASS_BOUND:
-            return self._values_numpy(np.array(xs, dtype=np.int64)) % m
-        primes = _primes_above(2 * bound)
-        residues = [self._residues(xs, p) for p in primes]
+        # One pass is exact below 2^62, and the modulus must fit in int64 to
+        # reduce by it.
+        if max(bound, modulus or 0) < _ONE_PASS_BOUND:
+            return bound, []
+        return bound, _primes_above(2 * bound)
+
+    def _values_mod(self, xs, m: int, walk, bound: int, primes) -> np.ndarray:
+        """The walk's form values modulo m, in [0, m), at coordinates xs
+        already in [0, m), with _exact's bound and primes."""
+        if not primes:
+            return self._values_numpy(np.array(xs, dtype=np.int64), walk) % m
+        residues = [self._residues(xs, p, walk) for p in primes]
         if m >= _PRIME_LIMIT:
             return _crt(residues, primes) % m
         # value + bound is in [0, 2 bound], below the product of the primes,
@@ -425,23 +536,26 @@ class _Compiled:
         """(index, value) of the first form that does not vanish at the
         integer coordinates, or (None, None).  With a modulus the forms are
         read over Z/modulus and the value is a residue in [0, modulus)."""
+        xs = coords if modulus is None else [x % modulus for x in coords]
+        bound, primes = self._exact(xs, modulus)
+        walk = self._walk(xs, max(len(primes), 1))
+        forms = walk[0]
         if modulus is not None:
-            values = self._values_mod(coords, modulus)
-        elif (bound := self._bound(coords)) < _ONE_PASS_BOUND:
-            values = self._values_numpy(np.array(coords, dtype=np.int64))
+            values = self._values_mod(xs, modulus, walk, bound, primes)
+        elif not primes:
+            values = self._values_numpy(np.array(xs, dtype=np.int64), walk)
         else:
             # |value| <= bound < product / 2, so a value is zero iff every
             # residue is; only the witness is recovered in full.
-            primes = _primes_above(2 * bound)
-            residues = [self._residues(coords, p) for p in primes]
+            residues = [self._residues(xs, p, walk) for p in primes]
             nz = np.flatnonzero(np.logical_or.reduce([r != 0 for r in residues]))
             if len(nz) == 0:
                 return None, None
-            return int(nz[0]), int(_crt([r[nz[:1]] for r in residues], primes)[0])
+            return int(forms[nz[0]]), int(_crt([r[nz[:1]] for r in residues], primes)[0])
         nz = np.flatnonzero(values)
         if len(nz) == 0:
             return None, None
-        return int(nz[0]), int(values[nz[0]])
+        return int(forms[nz[0]]), int(values[nz[0]])
 
 
 @functools.cache

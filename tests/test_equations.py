@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -240,17 +241,41 @@ def test_mod2_drops_even_coefficients(system):
     assert found
 
 
+def _route_values(compiled, coords, modulus=None, route=None):
+    """Every form's value at the integer coordinates, over Z or Z/modulus,
+    as Python ints, through the "whole" set walk, the "restricted" walk
+    over the monomials of the support, or the walk first_nonzero takes.
+    Over Z past one int64 pass the residues are rebuilt by the Chinese
+    remainder theorem."""
+    xs = coords if modulus is None else [x % modulus for x in coords]
+    bound, primes = compiled._exact(xs, modulus)
+    if route == "whole":
+        walk = compiled._whole
+    elif route == "restricted":
+        walk = compiled._gather(compiled._support(xs))
+    else:
+        walk = compiled._walk(xs, max(len(primes), 1))
+    if modulus is not None:
+        values = compiled._values_mod(xs, modulus, walk, bound, primes)
+    elif not primes:
+        values = compiled._values_numpy(np.array(xs, dtype=np.int64), walk)
+    else:
+        values = equations._crt([compiled._residues(xs, p, walk) for p in primes], primes)
+    full = [0] * compiled.n_forms
+    for f, x in zip(walk[0], values.tolist()):
+        full[f] = x
+    return full
+
+
 def test_evaluate_form_generic_matches_compiled(eqset_for, system):
     rs, _ = system("D5")
     eqset = eqset_for("D5")
     rng = random.Random(3)
     ring = IntegerRing()
     v = AdjointVector(rs, ring, [rng.randint(-5, 5) for _ in range(rs.dim_v)])
-    compiled = eqset.compiled()
-    varr = np.array(v.coords, dtype=np.int64)
-    values = compiled._values_numpy(varr)
+    values = _route_values(eqset.compiled(), v.coords)
     for idx in rng.sample(range(len(eqset.forms)), 40):
-        assert evaluate_form(eqset.forms[idx], v) == int(values[idx])
+        assert evaluate_form(eqset.forms[idx], v) == values[idx]
 
 
 def test_compiled_matches_direct_over_zmod(eqset_for, system):
@@ -259,9 +284,9 @@ def test_compiled_matches_direct_over_zmod(eqset_for, system):
     rng = random.Random(9)
     ring = IntegersMod(6)
     v = AdjointVector(rs, ring, [rng.randrange(6) for _ in range(rs.dim_v)])
-    values = eqset.compiled()._values_mod(v.coords, 6)
+    values = _route_values(eqset.compiled(), v.coords, 6)
     for idx in rng.sample(range(len(eqset.forms)), 40):
-        assert evaluate_form(eqset.forms[idx], v) == int(values[idx])
+        assert evaluate_form(eqset.forms[idx], v) == values[idx]
 
 
 def test_compiled_big_integer_fallback(eqset_for, system):
@@ -342,8 +367,8 @@ def test_moduli_near_2_31_match_evaluate_form(eqset_for, system, m):
     off.coords[rs.n_roots + 2] = rng.randrange(m)
     for w in (v, off):
         assert len(equations._primes_above(2 * compiled._bound(w.coords))) >= 2
-        values = compiled._values_mod(w.coords, m)
-        assert values.tolist() == [evaluate_form(f, w) for f in eqset.forms]
+        values = _route_values(compiled, w.coords, m)
+        assert values == [evaluate_form(f, w) for f in eqset.forms]
         assert eqset.check_vector(w) == _direct_check(eqset, w)
     assert eqset.check_vector(v) == (True, None) and not eqset.check_vector(off)[0]
 
@@ -454,6 +479,19 @@ def test_json_rejects_wrong_system(eqset_for, system):
     doc = json.loads(eqset.to_json(rs5))
     with pytest.raises(ValueError):
         eqset_from_json(rs6, doc)
+
+
+@pytest.mark.parametrize(
+    "ring", [IntegerRing(), IntegersMod(7), PolynomialRing()], ids=["Z", "Z/7", "Poly"]
+)
+def test_check_vector_rejects_wrong_length(system, eqset_for, ring):
+    # One coordinate too many, set to 5, or one too few, on each route.
+    rs, _ = system("D5")
+    eqset = eqset_for("D5")
+    v = basis_vector(rs, ring, rs.roots[0])
+    for coords in (v.coords + [ring.from_int(5)], v.coords[:-1]):
+        with pytest.raises(ValueError, match="coordinates"):
+            eqset.check_vector(AdjointVector(rs, ring, coords))
 
 
 def test_dimension_mismatch_rejected(eqset_for, system):
@@ -601,7 +639,8 @@ def test_concurrent_checks_leave_set_unchanged():
     attrs = dict(vars(eqset))
     compiled = eqset.compiled()
     compiled_attrs = dict(vars(compiled))
-    arrays = [a.copy() for a in (compiled.ia, compiled.ib, compiled.c, compiled.offsets)]
+    array_names = ("ia", "ib", "c", "offsets", "_by_a", "_a_start")
+    arrays = [getattr(compiled, name).copy() for name in array_names]
     rng = random.Random(5)
     vectors = [basis_vector(rs, IntegerRing(), rho) for rho in rs.roots[::8]]
     vectors.append(basis_vector(rs, IntegerRing(), ZeroWeight(1)))
@@ -615,6 +654,16 @@ def test_concurrent_checks_leave_set_unchanged():
     ):
         for _ in range(3):
             vectors.append(AdjointVector(rs, ring, [rng.randint(0, top) for _ in range(rs.dim_v)]))
+
+    # Basis vectors take the restricted route, the dense ones the whole-set walk.
+    routes = set()
+    for v in vectors:
+        m = getattr(v.ring, "modulus", None)
+        xs = v.coords if m is None else [x % m for x in v.coords]
+        passes = max(len(compiled._exact(xs, m)[1]), 1)
+        candidates = compiled._candidates(compiled._support(xs))
+        routes.add(equations._restricted(candidates, len(compiled.c), passes))
+    assert routes == {True, False}
 
     picks = rng.sample(range(len(eqset.forms)), 30) + [-1]
     keys = [(f.kind, f.key) for f in eqset.forms[::40]]
@@ -655,8 +704,8 @@ def test_concurrent_checks_leave_set_unchanged():
     assert eqset.compiled() is compiled
     assert vars(compiled).keys() == compiled_attrs.keys()
     assert all(vars(compiled)[k] is compiled_attrs[k] for k in compiled_attrs)
-    for got, want in zip((compiled.ia, compiled.ib, compiled.c, compiled.offsets), arrays):
-        assert np.array_equal(got, want)
+    for name, want in zip(array_names, arrays):
+        assert np.array_equal(getattr(compiled, name), want), name
 
 
 @pytest.mark.parametrize("name", ["E7", "E8"])
@@ -665,13 +714,14 @@ def test_sliced_evaluation_matches_whole_set_sums(system, eqset_for, name):
     # per-form values must equal one reduceat over all monomials.
     rs, _ = system(name)
     compiled = eqset_for(name).compiled()
-    assert len(compiled._slices) > 1
+    assert len(compiled._whole[1]) > 1
     varr = np.random.default_rng(7).integers(-50, 50, rs.dim_v)
     whole = np.add.reduceat(
         compiled.c * varr[compiled.ia] * varr[compiled.ib], compiled.offsets[:-1]
     )
-    assert np.array_equal(compiled._values_numpy(varr), whole)
-    assert np.array_equal(compiled._values_mod(varr.tolist(), 7), whole % 7)
+    xs = varr.tolist()
+    assert _route_values(compiled, xs, route="whole") == whole.tolist()
+    assert _route_values(compiled, xs, 7, "whole") == (whole % 7).tolist()
 
 
 def test_oversized_coefficients_rejected(system):
@@ -684,3 +734,85 @@ def test_oversized_coefficients_rejected(system):
         form = QuadraticForm(rs.system, FormKind.PI, ((), ()), ((0, 1, c),))
         with pytest.raises(ValueError, match="2\\^32"):
             EquationSet(rs.system, (form,))
+
+
+# The rings of the route-agreement test: (modulus, coordinate draw, whether
+# the check runs on residues modulo primes).  Z/6 coordinates are drawn
+# unreduced; the large moduli take the int64 Garner sum (m < 2^31) and the
+# Python-int one.
+ROUTE_RINGS = {
+    "int": (None, lambda rng: rng.choice((-3, -2, -1, 1, 2, 3)), False),
+    "zmod-6": (6, lambda rng: rng.randrange(1, 6) + 6 * rng.randint(-3, 3), False),
+    "zmod-2^31-2": (2**31 - 2, lambda rng: rng.randrange(1, 2**31 - 2), True),
+    "zmod-10^12-1": (10**12 - 1, lambda rng: rng.randrange(1, 10**12 - 1), True),
+    "int-above-2^40": (None, lambda rng: rng.choice((-1, 1)) * rng.randrange(2**40, 2**41), True),
+}
+
+
+def _route_supports(rs, rng):
+    """Supports from no coordinate to all of them.  A zero weight alone
+    reaches only the Cartan squares v_s v_s of the pi forms."""
+    n, dim = rs.n_roots, rs.dim_v
+    fixed = [[], [n], [rng.randrange(n), n + 1]]
+    return fixed + [sorted(rng.sample(range(dim), k)) for k in (3, dim // 4, dim)]
+
+
+def _assert_routes_agree(eqset, rs, rng, supports, by_evaluate_form):
+    """On vectors with these supports over every route ring, the restricted
+    walk gives every form the value that the whole-set walk gives, and on
+    the supports numbered in by_evaluate_form the value evaluate_form
+    gives.  Returns, per ring, whether some vector needed residues."""
+    compiled = eqset.compiled()
+    forms = list(eqset.forms) if by_evaluate_form else []
+    used = {}
+    for label, (m, draw, _) in ROUTE_RINGS.items():
+        ring = IntegerRing() if m is None else IntegersMod(m)
+        for i, support in enumerate(supports):
+            coords = [0] * rs.dim_v
+            for a in support:
+                coords[a] = draw(rng)
+            xs = coords if m is None else [x % m for x in coords]
+            used[label] = used.get(label, False) or bool(compiled._exact(xs, m)[1])
+            restricted = _route_values(compiled, coords, m, "restricted")
+            assert restricted == _route_values(compiled, coords, m, "whole"), (m, support)
+            if i in by_evaluate_form:
+                v = AdjointVector(rs, ring, coords)
+                assert restricted == [evaluate_form(f, v) for f in forms], (m, support)
+    return used
+
+
+@pytest.mark.parametrize("name", ["D5", "D6", "D7", "E6", "E7", "E8"])
+def test_restricted_route_matches_whole_set_walk(system, eqset_for, name):
+    rs, _ = system(name)
+    rng = random.Random(name)
+    supports = _route_supports(rs, rng)
+    # evaluate_form reads every E8 form in about 0.4 s, so on E7 and E8 it
+    # checks the vectors with a quarter of the coordinates set, and the
+    # whole-set walk checks the others.
+    checked = range(len(supports)) if rs.dim_v < 100 else [4]
+    used = _assert_routes_agree(eqset_for(name), rs, rng, supports, checked)
+    assert used == {label: residues for label, (_, _, residues) in ROUTE_RINGS.items()}
+    # In the 2pi/3 forms a zero weight s occurs only second, in v_alpha v_s,
+    # so the index lists nothing under it.
+    two_pi3 = eqset_for(name).of_kind(FormKind.TWO_PI3)
+    compiled, s = two_pi3.compiled(), rs.n_roots + 1
+    assert compiled._a_start[s] == compiled._a_start[s + 1] and s in compiled.ib
+    supports = [[rng.randrange(rs.n_roots), s], range(rs.dim_v)]
+    _assert_routes_agree(two_pi3, rs, rng, supports, [0] if rs.dim_v < 100 else [])
+
+
+def test_route_agreement_catches_a_dropped_index_entry(system, eqset_for):
+    # A copy of the index that lost one entry misses that monomial, and the
+    # dense vectors of the route-agreement test find it.
+    rs, _ = system("D5")
+    eqset = eqset_for("D5")
+    real = eqset.compiled()
+    for j in (0, len(real._by_a) // 2, len(real._by_a) - 1):
+        broken = copy.copy(real)
+        broken._by_a = np.delete(real._by_a, j)
+        a = int(real.ia[real._by_a[j]])
+        broken._a_start = real._a_start - (np.arange(len(real._a_start)) > a)
+        dropped = EquationSet.__new__(EquationSet)
+        dropped.__dict__.update(vars(eqset), _compiled=broken)
+        with pytest.raises(AssertionError):
+            _assert_routes_agree(dropped, rs, random.Random(j), [range(rs.dim_v)], [])
