@@ -1,27 +1,30 @@
 """Batched forms of the square, structure-constant, ledger and commutator
 checks.
 
-The jacobi and combinatorics suites (see verify) draw their samples one at
-a time, with the draws below that every sampled suite makes, and keep them
-as root and square numbers.  The functions here check whole arrays of such
-samples, a block of BLOCK at a time, reading the root system's tables (_gram,
+The jacobi and combinatorics suites (see verify) check every case.
+jacobi_samples and combinatorics_samples list the cases as blocks of root
+and square numbers, built a block at a time (row_hits), and the kernels
+here check a block at a time, reading the root system's tables (_gram,
 _sum_idx, _neg, _pairings), the sign table and the square index.  Each
-returns per-sample verdicts; the scalar helpers in squares (pair_sets,
+kernel returns per-sample verdicts, and flagged keeps only the samples a
+failure entry needs.  The scalar helpers in squares (pair_sets,
 conjugate_pair, sign_column, modified_square, extend_a3_to_d4,
-classify_root_vs_square) are the reference they are tested against.  The
-ledger and commutator kernels at the end check a block of the cases and
-commutator suites' identities on integer coefficient arrays, through the
-roots' action rows; the Poly evaluation in verify is their reference.
+classify_root_vs_square) are the reference the kernels are tested
+against.  The draws below serve the suites that still sample (cases,
+commutator, words, orbit).  The ledger and commutator kernels at the end
+check a block of the cases and commutator suites' identities on integer
+coefficient arrays, through the roots' action rows; the Poly evaluation in
+verify is their reference.
 
-Roots are looked up by a signed mixed-radix key of their coefficient
-vector (Tables.lookup), so a direct scan such as "every gamma with
-sigma - gamma a root" is one key subtraction over a block x roots array.
+A sum or difference of two roots is read from _sum_idx.  The sum
+sigma - gamma of three roots is looked up by a signed mixed-radix key of
+its coefficient vector (Tables.lookup), one key subtraction per candidate
+gamma.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 
 import numpy as np
 
@@ -30,41 +33,22 @@ from .root_system import RootSystem
 from .signs import SignTable
 from .squares import _ANGLE_BY_DOT2
 
-# Samples per block.  A block x roots int64 array of E8 is then 120 KB;
-# blocks of 128 and 256 raised a verify-e7 session's peak memory and saved
-# no time.  The jacobi kernels hold a few numbers per sample, so they take
-# larger blocks.
+# Samples (or rows of samples) per block.  The companion-set kernel holds a
+# few block x roots arrays and a few dozen member and scan rows per pair:
+# over all E7 pairs, blocks of 64, 256 and 1024 pairs took 0.19, 0.12 and
+# 0.11 s at a traced peak of 0.3, 0.9 and 3.3 MB, and at 1024 a verify-e7
+# session's peak memory rose by 1.7 MB.  The other kernels hold a few
+# numbers per sample, so they take larger blocks.
 BLOCK = 64
+PAIR_BLOCK = 256
 ELEMENTWISE_BLOCK = 1024
 
 
-def _options(mask) -> list[list[int]]:
-    """Row i: the columns where mask[i] holds."""
-    return [np.flatnonzero(row).tolist() for row in mask]
-
-
-def _bit_rows(mask) -> list[int]:
-    """Row i: the columns where mask[i] holds, as the set bits of an int."""
-    packed = np.packbits(mask, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _nth_bit(bits: int, r: int) -> int:
-    """The r-th smallest set bit of bits (from 0), as np.flatnonzero counts."""
-    for _ in range(r):
-        bits &= bits - 1
-    return (bits & -bits).bit_length() - 1
-
-
-# The random draws of every sampled suite, as root and square numbers.
+# The random draws of the sampled suites, as root and square numbers.
 
 
 def draw_root(rs: RootSystem, rng: random.Random) -> int:
     return rng.randrange(rs.n_roots)
-
-
-def pick(rng: random.Random, opts) -> int:
-    return opts[rng.randrange(len(opts))]
 
 
 def draw_orthogonal_pair(rs: RootSystem, rng: random.Random) -> tuple[int, int]:
@@ -74,7 +58,7 @@ def draw_orthogonal_pair(rs: RootSystem, rng: random.Random) -> tuple[int, int]:
         i = rng.randrange(rs.n_roots)
         opts = rs._orthogonal[i]
         if opts:
-            return i, pick(rng, opts)
+            return i, opts[rng.randrange(len(opts))]
 
 
 def draw_square(rs: RootSystem, rng: random.Random) -> int:
@@ -100,6 +84,10 @@ class Tables:
         self.n = rs.n_roots
         self.pairings = rs._pairings
         self.gram = rs._gram.astype(np.int8)
+        # The doubled products again, from the root coordinates and the
+        # Cartan matrix: the S_pi/2 scan narrows its candidates with them,
+        # and like pair_sets' scan over every root it does not read _gram.
+        self.inner = (rs._coeffs @ rs._pairings.T).astype(np.int8)
         self.neg = rs._neg
         self.sums = rs._sum_idx
         self.table = signs._table
@@ -145,50 +133,61 @@ def blocks(*arrays, size: int = BLOCK):
         yield tuple(a[lo : lo + size] for a in arrays)
 
 
-def _drawn(count: int, width: int, draw, size: int = BLOCK):
-    """count samples of draw(), `width` positions each, drawn `size` at a
-    time as the blocks are read."""
-    for lo in range(0, max(count, 1), size):
-        out = array("q")
-        for _ in range(min(size, count - lo)):
-            out.extend(draw())
-        yield tuple(np.frombuffer(out, dtype=np.int64).reshape(-1, width).T)
+def row_hits(rows: tuple, mask, size: int = BLOCK):
+    """(*(x[r] for x in rows), c) for every row r and column c where the
+    mask holds, in row-major order, the rows `size` at a time.  mask gets
+    each chunk of the row arrays and returns a boolean (rows, columns)
+    array, so one chunk of it exists at a time."""
+    for lo in range(0, max(len(rows[0]), 1), size):
+        chunk = tuple(x[lo : lo + size] for x in rows)
+        r, c = np.nonzero(mask(*chunk))
+        yield (*(x[r] for x in chunk), c)
 
 
-def blocked(kernel, tb: Tables, sample_blocks):
-    """kernel(tb, *block) over the blocks: (the samples, the kernel's
-    outputs), each joined over the blocks.  The samples are kept as int32,
-    so a suite holds little more than its verdicts."""
-    samples, outputs = None, []
+def flagged(kernel, tb: Tables, sample_blocks, flag):
+    """kernel(tb, *block) over the blocks: the number of samples, and the
+    samples and the kernel's outputs where flag(*outputs) holds, each joined
+    over the blocks.  A suite keeps only what its failure entries read."""
+    count, samples, outputs = 0, [], []
     for block in sample_blocks:
-        block = tuple(np.asarray(a, dtype=np.int64) for a in block)
-        if samples is None:
-            samples = [array("i") for _ in block]
-        for kept, a in zip(samples, block):
-            kept.frombytes(a.astype(np.int32).tobytes())
-        outputs.append(kernel(tb, *block))
+        out = kernel(tb, *block)
+        hit = flag(*out)
+        count += len(hit)
+        samples.append(tuple(a[hit] for a in block))
+        outputs.append(tuple(o[hit] for o in out))
     return (
-        tuple(np.frombuffer(kept, dtype=np.int32) for kept in samples),
+        count,
+        tuple(np.concatenate(c) for c in zip(*samples)),
         tuple(np.concatenate(c) for c in zip(*outputs)),
     )
 
 
-def _by_size(tb: Tables, s, kernel, outputs: int, *shape):
-    """kernel(tb, s[sel], 2k) over the squares of each size 2k: its boolean
-    outputs, padded with False to (len(s), *shape)."""
+def _by_size(tb: Tables, kernel, outputs: int, shape: tuple, s, *rows):
+    """kernel(tb, 2k, s[sel], *(r[sel] for r in rows)) over the squares of
+    each size 2k: its boolean outputs, padded with False to
+    (len(s), *shape)."""
     sizes = tb.index.size[s]
     out = [np.zeros((len(s),) + shape, dtype=bool) for _ in range(outputs)]
     for width in np.unique(sizes).tolist():
         sel = np.flatnonzero(sizes == width)
-        for o, part in zip(out, kernel(tb, s[sel], width)):
+        for o, part in zip(out, kernel(tb, width, s[sel], *(r[sel] for r in rows))):
             o[(sel,) + tuple(slice(0, w) for w in part.shape[1:])] = part
     return tuple(out)
 
 
+def _unique(x):
+    """The distinct values of x, sorted: np.unique by a sort, which is
+    several times faster than its hash table on a block's few thousand."""
+    x = np.sort(x)
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    return x[first]
+
+
 def _differ(n: int, codes: int, left, right):
     """Per sample p < n: do the row sets {(p, code)} of left and right differ?"""
-    a = np.unique(left[0] * codes + left[1])
-    b = np.unique(right[0] * codes + right[1])
+    a = _unique(left[0] * codes + left[1])
+    b = _unique(right[0] * codes + right[1])
     out = np.zeros(n, dtype=bool)
     out[np.setxor1d(a, b, assume_unique=True) // codes] = True
     return out
@@ -196,23 +195,23 @@ def _differ(n: int, codes: int, left, right):
 
 def _distinct(n: int, codes: int, rows):
     """Per sample p < n: the number of distinct codes among its rows."""
-    return np.bincount(np.unique(rows[0] * codes + rows[1]) // codes, minlength=n)
+    return np.bincount(_unique(rows[0] * codes + rows[1]) // codes, minlength=n)
 
 
 def conjugate(tb: Tables, x, y, alpha, beta):
     """conjugate_pair on the pairs {x[i], y[i]}: the positions (gp, dp) of
     the conjugate, or -1 where conjugate_pair would raise."""
-    gram, key = tb.gram, tb.key
+    gram = tb.gram
     ok = (x >= 0) & (y >= 0)
     x, y = np.where(ok, x, 0), np.where(ok, y, 0)
     lo = np.where(tb.lex[x] <= tb.lex[y], x, y)
     hi = x + y - lo
-    ok &= key[lo] + key[hi] == key[alpha]
+    ok &= tb.sums[lo, hi] == alpha
     ok &= (gram[lo, beta] != 0) & (gram[hi, beta] != 0)
     g = np.where(gram[lo, beta] == 1, lo, hi)
     d = lo + hi - g
-    gp = tb.lookup(key[d] + key[beta])
-    dp = tb.lookup(key[g] - key[beta])
+    gp = tb.sums[d, beta]
+    dp = tb.sums[g, tb.neg[beta]]
     ok &= (gp >= 0) & (dp >= 0)
     return np.where(ok, gp, -1), np.where(ok, dp, -1)
 
@@ -221,7 +220,7 @@ def companion_block(tb: Tables, alpha, beta):
     """Per orthogonal pair: (the direct scans and the square formulas give
     different companion sets or the pair lies in no square, a size or the
     member set is wrong, the conjugate-pair involution fails)."""
-    n, codes, gram, neg, key = tb.n, tb.codes, tb.gram, tb.neg, tb.key
+    codes, gram, neg, sums, key = tb.codes, tb.gram, tb.neg, tb.sums, tb.key
     b = len(alpha)
     s = tb.index.square_of[alpha, beta]
     nowhere = s < 0
@@ -229,15 +228,20 @@ def companion_block(tb: Tables, alpha, beta):
     k = tb.index.size[s] // 2
     own = tb.code(alpha, beta)
 
-    # Direct scans over the roots.
+    # Direct scans over the roots.  sigma - gamma has the norm of a root
+    # only where (gamma, sigma) = (sigma, sigma) / 2, so only those gammas
+    # are looked up.
     ga, gb = gram[alpha], gram[beta]
-    partner = tb.lookup((key[alpha] + key[beta])[:, None] - key)
-    p, g = np.nonzero(partner >= 0)
-    c = tb.code(g, partner[p, g])
+    inner = tb.inner
+    half = inner[alpha, beta] + 2
+    p, g = np.nonzero(inner[alpha] + inner[beta] == half[:, None])
+    partner = tb.lookup(key[alpha[p]] + key[beta[p]] - key[g])
+    found = partner >= 0
+    p, c = p[found], tb.code(g[found], partner[found])
     keep = c != own[p]
     half_scan = (p[keep], c[keep])
     p, g = np.nonzero((ga == 1) & (gb != 0))
-    two_scan = (p, tb.code(g, tb.lookup(key[alpha[p]] - key[g])))
+    two_scan = (p, tb.code(g, sums[alpha[p], neg[g]]))
     p, g = np.nonzero((ga == -1) & (gb == -1))
     pi_scan = (p, tb.code(g, neg[g], ordered=True))
     p, g = np.nonzero((ga == -1) & (gb == 1))
@@ -252,10 +256,10 @@ def companion_block(tb: Tables, alpha, beta):
     other = (m != alpha[q]) & (m != beta[q])
     q, m = q[other], m[other]
     a = alpha[q]
-    a_minus_m = tb.lookup(key[a] - key[m])
+    a_minus_m = sums[a, neg[m]]
     two_sq = (q, tb.code(m, a_minus_m))
     pi_sq = (q, tb.code(neg[m], m, ordered=True))
-    pi_prime_sq = (q, tb.code(tb.lookup(key[m] - key[a]), a_minus_m, ordered=True))
+    pi_prime_sq = (q, tb.code(sums[m, neg[a]], a_minus_m, ordered=True))
 
     differ = nowhere.copy()
     for scan, formula in (
@@ -297,27 +301,26 @@ def position_block(tb: Tables, rho, s):
     products with the members follow the pattern of its class, and whether
     the member rho (class 0) or -rho (class pi) is missing, where
     classify_root_vs_square would raise."""
-    gram = tb.gram
-    b = len(rho)
     d = np.einsum("ij,ij->i", tb.pairings[rho], tb.index.sigma[s])
-    p, pos, m = tb.index.member_rows(s)
-    # The signed index of rho or -rho, as index_of finds it.
-    target = np.where(d == 2, rho, np.where(d == -2, tb.neg[rho], -1))
-    hit = m == target[p]
-    none = 2 * tb.kmax
-    at = np.full(b, none, dtype=np.int64)
-    np.minimum.at(at, p[hit], pos[hit])
-    missing = (np.abs(d) == 2) & (at == none)
+    return (d, *_by_size(tb, _positions, 2, (), s, rho, d))
 
-    # One row per pair: the products (x, y) of rho with its two members.
-    first = pos % 2 == 0
-    p, pos, m = p[first], pos[first], m[first]
-    mate = tb.index.members[tb.index.start[s][p] + pos + 1]
-    x, y = gram[rho[p], m], gram[rho[p], mate]
+
+def _positions(tb: Tables, width: int, s, rho, d):
+    m = tb.member_block(s, width)
+    # The signed index of rho or -rho, as index_of finds it: the first
+    # position holding it.
+    target = np.where(d == 2, rho, np.where(d == -2, tb.neg[rho], -1))
+    hit = m == target[:, None]
+    found = hit.any(1)
+    missing = (np.abs(d) == 2) & ~found
+    own = (np.arange(width // 2) == hit.argmax(1)[:, None] // 2) & found[:, None]
+
+    # The products (x, y) of rho with the two members of each pair.
+    g = tb.gram[rho[:, None], m]
+    x, y = g[:, 0::2], g[:, 1::2]
     lo, hi = np.minimum(x, y), np.maximum(x, y)
-    dp = d[p]
-    own = pos // 2 == at[p] // 2
-    row_ok = np.select(
+    dp = np.broadcast_to(d[:, None], x.shape)
+    pair_ok = np.select(
         [dp == 2, dp == -2, dp == 0, dp == 1],
         [
             np.where(own, (lo == 0) & (hi == 2), (x == 1) & (y == 1)),
@@ -327,21 +330,21 @@ def position_block(tb: Tables, rho, s):
         ],
         (lo == -1) & (hi == 0),
     )
-    ok = np.bincount(p[~row_ok], minlength=b) == 0
+    ok = pair_ok.all(1)
     # Class pi/2 also needs a pair orthogonal to rho.
-    ok &= (d != 0) | (np.bincount(p[(x == 0) & (y == 0)], minlength=b) > 0)
+    ok &= (d != 0) | ((x == 0) & (y == 0)).any(1)
     ok &= np.isin(d, np.array(list(_ANGLE_BY_DOT2))) & ~missing
-    return d, ok, missing
+    return ok, missing
 
 
 def sign_column_block(tb: Tables, s):
     """Per square s and signed-index positions (j, h): does the lemma
     c(h)_i = c(h)_j c(j)_i fail for some i?  Positions follow the pair
     layout: 2p holds p+1 and 2p+1 holds -(p+1)."""
-    return _by_size(tb, s, _sign_columns, 1, 2 * tb.kmax, 2 * tb.kmax)
+    return _by_size(tb, _sign_columns, 1, (2 * tb.kmax, 2 * tb.kmax), s)
 
 
-def _sign_columns(tb: Tables, s, width: int):
+def _sign_columns(tb: Tables, width: int, s):
     t, neg = tb.table, tb.neg
     m = tb.member_block(s, width)
     mate = m[:, np.arange(width) ^ 1]
@@ -358,17 +361,17 @@ def _sign_columns(tb: Tables, s, width: int):
 def modified_square_block(tb: Tables, s):
     """Per square s and signed-index position j: (modified_square would
     raise, the modified square keeps the wrong members or is no square)."""
-    return _by_size(tb, s, _modified_squares, 2, 2 * tb.kmax)
+    return _by_size(tb, _modified_squares, 2, (2 * tb.kmax,), s)
 
 
-def _modified_squares(tb: Tables, s, width: int):
-    gram, neg, key = tb.gram, tb.neg, tb.key
+def _modified_squares(tb: Tables, width: int, s):
+    gram, neg = tb.gram, tb.neg
     m = tb.member_block(s, width)
     pos = np.arange(width)
     # out[:, j, x]: member x, in pair layout, of the square modified at j.
     # Other pairs: b_j - b_i; pair |j|: (b_j, -b_-j) for j > 0, else
     # (-b_-j, b_j).
-    out = tb.lookup(key[m][:, :, None] - key[m][:, None, :])
+    out = tb.sums[m[:, :, None], neg[m][:, None, :]]
     own = pos[:, None] // 2 == pos[None, :] // 2
     out[:, own] = 0
     error = (out < 0).any(-1)
@@ -406,28 +409,26 @@ def quadruple_block(tb: Tables, sq, p, q):
 
 
 def cocycle_block(tb: Tables, i, j, g):
-    """Per triple (alpha, beta, gamma) with alpha + beta = h a root: (two of
-    them are opposite and the triple is skipped, the Jacobi cocycle
-    N_{a,b} N_{h,g} + N_{b,g} N_{b+g,a} + N_{g,a} N_{g+a,b} is nonzero)."""
-    t, neg, sums = tb.table, tb.neg, tb.sums
-    skip = (g == neg[i]) | (g == neg[j])
+    """Per triple (alpha, beta, gamma) with alpha + beta = h a root and no
+    two of them opposite: is the Jacobi cocycle
+    N_{a,b} N_{h,g} + N_{b,g} N_{b+g,a} + N_{g,a} N_{g+a,b} nonzero?"""
+    t, sums = tb.table, tb.sums
     h, bg, ga = sums[i, j], sums[j, g], sums[g, i]
     total = t[i, j] * t[h, g]
     total += np.where(bg >= 0, t[j, g] * t[bg, i], 0)
     total += np.where(ga >= 0, t[g, i] * t[ga, j], 0)
-    return skip, ~skip & (total != 0)
+    return (total != 0,)
 
 
 def cartan_block(tb: Tables, i, j):
-    """Per pair (alpha, beta): (beta is +-alpha and the pair is skipped,
-    <alpha, beta> + N_{a,b} N_{a+b,-b} + N_{-b,a} N_{a-b,b} is nonzero)."""
+    """Per pair (alpha, beta) with beta not +-alpha: is
+    <alpha, beta> + N_{a,b} N_{a+b,-b} + N_{-b,a} N_{a-b,b} nonzero?"""
     t, neg, sums = tb.table, tb.neg, tb.sums
-    skip = (j == i) | (j == neg[i])
     ab, amb = sums[i, j], sums[i, neg[j]]
     total = tb.gram[i, j]
     total += np.where(ab >= 0, t[i, j] * t[ab, neg[j]], 0)
     total += np.where(amb >= 0, t[neg[j], i] * t[amb, j], 0)
-    return skip, ~skip & (total != 0)
+    return (total != 0,)
 
 
 def a3_block(tb: Tables, a, b, c):
@@ -441,89 +442,56 @@ def a3_block(tb: Tables, a, b, c):
     return found, d, ok
 
 
-def jacobi_samples(rs: RootSystem, rng: random.Random, samples: int, exhaustive: bool):
-    """The samples of the jacobi suite's three sampled checks, as blocks of
-    positions: (square, pair p, pair q != p) quadruples, (alpha, beta,
-    gamma) triples with alpha + beta a root and gamma at 2pi/3 to it, and
-    (alpha, beta) pairs.  Every one of each when exhaustive; else `samples`
-    of each, drawn from rng as the blocks are read, so read them in order."""
-    gram, index, n = rs._gram, rs._square_index, rs.n_roots
-    ii, jj = np.nonzero(gram == -1)
-    kk = rs._sum_idx[ii, jj]
-    if exhaustive:
-        k = index.size // 2
-        sq = np.repeat(np.arange(len(k)), k * k)
-        p, q = np.divmod(np.arange(len(sq)) - np.repeat(np.cumsum(k * k) - k * k, k * k), k[sq])
-        keep = p != q
-        pp, g = np.nonzero(gram[kk] == -1)
-        return (
-            blocks(sq[keep], p[keep], q[keep], size=ELEMENTWISE_BLOCK),
-            blocks(ii[pp], jj[pp], g, size=ELEMENTWISE_BLOCK),
-            blocks(*np.divmod(np.arange(n * n), n), size=ELEMENTWISE_BLOCK),
-        )
-    ks = (index.size // 2).tolist()
-    up = _options(gram == -1)
-    ii, jj, kk = ii.tolist(), jj.tolist(), kk.tolist()
+def _without(n: int, i, *columns):
+    """A (len(i), n) mask, False at row r's given columns."""
+    mask = np.ones((len(i), n), dtype=bool)
+    rows = np.arange(len(i))
+    for c in columns:
+        mask[rows, c] = False
+    return mask
 
-    def quadruple():
-        s = draw_square(rs, rng)
-        p = rng.randrange(ks[s])
-        q = rng.randrange(ks[s] - 1)
-        return s, p, q + (q >= p)
 
-    def triple():
-        x = rng.randrange(len(kk))
-        return ii[x], jj[x], pick(rng, up[kk[x]])
+def jacobi_samples(rs: RootSystem):
+    """Every sample of the jacobi suite's last three checks, as blocks of
+    positions in report order: (square, pair p, pair q != p) quadruples,
+    (alpha, beta, gamma) triples with alpha + beta a root, gamma at 2pi/3 to
+    it and no two of the three opposite, and (alpha, beta) pairs with beta
+    not +-alpha."""
+    n, neg, sums = rs.n_roots, rs._neg, rs._sum_idx
+    k = rs._square_index.size // 2
+    sq, x = _expand(k * k)
+    p, q = np.divmod(x, k[sq])
+    keep = p != q
+    up = rs._gram == -1
 
-    def pair():
-        return rng.randrange(n), rng.randrange(n)
+    def third(i, j):
+        return up[sums[i, j]] & _without(n, i, neg[i], neg[j])
 
     return (
-        _drawn(samples, 3, quadruple, ELEMENTWISE_BLOCK),
-        _drawn(samples, 3, triple, ELEMENTWISE_BLOCK),
-        _drawn(samples, 2, pair, ELEMENTWISE_BLOCK),
+        blocks(sq[keep], p[keep], q[keep], size=ELEMENTWISE_BLOCK),
+        row_hits(np.nonzero(up), third),
+        row_hits((np.arange(n),), lambda i: _without(n, i, i, neg[i]), ELEMENTWISE_BLOCK // n + 1),
     )
 
 
-def combinatorics_samples(rs: RootSystem, rng: random.Random, samples: int, exhaustive: bool):
-    """The samples of the combinatorics suite, as blocks of positions:
-    orthogonal pairs, (rho, square) configurations, the squares of the
-    sign-column and modified-square checks, and A_3 triples.  Every one of
-    each when exhaustive; else drawn from rng as the scalar helpers drew
-    them, as the blocks are read, so read them in order."""
-    gram, n, n_squares = rs._gram, rs.n_roots, len(rs.squares)
-    if exhaustive:
-        a, b = np.nonzero(gram == -1)
-        p, c = np.nonzero((gram[a] == 0) & (gram[b] == -1))
-        every = np.arange(n_squares)
-        return (
-            blocks(*np.nonzero(gram == 0)),
-            blocks(*np.divmod(np.arange(n * n_squares), n_squares)),
-            blocks(every),
-            blocks(every),
-            blocks(a[p], b[p], c),
-        )
-    up = _options(gram == -1)
-    # The options for c, as bit sets: orthogonal to a, at 2pi/3 to b.
-    orthogonal, sums = _bit_rows(gram == 0), _bit_rows(gram == -1)
-
-    def triple():
-        while True:
-            a = draw_root(rs, rng)
-            b = pick(rng, up[a])
-            cs = orthogonal[a] & sums[b]
-            if cs:
-                return a, b, _nth_bit(cs, rng.randrange(cs.bit_count()))
-
-    def square():
-        return (draw_square(rs, rng),)
-
+def combinatorics_samples(rs: RootSystem):
+    """Every sample of the combinatorics suite, as blocks of positions in
+    report order: orthogonal pairs, (rho, square) configurations, the
+    squares (for the sign-column and the modified-square checks), and A_3
+    triples."""
+    n, n_squares = rs.n_roots, len(rs.squares)
+    zero, up = rs._gram == 0, rs._gram == -1
+    every = np.arange(n_squares)
     return (
-        _drawn(samples, 2, lambda: draw_orthogonal_pair(rs, rng)),
-        _drawn(samples, 2, lambda: (draw_root(rs, rng), draw_square(rs, rng))),
-        _drawn(min(samples, 1000), 1, square),
-        _drawn(200, 1, square),
-        _drawn(samples, 3, triple),
+        blocks(*np.nonzero(zero), size=PAIR_BLOCK),
+        row_hits(
+            (np.arange(n),),
+            lambda rho: np.ones((len(rho), n_squares), dtype=bool),
+            ELEMENTWISE_BLOCK // n_squares + 1,
+        ),
+        blocks(every),
+        blocks(every),
+        row_hits(np.nonzero(up), lambda a, b: zero[a] & up[b]),
     )
 
 

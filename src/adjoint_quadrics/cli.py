@@ -242,9 +242,11 @@ def main(argv=None) -> int:
     _add_system(p)
     p.add_argument("--suite", default="all", choices=list(SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None)
+    samples_help = "cases, commutator, words and orbit; jacobi and combinatorics check every case"
+    p.add_argument("--samples", type=int, default=None, help=samples_help)
     p.add_argument("--ring", action="append", help="may be repeated; words suite only")
-    p.add_argument("--timing", action="store_true", help="include wall times in the report")
+    timing_help = "include the wall times of each suite and set-up phase in the report"
+    p.add_argument("--timing", action="store_true", help=timing_help)
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

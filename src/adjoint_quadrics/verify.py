@@ -32,17 +32,18 @@ ones the Poly evaluation gave.  verify_case_identity and
 verify_commutator_reduction keep that evaluation over PolynomialRing, as
 the reference the batched checks are tested against.
 
-The jacobi and combinatorics suites are batched.  Their samples are drawn
-one at a time with the draws every sampled suite makes (batch.draw_root,
-batch.draw_square), in the order the checks report, and kept as root and
-square numbers; the batch module then evaluates both sides of every
-comparison on blocks of samples with numpy, over the sign table, the Gram
-and sum tables and the root system's square index.  Two-way checks keep
-both computations: the companion sets are a direct scan over the roots
-against the square formulas, as in pair_sets.  Failure entries are built
-for the failing samples only, in sample order, so the reports are the
-ones the per-sample loops gave.  The scalar helpers of the squares module
-stay the reference the batched checks are tested against.
+The jacobi and combinatorics suites check every case on every system, so
+their reports depend on the system alone (the seed is only recorded, and
+samples does not reach them).  batch.jacobi_samples and
+batch.combinatorics_samples list the cases in report order as root and
+square numbers, and the batch module evaluates both sides of every
+comparison on blocks of them with numpy, over the sign table, the Gram and
+sum tables and the root system's square index.  Two-way checks keep both
+computations: the companion sets are a direct scan over the roots against
+the square formulas, as in pair_sets.  Failure entries are built for the
+failing cases only, in case order, so the reports are the ones the
+per-case loops gave.  The scalar helpers of the squares module stay the
+reference the batched checks are tested against.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ from .squares import (
 )
 
 SUITE_NAMES = ("jacobi", "combinatorics", "cases", "commutator", "words", "orbit")
-
-# Systems small enough for exhaustive scanning everywhere.
-_EXHAUSTIVE_ROOT_LIMIT = 72
-
 
 class VerificationFailure(RuntimeError):
     """Raised by the strict verification entry points on a failed check."""
@@ -146,11 +143,23 @@ class SuiteReport:
         return doc
 
 
+class Reports(list):
+    """run_suite's reports, with the wall time in seconds of each set-up
+    phase it ran (build_root_system, build_sign_table and, for the words
+    and orbit suites, generate_all_equations)."""
+
+    def __init__(self, setup_s: dict):
+        super().__init__()
+        self.setup_s = setup_s
+
+
 def report_json(reports: list[SuiteReport], include_timing: bool = False) -> str:
     doc = {
         "ok": all(r.ok for r in reports),
         "reports": [r.to_jsonable(include_timing) for r in reports],
     }
+    if include_timing and isinstance(reports, Reports):
+        doc["setup_s"] = reports.setup_s
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -651,15 +660,12 @@ def sample_case_config(rs, rng, entry):
 # Suites.
 
 
-def suite_jacobi(rs: RootSystem, signs: SignTable, seed=0, samples: int | None = None) -> SuiteReport:
+def suite_jacobi(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport:
     """Structure-constant identities: support, antisymmetry, negation, the
-    triangle rule, the orthogonal-quadruple rule, and the Jacobi cocycle."""
+    triangle rule, the orthogonal-quadruple rule, and the Jacobi cocycle,
+    each on every case.  The seed is only recorded."""
     t0 = time.perf_counter()
     rep = SuiteReport("jacobi", str(rs.system), seed)
-    rng = _rng_for(seed, "jacobi")
-    exhaustive = rs.n_roots <= _EXHAUSTIVE_ROOT_LIMIT
-    if samples is None:
-        samples = 50_000
 
     table = signs._table
     gram = rs._gram
@@ -686,32 +692,30 @@ def suite_jacobi(rs: RootSystem, signs: SignTable, seed=0, samples: int | None =
     bad = int(np.count_nonzero((t1 != t2) | (t2 != t3)))
     rep.add("triangle", len(ii), [{"count": bad}] * (1 if bad else 0))
 
-    quads, triples, cartan = batch.jacobi_samples(rs, rng, samples, exhaustive)
+    quads, triples, cartan = batch.jacobi_samples(rs)
     tb = batch.Tables(rs, signs)
 
     def root_lists(*positions):
         return [list(roots[x]) for x in positions]
 
     # N_{a,-g} N_{b,-d} = N_{a,-d} N_{b,-g} on two pairs of one square.
-    drawn, (bad,) = batch.blocked(batch.quadruple_block, tb, quads)
+    count, kept, _ = batch.flagged(batch.quadruple_block, tb, quads, lambda bad: bad)
     failures = []
-    for x in np.flatnonzero(bad):
-        a, b, g, d = batch.quadruple(index, *(c[x] for c in drawn))
+    for sq, p, q in zip(*kept):
+        a, b, g, d = batch.quadruple(index, sq, p, q)
         failures.append({"pair": root_lists(a, b), "other": root_lists(g, d)})
-    rep.add("orthogonal-quadruple", len(bad), failures)
+    rep.add("orthogonal-quadruple", count, failures)
 
     # Pure-N Jacobi cocycle on triples with alpha+beta and alpha+beta+gamma
     # roots and no two of alpha, beta, gamma opposite (opposite pairs bracket
     # into the Cartan part, handled by the next check).
-    drawn, (skip, bad) = batch.blocked(batch.cocycle_block, tb, triples)
-    failures = [{"triple": root_lists(*(c[x] for c in drawn))} for x in np.flatnonzero(bad)]
-    rep.add("jacobi-cocycle", int(np.count_nonzero(~skip)), failures)
+    count, kept, _ = batch.flagged(batch.cocycle_block, tb, triples, lambda bad: bad)
+    rep.add("jacobi-cocycle", count, [{"triple": root_lists(*x)} for x in zip(*kept)])
 
     # Jacobi with gamma = -beta: the middle bracket lands in the Cartan part,
     # [e_b, e_-b] = h_b, contributing the pairing <alpha, beta>.
-    drawn, (skip, bad) = batch.blocked(batch.cartan_block, tb, cartan)
-    failures = [{"pair": root_lists(*(c[x] for c in drawn))} for x in np.flatnonzero(bad)]
-    rep.add("cartan-jacobi", int(np.count_nonzero(~skip)), failures)
+    count, kept, _ = batch.flagged(batch.cartan_block, tb, cartan, lambda bad: bad)
+    rep.add("cartan-jacobi", count, [{"pair": root_lists(*x)} for x in zip(*kept)])
 
     rep.wall_time_s = time.perf_counter() - t0
     return rep
@@ -751,20 +755,16 @@ def _class_pattern_ok(rs, rho, square, cls) -> bool:
     return False
 
 
-def suite_combinatorics(
-    rs: RootSystem, signs: SignTable, seed=0, samples: int | None = None
-) -> SuiteReport:
+def suite_combinatorics(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport:
     """Square census, companion-set cardinalities and cross-construction,
     the five-class position lemma, sign columns, modified squares,
-    conjugate pairs, and the A_3 to D_4 extension."""
+    conjugate pairs, and the A_3 to D_4 extension, each on every case.  The
+    seed is only recorded."""
     t0 = time.perf_counter()
     rep = SuiteReport("combinatorics", str(rs.system), seed)
-    rng = _rng_for(seed, "combinatorics")
-    exhaustive = rs.n_roots <= _EXHAUSTIVE_ROOT_LIMIT
-    if samples is None:
-        samples = 10_000
     tb = batch.Tables(rs, signs)
     gram, roots, squares = rs._gram, rs.roots, rs.squares
+    size = rs._square_index.size
 
     n_pairs = int(np.count_nonzero(np.triu(gram == 0, k=1)))
     # Squares partition the orthogonal pairs; every E-system square has
@@ -781,77 +781,84 @@ def suite_combinatorics(
         [] if ok_census else [{"squares": len(squares), "k": rs.k, "pairs": n_pairs}],
     )
 
-    pairs, configs, sign_squares, modified, triples = batch.combinatorics_samples(
-        rs, rng, samples, exhaustive
-    )
+    pairs, configs, sign_squares, modified, triples = batch.combinatorics_samples(rs)
 
-    def pair(x):
-        return [list(roots[alpha[x]]), list(roots[beta[x]])]
-
-    def sigma(s):
-        return list(squares[s].sigma)
+    def pair(x, y):
+        return [list(roots[x]), list(roots[y])]
 
     def signed(pos):
         return int(pos // 2 + 1) * (1 if pos % 2 == 0 else -1)
 
     # Companion sets: the direct scans against the square formulas, the
     # counts, the square made of S_pi negatives, and conjugate pairs.
-    (alpha, beta), (differ, wrong, conj_bad) = batch.blocked(batch.companion_block, tb, pairs)
+    count, (alpha, beta), (differ, wrong, conj_bad) = batch.flagged(
+        batch.companion_block, tb, pairs, lambda *flags: np.logical_or.reduce(flags)
+    )
     failures = [
-        {"pair": pair(x), "error": _SCAN_DISAGREES}
+        {"pair": pair(alpha[x], beta[x]), "error": _SCAN_DISAGREES}
         if differ[x]
-        else {"pair": pair(x)}
+        else {"pair": pair(alpha[x], beta[x])}
         for x in np.flatnonzero(differ | wrong)
     ]
-    rep.add("companion-sets", len(alpha), failures)
-    conj_failures = [{"pair": pair(x)} for x in np.flatnonzero(conj_bad & ~differ & ~wrong)]
-    rep.add("conjugate-pairs", len(alpha), conj_failures)
+    rep.add("companion-sets", count, failures)
+    conj_failures = [
+        {"pair": pair(alpha[x], beta[x])} for x in np.flatnonzero(conj_bad & ~differ & ~wrong)
+    ]
+    rep.add("conjugate-pairs", count, conj_failures)
 
     # Position lemma.  A class that cannot be resolved fails with
     # classify_root_vs_square's message.
-    (rho, cl_sq), (d, ok, missing) = batch.blocked(batch.position_block, tb, configs)
+    count, (rho, cl_sq), (d, _, missing) = batch.flagged(
+        batch.position_block, tb, configs, lambda d, ok, missing: ~ok
+    )
     failures = []
-    for x in np.flatnonzero(~ok):
-        root, sq = roots[rho[x]], squares[cl_sq[x]]
+    for r, s, dx, miss in zip(rho, cl_sq, d.tolist(), missing):
+        root, sq = roots[r], squares[s]
         failure = {"rho": list(root), "sigma": list(sq.sigma)}
-        kind = _ANGLE_BY_DOT2.get(int(d[x]))
+        kind = _ANGLE_BY_DOT2.get(dx)
         if kind is None:
-            failure["error"] = _impossible_product(int(d[x]), sq.sigma)
-        elif missing[x]:
+            failure["error"] = _impossible_product(dx, sq.sigma)
+        elif miss:
             failure["error"] = _not_a_member(root, kind is SquareAngle.OPPOSITE_SQUARE)
         else:
             failure["class"] = kind.value
         failures.append(failure)
-    rep.add("position-classes", len(rho), failures)
+    rep.add("position-classes", count, failures)
 
     # Sign-column lemma: c(h) = c(h)_j * c(j) componentwise.
-    (sc_sq,), (bad,) = batch.blocked(batch.sign_column_block, tb, sign_squares)
+    _, (sc_sq,), (bad,) = batch.flagged(
+        batch.sign_column_block, tb, sign_squares, lambda bad: bad.any((1, 2))
+    )
     failures = [
-        {"sigma": sigma(sc_sq[x]), "j": signed(j), "h": signed(h)}
+        {"sigma": list(squares[sc_sq[x]].sigma), "j": signed(j), "h": signed(h)}
         for x, j, h in zip(*np.nonzero(bad))
     ]
-    rep.add("sign-columns", int(np.sum(tb.index.size[sc_sq] ** 2)), failures)
+    rep.add("sign-columns", int(np.sum(size**2)), failures)
 
     # Modified squares keep the stated members and stay maximal squares.
-    (ms_sq,), (error, bad) = batch.blocked(batch.modified_square_block, tb, modified)
+    _, (ms_sq,), (error, bad) = batch.flagged(
+        batch.modified_square_block, tb, modified, lambda error, bad: (error | bad).any(1)
+    )
     failures = [
-        {"sigma": sigma(ms_sq[x]), "j": signed(j), "error": _NOT_A_ROOT}
+        {"sigma": list(squares[ms_sq[x]].sigma), "j": signed(j), "error": _NOT_A_ROOT}
         if error[x, j]
-        else {"sigma": sigma(ms_sq[x]), "j": signed(j)}
+        else {"sigma": list(squares[ms_sq[x]].sigma), "j": signed(j)}
         for x, j in zip(*np.nonzero(error | bad))
     ]
-    rep.add("modified-squares", int(np.sum(tb.index.size[ms_sq])), failures)
+    rep.add("modified-squares", int(np.sum(size)), failures)
 
     # A_3 triples extend to D_4.
-    (a, b, c), (found, delta, ok) = batch.blocked(batch.a3_block, tb, triples)
+    count, kept, (found, delta, _) = batch.flagged(
+        batch.a3_block, tb, triples, lambda found, delta, ok: ~ok
+    )
     failures = []
-    for x in np.flatnonzero(~ok):
-        triple = [roots[a[x]], roots[b[x]], roots[c[x]]]
-        if found[x]:
-            failures.append({"triple": [list(r) for r in triple], "delta": list(roots[delta[x]])})
+    for x, fx, dx in zip(zip(*kept), found, delta):
+        triple = [roots[v] for v in x]
+        if fx:
+            failures.append({"triple": [list(r) for r in triple], "delta": list(roots[dx])})
         else:
             failures.append({"triple": [list(r) for r in triple], "error": _no_extension(*triple)})
-    rep.add("a3-extension", len(a), failures)
+    rep.add("a3-extension", count, failures)
 
     rep.wall_time_s = time.perf_counter() - t0
     return rep
@@ -1048,27 +1055,37 @@ def run_suite(
     samples: int | None = None,
     rings: tuple[Ring, ...] | None = None,
     progress=None,
-) -> list[SuiteReport]:
+) -> Reports:
     """Build the system once and dispatch to the requested suites.
 
-    progress, when given, is called with one line per finished check.
+    samples reaches the cases, commutator, words and orbit suites; jacobi
+    and combinatorics check every case.  progress, when given, is called
+    with one line per finished check.
     """
     if suite != "all" and suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     wanted = SUITE_NAMES if suite == "all" else (suite,)
-    rs = build_root_system(system)
-    signs = build_sign_table(rs)
+    setup_s = {}
+
+    def timed(phase: str, build, *args):
+        t0 = time.perf_counter()
+        out = build(*args)
+        setup_s[phase] = time.perf_counter() - t0
+        return out
+
+    rs = timed("build_root_system", build_root_system, system)
+    signs = timed("build_sign_table", build_sign_table, rs)
     eqset = None
     if "words" in wanted or "orbit" in wanted:
-        eqset = generate_all_equations(rs, signs)
-    reports = []
+        eqset = timed("generate_all_equations", generate_all_equations, rs, signs)
+    reports = Reports(setup_s=setup_s)
     for name in wanted:
         if name == "jacobi":
-            rep = suite_jacobi(rs, signs, seed, samples)
+            rep = suite_jacobi(rs, signs, seed)
         elif name == "combinatorics":
-            rep = suite_combinatorics(rs, signs, seed, samples)
+            rep = suite_combinatorics(rs, signs, seed)
         elif name == "cases":
             rep = suite_cases(rs, signs, seed, samples)
         elif name == "commutator":

@@ -159,6 +159,16 @@ def test_verify_quiet_and_deterministic(capsys):
     assert err1 == "" and err2 == ""
 
 
+def test_verify_timing_adds_set_up_phases(capsys):
+    args = ("--quiet", "verify", "--system", "D5", "--suite", "orbit", "--samples", "2")
+    _, plain, _ = run_cli(capsys, *args)
+    _, timed, _ = run_cli(capsys, *args, "--timing")
+    assert "setup_s" not in json.loads(plain) and "wall_time_s" not in plain
+    phases = json.loads(timed)["setup_s"]
+    assert set(phases) == {"build_root_system", "build_sign_table", "generate_all_equations"}
+    assert all(t >= 0 for t in phases.values())
+
+
 def test_bad_system_errors(capsys):
     with pytest.raises(SystemExit):
         main(["roots"])  # missing --system

@@ -1,13 +1,14 @@
 """The batched suites against their scalar references.
 
-The jacobi and combinatorics suites draw their samples as root and square
-numbers and check them a block at a time; the cases and commutator suites
-check their identities on integer coefficient arrays built from the action
-rows.  These tests pin their reports, compare each batched check sample by
-sample with the scalar helper or Poly computation it replaces, and show
-that corrupting a table makes the right checks fail.
+The jacobi and combinatorics suites check every case, as root and square
+numbers a block at a time; the cases and commutator suites check their
+identities on integer coefficient arrays built from the action rows.
+These tests pin their reports, count their cases, compare each batched
+check sample by sample with the scalar helper or Poly computation it
+replaces, and show that corrupting a table makes the right checks fail.
 """
 
+import functools
 import hashlib
 import random
 
@@ -29,11 +30,7 @@ from adjoint_quadrics import (
 from adjoint_quadrics import batch
 from adjoint_quadrics.batch import (
     Tables,
-    _bit_rows,
-    _nth_bit,
     a3_block,
-    blocked,
-    blocks,
     companion_block,
     conjugate,
     modified_square_block,
@@ -41,6 +38,7 @@ from adjoint_quadrics.batch import (
     sign_column_block,
 )
 from adjoint_quadrics.equations import _other_members
+from adjoint_quadrics import verify
 from adjoint_quadrics.squares import _ANGLE_BY_DOT2
 from adjoint_quadrics.verify import (
     LEDGER_ENTRIES,
@@ -51,6 +49,7 @@ from adjoint_quadrics.verify import (
     _roots_at_sigma_angle,
     case_identities,
     commutator_reductions,
+    run_suite,
     sample_case_config,
     suite_cases,
     suite_combinatorics,
@@ -60,17 +59,18 @@ from adjoint_quadrics.verify import (
     verify_commutator_reduction,
 )
 
-# sha256 of report_json([suite_jacobi(...), suite_combinatorics(...)]) as the
-# scalar suites gave it, before the checks were batched.
+# sha256 of report_json of run_suite's jacobi and combinatorics reports.
+# D5, D6 and E6 were always checked case by case, so theirs are the digests
+# the scalar suites gave.  D7, E7 and E8 are those of the exhaustive suites;
+# seed and samples change only the recorded seed.
 PINNED = {
     ("D5", 0, None): "3a549319782315f590b11f8ad7101a128bba96a4f0cf734d0b51a7c273221a70",
     ("D6", 0, None): "2b4d0b681e02d2f0904efade9e90c54d114adb4338f37d18b3b6fad445b1997f",
-    ("D7", 0, None): "20383dce2562dc88ba706e4cda94d3f889d951f3c2254a40691b47c7186e4b65",
+    ("D7", 0, None): "cde6d0651fb1acc11bae0e40bb7199b693012c38d0fc88eaed789f4a2326b3f3",
     ("E6", 0, None): "b7e47ba6769950b6332fd263b1d86f1f5ce53452ecf5f9ef7a1a0e01d98ede49",
-    ("E7", 0, None): "bf376497f0dcdf1d88ed43650777b03aa6064605954e095a3611c6768670e05a",
-    ("E8", 0, None): "04e6bb6ff8c92302403293b188c1b7ca673d40f7498c389a28c0ce0fab10e22a",
-    # A partial last block.
-    ("E7", 5, 37): "b643136dcf6bdc271fad0f51c00d135fd5faad7a31d83ba67d0b346d30cd827f",
+    ("E7", 0, None): "27d51df3abc788f817711a2db96bd6c3015c728f26bb64d158a06749386b0b4f",
+    ("E8", 0, None): "a0848483b86dd7635867f359fa246c59a158181febffd04f86d87dfb5748d102",
+    ("E7", 5, 37): "8121534ad68a49c95c5d049dc5acc5dbcf4e1a11593672e319570e2f9ebd3aec",
 }
 
 
@@ -78,15 +78,76 @@ def _digest(reports) -> str:
     return hashlib.sha256(report_json(reports).encode()).hexdigest()
 
 
+def _both(name, seed, samples):
+    """run_suite's jacobi and combinatorics reports."""
+    suites = ("jacobi", "combinatorics")
+    return [rep for suite in suites for rep in run_suite(name, suite, seed, samples)]
+
+
+_healthy_reports = functools.cache(_both)
+
+
 @pytest.mark.parametrize("name, seed, samples", sorted(PINNED, key=str))
-def test_suite_reports_pinned(system, name, seed, samples):
-    rs, signs = system(name)
-    reports = [
-        suite_jacobi(rs, signs, seed, samples),
-        suite_combinatorics(rs, signs, seed, samples),
-    ]
+def test_suite_reports_pinned(name, seed, samples):
+    reports = _healthy_reports(name, seed, samples)
     assert all(r.ok for r in reports)
     assert _digest(reports) == PINNED[name, seed, samples]
+
+
+def _case_counts(rs):
+    """Every check's number of cases, from the Gram matrix, the sum table
+    and the square index alone."""
+    gram, neg, n = rs._gram, rs._neg, rs.n_roots
+    up, zero = gram == -1, gram == 0
+    size = rs._square_index.size
+    k = size // 2
+    i, j = np.nonzero(up)
+    h = rs._sum_idx[i, j]
+    ints = up.astype(np.int64)
+    every = np.arange(n)
+    return {
+        "nonzero-iff-sum-is-root": n * n,
+        "antisymmetry": n * n,
+        "negation": n * n,
+        "triangle": len(i),
+        "orthogonal-quadruple": int(np.sum(k * (k - 1))),
+        "jacobi-cocycle": int(np.sum(ints[h].sum(1) - ints[h, neg[i]] - ints[h, neg[j]])),
+        "cartan-jacobi": int(np.count_nonzero((every[:, None] != every) & (neg[:, None] != every))),
+        "square-census": 1,
+        "companion-sets": int(np.count_nonzero(zero)),
+        "conjugate-pairs": int(np.count_nonzero(zero)),
+        "position-classes": n * len(size),
+        "sign-columns": int(np.sum(size**2)),
+        "modified-squares": int(np.sum(size)),
+        "a3-extension": int(np.sum(up * (zero.astype(np.int64) @ ints))),
+    }
+
+
+@pytest.mark.parametrize("name", ["D5", "D7", "E7", "E8"])
+def test_suites_check_every_case(name):
+    reports = _healthy_reports(name, 0, None)
+    attempted = {c["name"]: c["attempted"] for r in reports for c in r.checks}
+    assert attempted == _case_counts(build_root_system(name))
+    if name == "E8":
+        return
+    # Neither the seed nor --samples reaches these suites.
+    for seed, samples in ((7, None), (0, 37), (7, 37)):
+        other = _healthy_reports(name, seed, samples)
+        assert [r.seed for r in other] == [seed, seed]
+        assert [r.checks for r in other] == [r.checks for r in reports]
+
+
+def test_suites_draw_no_random_numbers(monkeypatch, system):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a jacobi or combinatorics check drew a random number")
+
+    for name in ("randrange", "random", "choice"):
+        monkeypatch.setattr(random.Random, name, refuse)
+    rs, signs = system("E7")
+    assert suite_jacobi(rs, signs, seed=3).ok
+    assert suite_combinatorics(rs, signs, seed=3).ok
+    with pytest.raises(AssertionError, match="random number"):
+        batch.draw_root(rs, random.Random(0))
 
 
 def _samples(rs, exhaustive: bool):
@@ -174,7 +235,7 @@ def _compare_with_scalar(rs, signs, samples):
     (alpha, beta), (rho, cl), squares, (a, b, c) = samples
 
     # Companion sets and conjugate pairs.
-    _, outputs = blocked(companion_block, tb, blocks(alpha, beta))
+    outputs = companion_block(tb, alpha, beta)
     want = [_scalar_companion(rs, roots[x], roots[y]) for x, y in zip(alpha, beta)]
     assert np.array(outputs).T.tolist() == [list(w) for w in want]
     for x, y in zip(alpha[:100], beta[:100]):
@@ -190,7 +251,7 @@ def _compare_with_scalar(rs, signs, samples):
             assert {roots[u], roots[v]} == set(conj)
 
     # Position classes.
-    _, (d, ok, missing) = blocked(position_block, tb, blocks(rho, cl))
+    d, ok, missing = position_block(tb, rho, cl)
     assert not missing.any()
     for r, s, dr, okr in zip(rho, cl, d, ok):
         cls = classify_root_vs_square(rs, roots[r], rs.squares[s])
@@ -198,7 +259,7 @@ def _compare_with_scalar(rs, signs, samples):
         assert okr == _class_pattern_ok(rs, roots[r], rs.squares[s], cls)
 
     # Sign columns: bad[j, h] over signed-index positions.
-    _, (bad,) = blocked(sign_column_block, tb, blocks(squares))
+    (bad,) = sign_column_block(tb, squares)
     for s, bad_s in zip(squares, bad):
         sq = rs.squares[s]
         idxs = sq.signed_indices()
@@ -211,7 +272,7 @@ def _compare_with_scalar(rs, signs, samples):
         assert not bad_s[len(idxs) :].any() and not bad_s[:, len(idxs) :].any()
 
     # Modified squares: (raises, wrong members or no square) per signed index.
-    _, (error, bad) = blocked(modified_square_block, tb, blocks(squares))
+    error, bad = modified_square_block(tb, squares)
     for s, error_s, bad_s in zip(squares, error, bad):
         sq = rs.squares[s]
         want = [_scalar_modified(rs, sq, j) for j in sq.signed_indices()]
@@ -219,7 +280,7 @@ def _compare_with_scalar(rs, signs, samples):
         assert list(zip(error_s.tolist(), bad_s.tolist())) == want
 
     # A_3 extensions.
-    _, (found, delta, ok) = blocked(a3_block, tb, blocks(a, b, c))
+    found, delta, ok = a3_block(tb, a, b, c)
     for x, y, z, fz, dz, okz in zip(a, b, c, found, delta, ok):
         try:
             ext = extend_a3_to_d4(rs, roots[x], roots[y], roots[z])
@@ -258,13 +319,13 @@ def test_batched_checks_match_scalar_helpers_on_corrupted_tables(monkeypatch):
     monkeypatch.setattr(batch, "draw_orthogonal_pair", lambda rs, rng: (x, y))
     with pytest.raises(RuntimeError, match="no square"):
         batch.draw_square(rs, random.Random(0))
-    differ, _, _ = blocked(companion_block, tb, blocks(np.array([x]), np.array([y])))[1]
+    differ, _, _ = companion_block(tb, np.array([x]), np.array([y]))
     assert differ.tolist() == [True]
     (alpha, beta), (rho, cl), squares, (a, b, c) = samples
-    assert np.array(blocked(companion_block, tb, blocks(alpha, beta))[1]).any()
-    assert not blocked(position_block, tb, blocks(rho, cl))[1][1].all()
-    assert blocked(sign_column_block, tb, blocks(squares))[1][0].any()
-    assert np.array(blocked(modified_square_block, tb, blocks(squares))[1]).any()
+    assert np.array(companion_block(tb, alpha, beta)).any()
+    assert not position_block(tb, rho, cl)[1].all()
+    assert sign_column_block(tb, squares)[0].any()
+    assert np.array(modified_square_block(tb, squares)).any()
 
 
 def test_batched_checks_on_d17():
@@ -284,21 +345,13 @@ def test_batched_checks_on_d17():
     first = pos % 2 == 0
     alpha, beta = m[first], index.members[index.start[squares][p[first]] + pos[first] + 1]
     assert index.square_of[alpha, beta].tolist() == squares[p[first]].tolist()
-    drawn, outputs = blocked(companion_block, tb, blocks(alpha, beta))
-    assert [d.tolist() for d in drawn] == [alpha.tolist(), beta.tolist()]
-    assert not np.array(outputs).any()
+    assert not np.array(companion_block(tb, alpha, beta)).any()
     for x, y in zip(alpha[:4], beta[:4]):
         assert _scalar_companion(rs, roots[x], roots[y]) == (False, False, False)
     q, others = _other_members(index, alpha, beta)
     for k, (x, y, s) in enumerate(zip(alpha.tolist(), beta.tolist(), squares[p[first]])):
         members = index.members[index.start[s] :][: index.size[s]].tolist()
         assert sorted(others[q == k].tolist()) == sorted(set(members) - {x, y})
-def test_nth_bit_counts_like_flatnonzero():
-    rng = random.Random(7)
-    for _ in range(200):
-        mask = np.array([rng.random() < 0.3 for _ in range(240)])
-        bits = _bit_rows(mask[None, :])[0]
-        assert [_nth_bit(bits, r) for r in range(bits.bit_count())] == np.flatnonzero(mask).tolist()
 
 
 def _flip_one_sign(name):
@@ -316,8 +369,10 @@ def _flip_one_sign(name):
     return rs, signs
 
 
-# The failing checks (name, attempted, passed) and report digests the scalar
-# suites gave on _flip_one_sign's tables.
+# The failing checks (name, attempted, passed) and report digests on
+# _flip_one_sign's tables.  D5 and E6 are those the scalar suites gave;
+# E7, checked on every case, also fails its orthogonal quadruples and
+# cocycles, which 400 samples missed.
 FLIPPED = {
     ("D5", 0, None): (
         [
@@ -345,30 +400,50 @@ FLIPPED = {
         [
             ("negation", 15876, 15875),
             ("triangle", 4032, 4031),
-            ("cartan-jacobi", 392, 391),
-            ("sign-columns", 40000, 39388),
+            ("orthogonal-quadruple", 15120, 15090),
+            ("jacobi-cocycle", 120960, 120720),
+            ("cartan-jacobi", 15624, 15616),
+            ("sign-columns", 75600, 74580),
         ],
-        "158d3fd2a94411c5b4fc7a997b5f585ba215edd76dbd6ee283ad569c669e555d",
+        "c7f1603dcf8e00f0ea23b82b9cf530c4cfc216ce877275597c0b3a5fdee3bb1d",
     ),
 }
 
 
-@pytest.mark.parametrize("name, seed, samples", sorted(FLIPPED, key=str))
-def test_flipped_sign_fails_like_the_scalar_suites(name, seed, samples):
-    rs, signs = _flip_one_sign(name)
-    reports = [
-        suite_jacobi(rs, signs, seed, samples),
-        suite_combinatorics(rs, signs, seed, samples),
-    ]
-    failing = [
+def _failing(reports):
+    return [
         (c["name"], c["attempted"], c["passed"])
         for r in reports
         for c in r.checks
         if c["passed"] != c["attempted"]
     ]
+
+
+def _flipped_reports(monkeypatch, name, seed, samples):
+    rs, signs = _flip_one_sign(name)
+    monkeypatch.setattr(verify, "build_root_system", lambda system: rs)
+    monkeypatch.setattr(verify, "build_sign_table", lambda rs: signs)
+    return _both(name, seed, samples)
+
+
+@pytest.mark.parametrize("name, seed, samples", sorted(FLIPPED, key=str))
+def test_flipped_sign_fails_like_the_scalar_suites(monkeypatch, name, seed, samples):
+    reports = _flipped_reports(monkeypatch, name, seed, samples)
     checks, digest = FLIPPED[name, seed, samples]
-    assert failing == checks
+    assert _failing(reports) == checks
     assert _digest(reports) == digest
+
+
+def test_flipped_sign_fails_every_structure_check_on_e8(monkeypatch):
+    failing = {c[0] for c in _failing(_flipped_reports(monkeypatch, "E8", 0, None))}
+    assert failing == {
+        "negation",
+        "triangle",
+        "orthogonal-quadruple",
+        "jacobi-cocycle",
+        "cartan-jacobi",
+        "sign-columns",
+    }
 
 
 def test_square_index_swap_fails_companion_sets():

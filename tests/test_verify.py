@@ -157,6 +157,16 @@ def test_run_suite_deterministic():
     assert "wall_time_s" in json.dumps(timed)
 
 
+def test_run_suite_times_set_up_only_under_timing():
+    reports = run_suite("D5", suite="cases", seed=7, samples=3)
+    # Without timing the report is the one a plain list of the suites gives.
+    assert report_json(reports) == report_json(list(reports))
+    timed = json.loads(report_json(reports, include_timing=True))
+    assert set(timed["setup_s"]) == {"build_root_system", "build_sign_table"}
+    assert all(t >= 0 for t in timed["setup_s"].values())
+    assert "setup_s" not in json.loads(report_json(list(reports), include_timing=True))
+
+
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
         run_suite("D5", suite="nonsense")
