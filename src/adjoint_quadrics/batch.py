@@ -31,7 +31,6 @@ import numpy as np
 from .action import elementary_rows
 from .root_system import RootSystem
 from .signs import SignTable
-from .squares import _ANGLE_BY_DOT2
 
 # Samples (or rows of samples) per block.  The companion-set kernel holds a
 # few block x roots arrays and a few dozen member and scan rows per pair:
@@ -305,6 +304,23 @@ def position_block(tb: Tables, rho, s):
     return (d, *_by_size(tb, _positions, 2, (), s, rho, d))
 
 
+# _PAIR_OK[d + 3, own, x + 2, y + 2]: does a pair whose members have doubled
+# products x, y (either order) with rho fit the position lemma for rho's d with
+# sigma, own if it holds rho or -rho (only where |d| = 2)?  No |d| > 2 fits.
+_PAIR_OK = np.zeros((7, 2, 5, 5), dtype=bool)
+for _d, _own, _x, _y in (
+    (2, 1, 0, 2),
+    (2, 0, 1, 1),
+    (-2, 1, -2, 0),
+    (-2, 0, -1, -1),
+    (0, 0, 0, 0),
+    (0, 0, -1, 1),
+    (1, 0, 0, 1),
+    (-1, 0, -1, 0),
+):
+    _PAIR_OK[_d + 3, _own, [_x + 2, _y + 2], [_y + 2, _x + 2]] = True
+
+
 def _positions(tb: Tables, width: int, s, rho, d):
     m = tb.member_block(s, width)
     # The signed index of rho or -rho, as index_of finds it: the first
@@ -315,25 +331,12 @@ def _positions(tb: Tables, width: int, s, rho, d):
     missing = (np.abs(d) == 2) & ~found
     own = (np.arange(width // 2) == hit.argmax(1)[:, None] // 2) & found[:, None]
 
-    # The products (x, y) of rho with the two members of each pair.
-    g = tb.gram[rho[:, None], m]
-    x, y = g[:, 0::2], g[:, 1::2]
-    lo, hi = np.minimum(x, y), np.maximum(x, y)
-    dp = np.broadcast_to(d[:, None], x.shape)
-    pair_ok = np.select(
-        [dp == 2, dp == -2, dp == 0, dp == 1],
-        [
-            np.where(own, (lo == 0) & (hi == 2), (x == 1) & (y == 1)),
-            np.where(own, (lo == -2) & (hi == 0), (x == -1) & (y == -1)),
-            ((lo == 0) & (hi == 0)) | ((lo == -1) & (hi == 1)),
-            (lo == 0) & (hi == 1),
-        ],
-        (lo == -1) & (hi == 0),
-    )
-    ok = pair_ok.all(1)
+    # The products (x, y) of rho with each pair, read as one flat index.
+    g = tb.gram[rho[:, None], m] + 2
+    cell = ((np.clip(d, -3, 3)[:, None] + 3) * 2 + own) * 25 + g[:, 0::2] * 5 + g[:, 1::2]
+    ok = _PAIR_OK.ravel()[cell].all(1) & ~missing
     # Class pi/2 also needs a pair orthogonal to rho.
-    ok &= (d != 0) | ((x == 0) & (y == 0)).any(1)
-    ok &= np.isin(d, np.array(list(_ANGLE_BY_DOT2))) & ~missing
+    ok &= (d != 0) | ((g[:, 0::2] == 2) & (g[:, 1::2] == 2)).any(1)
     return ok, missing
 
 

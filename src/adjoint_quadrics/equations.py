@@ -20,9 +20,10 @@ form per ordered orthogonal pair (both orders are emitted; the
 orderedness is visible in the counts), and one pi form per unordered
 pair.  Bulk generation builds all three families at once as flat
 monomial arrays through the square descriptions above, from the square
-index, the sum table and the sign table.  The per-form builders
-two_pi3_form and pi_form follow the other description, through the
-companion sets of the pair, and pi2_form reads the square's pairs.
+index, the sum table and the sign table (form_monomials, which the
+verification suites call too).  The per-form builders two_pi3_form and
+pi_form follow the other description, through the companion sets of the
+pair, and pi2_form reads the square's pairs; only the tests call them.
 Neither side checks itself: the tests compare every generated form with
 its per-form builder, and the identities that make the descriptions
 agree are verification checks (combinatorics companion-sets for the
@@ -643,18 +644,6 @@ def _merge(x, y):
     return _sort_keys(np.concatenate([x[0], y[0]]), np.concatenate([x[1], y[1]]))
 
 
-def _blocks(build, ii, jj, dim: int, *args):
-    """(key, c) of build(ii, jj, *args) run over blocks of pairs and joined,
-    with form ids counted from the first pair."""
-    keys, cs = [], []
-    for lo in range(0, len(ii), _PAIR_BLOCK):
-        key, c = build(ii[lo : lo + _PAIR_BLOCK], jj[lo : lo + _PAIR_BLOCK], *args)
-        key += lo * dim * dim
-        keys.append(key)
-        cs.append(c)
-    return np.concatenate(keys), np.concatenate(cs)
-
-
 def _other_members(index, ii, jj):
     """(p, m) for every member m of the square through the pair
     (ii[p], jj[p]) other than the pair itself, grouped by p."""
@@ -666,18 +655,21 @@ def _other_members(index, ii, jj):
     return p[keep], m[keep]
 
 
-def _pi2_monomials(rs: RootSystem, signs: SignTable):
-    """v_a v_b - sum N_{a,-g} N_{b,-d} v_g v_d per square, rooted at the
-    square's first pair (a, b)."""
+def _pi2_monomials(ii, jj, rs: RootSystem, signs: SignTable):
+    """The pi/2 form rooted at each pair (ii[p], jj[p]): that of its square,
+    v_a v_b - sum N_{a,-g} N_{b,-d} v_g v_d with (a, b) the first pair,
+    times the sign of v_ii v_jj in it."""
     neg, t, index = rs._neg, signs._table, rs._square_index
-    k = index.size // 2
-    g, d = index.members[0::2], index.members[1::2]
-    form = np.repeat(np.arange(len(k)), k)
-    lead = np.zeros(len(g), dtype=bool)
-    lead[np.cumsum(k) - k] = True
-    a, b = g[lead][form], d[lead][form]
-    c = t[a, neg[g]] * t[b, neg[d]]
-    return _monomials(form, g, d, np.where(lead, 1, -c), rs.dim_v)
+    s = index.square_of[ii, jj]
+    p, pos, m = index.member_rows(s)
+    form, lead, g, d = p[0::2], pos[0::2] == 0, m[0::2], m[1::2]
+    first = index.start[s]
+    a, b = index.members[first][form], index.members[first + 1][form]
+    c = np.where(lead, 1, -t[a, neg[g]] * t[b, neg[d]])
+    root = (g == ii[form]) | (d == ii[form])
+    sign = np.zeros(len(ii), dtype=c.dtype)
+    sign[form[root]] = c[root]
+    return _monomials(form, g, d, c * sign[form], rs.dim_v)
 
 
 def _two_pi3_monomials(ii, jj, rs: RootSystem, signs: SignTable):
@@ -711,37 +703,46 @@ def _pi_monomials(ii, jj, rs: RootSystem):
     return _merge(members, _monomials(p, n + s[q], n + u[q], c[p, q], dim))
 
 
+def form_monomials(rs: RootSystem, signs: SignTable, codes, ii, jj):
+    """The form of kind _KINDS[codes[f]] at each pair (ii[f], jj[f]), a
+    block of pairs at a time: the pi/2 form rooted at the pair, the 2pi/3
+    form of the ordered and the pi form of the unordered pair.  Returns
+    (missing, (key, c)): the pairs in no square, which get no form, and the
+    monomials keyed (f * dim + a) * dim + b, in key order within a kind."""
+    codes, ii, jj = np.asarray(codes), np.asarray(ii, np.int64), np.asarray(jj, np.int64)
+    missing = rs._square_index.square_of[ii, jj] < 0
+    area = rs.dim_v**2
+    kernels = ((_pi2_monomials, signs), (_two_pi3_monomials, signs), (_pi_monomials,))
+    keys, cs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for code, (kernel, *args) in enumerate(kernels):
+        forms = np.flatnonzero((codes == code) & ~missing)
+        for lo in range(0, len(forms), _PAIR_BLOCK):
+            f = forms[lo : lo + _PAIR_BLOCK]
+            key, c = kernel(ii[f], jj[f], rs, *args)
+            keys.append(f[key // area] * area + key % area)
+            cs.append(c)
+    return missing, (np.concatenate(keys), np.concatenate(cs).astype(np.int64, copy=False))
+
+
 def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     """One pi/2 form per square, one 2pi/3 form per ordered orthogonal pair,
     one pi form per unordered pair, in deterministic key order."""
     ii, jj = np.nonzero(rs._gram == 0)
     upper = ii < jj
-    dim = rs.dim_v
+    index = rs._square_index
     root = rs.roots.__getitem__
     pair_keys = list(zip(map(root, ii.tolist()), map(root, jj.tolist())))
-    families = [
-        (FormKind.PI2, [sq.sigma for sq in rs.squares], _pi2_monomials(rs, signs)),
-        (FormKind.TWO_PI3, pair_keys, _blocks(_two_pi3_monomials, ii, jj, dim, rs, signs)),
-        (
-            FormKind.PI,
-            list(itertools.compress(pair_keys, upper.tolist())),
-            _blocks(_pi_monomials, ii[upper], jj[upper], dim, rs),
-        ),
-    ]
-    codes, keys, counts = [], [], []
-    for kind, family_keys, (key, _) in families:
-        codes += [_KINDS.index(kind)] * len(family_keys)
-        keys += family_keys
-        counts.append(np.bincount(key // (dim * dim), minlength=len(family_keys)))
-    key = np.concatenate([key for _, _, (key, _) in families])
-    c = np.concatenate([c for _, _, (_, c) in families]).astype(np.int64)
-    del families
-    ia, ib = np.divmod(key % (dim * dim), dim)
+    keys = [sq.sigma for sq in rs.squares] + pair_keys
+    keys += itertools.compress(pair_keys, upper.tolist())
+    codes = np.repeat(np.arange(3, dtype=np.int8), [len(rs.squares), len(ii), upper.sum()])
+    ii = np.concatenate([index.members[index.start], ii, ii[upper]])
+    jj = np.concatenate([index.members[index.start + 1], jj, jj[upper]])
+    _, (key, c) = form_monomials(rs, signs, codes, ii, jj)
+    area = rs.dim_v**2
+    offsets = np.searchsorted(key, np.arange(len(keys) + 1) * area)
+    ia, ib = np.divmod(key % area, rs.dim_v)
     del key
-    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=offsets[1:])
-    compiled = _Compiled(ia, ib, c, offsets)
-    return EquationSet(rs.system, _parts=(np.array(codes, np.int8), tuple(keys), compiled))
+    return EquationSet(rs.system, _parts=(codes, tuple(keys), _Compiled(ia, ib, c, offsets)))
 
 
 def eqset_from_json(rs: RootSystem, doc) -> EquationSet:

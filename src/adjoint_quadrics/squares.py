@@ -56,6 +56,10 @@ def _not_a_member(rho: Root, opposite: bool) -> str:
     return f"{'-' if opposite else ''}{rho} pairs with sigma like a member but is not one"
 
 
+def _no_square(alpha: Root, beta: Root) -> str:
+    return f"{alpha} and {beta} lie in no square"
+
+
 def _no_extension(alpha: Root, beta: Root, gamma: Root) -> str:
     return f"no D_4 extension found for ({alpha}, {beta}, {gamma})"
 
@@ -67,7 +71,7 @@ def square_of_pair(rs: RootSystem, alpha: Root, beta: Root) -> MaximalSquare:
         raise InvalidPairError(f"{alpha} and {beta} are not orthogonal")
     s = int(rs._square_index.square_of[ai, bi])
     if s < 0:
-        raise RuntimeError(f"{alpha} and {beta} lie in no square")
+        raise RuntimeError(_no_square(alpha, beta))
     return rs.squares[s]
 
 

@@ -25,12 +25,13 @@ is the root's action rows, I + xi E1 + xi^2 E2.  A ledger case expands f
 through the rows of its rho, subtracts the target forms and passes iff
 every coefficient of xi^k v_p v_q is zero; a reduction composes the four
 factors as a matrix polynomial over Z[xi] and compares it with the rows of
-x_rho(xi), coefficient by coefficient.  The per-sample set-up (draws,
-squares, classes, sub-cases, forms) is the scalar code's, and a failing
-case's residual is printed as the Poly it equals, so the reports are the
-ones the Poly evaluation gave.  verify_case_identity and
-verify_commutator_reduction keep that evaluation over PolynomialRing, as
-the reference the batched checks are tested against.
+x_rho(xi), coefficient by coefficient.  Each sample's draws, classes and
+sub-case are decided in Python and name its forms by kind and pair; the
+forms come from equations.form_monomials, the kernels that generate the
+equation set, so the ledger checks what check_vector evaluates.  A failing
+case's residual is printed as the Poly it equals.  verify_case_identity
+and verify_commutator_reduction evaluate the same forms over
+PolynomialRing, as the reference the batched checks are tested against.
 
 The jacobi and combinatorics suites check every case on every system, so
 their reports depend on the system alone (the seed is only recorded, and
@@ -65,14 +66,11 @@ from .action import (
     basis_vector,
 )
 from .equations import (
+    _KINDS,
     EquationSet,
     FormKind,
-    QuadraticForm,
-    evaluate_form,
+    form_monomials,
     generate_all_equations,
-    pi2_form,
-    pi_form,
-    two_pi3_form,
 )
 from .rings import IntegerRing, IntegersMod, Poly, PolynomialRing, Ring
 from .root_system import Root, RootSystem, ZeroWeight, build_root_system
@@ -85,6 +83,7 @@ from .squares import (
     SquareAngle,
     _impossible_product,
     _no_extension,
+    _no_square,
     _not_a_member,
     classify_root_vs_square,
     square_of_pair,
@@ -204,101 +203,116 @@ class CaseResult:
     residual: str | None = None
 
 
-def _diff(x, y) -> Root:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def _ledger_target(rs, signs, phi: FormKind, alpha, beta, rho, kind: SquareAngle, square):
-    """(subcase label, [(int coeff, xi power, form), ...]) for one ledger case.
-
-    Every pair fed to a form builder below is orthogonal; the builders
-    check that and refuse otherwise.
-    """
-    neg = rs.negate
-    partner = _diff(square.sigma, rho)  # the member paired with rho (class 0)
-
+def _ledger_target(rs, signs, phi: FormKind, a, b, r, kind: SquareAngle, mate):
+    """(subcase label, [(int coeff, xi power, target form), ...]) for one
+    ledger case, a form being (kind, i, j) for its orthogonal pair of root
+    numbers.  a, b and r are alpha, beta and rho, and mate the member paired
+    with rho (class 0) or with -rho (class pi)."""
+    neg, sums = rs._neg, rs._sum_idx
+    PI2, TWO_PI3, PI = FormKind
     if kind is SquareAngle.IN_SQUARE:
-        if phi is FormKind.PI2:
+        if phi is PI2:
             # Rooted at rho's own pair by the caller.
-            return "re-rooted", [
-                (-1, 1, two_pi3_form(rs, signs, partner, neg(rho))),
-                (-1, 2, pi2_form(rs, signs, partner, neg(rho))),
-            ]
-        if phi is FormKind.TWO_PI3:
-            if rho == alpha:
-                return "j=1", [
-                    (-1, 1, pi_form(rs, signs, alpha, beta)),
-                    (1, 2, two_pi3_form(rs, signs, neg(alpha), neg(beta))),
-                ]
-            if rho == beta:
-                return "j=-1", [(-2, 1, pi2_form(rs, signs, alpha, neg(beta)))]
-            c = signs.structure_constant(alpha, neg(rho))
-            return "j!=+-1", [
-                (c, 1, two_pi3_form(rs, signs, _diff(alpha, rho), _diff(rho, beta)))
-            ]
-        if rho == alpha:
-            return "j=1", [(-2, 1, two_pi3_form(rs, signs, neg(alpha), neg(beta)))]
-        if rho == beta:
-            return "j=-1", [(-2, 1, two_pi3_form(rs, signs, neg(beta), neg(alpha)))]
-        return "j!=+-1", [(1, 1, two_pi3_form(rs, signs, neg(rho), partner))]
+            return "re-rooted", [(-1, 1, (TWO_PI3, mate, neg[r])), (-1, 2, (PI2, mate, neg[r]))]
+        if phi is TWO_PI3:
+            if r == a:
+                return "j=1", [(-1, 1, (PI, a, b)), (1, 2, (TWO_PI3, neg[a], neg[b]))]
+            if r == b:
+                return "j=-1", [(-2, 1, (PI2, a, neg[b]))]
+            c = signs.n_idx(a, neg[r])
+            return "j!=+-1", [(c, 1, (TWO_PI3, sums[a, neg[r]], sums[r, neg[b]]))]
+        if r == a:
+            return "j=1", [(-2, 1, (TWO_PI3, neg[a], neg[b]))]
+        if r == b:
+            return "j=-1", [(-2, 1, (TWO_PI3, neg[b], neg[a]))]
+        return "j!=+-1", [(1, 1, (TWO_PI3, neg[r], mate))]
 
     if kind is SquareAngle.OPPOSITE_SQUARE:
-        m = neg(rho)  # the member
-        p = _diff(square.sigma, m)
-        if phi is FormKind.PI2:
+        m = neg[r]  # the member
+        if phi is PI2:
             return "any", []
-        if phi is FormKind.TWO_PI3:
-            if m == alpha:
+        if phi is TWO_PI3:
+            if m == a:
                 return "j=1", []
-            if m == beta:
-                return "j=-1", [(2, 1, pi2_form(rs, signs, alpha, beta))]
+            if m == b:
+                return "j=-1", [(2, 1, (PI2, a, b))]
             return "j!=+-1", []
-        if m == alpha:
-            return "j=1", [(2, 1, two_pi3_form(rs, signs, alpha, neg(beta)))]
-        if m == beta:
-            return "j=-1", [(-2, 1, two_pi3_form(rs, signs, beta, alpha))]
-        return "j!=+-1", [(1, 1, two_pi3_form(rs, signs, m, neg(p)))]
+        if m == a:
+            return "j=1", [(2, 1, (TWO_PI3, a, neg[b]))]
+        if m == b:
+            return "j=-1", [(-2, 1, (TWO_PI3, b, a))]
+        return "j!=+-1", [(1, 1, (TWO_PI3, m, neg[mate]))]
 
     if kind is SquareAngle.TWO_THIRDS:
-        d = rs.doubled_inner(alpha, rho)
-        if phi is FormKind.PI2:
+        d = rs._gram[a, r]
+        if phi is PI2:
             return "any", []
-        if phi is FormKind.TWO_PI3:
+        if phi is TWO_PI3:
             if d == -1:
                 return "(b1,rho)=-1", []
-            return "(b1,rho)=0", [(1, 1, pi2_form(rs, signs, alpha, neg(rho)))]
+            return "(b1,rho)=0", [(1, 1, (PI2, a, neg[r]))]
         if d == -1:
-            return "(b1,rho)=-1", [(-1, 1, two_pi3_form(rs, signs, neg(rho), beta))]
-        return "(b1,rho)=0", [(-1, 1, two_pi3_form(rs, signs, neg(rho), alpha))]
+            return "(b1,rho)=-1", [(-1, 1, (TWO_PI3, neg[r], b))]
+        return "(b1,rho)=0", [(-1, 1, (TWO_PI3, neg[r], a))]
 
     raise ValueError(f"no ledger entry for angle class {kind.value}")
 
 
-def _build_form(rs, signs, phi: FormKind, alpha, beta) -> QuadraticForm:
-    if phi is FormKind.PI2:
-        return pi2_form(rs, signs, alpha, beta)
-    if phi is FormKind.TWO_PI3:
-        return two_pi3_form(rs, signs, alpha, beta)
-    return pi_form(rs, signs, alpha, beta)
-
-
 def _prepare_case(rs, signs, alpha, beta, rho, phi: FormKind):
-    """What verify_case_identity decides before any arithmetic: (angle
-    class, sub-case, config, form, [(int coeff, xi power, target form)])."""
+    """What verify_case_identity decides before any arithmetic: (angle class,
+    sub-case, config, rho's root number, form, _ledger_target's targets)."""
     square = square_of_pair(rs, alpha, beta)
     cls = classify_root_vs_square(rs, rho, square)
+    a, b, r = (rs.root_index(x) for x in (alpha, beta, rho))
+    mate = None if cls.index is None else rs.root_index(square.member(-cls.index))
     if phi is FormKind.PI2 and cls.kind is SquareAngle.IN_SQUARE:
         # The pi/2 form is square-keyed up to sign; root it at rho's pair.
-        alpha, beta = rho, _diff(square.sigma, rho)
-    subcase, targets = _ledger_target(rs, signs, phi, alpha, beta, rho, cls.kind, square)
-    form = _build_form(rs, signs, phi, alpha, beta)
-    config = {
-        "alpha": list(alpha),
-        "beta": list(beta),
-        "rho": list(rho),
-        "phi": phi.value,
-    }
-    return cls.kind.value, subcase, config, form, targets
+        a, b = r, mate
+    subcase, targets = _ledger_target(rs, signs, phi, a, b, r, cls.kind, mate)
+    config = dict(alpha=list(rs.roots[a]), beta=list(rs.roots[b]), rho=list(rho), phi=phi.value)
+    return cls.kind.value, subcase, config, r, (phi, a, b), targets
+
+
+def _ledger_arrays(rs, signs, cases):
+    """What batch.ledger_block reads for the cases (rho's root number, form,
+    [(coeff, power, target form)]), from form_monomials: (rho, (case, a, b,
+    c), (case, power, a, b, coeff * c)), and per case None or the
+    RuntimeError naming the first of its forms whose pair is in no square."""
+    # Each case's own form, marked by power -1, then its target forms.
+    rows = [
+        (x, coeff, power, *g)
+        for x, (_, form, targets) in enumerate(cases)
+        for coeff, power, g in ((1, -1, form), *targets)
+    ]
+    owner, weight, power, kinds, ii, jj = zip(*rows)
+    missing, (key, c) = form_monomials(rs, signs, [_KINDS.index(k) for k in kinds], ii, jj)
+    f, ab = np.divmod(key, rs.dim_v**2)
+    a, b = np.divmod(ab, rs.dim_v)
+    errors = [None] * len(cases)
+    for x in np.flatnonzero(missing)[::-1].tolist():
+        errors[owner[x]] = RuntimeError(_no_square(rs.roots[ii[x]], rs.roots[jj[x]]))
+    case, weight, power = (np.array(x, dtype=np.int64)[f] for x in (owner, weight, power))
+    own = power < 0
+    rho = np.array([r for r, _, _ in cases], dtype=np.int64)
+    target = (case[~own], power[~own], a[~own], b[~own], weight[~own] * c[~own])
+    return rho, (case[own], a[own], b[own], c[own]), target, errors
+
+
+def _poly_residuals(rs, signs, cases):
+    """Per case as in _ledger_arrays, one at a time: f(x_rho(xi) v) - f(v) -
+    sum coeff xi^power g(v) over PolynomialRing, v generic, or the error."""
+    rho, form, target, errors = _ledger_arrays(rs, signs, cases)
+    ring = PolynomialRing()
+    xi = ring.variable("xi")
+    v = generic_vector(rs, ring)
+    for x, error in enumerate(errors):
+        w = apply_elementary(rs, signs, Elementary(rs.roots[rho[x]], xi), v).coords
+        total = ring.zero
+        for _, i, j, c in zip(*(col[form[0] == x].tolist() for col in form)):
+            total = total + c * (w[i] * w[j] - v.coords[i] * v.coords[j])
+        for _, power, i, j, c in zip(*(col[target[0] == x].tolist() for col in target)):
+            total = total - c * xi**power * v.coords[i] * v.coords[j]
+        yield error or total
 
 
 def verify_case_identity(
@@ -316,16 +330,10 @@ def verify_case_identity(
     residual attached instead of returning a failed result.  This is the
     Poly reference for case_identities, which the suite runs.
     """
-    angle, subcase, config, form, targets = _prepare_case(rs, signs, alpha, beta, rho, phi)
-    ring = PolynomialRing()
-    xi = ring.variable("xi")
-    v = generic_vector(rs, ring)
-    w = apply_elementary(rs, signs, Elementary(rho, xi), v)
-    delta = evaluate_form(form, w) - evaluate_form(form, v)
-    target = ring.zero
-    for coeff, power, tform in targets:
-        target = target + ring.from_int(coeff) * xi**power * evaluate_form(tform, v)
-    residual = delta - target
+    angle, subcase, config, *case = _prepare_case(rs, signs, alpha, beta, rho, phi)
+    (residual,) = _poly_residuals(rs, signs, [case])
+    if isinstance(residual, RuntimeError):
+        raise residual
     if residual.is_zero():
         return CaseResult(True, angle, phi.value, subcase, config)
     if strict:
@@ -334,25 +342,16 @@ def verify_case_identity(
 
 
 def _ledger_residuals(rs, signs, cases) -> list:
-    """Per case (rho, form, [(coeff, power, target form)]): the nonzero
-    terms (degree, p, q, coef) of f(x_rho(xi) v) - f(v) - sum coeff
-    xi^power g(v), from batch.ledger_block."""
+    """Per case as in _ledger_arrays: the nonzero terms (degree, p, q, coef)
+    of f(x_rho(xi) v) - f(v) - sum coeff xi^power g(v), from
+    batch.ledger_block, or the RuntimeError."""
     if not cases:
         return []
-    rho = np.array([rs.root_index(r) for r, _, _ in cases], dtype=np.int64)
-    mono = [(i,) + m for i, (_, form, _) in enumerate(cases) for m in form.monomials]
-    tgt = [
-        (i, power, a, b, coeff * c)
-        for i, (_, _, targets) in enumerate(cases)
-        for coeff, power, tform in targets
-        for a, b, c in tform.monomials
-    ]
-    form = np.array(mono, dtype=np.int64).reshape(-1, 4).T
-    target = np.array(tgt, dtype=np.int64).reshape(-1, 5).T
-    case, *terms = batch.ledger_block(rs, signs, rho, tuple(form), tuple(target))
+    rho, form, target, errors = _ledger_arrays(rs, signs, cases)
+    case, *terms = batch.ledger_block(rs, signs, rho, form, target)
     bounds = np.searchsorted(case, np.arange(len(cases) + 1)).tolist()
     terms = list(zip(*(t.tolist() for t in terms)))
-    return [terms[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return [error or terms[lo:hi] for error, lo, hi in zip(errors, bounds, bounds[1:])]
 
 
 def _residual_text(rs, terms) -> str:
@@ -371,15 +370,17 @@ def case_identities(rs: RootSystem, signs: SignTable, phi: FormKind, configs) ->
     results, prepared = [], []
     for alpha, beta, rho in configs:
         try:
-            prepared.append((len(results), rho, *_prepare_case(rs, signs, alpha, beta, rho, phi)))
+            prepared.append((len(results), *_prepare_case(rs, signs, alpha, beta, rho, phi)))
+            results.append(None)
         except RuntimeError as exc:
             results.append(exc)
-            continue
-        results.append(None)
-    residuals = _ledger_residuals(rs, signs, [(rho, form, t) for _, rho, *_, form, t in prepared])
-    for (i, _, angle, subcase, config, _, _), terms in zip(prepared, residuals):
-        residual = _residual_text(rs, terms) if terms else None
-        results[i] = CaseResult(not terms, angle, phi.value, subcase, config, residual)
+    residuals = _ledger_residuals(rs, signs, [case[-3:] for case in prepared])
+    for (i, angle, subcase, config, *_), terms in zip(prepared, residuals):
+        if isinstance(terms, RuntimeError):
+            results[i] = terms
+        else:
+            residual = _residual_text(rs, terms) if terms else None
+            results[i] = CaseResult(not terms, angle, phi.value, subcase, config, residual)
     return results
 
 
@@ -397,27 +398,23 @@ _MOVED = "a form moved under a root orthogonal to the square"
 _NO_EPSILON = "no epsilon makes the commutator match"
 
 
-def _square_forms(rs, signs, square):
-    """The forms attached to a square, built one at a time, in the order
-    the fixes-square check reads them."""
-    for a, b in square.pairs:
-        yield pi2_form(rs, signs, a, b)
-        yield two_pi3_form(rs, signs, a, b)
-        yield two_pi3_form(rs, signs, b, a)
-        yield pi_form(rs, signs, a, b)
+def _square_forms(rs, square):
+    """The forms attached to a square, named as in _ledger_target, in the
+    order the fixes-square check reads them."""
+    PI2, TWO_PI3, PI = FormKind
+    ij = [map(rs.root_index, pair) for pair in square.pairs]
+    return [f for i, j in ij for f in ((PI2, i, j), (TWO_PI3, i, j), (TWO_PI3, j, i), (PI, i, j))]
 
 
-def _verify_square_fixed(rs, signs, rho, square) -> bool:
-    """For rho orthogonal to every member: x_rho(xi) must leave every form
-    attached to the square unchanged, identically in xi and v."""
-    ring = PolynomialRing()
-    xi = ring.variable("xi")
-    v = generic_vector(rs, ring)
-    w = apply_elementary(rs, signs, Elementary(rho, xi), v)
-    for form in _square_forms(rs, signs, square):
-        if not (evaluate_form(form, w) - evaluate_form(form, v)).is_zero():
-            return False
-    return True
+def _square_verdict(config, moved):
+    """The fixes-square result from whether each form of _square_forms moved,
+    in order; a RuntimeError ends the list, the result unless a form moved."""
+    for m in moved:
+        if isinstance(m, RuntimeError):
+            return m
+        if m:
+            return CommutatorResult(False, config, mode="fixes-square", detail=_MOVED)
+    return CommutatorResult(True, config, mode="fixes-square")
 
 
 def _reduction_plan(rs, rho, square):
@@ -453,7 +450,7 @@ def _reduction_plan(rs, rho, square):
                 break
         if chosen is None:
             return config, CommutatorResult(False, config, detail="no member at angle pi/3 found")
-        a = _diff(rho, chosen)  # rho - beta_{-1}
+        a = tuple(x - y for x, y in zip(rho, chosen))  # rho - beta_{-1}
         b = chosen
         expected = (SquareAngle.TWO_THIRDS, SquareAngle.IN_SQUARE)
     else:
@@ -483,17 +480,24 @@ def verify_commutator_reduction(
     generic vector, symbolically in xi.
 
     One sub-case of class pi/2 has no such decomposition: rho orthogonal to
-    every member of the square (occurs in D_6 and E_7, never in D_5, E_6 or
-    E_8).  There x_rho(xi) provably fixes everything the square's forms
-    touch, which is verified directly instead (mode "fixes-square").  This
-    is the Poly reference for commutator_reductions, which the suite runs.
+    every member of the square (occurs on D_l for l >= 6 and on E_7, never
+    on D_5, E_6 or E_8).  There x_rho(xi) provably fixes everything the
+    square's forms touch, which is verified directly instead (mode
+    "fixes-square").  This is the Poly reference for commutator_reductions,
+    which the suite runs.
     """
     config, plan = _reduction_plan(rs, rho, square)
     if isinstance(plan, CommutatorResult):
         return plan
     if plan is None:
-        ok = _verify_square_fixed(rs, signs, rho, square)
-        return CommutatorResult(ok, config, mode="fixes-square", detail=None if ok else _MOVED)
+        # x_rho(xi) must leave every form of the square unchanged.
+        cases = [(rs.root_index(rho), form, []) for form in _square_forms(rs, square)]
+        residuals = _poly_residuals(rs, signs, cases)
+        moved = (x if isinstance(x, RuntimeError) else not x.is_zero() for x in residuals)
+        result = _square_verdict(config, moved)
+        if isinstance(result, RuntimeError):
+            raise result
+        return result
     a, b, factor_classes = plan
     ring = PolynomialRing()
     xi = ring.variable("xi")
@@ -527,15 +531,7 @@ def commutator_reductions(rs: RootSystem, signs: SignTable, configs) -> list:
             results.append(exc)
             continue
         if plan is None:
-            # Build the forms in order, as _verify_square_fixed reads them;
-            # a builder that raises ends the list.
-            forms, error = [], None
-            try:
-                for form in _square_forms(rs, signs, square):
-                    forms.append(form)
-            except RuntimeError as exc:
-                error = exc
-            fixed.append((len(results), config, rho, forms, error))
+            fixed.append((len(results), config, rs.root_index(rho), _square_forms(rs, square)))
         elif not isinstance(plan, CommutatorResult):
             a, b, classes = plan
             positions = [rs.root_index(r) for r in (rho, a, b)]
@@ -556,18 +552,11 @@ def commutator_reductions(rs: RootSystem, signs: SignTable, configs) -> list:
             else:
                 results[i] = CommutatorResult(False, config, detail=_NO_EPSILON)
 
-    residuals = _ledger_residuals(
-        rs, signs, [(rho, form, []) for _, _, rho, forms, _ in fixed for form in forms]
+    residuals = iter(
+        _ledger_residuals(rs, signs, [(rho, g, []) for _, _, rho, forms in fixed for g in forms])
     )
-    lo = 0
-    for i, config, _, forms, error in fixed:
-        ok = not any(residuals[lo : lo + len(forms)])
-        lo += len(forms)
-        if ok and error is not None:
-            results[i] = error
-        else:
-            detail = None if ok else _MOVED
-            results[i] = CommutatorResult(ok, config, mode="fixes-square", detail=detail)
+    for i, config, _, forms in fixed:
+        results[i] = _square_verdict(config, [next(residuals) for _ in forms])
     return results
 
 
@@ -741,7 +730,7 @@ def _class_pattern_ok(rs, rho, square, cls) -> bool:
             for i, pd in enumerate(pairs_d)
         )
     if cls.kind is SquareAngle.PERP:
-        # A root may be orthogonal to every member (happens in D_6 and E_7),
+        # A root may be orthogonal to every member (on D_l, l >= 6, and E_7),
         # so only the existence of a doubly-orthogonal pair is required.
         return (
             d_sigma == 0

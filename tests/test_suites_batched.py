@@ -27,7 +27,8 @@ from adjoint_quadrics import (
     sign_column,
     square_of_pair,
 )
-from adjoint_quadrics import batch
+import adjoint_quadrics
+from adjoint_quadrics import batch, equations
 from adjoint_quadrics.batch import (
     Tables,
     a3_block,
@@ -37,7 +38,7 @@ from adjoint_quadrics.batch import (
     position_block,
     sign_column_block,
 )
-from adjoint_quadrics.equations import _other_members
+from adjoint_quadrics.equations import FormKind, _other_members
 from adjoint_quadrics import verify
 from adjoint_quadrics.squares import _ANGLE_BY_DOT2
 from adjoint_quadrics.verify import (
@@ -518,11 +519,91 @@ LEDGER_PINNED = {
 
 
 @pytest.mark.parametrize("name, seed, samples", sorted(LEDGER_PINNED, key=str))
-def test_ledger_reports_pinned(system, name, seed, samples):
+def test_ledger_reports_pinned(monkeypatch, system, name, seed, samples):
+    # The suites take their forms from the generation kernels, so they give
+    # the pinned reports with the per-form builders unusable.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite called a per-form builder")
+
+    for builder in ("pi2_form", "pi2_form_for_square", "two_pi3_form", "pi_form"):
+        for module in (equations, adjoint_quadrics, verify):
+            monkeypatch.setattr(module, builder, refuse, raising=module is not verify)
     rs, signs = system(name)
     reports = [suite_cases(rs, signs, seed, samples), suite_commutator(rs, signs, seed, samples)]
     assert all(r.ok for r in reports)
     assert _digest(reports) == LEDGER_PINNED[name, seed, samples]
+
+
+def _perpendicular_configs(rs):
+    """(root, square) for every root orthogonal to every member of a
+    square, from the Gram matrix and the square index."""
+    index, zero = rs._square_index, rs._gram == 0
+    return [
+        (r, s)
+        for s in range(len(rs.squares))
+        for r in np.flatnonzero(zero[:, index.members[index.start[s] :][: index.size[s]]].all(1))
+    ]
+
+
+def _ledger_forms(rs, signs, seed, samples):
+    """Every form the cases suite reads at (seed, samples), and every form
+    the fixes-square check can read, each named by its kind and the root
+    numbers of its pair."""
+    forms = []
+    for entry in LEDGER_ENTRIES:
+        angle, phi, subcase = entry
+        rng = _rng_for(seed, f"cases/{angle}/{phi.value}/{subcase}")
+        for _ in range(samples):
+            alpha, beta, rho = sample_case_config(rs, rng, entry)
+            *_, form, targets = verify._prepare_case(rs, signs, alpha, beta, rho, phi)
+            forms += [form] + [g for _, _, g in targets]
+    for s in sorted({s for _, s in _perpendicular_configs(rs)}):
+        forms += verify._square_forms(rs, rs.squares[s])
+    return forms
+
+
+@pytest.mark.parametrize("name", ["D5", "D7", "E7"])
+def test_ledger_forms_are_the_generated_forms(system, eqset_for, name):
+    # What the cases and commutator suites certify is what check evaluates:
+    # each form they read equals the generated set's form for its kind and
+    # key, a pi/2 form up to the sign of the pair it is rooted at.
+    rs, signs = system(name)
+    eqset = eqset_for(name)
+    forms = _ledger_forms(rs, signs, seed=0, samples=100)
+    # Each form as the own form of a case of its own, as ledger_block reads it.
+    _, (case, *monomials), _, errors = verify._ledger_arrays(
+        rs, signs, [(0, form, []) for form in forms]
+    )
+    assert errors == [None] * len(forms)
+    order = np.argsort(case, kind="stable")
+    bounds = np.searchsorted(case[order], np.arange(len(forms) + 1)).tolist()
+    got = list(zip(*(m[order].tolist() for m in monomials)))
+    kinds = set()
+    for (kind, i, j), lo, hi in zip(forms, bounds, bounds[1:]):
+        if kind is FormKind.PI2:
+            key = rs.squares[rs._square_index.square_of[i, j]].sigma
+        elif kind is FormKind.TWO_PI3:
+            key = (rs.roots[i], rs.roots[j])
+        else:
+            key = (rs.roots[min(i, j)], rs.roots[max(i, j)])
+        want = eqset.form_for(kind, key).monomials
+        flipped = tuple((a, b, -c) for a, b, c in want)
+        assert tuple(got[lo:hi]) in ((want, flipped) if kind is FormKind.PI2 else (want,))
+        kinds.add(kind)
+    assert kinds == set(FormKind)
+
+
+def test_roots_orthogonal_to_a_square_are_checked_where_they_occur(system):
+    # Roots orthogonal to every member of a square occur on D_l from l = 6
+    # on and on E_7; the commutator suite's fixes-square route must meet
+    # them exactly there.
+    counts = {}
+    for name in ("D5", "D6", "D7", "E6", "E7", "E8"):
+        rs, signs = system(name)
+        counts[name] = len(_perpendicular_configs(rs))
+        report = suite_commutator(rs, signs, seed=0)
+        assert (sum(c["fixes_square"] for c in report.checks) > 0) == (counts[name] > 0)
+    assert counts == {"D5": 0, "D6": 960, "D7": 6720, "E6": 0, "E7": 1512, "E8": 0}
 
 
 def _same_case_results(rs, signs, per_entry, seed):
@@ -593,42 +674,43 @@ def test_commutator_reductions_match_poly(system, name):
     assert (("fixes-square", None) in modes) == (name == "E7")
 
 
-# The failing checks (name, attempted, passed) and report digests the Poly
-# evaluation gave on _flip_one_sign's tables.  The form builders follow one
-# description each, so a flipped sign reaches the ledger arithmetic as a
-# residual instead of stopping a builder.
+# The failing checks (name, attempted, passed) and report digests on
+# _flip_one_sign's tables, which the batched checks and the Poly evaluation
+# give alike on the forms from the generation kernels.  On these tables the
+# kernels' square descriptions and the per-form builders' companion-set
+# descriptions give different forms, so the entries differ from the ones
+# the builders' forms gave; a flipped sign still reaches the ledger
+# arithmetic as a residual.
 LEDGER_FLIPPED = {
     ("D5", 0, None): (
         [
-            ("0/pi/2/re-rooted", 100, 93),
-            ("0/2pi/3/j=1", 100, 91),
-            ("0/2pi/3/j=-1", 100, 97),
-            ("0/2pi/3/j!=+-1", 100, 94),
-            ("0/pi/j=1", 100, 92),
-            ("0/pi/j=-1", 100, 95),
+            ("0/pi/2/re-rooted", 100, 98),
+            ("0/2pi/3/j=1", 100, 94),
+            ("0/2pi/3/j=-1", 100, 98),
+            ("0/2pi/3/j!=+-1", 100, 96),
+            ("0/pi/j=1", 100, 93),
+            ("0/pi/j=-1", 100, 96),
             ("0/pi/j!=+-1", 100, 94),
-            ("pi/2pi/3/j=-1", 100, 92),
-            ("pi/2pi/3/j!=+-1", 100, 99),
-            ("pi/pi/j=1", 100, 94),
-            ("pi/pi/j=-1", 100, 97),
-            ("pi/pi/j!=+-1", 100, 97),
-            ("2pi/3/2pi/3/(b1,rho)=0", 100, 96),
-            ("2pi/3/pi/(b1,rho)=-1", 100, 93),
-            ("2pi/3/pi/(b1,rho)=0", 100, 97),
+            ("pi/2pi/3/j=-1", 100, 94),
+            ("pi/pi/j=1", 100, 96),
+            ("pi/pi/j=-1", 100, 95),
+            ("2pi/3/pi/(b1,rho)=-1", 100, 95),
+            ("2pi/3/pi/(b1,rho)=0", 100, 98),
             ("class-pi/2", 119, 100),
             ("class-pi/3", 118, 100),
         ],
-        "7a3431cd48023e6ba3f77fd398f0af38d39877aebcb264a40bc15d8671caa844",
+        "310d2e9e1092d1d8fcd2f18dca8a6aa64714955f830d6e217cc3efa78d3d8174",
     ),
     ("E7", 3, 20): (
         [
+            ("0/2pi/3/j=1", 20, 19),
+            ("0/2pi/3/j!=+-1", 20, 19),
             ("0/pi/j=1", 20, 19),
-            ("0/pi/j!=+-1", 20, 19),
-            ("pi/2pi/3/j=-1", 20, 19),
+            ("pi/2pi/3/j=-1", 20, 18),
             ("class-pi/2", 23, 21),
             ("class-pi/3", 21, 20),
         ],
-        "a80dbb23d7cd787132580c2e328108df791aa7a378e5610f56ffa6053cc4421b",
+        "f9c2de118b6c03d6697f3b8c7c391951eb564af300c92de17090ad848431a449",
     ),
 }
 
