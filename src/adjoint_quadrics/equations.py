@@ -30,11 +30,13 @@ agree are verification checks (combinatorics companion-sets for the
 monomials, jacobi triangle and negation for the 2pi/3 signs, jacobi
 orthogonal-quadruple for the pi/2 coefficients).
 
-An `EquationSet` holds the per-form kinds and keys, the flattened
-monomial arrays and an index from (kind, key) to position, and nothing
-else: a `QuadraticForm` is built from the
-arrays only when it is read (`forms[i]`, `form_for`, JSON output, a
-failing check's witness).  Checks over Z and Z/m read the arrays alone.
+An `EquationSet` holds its root system and arrays, and no Python object
+per form: each form's kind code and integer name (its square's number,
+or i * n_roots + j for the roots i and j of its pair), the names sorted
+for lookup, and the flattened monomial arrays.  A `QuadraticForm` is
+built from them only when it is read (`forms[i]`, `form_for`, JSON
+output, a failing check's witness), its key from the root system.
+Checks over Z and Z/m read the arrays alone.
 
 `EquationSet.check_vector` decides over Z and Z/m exactly, on one path
 through the compiled arrays.  Z/m coordinates are first lifted to
@@ -69,9 +71,9 @@ across threads.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
-import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -264,58 +266,84 @@ def evaluate_form(form: QuadraticForm, v: AdjointVector):
 _KINDS = tuple(FormKind)
 
 
+def _name(rs: RootSystem, kind: FormKind, key) -> int:
+    """EquationSet's name for the form of that kind and key: the number of
+    the square with sum key, or i * n_roots + j for key = (root i, root j).
+    KeyError when the key names no square or no pair of roots."""
+    try:
+        if kind is not FormKind.PI2:
+            alpha, beta = key
+            return rs.index[tuple(alpha)] * rs.n_roots + rs.index[tuple(beta)]
+        s = bisect.bisect_left(rs.squares, tuple(key), key=lambda sq: sq.sigma)
+        if rs.squares[s].sigma == tuple(key):
+            return s
+    except (TypeError, ValueError, IndexError):
+        pass
+    raise KeyError((kind, key))
+
+
 class EquationSet:
     """All forms for one system, indexed by (kind, key), in canonical order.
 
-    A set is stored as its per-form kind codes, its keys and the flattened
-    monomial arrays, all fixed at construction: the generator passes the
-    arrays it built, and a set built from forms flattens them once here.
-    `forms` builds each QuadraticForm on request from the arrays, so the
+    A set holds its root system, each form's kind code and integer name
+    (see _name) and the flattened monomial arrays, all fixed at
+    construction: the generator passes the arrays it built, and a set built
+    from forms flattens them once here.  `form_for` finds a key by binary
+    search in the sorted (kind, name) codes, and `forms` builds each
+    QuadraticForm on request, its key read from the root system, so the
     same form read twice is equal but not identical.  Nothing is filled in
     later, so a set can be shared across threads.
     """
 
-    def __init__(self, system: SystemId, forms=(), *, _parts=None):
-        """The set of `forms`; the generator passes `_parts` = (kind codes
-        into _KINDS as int8, keys, _Compiled) instead."""
+    def __init__(self, rs: RootSystem, forms=(), *, _parts=None):
+        """The set of `forms`, keys known to _name and none twice; the
+        generator passes `_parts` = (int8 codes into _KINDS, names, _Compiled)."""
         if _parts is None:
             forms = tuple(forms)
             codes = np.array([_KINDS.index(f.kind) for f in forms], dtype=np.int8)
-            _parts = codes, tuple(f.key for f in forms), _Compiled.from_forms(forms)
-        self.system = system
-        self._kinds, self._keys, self._compiled = _parts
-        # One key -> position dict per kind code: on E8 it takes about 17 ms
-        # to build, one dict keyed by (kind code, key) tuples 29 ms.
-        self._index = []
-        for k in range(len(_KINDS)):
-            mask = self._kinds == k
-            keys = itertools.compress(self._keys, mask.tolist())
-            self._index.append(dict(zip(keys, np.flatnonzero(mask).tolist())))
+            names = np.array([_name(rs, f.kind, f.key) for f in forms], dtype=np.int64)
+            _parts = codes, names, _Compiled.from_forms(forms)
+        self.rs = rs
+        self.system = rs.system
+        self._kinds, self._names, self._compiled = _parts
+        code = self._kinds.astype(np.int64) * rs.n_roots**2 + self._names
+        self._order = np.argsort(code, kind="stable")
+        self._sorted = code[self._order]
+        if np.any(self._sorted[1:] == self._sorted[:-1]):
+            raise ValueError("a form's kind and key occur twice in one set")
 
     @property
     def forms(self) -> "_Forms":
         return _Forms(self)
 
     def _form(self, i: int) -> QuadraticForm:
-        c = self._compiled
+        c, rs = self._compiled, self.rs
         s = slice(c.offsets[i], c.offsets[i + 1])
         monos = tuple(zip(c.ia[s].tolist(), c.ib[s].tolist(), c.c[s].tolist()))
-        return QuadraticForm(self.system, _KINDS[self._kinds[i]], self._keys[i], monos)
+        kind, name = _KINDS[self._kinds[i]], int(self._names[i])
+        if kind is FormKind.PI2:
+            key = rs.squares[name].sigma
+        else:
+            key = tuple(rs.roots[x] for x in divmod(name, rs.n_roots))
+        return QuadraticForm(self.system, kind, key, monos)
 
     def counts(self) -> dict[str, int]:
         n = np.bincount(self._kinds, minlength=len(_KINDS)).tolist()
         return {k.value: c for k, c in zip(_KINDS, n)}
 
     def form_for(self, kind: FormKind, key: tuple) -> QuadraticForm:
-        return self._form(self._index[_KINDS.index(kind)][key])
+        """The form of that kind and key; KeyError if the set has none."""
+        code = _KINDS.index(kind) * self.rs.n_roots**2 + _name(self.rs, kind, key)
+        pos = int(np.searchsorted(self._sorted, code))
+        if pos == len(self._sorted) or self._sorted[pos] != code:
+            raise KeyError((kind, key))
+        return self._form(int(self._order[pos]))
 
     def of_kind(self, kind: FormKind) -> "EquationSet":
         """The forms of one kind, in order, as a set of their own."""
         rows = np.flatnonzero(self._kinds == _KINDS.index(kind))
-        keys = tuple(self._keys[i] for i in rows.tolist())
-        return EquationSet(
-            self.system, _parts=(self._kinds[rows], keys, self._compiled.take(rows))
-        )
+        parts = self._kinds[rows], self._names[rows], self._compiled.take(rows)
+        return EquationSet(self.rs, _parts=parts)
 
     def compiled(self) -> "_Compiled":
         return self._compiled
@@ -428,19 +456,9 @@ class _Compiled:
 
     @classmethod
     def from_forms(cls, forms) -> "_Compiled":
-        ia, ib, cs, offsets = [], [], [], [0]
-        for f in forms:
-            for a, b, c in f.monomials:
-                ia.append(a)
-                ib.append(b)
-                cs.append(c)
-            offsets.append(len(ia))
-        return cls(
-            np.array(ia, dtype=np.int64),
-            np.array(ib, dtype=np.int64),
-            np.array(cs, dtype=np.int64),
-            np.array(offsets, dtype=np.int64),
-        )
+        monos = np.array([m for f in forms for m in f.monomials], dtype=np.int64).reshape(-1, 3)
+        offsets = np.cumsum([0] + [len(f.monomials) for f in forms], dtype=np.int64)
+        return cls(*(np.ascontiguousarray(column) for column in monos.T), offsets)
 
     def take(self, rows: np.ndarray) -> "_Compiled":
         """The arrays of the forms `rows`, in that order."""
@@ -610,12 +628,29 @@ def _crt(residues, primes) -> np.ndarray:
 
 
 # Bulk generation holds a family's monomials as two parallel arrays: the
-# sort key (form * dim + a) * dim + b with a <= b, and the coefficient.
-# Key order is the canonical monomial order within and across forms.
-# Pairs become monomials a block at a time: that keeps the temporaries
-# small next to the finished set (an E8 block's pair x root mask is
-# 0.25 MB).
+# sort key of _pack and the coefficient.  Pairs become monomials a block
+# at a time: that keeps the temporaries small next to the finished set (an
+# E8 block's pair x root mask is 0.25 MB).
 _PAIR_BLOCK = 1024
+
+
+def _pack(form, a, b, dim: int) -> np.ndarray:
+    """The keys (form << 2w) | (a << w) | b, w = dim.bit_length(), of the
+    monomials v_a v_b, a <= b < dim, of forms `form`.  They sort like
+    (form * dim + a) * dim + b, the canonical monomial order."""
+    w = dim.bit_length()
+    return form.astype(np.int64) << 2 * w | a << w | b
+
+
+def _unpack(key, dim: int):
+    """(form, a, b) of _pack's keys; form is `key`, shifted in place, which
+    spares E8 generation an 8 MB array at its peak."""
+    w = dim.bit_length()
+    b = key & (1 << w) - 1
+    key >>= w
+    a = key & (1 << w) - 1
+    key >>= w
+    return key, a, b
 
 
 def _sort_keys(key, c):
@@ -632,12 +667,7 @@ def _monomials(form, a, b, c, dim: int):
     """Sorted (key, c) of the monomials c v_a v_b of form `form` with c != 0."""
     keep = c != 0
     a, b = a[keep], b[keep]
-    key = form[keep].astype(np.int64)
-    key *= dim
-    key += np.minimum(a, b)
-    key *= dim
-    key += np.maximum(a, b)
-    return _sort_keys(key, c[keep])
+    return _sort_keys(_pack(form[keep], np.minimum(a, b), np.maximum(a, b), dim), c[keep])
 
 
 def _merge(x, y):
@@ -655,10 +685,10 @@ def _other_members(index, ii, jj):
     return p[keep], m[keep]
 
 
-def _pi2_monomials(ii, jj, rs: RootSystem, signs: SignTable):
-    """The pi/2 form rooted at each pair (ii[p], jj[p]): that of its square,
-    v_a v_b - sum N_{a,-g} N_{b,-d} v_g v_d with (a, b) the first pair,
-    times the sign of v_ii v_jj in it."""
+def _pi2_monomials(f, ii, jj, rs: RootSystem, signs: SignTable):
+    """The pi/2 form rooted at each pair (ii[p], jj[p]), numbered f[p] as in
+    every kernel: that of its square, v_a v_b - sum N_{a,-g} N_{b,-d} v_g v_d
+    with (a, b) the first pair, times the sign of v_ii v_jj in it."""
     neg, t, index = rs._neg, signs._table, rs._square_index
     s = index.square_of[ii, jj]
     p, pos, m = index.member_rows(s)
@@ -669,23 +699,23 @@ def _pi2_monomials(ii, jj, rs: RootSystem, signs: SignTable):
     root = (g == ii[form]) | (d == ii[form])
     sign = np.zeros(len(ii), dtype=c.dtype)
     sign[form[root]] = c[root]
-    return _monomials(form, g, d, c * sign[form], rs.dim_v)
+    return _monomials(f[form], g, d, c * sign[form], rs.dim_v)
 
 
-def _two_pi3_monomials(ii, jj, rs: RootSystem, signs: SignTable):
+def _two_pi3_monomials(f, ii, jj, rs: RootSystem, signs: SignTable):
     """The 2pi/3 form of each ordered pair (alpha, beta) = (ii[p], jj[p])."""
     neg, t, dim = rs._neg, signs._table, rs.dim_v
     # N_{alpha,-m} v_{alpha-m} v_m over the other square members m.
     p, m = _other_members(rs._square_index, ii, jj)
     a, neg_m = ii[p], neg[m]
-    members = _monomials(p, rs._sum_idx[a, neg_m], m, t[a, neg_m], dim)
+    members = _monomials(f[p], rs._sum_idx[a, neg_m], m, t[a, neg_m], dim)
     # Zero weights: -v_alpha * sum_s <beta, alpha_s> v_s.
     c = -rs._pairings[jj]
     p, s = np.nonzero(c)
-    return _merge(members, _monomials(p, ii[p], rs.n_roots + s, c[p, s], dim))
+    return _merge(members, _monomials(f[p], ii[p], rs.n_roots + s, c[p, s], dim))
 
 
-def _pi_monomials(ii, jj, rs: RootSystem):
+def _pi_monomials(f, ii, jj, rs: RootSystem):
     """The pi form of each unordered pair (alpha, beta) = (ii[p], jj[p])."""
     neg, n, dim = rs._neg, rs.n_roots, rs.dim_v
     # v_{alpha-m} v_{m-alpha} - v_m v_{-m} over the other square members m.
@@ -693,14 +723,14 @@ def _pi_monomials(ii, jj, rs: RootSystem):
     g = np.concatenate([rs._sum_idx[ii[p], neg[m]], m])
     c = np.ones(len(g), np.int8)
     c[len(m) :] = -1
-    members = _monomials(np.concatenate([p, p]), g, neg[g], c, dim)
+    members = _monomials(f[np.concatenate([p, p])], g, neg[g], c, dim)
     # Zero weights: -(sum_s <alpha, alpha_s> v_s)(sum_t <beta, alpha_t> v_t),
     # one monomial per s <= t.
     pa, pb = rs._pairings[ii], rs._pairings[jj]
     s, u = np.triu_indices(rs.rank)
     c = -(pa[:, s] * pb[:, u] + np.where(s == u, 0, pa[:, u] * pb[:, s]))
     p, q = np.nonzero(c)
-    return _merge(members, _monomials(p, n + s[q], n + u[q], c[p, q], dim))
+    return _merge(members, _monomials(f[p], n + s[q], n + u[q], c[p, q], dim))
 
 
 def form_monomials(rs: RootSystem, signs: SignTable, codes, ii, jj):
@@ -708,18 +738,17 @@ def form_monomials(rs: RootSystem, signs: SignTable, codes, ii, jj):
     block of pairs at a time: the pi/2 form rooted at the pair, the 2pi/3
     form of the ordered and the pi form of the unordered pair.  Returns
     (missing, (key, c)): the pairs in no square, which get no form, and the
-    monomials keyed (f * dim + a) * dim + b, in key order within a kind."""
+    monomials with _pack's keys of form f, in key order within a kind."""
     codes, ii, jj = np.asarray(codes), np.asarray(ii, np.int64), np.asarray(jj, np.int64)
     missing = rs._square_index.square_of[ii, jj] < 0
-    area = rs.dim_v**2
     kernels = ((_pi2_monomials, signs), (_two_pi3_monomials, signs), (_pi_monomials,))
     keys, cs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for code, (kernel, *args) in enumerate(kernels):
         forms = np.flatnonzero((codes == code) & ~missing)
         for lo in range(0, len(forms), _PAIR_BLOCK):
             f = forms[lo : lo + _PAIR_BLOCK]
-            key, c = kernel(ii[f], jj[f], rs, *args)
-            keys.append(f[key // area] * area + key % area)
+            key, c = kernel(f, ii[f], jj[f], rs, *args)
+            keys.append(key)
             cs.append(c)
     return missing, (np.concatenate(keys), np.concatenate(cs).astype(np.int64, copy=False))
 
@@ -730,19 +759,15 @@ def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     ii, jj = np.nonzero(rs._gram == 0)
     upper = ii < jj
     index = rs._square_index
-    root = rs.roots.__getitem__
-    pair_keys = list(zip(map(root, ii.tolist()), map(root, jj.tolist())))
-    keys = [sq.sigma for sq in rs.squares] + pair_keys
-    keys += itertools.compress(pair_keys, upper.tolist())
+    pairs = ii * rs.n_roots + jj
+    names = np.concatenate([np.arange(len(rs.squares)), pairs, pairs[upper]])
     codes = np.repeat(np.arange(3, dtype=np.int8), [len(rs.squares), len(ii), upper.sum()])
     ii = np.concatenate([index.members[index.start], ii, ii[upper]])
     jj = np.concatenate([index.members[index.start + 1], jj, jj[upper]])
     _, (key, c) = form_monomials(rs, signs, codes, ii, jj)
-    area = rs.dim_v**2
-    offsets = np.searchsorted(key, np.arange(len(keys) + 1) * area)
-    ia, ib = np.divmod(key % area, rs.dim_v)
-    del key
-    return EquationSet(rs.system, _parts=(codes, tuple(keys), _Compiled(ia, ib, c, offsets)))
+    form, ia, ib = _unpack(key, rs.dim_v)
+    offsets = np.searchsorted(form, np.arange(len(names) + 1))
+    return EquationSet(rs, _parts=(codes, names, _Compiled(ia, ib, c, offsets)))
 
 
 def eqset_from_json(rs: RootSystem, doc) -> EquationSet:
@@ -763,4 +788,4 @@ def eqset_from_json(rs: RootSystem, doc) -> EquationSet:
             )
         )
         forms.append(QuadraticForm(rs.system, kind, key, monos))
-    return EquationSet(rs.system, tuple(forms))
+    return EquationSet(rs, forms)

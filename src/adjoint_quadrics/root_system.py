@@ -253,6 +253,18 @@ def _positive_roots(cartan: np.ndarray) -> list[Root]:
     return sorted(found)
 
 
+def _find_rows(table: np.ndarray, rows) -> np.ndarray:
+    """The position of each of `rows` among the rows of the int64 `table`,
+    or -1 where it is none.  Rows are compared as whole byte strings, so
+    the lookup is exact whatever the size of the coefficients or the rank."""
+    row = np.dtype((np.void, table.itemsize * table.shape[1]))
+    keys = np.ascontiguousarray(table).view(row).ravel()
+    queries = np.ascontiguousarray(rows, dtype=table.dtype).view(row).ravel()
+    order = np.argsort(keys)
+    pos = order[np.minimum(np.searchsorted(keys, queries, sorter=order), len(keys) - 1)]
+    return np.where(keys[pos] == queries, pos, -1)
+
+
 class RootSystem:
     """Closed root set with exact doubled inner products and weight indexing.
 
@@ -290,16 +302,14 @@ class RootSystem:
         self._gram = r_mat @ self.cartan @ r_mat.T
         # Row i, column s: the Cartan pairing <root_i, alpha_s>.
         self._pairings = r_mat @ self.cartan
-        self._neg = np.array(
-            [self.index[tuple(-x for x in r)] for r in self.roots], dtype=np.int64
-        )
+        self._neg = _find_rows(r_mat, -r_mat)
         # Sum table: index of root_i + root_j, or -1.  Sums are roots exactly
         # where the doubled product is -1.
         sum_idx = np.full((self.n_roots, self.n_roots), -1, dtype=np.int64)
         ii, jj = np.nonzero(self._gram == -1)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            s = tuple(a + b for a, b in zip(self.roots[i], self.roots[j]))
-            sum_idx[i, j] = self.index[s]
+        sum_idx[ii, jj] = _find_rows(r_mat, r_mat[ii] + r_mat[jj])
+        if np.any(sum_idx[ii, jj] < 0):
+            raise RuntimeError(f"{system}: a sum at doubled product -1 is not a root")
         self._sum_idx = sum_idx
         # Rank of each root in lexicographic order (canonical order is by
         # height first).
@@ -384,15 +394,10 @@ class RootSystem:
         # and under negation, and all roots must have unit length.
         if not np.all(np.diag(self._gram) == 2):
             raise RuntimeError(f"{self.system}: non-unit root generated")
-        for i, r in enumerate(self.roots):
-            for s in range(self.rank):
-                c = int(self._pairings[i, s])
-                refl = list(r)
-                refl[s] -= c
-                if tuple(refl) not in self.index:
-                    raise RuntimeError(
-                        f"{self.system}: root set not closed under reflection"
-                    )
+        # Row (i, s): root i reflected in alpha_s.
+        refl = self._coeffs[:, None] - self._pairings[:, :, None] * np.eye(self.rank, dtype=int)
+        if np.any(_find_rows(self._coeffs, refl.reshape(-1, self.rank)) < 0):
+            raise RuntimeError(f"{self.system}: root set not closed under reflection")
 
     # -- basic queries ----------------------------------------------------
 

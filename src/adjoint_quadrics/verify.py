@@ -69,6 +69,7 @@ from .equations import (
     _KINDS,
     EquationSet,
     FormKind,
+    _unpack,
     form_monomials,
     generate_all_equations,
 )
@@ -286,8 +287,7 @@ def _ledger_arrays(rs, signs, cases):
     ]
     owner, weight, power, kinds, ii, jj = zip(*rows)
     missing, (key, c) = form_monomials(rs, signs, [_KINDS.index(k) for k in kinds], ii, jj)
-    f, ab = np.divmod(key, rs.dim_v**2)
-    a, b = np.divmod(ab, rs.dim_v)
+    f, a, b = _unpack(key, rs.dim_v)
     errors = [None] * len(cases)
     for x in np.flatnonzero(missing)[::-1].tolist():
         errors[owner[x]] = RuntimeError(_no_square(rs.roots[ii[x]], rs.roots[jj[x]]))

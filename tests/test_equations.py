@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import random
@@ -460,6 +461,57 @@ def test_of_kind_keeps_forms_in_order(eqset_for):
         assert part.form_for(kind, f.key) == f
 
 
+def test_repeated_form_rejected(eqset_for, system):
+    # form_for could name only one of two forms with the same kind and key,
+    # while `forms` would list both, so a set refuses the second.
+    rs, _ = system("D5")
+    forms = eqset_for("D5").forms
+    EquationSet(rs, (forms[0], forms[5]))
+    f = forms[100]
+    again = QuadraticForm(rs.system, f.kind, f.key, ((0, 1, 1),))
+    for repeated in ((forms[0], forms[5], forms[0]), (f, again)):
+        with pytest.raises(ValueError, match="twice"):
+            EquationSet(rs, repeated)
+
+
+def test_form_for_misses(eqset_for, system):
+    # Keys that name no form of their kind raise KeyError, on the whole set
+    # and on the part of that kind.
+    rs, _ = system("D5")
+    eqset = eqset_for("D5")
+    i, j = map(int, np.argwhere(np.triu(rs._gram == 0, 1))[0])
+    k = int(np.flatnonzero(rs._gram[i] == 1)[0])
+    alpha, beta = rs.roots[i], rs.roots[j]
+    sigma = tuple(2 * x for x in rs.squares[-1].sigma)
+    assert sigma not in {sq.sigma for sq in rs.squares}
+    misses = [
+        (FormKind.TWO_PI3, (alpha, rs.roots[k])),
+        (FormKind.PI, (alpha, tuple(2 * x for x in beta))),
+        (FormKind.PI2, sigma),
+        (FormKind.PI2, (alpha, beta)),
+        (FormKind.PI, (beta, alpha)),
+    ]
+    for kind, key in misses:
+        for part in (eqset, eqset.of_kind(kind)):
+            with pytest.raises(KeyError):
+                part.form_for(kind, key)
+    assert eqset.of_kind(FormKind.PI).form_for(FormKind.PI, (alpha, beta)).key == (alpha, beta)
+    assert eqset.form_for(FormKind.TWO_PI3, (beta, alpha)).key == (beta, alpha)
+
+
+def test_e8_set_holds_no_per_form_objects(system):
+    # A set keeps its forms' kinds, names and monomials in arrays: after a
+    # warm-up, a fresh E8 set holds fewer small Python objects than a tenth
+    # of its forms (one tuple key per form held about 78,000).
+    rs, signs = system("E8")
+    generate_all_equations(rs, signs)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    eqset = generate_all_equations(rs, signs)
+    gc.collect()
+    assert sys.getallocatedblocks() - before < len(eqset.forms) // 10
+
+
 def test_json_round_trip_byte_identical(eqset_for, system):
     rs, _ = system("D5")
     eqset = eqset_for("D5")
@@ -563,7 +615,7 @@ def test_generated_arrays_pinned_and_equal_to_flattened_forms(system, eqset_for,
     eqset = eqset_for(name)
     compiled = eqset.compiled()
     arrays = (compiled.ia, compiled.ib, compiled.c, compiled.offsets)
-    flat = EquationSet(rs.system, eqset.forms).compiled()
+    flat = EquationSet(rs, eqset.forms).compiled()
     for got, want in zip(arrays, (flat.ia, flat.ib, flat.c, flat.offsets)):
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
@@ -728,12 +780,14 @@ def test_oversized_coefficients_rejected(system):
     # Residue sums stay exact in int64 only while a form's sum of |c| is
     # below 2^32, so a set past that is refused at construction.
     rs, _ = system("D5")
-    ok = QuadraticForm(rs.system, FormKind.PI, ((), ()), ((0, 1, 2**31 - 1), (0, 2, 2**31)))
-    EquationSet(rs.system, (ok,))
+    i, j = map(int, np.argwhere(rs._gram == 0)[0])
+    pair = rs.roots[i], rs.roots[j]
+    ok = QuadraticForm(rs.system, FormKind.PI, pair, ((0, 1, 2**31 - 1), (0, 2, 2**31)))
+    EquationSet(rs, (ok,))
     for c in (2**32, -(2**63)):
-        form = QuadraticForm(rs.system, FormKind.PI, ((), ()), ((0, 1, c),))
+        form = QuadraticForm(rs.system, FormKind.PI, pair, ((0, 1, c),))
         with pytest.raises(ValueError, match="2\\^32"):
-            EquationSet(rs.system, (form,))
+            EquationSet(rs, (form,))
 
 
 # The rings of the route-agreement test: (modulus, coordinate draw, whether

@@ -10,6 +10,7 @@ from adjoint_quadrics import (
     build_root_system,
     cartan_matrix,
 )
+from adjoint_quadrics.root_system import _find_rows
 
 EXPECTED = {
     # name: (roots, dim_v, k)
@@ -155,3 +156,30 @@ def test_reflection_closure(system):
             refl = list(r)
             refl[s - 1] -= c
             assert rs.is_root(tuple(refl))
+
+
+@pytest.mark.parametrize("name", ["D5", "D7", "E6", "E7", "E8", "D19"])
+def test_sum_table_matches_tuple_sums(name):
+    # The sum table is filled by one lookup of coefficient rows.  The
+    # reference adds the coefficient tuples of every pair at doubled product
+    # -1 and finds the sum in the root index.  From D19 up a base-11 code of
+    # the coefficient vectors overflows int64, so the lookup must not rest
+    # on such a code.
+    rs = build_root_system(name)
+    want = np.full((rs.n_roots, rs.n_roots), -1)
+    for i, j in zip(*np.nonzero(rs._gram == -1)):
+        s = tuple(a + b for a, b in zip(rs.roots[i], rs.roots[j]))
+        want[i, j] = rs.index[s]
+    assert np.array_equal(rs._sum_idx, want)
+    assert (11**rs.rank > np.iinfo(np.int64).max) == (name == "D19")
+
+
+def test_row_lookup_reports_misses(system):
+    # A row that is not in the table, such as a sum of two roots at doubled
+    # product 2 or 0, is found at -1; the root system raises on such a sum
+    # at product -1.
+    rs, _ = system("D5")
+    r = rs._coeffs
+    i, j = map(int, np.argwhere(rs._gram == 0)[0])
+    rows = np.array([r[3], 2 * r[3], r[i] + r[j], r[-1]])
+    assert _find_rows(r, rows).tolist() == [3, -1, -1, rs.n_roots - 1]
