@@ -38,18 +38,21 @@ built from them only when it is read (`forms[i]`, `form_for`, JSON
 output, a failing check's witness), its key from the root system.
 Checks over Z and Z/m read the arrays alone.
 
-`EquationSet.check_vector` decides over Z and Z/m exactly, on one path
-through the compiled arrays.  Z/m coordinates are first lifted to
-[0, m).  Every value is at most B = S * max|x|^2 in size, where S is the
-largest sum of |c| over one form, fixed at construction.  If B < 2^62
-(and m < 2^62), one int64 pass gives every value exactly, reduced mod m
-for Z/m.  Otherwise the set is evaluated modulo as many primes below
-2^31 as it takes for their product to exceed 2B.  Over Z a value is
-zero iff all its residues are, and only the witness is rebuilt by the
-Chinese remainder theorem.  Over Z/m every value is rebuilt from Garner's
-mixed-radix digits (found in int64) and reduced mod m: for m < 2^31 the
-digits of value + B are summed mod m in int64, for larger m as Python
-ints.
+`EquationSet.check_vector` decides over Z and Z/m exactly, through the
+compiled arrays.  Z/m coordinates are first lifted to [0, m).  Every
+value is at most B = S * max|x|^2 in size, where S is the largest sum of
+|c| over one form, fixed at construction.  int64 products and sums wrap
+around, so one int64 pass gives every value modulo 2^64.  The route
+follows from B and m alone.  If B < 2^63 (and m < 2^63), that one pass
+gives every value exactly, reduced mod m for Z/m.  Otherwise, over Z/m
+with m < 2^31, one pass of residues modulo m itself is exact: a product
+of two residues fits in int64, and so does a form's sum.  Otherwise the
+int64 pass is joined by residue passes modulo as many primes below 2^31
+as it takes for 2^64 times their product to exceed 2B.  Over Z a value is
+zero iff all its residues are, and only the witness is lifted: value + B
+is its residue mod 2^64 plus 2^64 times Garner's mixed-radix digits over
+the primes (found in int64), summed as Python ints.  Over Z/m every value
+is lifted so and reduced mod m.
 Other rings, such as the polynomial ring, evaluate the forms one at a
 time through `evaluate_form`.
 
@@ -59,11 +62,11 @@ a check evaluates only the monomials that the support reaches and takes
 every other form to be 0.  The compiled arrays carry an index for this:
 the monomial numbers sorted by a, as int32, with each coordinate's start
 (4 MB on E8).  The candidates of a check are the index entries under its
-support coordinates.  With P the number of passes the check makes (1 on
-the one-pass route, else the number of primes), the check gathers the
-candidates, keeps those whose b is in the support too and evaluates
-them alone on every pass exactly when candidates * 6 < P * (monomials in
-the set); otherwise it walks the whole set.  Both walks give every form
+support coordinates.  With P the number of passes the check makes (1,
+or 1 plus the number of primes), the check gathers the candidates, keeps
+those whose b is in the support too and evaluates them alone on every
+pass exactly when candidates * 6 < P * (monomials in the set);
+otherwise it walks the whole set.  Both walks give every form
 the same value.  The index is built with the arrays at construction and
 never written afterwards, so a set stays immutable and safe to share
 across threads.
@@ -87,33 +90,37 @@ from .root_system import Root, RootSystem, SystemId
 from .signs import SignTable
 from .squares import InvalidPairError, MaximalSquare, square_of_pair
 
-# One int64 pass is exact when S * max|x|^2, which bounds every product
-# and partial sum, is below this.
-_ONE_PASS_BOUND = 1 << 62
-# Residue arithmetic runs modulo primes below 2^31, so a product of two
+# int64 products and sums wrap around, so one int64 pass gives every value
+# modulo 2^64 (_WRAP), and exactly while S * max|x|^2 is below 2^63.
+_WRAP = 1 << 64
+# Residue arithmetic runs modulo numbers below 2^31, so a product of two
 # residues fits in int64; a form's sum of residue products times
 # coefficients does too while the form's sum of |c| is below 2^32.
 _PRIME_LIMIT = 1 << 31
 _MAX_WEIGHT = 1 << 32
 # Bulk evaluation runs over slices of about this many monomials, so each
-# temporary is 128 KB, which the allocator reuses call after call.  Larger
-# ones are handed back to the OS when freed and page-faulted in again on
-# the next call, or not, depending on the allocator's history in the
-# process: 8 MB whole-set temporaries on E8, and 512 KB slices (2^16
-# monomials) on D7, which took about 640 minor faults per check.  Smaller
-# slices (2^12) cost E8 checks about 15% in loop overhead.
+# temporary is 128 KB.  That is exactly glibc's default mmap threshold, so
+# whether a slice is reused or mmapped and page-faulted in again on every
+# call depends on the allocator's history in the process (31 minor faults
+# per D7 check were seen).  Larger slices fault more: 8 MB whole-set
+# temporaries on E8, and 512 KB slices (2^16 monomials) on D7, which took
+# about 640 minor faults per check.  Capping the slices below the threshold
+# did not make the faults go away.  Smaller slices (2^12) cost E8 checks
+# about 15% in loop overhead.
 _EVAL_SLICE = 1 << 14
 # A check evaluates only the monomials that its vector's support reaches
 # while their candidates, the index entries of the support coordinates,
 # are fewer than passes / _RESTRICT_SHARE of the set.  Gathering costs
 # several int64 passes' worth per candidate, but it is paid once, however
-# many residue passes follow.  Both routes were timed on every check of
-# the benchmark streams (seed 1: 384 E8, 1,027 E7 and 576 D7 checks, 2
-# vCPUs).  The restricted route first lost at candidate shares of 0.13 to
-# 0.15 on one int64 pass (E7, E8) and of 0.27 on 3 or 4 residue passes
-# (D7).  With this constant the checks took 1-2% longer in total than
-# with the faster route picked for each (2-3% on seed 2); with a cut at
-# a share of 1/4 regardless of passes, 12% (E7) to 40% (D7) longer.
+# many passes follow.  Both routes were timed on every check of the
+# benchmark streams (seeds 1 and 2: 384 E8, 1,200 E7 and 576 D7 checks
+# each, 2 vCPUs).  The restricted route first lost at candidate shares of
+# 0.10 to 0.15 on one int64 pass (E7, E8), 0.16 to 0.18 on one residue
+# pass modulo m (D7, where a residue pass costs about two int64 passes),
+# 0.32 on the 2^64 pass and a prime and 0.52 to 0.56 with two primes.
+# With this constant the checks took 1.6-2.4% (E7), 1.7-2.0% (E8) and 7%
+# (D7) longer in total than with the faster route picked for each; with 5,
+# 3.1-3.4% (D7) but 4.4-8.7% (E8); with 4, 1.6-2.4% (D7) but 14-21% (E8).
 _RESTRICT_SHARE = 6
 
 
@@ -516,61 +523,57 @@ class _Compiled:
             values[out] = np.add.reduceat(products(a, b, c), starts)
         return values
 
-    def _values_numpy(self, varr: np.ndarray, walk) -> np.ndarray:
-        return self._sums(lambda a, b, c: c * varr[a] * varr[b], walk)
-
-    def _residues(self, xs, p: int, walk) -> np.ndarray:
-        """The walk's form values modulo the prime p < 2^31, in [0, p)."""
-        r = np.array([x % p for x in xs], dtype=np.int64)
-        return self._sums(lambda a, b, c: r[a] * r[b] % p * c, walk) % p
+    def _pass(self, xs, q: int, walk) -> np.ndarray:
+        """The walk's form values modulo q: _WRAP for the wrapping int64 pass,
+        whose values are int64, or q < 2^31 for residues in [0, q)."""
+        if q == _WRAP:
+            try:
+                v = np.array(xs, dtype=np.int64)
+            except OverflowError:
+                v = np.array([x & _WRAP - 1 for x in xs], dtype=np.uint64).view(np.int64)
+            return self._sums(lambda a, b, c: c * v[a] * v[b], walk)
+        r = np.array([x % q for x in xs], dtype=np.int64)
+        return self._sums(lambda a, b, c: r[a] * r[b] % q * c, walk) % q
 
     def _bound(self, xs) -> int:
         return max((abs(x) for x in xs), default=0) ** 2 * self.weight
 
-    def _exact(self, xs, modulus: int | None = None):
-        """(bound, primes) for exact evaluation at the integer coordinates
-        xs: every value is at most bound in size, and primes is empty when
-        one int64 pass is exact (reduced mod the modulus, if any)."""
+    def _route(self, xs, modulus: int | None = None):
+        """(bound, moduli) for exact evaluation at the integer coordinates xs,
+        in [0, modulus) over Z/modulus: every value is at most bound in size,
+        and the check makes one _pass modulo each of moduli.  [_WRAP] alone
+        is exact, [modulus] is exact mod the modulus, and [_WRAP, primes...]
+        is read through _lift."""
         bound = self._bound(xs)
-        # One pass is exact below 2^62, and the modulus must fit in int64 to
-        # reduce by it.
-        if max(bound, modulus or 0) < _ONE_PASS_BOUND:
-            return bound, []
-        return bound, _primes_above(2 * bound)
-
-    def _values_mod(self, xs, m: int, walk, bound: int, primes) -> np.ndarray:
-        """The walk's form values modulo m, in [0, m), at coordinates xs
-        already in [0, m), with _exact's bound and primes."""
-        if not primes:
-            return self._values_numpy(np.array(xs, dtype=np.int64), walk) % m
-        residues = [self._residues(xs, p, walk) for p in primes]
-        if m >= _PRIME_LIMIT:
-            return _crt(residues, primes) % m
-        # value + bound is in [0, 2 bound], below the product of the primes,
-        # so its mixed-radix digits give it mod m in int64, uncentred.
-        shifted = [(r + bound % p) % p for r, p in zip(residues, primes)]
-        return (_mixed_radix_mod(_garner(shifted, primes), primes, m) - bound % m) % m
+        # int64 must hold the exact values, and the modulus to reduce by it.
+        if max(bound, modulus or 0) < _WRAP >> 1:
+            return bound, [_WRAP]
+        if modulus is not None and modulus < _PRIME_LIMIT:
+            return bound, [modulus]
+        return bound, [_WRAP] + _primes_above(2 * bound // _WRAP)
 
     def first_nonzero(self, coords, modulus: int | None = None):
         """(index, value) of the first form that does not vanish at the
         integer coordinates, or (None, None).  With a modulus the forms are
         read over Z/modulus and the value is a residue in [0, modulus)."""
         xs = coords if modulus is None else [x % modulus for x in coords]
-        bound, primes = self._exact(xs, modulus)
-        walk = self._walk(xs, max(len(primes), 1))
+        bound, moduli = self._route(xs, modulus)
+        walk = self._walk(xs, len(moduli))
         forms = walk[0]
-        if modulus is not None:
-            values = self._values_mod(xs, modulus, walk, bound, primes)
-        elif not primes:
-            values = self._values_numpy(np.array(xs, dtype=np.int64), walk)
+        passes = [self._pass(xs, q, walk) for q in moduli]
+        if len(moduli) == 1:
+            # The exact values, or their residues if the pass was mod m.
+            values = passes[0] if modulus in (None, moduli[0]) else passes[0] % modulus
+        elif modulus is not None:
+            values = _lift(passes, moduli[1:], bound) % modulus
         else:
-            # |value| <= bound < product / 2, so a value is zero iff every
-            # residue is; only the witness is recovered in full.
-            residues = [self._residues(xs, p, walk) for p in primes]
-            nz = np.flatnonzero(np.logical_or.reduce([r != 0 for r in residues]))
+            # A value is zero iff all its residues are, since 2^64 times the
+            # product of the primes exceeds 2 bound; only the witness is
+            # lifted.
+            nz = np.flatnonzero(np.logical_or.reduce([r != 0 for r in passes]))
             if len(nz) == 0:
                 return None, None
-            return int(forms[nz[0]]), int(_crt([r[nz[:1]] for r in residues], primes)[0])
+            return int(forms[nz[0]]), int(_lift([r[nz[:1]] for r in passes], moduli[1:], bound)[0])
         nz = np.flatnonzero(values)
         if len(nz) == 0:
             return None, None
@@ -595,36 +598,29 @@ def _primes_above(bound: int) -> list[int]:
     return primes
 
 
-def _mixed_radix_mod(digits, primes, m: int):
-    """(d_0 + d_1 p_0 + d_2 p_0 p_1 + ...) mod m < 2^31 elementwise, by
-    Horner's rule in int64: each step's product stays below 2^62."""
-    acc = 0
-    for d, q in zip(digits[::-1], primes[: len(digits)][::-1]):
-        acc = (acc * q + d) % m
-    return acc
-
-
-def _garner(residues, primes) -> list[np.ndarray]:
-    """Garner's mixed-radix digits d_j in [0, p_j) of the integers x in
-    [0, M), M the product of the primes, with the given residues
-    elementwise: x = d_0 + d_1 p_0 + d_2 p_0 p_1 + ..., found in int64."""
+def _lift(passes, primes, bound: int) -> np.ndarray:
+    """The integers in [-bound, bound] that are passes[0] (int64) modulo 2^64
+    and passes[1:] modulo the primes, elementwise, as Python ints in an
+    object array; 2^64 times the product of the primes must exceed 2 bound.
+    value + bound = d + 2^64 (g_0 + g_1 p_0 + g_2 p_0 p_1 + ...), with d its
+    residue mod 2^64 and Garner's digits g_j in [0, p_j) found in int64."""
+    d = passes[0].view(np.uint64) + np.uint64(bound % _WRAP)
     digits = []
-    for j, (r, p) in enumerate(zip(residues, primes)):
-        inv = pow(math.prod(primes[:j]), -1, p)
-        digits.append((r - _mixed_radix_mod(digits, primes, p)) % p * inv % p)
-    return digits
-
-
-def _crt(residues, primes) -> np.ndarray:
-    """The integers in (-M/2, M/2], M the product of the primes, with the
-    given residues elementwise, as Python ints in an object array: the
-    Garner digits are summed in Python ints."""
-    digits = _garner(residues, primes)
-    values = digits[-1].astype(object)
-    for d, q in zip(digits[-2::-1], primes[-2::-1]):
-        values = values * q + d
-    product = math.prod(primes)
-    return np.where(values > product // 2, values - product, values)
+    for j, (r, p) in enumerate(zip(passes[1:], primes)):
+        # The digits so far, d + 2^64 (g_0 + ... + g_{j-1} p_0 ... p_{j-2}),
+        # mod p by Horner's rule: each product stays below 2^62.
+        known = 0
+        for g, q in zip(digits[::-1], primes[:j][::-1]):
+            known = (known * q + g) % p
+        known = (known * (_WRAP % p) + (d % np.uint64(p)).astype(np.int64)) % p
+        inv = pow(_WRAP * math.prod(primes[:j]), -1, p)
+        digits.append((r + bound % p - known) % p * inv % p)
+    values = d.astype(object) - bound
+    scale = _WRAP
+    for g, p in zip(digits, primes):
+        values += g.astype(object) * scale
+        scale *= p
+    return values
 
 
 # Bulk generation holds a family's monomials as two parallel arrays: the

@@ -2,6 +2,7 @@ import copy
 import gc
 import hashlib
 import json
+import math
 import random
 import sys
 import threading
@@ -242,26 +243,38 @@ def test_mod2_drops_even_coefficients(system):
     assert found
 
 
+def _route_name(compiled, coords, modulus=None):
+    """The route first_nonzero takes at the integer coordinates: "int64"
+    for the one exact int64 pass, "mod m" for one residue pass modulo the
+    modulus, "2^64 + primes" for the wrapping pass and prime residues."""
+    xs = coords if modulus is None else [x % modulus for x in coords]
+    moduli = compiled._route(xs, modulus)[1]
+    if len(moduli) > 1:
+        return "2^64 + primes"
+    return "int64" if moduli == [equations._WRAP] else "mod m"
+
+
 def _route_values(compiled, coords, modulus=None, route=None):
     """Every form's value at the integer coordinates, over Z or Z/modulus,
     as Python ints, through the "whole" set walk, the "restricted" walk
-    over the monomials of the support, or the walk first_nonzero takes.
-    Over Z past one int64 pass the residues are rebuilt by the Chinese
-    remainder theorem."""
+    over the monomials of the support, or the walk first_nonzero takes, on
+    the passes of _route_name's route.  On "2^64 + primes" every value is
+    lifted, over Z too."""
     xs = coords if modulus is None else [x % modulus for x in coords]
-    bound, primes = compiled._exact(xs, modulus)
+    bound, moduli = compiled._route(xs, modulus)
     if route == "whole":
         walk = compiled._whole
     elif route == "restricted":
         walk = compiled._gather(compiled._support(xs))
     else:
-        walk = compiled._walk(xs, max(len(primes), 1))
-    if modulus is not None:
-        values = compiled._values_mod(xs, modulus, walk, bound, primes)
-    elif not primes:
-        values = compiled._values_numpy(np.array(xs, dtype=np.int64), walk)
+        walk = compiled._walk(xs, len(moduli))
+    passes = [compiled._pass(xs, q, walk) for q in moduli]
+    if len(moduli) > 1:
+        values = equations._lift(passes, moduli[1:], bound)
     else:
-        values = equations._crt([compiled._residues(xs, p, walk) for p in primes], primes)
+        values = passes[0]
+    if modulus is not None:
+        values = values % modulus
     full = [0] * compiled.n_forms
     for f, x in zip(walk[0], values.tolist()):
         full[f] = x
@@ -305,8 +318,13 @@ def test_compiled_big_integer_fallback(eqset_for, system):
     off.coords[rs.n_roots] = -big
     # Squares fit in int64 here, but a form's sum of |c| times them does not.
     level = AdjointVector(rs, ring, [3 << 29] * rs.dim_v)
-    for w in (v, off, level):
-        assert compiled._bound(w.coords) >= 1 << 62
+    # On the support {a, b} of a monomial every form's value is 2^64 times
+    # the sum of its coefficients of v_a v_b, v_a^2 and v_b^2: 0 mod 2^64,
+    # so only the prime tells the failing forms.
+    wrap = AdjointVector(rs, ring, [0] * rs.dim_v)
+    wrap.coords[compiled.ia[0]] = wrap.coords[compiled.ib[0]] = 1 << 32
+    for w in (v, off, level, wrap):
+        assert compiled._bound(w.coords) >= 1 << 63
         direct = [(i, x) for i, f in enumerate(eqset.forms) if (x := evaluate_form(f, w)) != 0]
         if not direct:
             assert compiled.first_nonzero(w.coords) == (None, None)
@@ -315,10 +333,12 @@ def test_compiled_big_integer_fallback(eqset_for, system):
         idx, value = compiled.first_nonzero(w.coords)
         assert (idx, value) == direct[0]
         assert abs(value) >= 1 << 62
+        assert w is not wrap or value % (1 << 64) == 0
         f = eqset.forms[idx]
         witness = {"kind": f.kind.value, "key": f.key_json(), "value": str(value)}
         assert eqset.check_vector(w) == (False, witness)
     assert eqset.check_vector(v)[0] and not eqset.check_vector(off)[0]
+    assert not eqset.check_vector(wrap)[0]
 
 
 def _direct_check(eqset, v):
@@ -354,24 +374,89 @@ def test_unreduced_zmod_coordinates_are_lifted(eqset_for, system):
 
 @pytest.mark.parametrize("m", [2**31 - 1, 2**31 - 2, 2**31])
 def test_moduli_near_2_31_match_evaluate_form(eqset_for, system, m):
-    # Coordinates near m need several primes.  Below 2^31 the values are
-    # rebuilt mod m in int64; 2^31 - 1 is also the first prime, so only the
-    # composite 2^31 - 2 shows a missing shift by the bound.
+    # Coordinates near m put the bound past 2^63.  Below 2^31 one residue
+    # pass modulo m gives the values; 2^31 - 1 is also the first prime, so
+    # only the composite 2^31 - 2 shows a pass modulo the wrong number.
+    # From 2^31 on they are lifted from the 2^64 pass and a prime.
     rs, signs = system("D5")
     eqset = eqset_for("D5")
     compiled = eqset.compiled()
     ring = IntegersMod(m)
     rng = random.Random(m)
     word = Word(tuple(Elementary(rng.choice(rs.roots), rng.randrange(m)) for _ in range(4)))
+    # Negated, the point still satisfies every form (they are quadratic),
+    # and it has a coordinate m - 1.
     v = apply_word(rs, signs, word, basis_vector(rs, ring, rs.roots[5]))
+    v = AdjointVector(rs, ring, [-x % m for x in v.coords])
     off = v.copy()
     off.coords[rs.n_roots + 2] = rng.randrange(m)
     for w in (v, off):
-        assert len(equations._primes_above(2 * compiled._bound(w.coords))) >= 2
+        assert _route_name(compiled, w.coords, m) == ("mod m" if m < 2**31 else "2^64 + primes")
         values = _route_values(compiled, w.coords, m)
         assert values == [evaluate_form(f, w) for f in eqset.forms]
         assert eqset.check_vector(w) == _direct_check(eqset, w)
     assert eqset.check_vector(v) == (True, None) and not eqset.check_vector(off)[0]
+
+
+@pytest.mark.parametrize("m", [None, 2**31 - 1], ids=["Z", "Z/(2^31-1)"])
+def test_bounds_near_2_63_match_evaluate_form(eqset_for, system, m):
+    # The wrapping int64 pass is exact while the bound is below 2^63, so
+    # bounds just past 2^62 and just below 2^63 take it alone, and one just
+    # past 2^63 the residue pass modulo m or the 2^64 pass and a prime.
+    # Every coordinate is 0 or +-x (x over Z/m), so the bound is S * x^2,
+    # and dense vectors have values near it in size.
+    rs, _ = system("D5")
+    eqset = eqset_for("D5")
+    compiled = eqset.compiled()
+    ring = IntegerRing() if m is None else IntegersMod(m)
+    rng = random.Random(63)
+    past = "2^64 + primes" if m is None else "mod m"
+    for target, up, route in ((1 << 62, 1, "int64"), (1 << 63, 0, "int64"), (1 << 63, 1, past)):
+        x = math.isqrt(target // compiled.weight) + up
+        assert (compiled._bound([x]) < target) == (up == 0)
+        assert abs(compiled._bound([x]) - target) < target >> 20
+        cone = [0] * rs.dim_v
+        cone[5] = x
+        off = cone.copy()
+        off[rs.n_roots] = x
+        dense = [rng.choice((x, -x) if m is None else (x, 0)) for _ in range(rs.dim_v)]
+        for coords in (cone, off, dense):
+            w = AdjointVector(rs, ring, coords)
+            assert _route_name(compiled, coords, m) == route
+            values = _route_values(compiled, coords, m)
+            assert values == [evaluate_form(f, w) for f in eqset.forms]
+            assert eqset.check_vector(w) == _direct_check(eqset, w)
+        assert eqset.check_vector(AdjointVector(rs, ring, cone)) == (True, None)
+        assert not eqset.check_vector(AdjointVector(rs, ring, dense))[0]
+        if m is None:
+            assert max(map(abs, values)) > target >> 3
+
+
+def test_lift_is_exact_at_the_bound(system):
+    # The form v_a v_b alone has S = 1, so at v_a = x, v_b = +-x its value
+    # is +-B, the ends of the range the lift covers: B just past 2^63 (one
+    # prime), just below 2^63 p (one prime) and just past it (two primes),
+    # p the first prime.
+    rs, _ = system("D5")
+    i, j = map(int, np.argwhere(rs._gram == 0)[0])
+    form = QuadraticForm(rs.system, FormKind.PI, (rs.roots[i], rs.roots[j]), ((0, 1, 1),))
+    eqset = EquationSet(rs, (form,))
+    p = equations._prime(0)
+    for x, primes in (
+        (math.isqrt(1 << 63) + 1, 1),
+        (math.isqrt((p << 63) - 1), 1),
+        (math.isqrt(p << 63) + 1, 2),
+    ):
+        for ring in (IntegerRing(), IntegersMod(2**64 + 1)):
+            for sign in (1, -1):
+                coords = [0] * rs.dim_v
+                coords[0], coords[1] = x, sign * x
+                v = AdjointVector(rs, ring, coords)
+                moduli = eqset.compiled()._route(v.coords, getattr(ring, "modulus", None))[1]
+                assert len(moduli) == 1 + primes
+                direct = _direct_check(eqset, v)
+                assert direct[1]["value"] == ring.format(ring.from_int(sign * x * x))
+                assert eqset.check_vector(v) == direct
 
 
 def test_checks_build_only_the_witness_form(system, monkeypatch):
@@ -434,6 +519,26 @@ def test_check_vector_matches_evaluate_form(eqset_for, system, data):
     if data.draw(st.booleans(), label="perturb"):
         i = data.draw(st.integers(0, rs.dim_v - 1), label="at")
         coords[i] += data.draw(st.integers(-(10**60), 10**60), label="by")
+    w = AdjointVector(rs, ring, coords)
+    assert eqset.check_vector(w) == _direct_check(eqset, w)
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_check_vector_matches_evaluate_form_on_wide_coordinates(eqset_for, system, data):
+    # Coordinates of 0 to 130 bits on a few or all coordinates, over Z and
+    # over Z/m for m up to 2^70, reach every route and every count of
+    # primes; a single root coordinate gives a vector of the orbit cone.
+    rs, _ = system("D5")
+    eqset = eqset_for("D5")
+    edges = st.sampled_from([2**31 - 1, 2**31 + 1, 2**62, 2**64 - 1, 2**64 + 1])
+    modulus = data.draw(st.none() | edges | st.integers(2, 2**70), label="modulus")
+    ring = IntegerRing() if modulus is None else IntegersMod(modulus)
+    bits = data.draw(st.integers(0, 130), label="bits")
+    size = data.draw(st.sampled_from([1, 2, 5, rs.dim_v]), label="size")
+    coords = [0] * rs.dim_v
+    for i in data.draw(st.lists(st.integers(0, rs.dim_v - 1), max_size=size), label="at"):
+        coords[i] = data.draw(st.integers(-(2**bits), 2**bits), label="x")
     w = AdjointVector(rs, ring, coords)
     assert eqset.check_vector(w) == _direct_check(eqset, w)
 
@@ -712,7 +817,7 @@ def test_concurrent_checks_leave_set_unchanged():
     for v in vectors:
         m = getattr(v.ring, "modulus", None)
         xs = v.coords if m is None else [x % m for x in v.coords]
-        passes = max(len(compiled._exact(xs, m)[1]), 1)
+        passes = len(compiled._route(xs, m)[1])
         candidates = compiled._candidates(compiled._support(xs))
         routes.add(equations._restricted(candidates, len(compiled.c), passes))
     assert routes == {True, False}
@@ -790,16 +895,21 @@ def test_oversized_coefficients_rejected(system):
             EquationSet(rs, (form,))
 
 
-# The rings of the route-agreement test: (modulus, coordinate draw, whether
-# the check runs on residues modulo primes).  Z/6 coordinates are drawn
-# unreduced; the large moduli take the int64 Garner sum (m < 2^31) and the
-# Python-int one.
+# The rings of the route-agreement test: (modulus, coordinate draw, the
+# _route_name of each of its vectors).  The vector with no coordinate set
+# takes the int64 pass unless the modulus does not fit in int64.  Z/6
+# coordinates are drawn unreduced.  Past 2^31 the values are lifted, with
+# one prime (10^12 - 1, 2^40) or several (2^64 + 1 and 2^64, whose
+# coordinates need all 64 bits or more).
+LIFTED = {"int64", "2^64 + primes"}
 ROUTE_RINGS = {
-    "int": (None, lambda rng: rng.choice((-3, -2, -1, 1, 2, 3)), False),
-    "zmod-6": (6, lambda rng: rng.randrange(1, 6) + 6 * rng.randint(-3, 3), False),
-    "zmod-2^31-2": (2**31 - 2, lambda rng: rng.randrange(1, 2**31 - 2), True),
-    "zmod-10^12-1": (10**12 - 1, lambda rng: rng.randrange(1, 10**12 - 1), True),
-    "int-above-2^40": (None, lambda rng: rng.choice((-1, 1)) * rng.randrange(2**40, 2**41), True),
+    "int": (None, lambda rng: rng.choice((-3, -2, -1, 1, 2, 3)), {"int64"}),
+    "zmod-6": (6, lambda rng: rng.randrange(1, 6) + 6 * rng.randint(-3, 3), {"int64"}),
+    "zmod-2^31-2": (2**31 - 2, lambda rng: rng.randrange(1, 2**31 - 2), {"int64", "mod m"}),
+    "zmod-10^12-1": (10**12 - 1, lambda rng: rng.randrange(1, 10**12 - 1), LIFTED),
+    "zmod-2^64+1": (2**64 + 1, lambda rng: rng.randrange(2**63, 2**64 + 1), {"2^64 + primes"}),
+    "int-above-2^40": (None, lambda rng: rng.choice((-1, 1)) * rng.randrange(2**40, 2**41), LIFTED),
+    "int-above-2^64": (None, lambda rng: rng.choice((-1, 1)) * rng.randrange(2**64, 2**66), LIFTED),
 }
 
 
@@ -815,7 +925,7 @@ def _assert_routes_agree(eqset, rs, rng, supports, by_evaluate_form):
     """On vectors with these supports over every route ring, the restricted
     walk gives every form the value that the whole-set walk gives, and on
     the supports numbered in by_evaluate_form the value evaluate_form
-    gives.  Returns, per ring, whether some vector needed residues."""
+    gives.  Returns, per ring, the set of _route_name's routes taken."""
     compiled = eqset.compiled()
     forms = list(eqset.forms) if by_evaluate_form else []
     used = {}
@@ -825,8 +935,7 @@ def _assert_routes_agree(eqset, rs, rng, supports, by_evaluate_form):
             coords = [0] * rs.dim_v
             for a in support:
                 coords[a] = draw(rng)
-            xs = coords if m is None else [x % m for x in coords]
-            used[label] = used.get(label, False) or bool(compiled._exact(xs, m)[1])
+            used.setdefault(label, set()).add(_route_name(compiled, coords, m))
             restricted = _route_values(compiled, coords, m, "restricted")
             assert restricted == _route_values(compiled, coords, m, "whole"), (m, support)
             if i in by_evaluate_form:
@@ -845,7 +954,7 @@ def test_restricted_route_matches_whole_set_walk(system, eqset_for, name):
     # whole-set walk checks the others.
     checked = range(len(supports)) if rs.dim_v < 100 else [4]
     used = _assert_routes_agree(eqset_for(name), rs, rng, supports, checked)
-    assert used == {label: residues for label, (_, _, residues) in ROUTE_RINGS.items()}
+    assert used == {label: routes for label, (_, _, routes) in ROUTE_RINGS.items()}
     # In the 2pi/3 forms a zero weight s occurs only second, in v_alpha v_s,
     # so the index lists nothing under it.
     two_pi3 = eqset_for(name).of_kind(FormKind.TWO_PI3)
