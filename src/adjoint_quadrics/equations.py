@@ -38,21 +38,37 @@ built from them only when it is read (`forms[i]`, `form_for`, JSON
 output, a failing check's witness), its key from the root system.
 Checks over Z and Z/m read the arrays alone.
 
+The generated arrays keep the Cartan part of each 2pi/3 and pi form as
+the product written above.  Past the weight coordinates 0 to dim_v - 1
+they have one coordinate L_g = sum_s <g, alpha_s> v_s at dim_v + g for
+each root g, and the Cartan part is the one monomial -v_alpha L_beta of a
+2pi/3 form, or -L_alpha L_beta (lower root number first) of a pi form:
+786,240 monomials on E8, where the expanded forms have 1,046,304.
+`_expand` reads an L monomial as the weight monomials it stands for,
+c v_a L_g as sum_s c <g, alpha_s> v_a v_s and c L_g L_h as c times the
+product of the two sums.  A form that is read, and the forms of the
+verification ledger, go through it, so they hold weight monomials only,
+as does a set built from forms.
+
 `EquationSet.check_vector` decides over Z and Z/m exactly, through the
-compiled arrays.  Z/m coordinates are first lifted to [0, m).  Every
-value is at most B = S * max|x|^2 in size, where S is the largest sum of
-|c| over one form, fixed at construction.  int64 products and sums wrap
-around, so one int64 pass gives every value modulo 2^64.  The route
-follows from B and m alone.  If B < 2^63 (and m < 2^63), that one pass
-gives every value exactly, reduced mod m for Z/m.  Otherwise, over Z/m
-with m < 2^31, one pass of residues modulo m itself is exact: a product
-of two residues fits in int64, and so does a form's sum.  Otherwise the
-int64 pass is joined by residue passes modulo as many primes below 2^31
-as it takes for 2^64 times their product to exceed 2B.  Over Z a value is
-zero iff all its residues are, and only the witness is lifted: value + B
-is its residue mod 2^64 plus 2^64 times Garner's mixed-radix digits over
-the primes (found in int64), summed as Python ints.  Over Z/m every value
-is lifted so and reduced mod m.
+compiled arrays.  Z/m coordinates are first lifted to [0, m).  The check
+appends every L_g, computed from the Cartan coordinates so lifted, by
+one int64 matrix product while it is exact (with Python ints past that,
+and not at all when they are 0).  L is never reduced mod m, so every
+form takes the value of its weight monomials.  Every value is at most
+B = S * max|x|^2 in size, where S is the largest sum of |c| over the
+weight monomials of one form, fixed at construction.  int64 products and
+sums wrap around, so one int64 pass gives every value modulo 2^64.  The
+route follows from B and m alone.  If B < 2^63 (and m < 2^63), that one
+pass gives every value exactly, reduced mod m for Z/m.  Otherwise, over
+Z/m with m < 2^31, one pass of residues modulo m itself is exact: a
+product of two residues fits in int64, and so does a form's sum.
+Otherwise the int64 pass is joined by residue passes modulo as many
+primes below 2^31 as it takes for 2^64 times their product to exceed 2B.
+Over Z a value is zero iff all its residues are, and only the witness is
+lifted: value + B is its residue mod 2^64 plus 2^64 times Garner's
+mixed-radix digits over the primes (found in int64), summed as Python
+ints.  Over Z/m every value is lifted so and reduced mod m.
 Other rings, such as the polynomial ring, evaluate the forms one at a
 time through `evaluate_form`.
 
@@ -61,15 +77,15 @@ vector's support (its nonzero coordinates, after the lift over Z/m), so
 a check evaluates only the monomials that the support reaches and takes
 every other form to be 0.  The compiled arrays carry an index for this:
 the monomial numbers sorted by a, as int32, with each coordinate's start
-(4 MB on E8).  The candidates of a check are the index entries under its
-support coordinates.  With P the number of passes the check makes (1,
-or 1 plus the number of primes), the check gathers the candidates, keeps
-those whose b is in the support too and evaluates them alone on every
-pass exactly when candidates * 6 < P * (monomials in the set);
-otherwise it walks the whole set.  Both walks give every form
-the same value.  The index is built with the arrays at construction and
-never written afterwards, so a set stays immutable and safe to share
-across threads.
+(3 MB on E8).  The candidates of a check are the index entries under its
+support coordinates, the nonzero L coordinates among them.  With P the
+cost of the passes the check makes, 1 for the int64 pass and 2 for each
+residue pass, the check gathers the candidates, keeps those whose b is
+in the support too and evaluates them alone on every pass exactly when
+candidates * (3 + P) < P * (monomials in the set); otherwise it walks
+the whole set.  Both walks give every form the same value.  The index is
+built with the arrays at construction and never written afterwards, so a
+set stays immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -109,26 +125,32 @@ _MAX_WEIGHT = 1 << 32
 # about 15% in loop overhead.
 _EVAL_SLICE = 1 << 14
 # A check evaluates only the monomials that its vector's support reaches
-# while their candidates, the index entries of the support coordinates,
-# are fewer than passes / _RESTRICT_SHARE of the set.  Gathering costs
-# several int64 passes' worth per candidate, but it is paid once, however
-# many passes follow.  Both routes were timed on every check of the
-# benchmark streams (seeds 1 and 2: 384 E8, 1,200 E7 and 576 D7 checks
-# each, 2 vCPUs).  The restricted route first lost at candidate shares of
-# 0.10 to 0.15 on one int64 pass (E7, E8), 0.16 to 0.18 on one residue
-# pass modulo m (D7, where a residue pass costs about two int64 passes),
-# 0.32 on the 2^64 pass and a prime and 0.52 to 0.56 with two primes.
-# With this constant the checks took 1.6-2.4% (E7), 1.7-2.0% (E8) and 7%
-# (D7) longer in total than with the faster route picked for each; with 5,
-# 3.1-3.4% (D7) but 4.4-8.7% (E8); with 4, 1.6-2.4% (D7) but 14-21% (E8).
-_RESTRICT_SHARE = 6
+# while that is cheaper by this model, in int64 passes over one monomial:
+# gathering a candidate (an index entry of a support coordinate) costs
+# _GATHER_COST, and a pass costs 1, or 2 for a residue pass (the
+# per-monomial % q).  The restricted route makes its passes over at most
+# its candidates, the whole-set walk over every monomial.  Both routes were
+# timed on every check of the benchmark streams (seeds 1 and 2: 384 E8,
+# 1,200 E7 and 576 D7 checks each, best of three, two runs, 2 vCPUs).  The
+# restricted route first lost at candidate shares of 0.13 to 0.16 on one
+# int64 pass on E7 (never on E8, whose shares stay below 0.24), 0.18 to
+# 0.22 on one residue pass modulo m (D7), 0.31 to 0.35 on the 2^64 pass
+# and a prime, and never with two primes (shares up to 0.67).  With this
+# constant the checks took 0% (E8), 1.1-1.5% (E7) and 2.0-2.1% (D7) longer
+# in total than with the faster route picked for each; with a residue pass
+# costing 1, 4.7-5.4% (D7); with 2, 1.6-2.4% (E7); with 4, 2.4-2.9% (E7)
+# and 3.1-3.2% (D7).  The rule candidates * 6 < passes * monomials took
+# 2.4-3.5% (E8), 5.1-6.8% (E7) and 12.9-13.3% (D7), and it would gather every
+# monomial of a dense vector that makes 7 passes or more.
+_GATHER_COST = 3
 
 
-def _restricted(candidates: int, monomials: int, passes: int) -> bool:
+def _restricted(candidates: int, monomials: int, moduli) -> bool:
     """Whether a vector whose support coordinates list `candidates` of the
-    set's `monomials` in the index is evaluated, in `passes` passes, on the
-    monomials of its support alone."""
-    return candidates * _RESTRICT_SHARE < monomials * passes
+    set's `monomials` in the index is evaluated, in passes modulo each of
+    `moduli`, on the monomials of its support alone."""
+    passes = sum(1 if q == _WRAP else 2 for q in moduli)
+    return candidates * (_GATHER_COST + passes) < monomials * passes
 
 
 class FormKind(str, enum.Enum):
@@ -309,7 +331,7 @@ class EquationSet:
             forms = tuple(forms)
             codes = np.array([_KINDS.index(f.kind) for f in forms], dtype=np.int8)
             names = np.array([_name(rs, f.kind, f.key) for f in forms], dtype=np.int64)
-            _parts = codes, names, _Compiled.from_forms(forms)
+            _parts = codes, names, _Compiled.from_forms(forms, rs._pairings)
         self.rs = rs
         self.system = rs.system
         self._kinds, self._names, self._compiled = _parts
@@ -323,16 +345,24 @@ class EquationSet:
     def forms(self) -> "_Forms":
         return _Forms(self)
 
-    def _form(self, i: int) -> QuadraticForm:
+    def _read(self, lo: int, hi: int) -> list[QuadraticForm]:
+        """Forms lo to hi - 1, their L monomials expanded."""
         c, rs = self._compiled, self.rs
-        s = slice(c.offsets[i], c.offsets[i + 1])
-        monos = tuple(zip(c.ia[s].tolist(), c.ib[s].tolist(), c.c[s].tolist()))
-        kind, name = _KINDS[self._kinds[i]], int(self._names[i])
-        if kind is FormKind.PI2:
-            key = rs.squares[name].sigma
-        else:
-            key = tuple(rs.roots[x] for x in divmod(name, rs.n_roots))
-        return QuadraticForm(self.system, kind, key, monos)
+        offsets = c.offsets[lo : hi + 1]
+        s = slice(offsets[0], offsets[-1])
+        f = np.repeat(np.arange(hi - lo), np.diff(offsets))
+        f, a, b, coef = _expand(rs._pairings, f, c.ia[s], c.ib[s], c.c[s])
+        monos = list(zip(a.tolist(), b.tolist(), coef.tolist()))
+        ends = np.searchsorted(f, np.arange(hi - lo + 1)).tolist()
+        forms = []
+        for i, (x, y) in enumerate(zip(ends, ends[1:]), lo):
+            kind, name = _KINDS[self._kinds[i]], int(self._names[i])
+            if kind is FormKind.PI2:
+                key = rs.squares[name].sigma
+            else:
+                key = tuple(rs.roots[r] for r in divmod(name, rs.n_roots))
+            forms.append(QuadraticForm(self.system, kind, key, tuple(monos[x:y])))
+        return forms
 
     def counts(self) -> dict[str, int]:
         n = np.bincount(self._kinds, minlength=len(_KINDS)).tolist()
@@ -344,7 +374,8 @@ class EquationSet:
         pos = int(np.searchsorted(self._sorted, code))
         if pos == len(self._sorted) or self._sorted[pos] != code:
             raise KeyError((kind, key))
-        return self._form(int(self._order[pos]))
+        i = int(self._order[pos])
+        return self._read(i, i + 1)[0]
 
     def of_kind(self, kind: FormKind) -> "EquationSet":
         """The forms of one kind, in order, as a set of their own."""
@@ -376,7 +407,7 @@ class EquationSet:
                     break
         if idx is None:
             return True, None
-        f = self._form(idx)
+        (f,) = self._read(idx, idx + 1)
         return False, {"kind": f.kind.value, "key": f.key_json(), "value": ring.format(value)}
 
     def to_json_doc(self, rs: RootSystem):
@@ -404,7 +435,13 @@ class _Forms(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self))))
-        return self._eqset._form(range(len(self))[i])
+        i = range(len(self))[i]
+        return self._eqset._read(i, i + 1)[0]
+
+    def __iter__(self):
+        n = len(self)
+        for lo in range(0, n, _PAIR_BLOCK):
+            yield from self._eqset._read(lo, min(lo + _PAIR_BLOCK, n))
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, list, _Forms)):
@@ -418,8 +455,10 @@ class _Compiled:
     """Flattened monomial arrays for bulk evaluation of a whole set, and an
     index of the monomials by their first coordinate."""
 
-    def __init__(self, ia: np.ndarray, ib: np.ndarray, c: np.ndarray, offsets: np.ndarray):
-        """Form f owns monomials offsets[f]:offsets[f+1] of the int64 arrays."""
+    def __init__(self, ia, ib, c, offsets, pairings: np.ndarray):
+        """Form f owns monomials offsets[f]:offsets[f+1] of the int64 arrays,
+        over the weight coordinates and the L coordinates of the root
+        system's `pairings` (see _factored_dim)."""
         if np.any(offsets[1:] == offsets[:-1]):
             raise RuntimeError("empty form cannot be compiled")
         self.ia = ia
@@ -427,6 +466,9 @@ class _Compiled:
         self.c = c
         self.offsets = offsets
         self.n_forms = len(offsets) - 1
+        self._pairings = pairings
+        # _extend computes L in int64 while max|h| is at most this.
+        self._l_top = (_WRAP // 2 - 1) // int(np.abs(pairings).sum(1).max())
         # The whole-set walk runs over pieces of whole forms of about
         # _EVAL_SLICE monomials: (values slice, ia, ib and c of the
         # monomials as views, form starts in the piece).
@@ -452,20 +494,25 @@ class _Compiled:
         self._a_start = np.searchsorted(key, np.arange(dim + 1, dtype=key.dtype) * n)
         key %= n
         self._by_a = key.astype(np.int32, copy=False)
-        # The largest sum of |c| over one form, so every value is at most
+        # The largest sum of |c| over the weight monomials of one form, an L
+        # monomial counted as those it stands for, so every value is at most
         # weight * max|x|^2 in size.  Clipping keeps the int64 sums exact.
-        weight = self._sums(
-            lambda a, b, c: np.abs(np.clip(c, -_MAX_WEIGHT, _MAX_WEIGHT)), self._whole
-        )
+        def size(c):
+            return np.abs(np.clip(c, -_MAX_WEIGHT, _MAX_WEIGHT))
+
+        weight = self._sums(lambda a, b, c: size(c), self._whole)
+        big = np.flatnonzero(ib >= sum(pairings.shape))
+        extra = size(c[big]) * (_l_sizes(pairings, ia[big], ib[big]) - 1)
+        np.add.at(weight, np.searchsorted(offsets, big, side="right") - 1, extra)
         self.weight = max(int(weight.max(initial=0)), 1)
         if self.weight >= _MAX_WEIGHT:
             raise ValueError("a form's coefficients sum to 2^32 or more in size")
 
     @classmethod
-    def from_forms(cls, forms) -> "_Compiled":
+    def from_forms(cls, forms, pairings: np.ndarray) -> "_Compiled":
         monos = np.array([m for f in forms for m in f.monomials], dtype=np.int64).reshape(-1, 3)
         offsets = np.cumsum([0] + [len(f.monomials) for f in forms], dtype=np.int64)
-        return cls(*(np.ascontiguousarray(column) for column in monos.T), offsets)
+        return cls(*(np.ascontiguousarray(column) for column in monos.T), offsets, pairings)
 
     def take(self, rows: np.ndarray) -> "_Compiled":
         """The arrays of the forms `rows`, in that order."""
@@ -473,24 +520,42 @@ class _Compiled:
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         mono = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], sizes)
-        return _Compiled(self.ia[mono], self.ib[mono], self.c[mono], offsets)
+        return _Compiled(self.ia[mono], self.ib[mono], self.c[mono], offsets, self._pairings)
+
+    def _extend(self, xs):
+        """The integer coordinates xs followed by L_g = sum_s <g, alpha_s> h_s
+        for every root g, h the Cartan coordinates of xs, exactly: an int64
+        array when they fit, else a list of Python ints."""
+        n = len(self._pairings)
+        h = xs[n:]
+        top = max(map(abs, h), default=0)
+        if top <= self._l_top:
+            out = np.zeros(len(xs) + n, dtype=np.int64)
+            try:
+                out[: len(xs)] = xs
+            except OverflowError:
+                pass
+            else:
+                if top:
+                    np.matmul(self._pairings, out[n : len(xs)], out=out[len(xs) :])
+                return out
+        return [*xs, *(self._pairings.astype(object) @ np.array(h, dtype=object)).tolist()]
 
     def _support(self, xs) -> np.ndarray:
-        """The coordinates where xs is nonzero that some monomial reads."""
-        return np.array(
-            [i for i, x in enumerate(xs[: len(self._a_start) - 1]) if x], dtype=np.intp
-        )
+        """The coordinates where the extended coordinates xs are nonzero that
+        some monomial reads."""
+        return np.flatnonzero(np.asarray(xs[: len(self._a_start) - 1]))
 
     def _candidates(self, support: np.ndarray) -> int:
         """How many monomials the index lists under the support coordinates."""
         return int((self._a_start[support + 1] - self._a_start[support]).sum())
 
-    def _walk(self, xs, passes: int):
-        """The walk that evaluates the set at the coordinates xs in `passes`
-        passes: the restricted one of `_gather` where `_restricted` says it
-        is cheaper, else the whole-set walk."""
+    def _walk(self, xs, moduli):
+        """The walk that evaluates the set at the extended coordinates xs in
+        passes modulo each of `moduli`: the restricted one of `_gather` where
+        `_restricted` says it is cheaper, else the whole-set walk."""
         support = self._support(xs)
-        if _restricted(self._candidates(support), len(self.c), passes):
+        if _restricted(self._candidates(support), len(self.c), moduli):
             return self._gather(support)
         return self._whole
 
@@ -524,15 +589,19 @@ class _Compiled:
         return values
 
     def _pass(self, xs, q: int, walk) -> np.ndarray:
-        """The walk's form values modulo q: _WRAP for the wrapping int64 pass,
-        whose values are int64, or q < 2^31 for residues in [0, q)."""
+        """The walk's form values modulo q at the extended coordinates xs:
+        _WRAP for the wrapping int64 pass, whose values are int64, or q < 2^31
+        for residues in [0, q)."""
         if q == _WRAP:
             try:
-                v = np.array(xs, dtype=np.int64)
+                v = np.asarray(xs, dtype=np.int64)
             except OverflowError:
                 v = np.array([x & _WRAP - 1 for x in xs], dtype=np.uint64).view(np.int64)
             return self._sums(lambda a, b, c: c * v[a] * v[b], walk)
-        r = np.array([x % q for x in xs], dtype=np.int64)
+        if isinstance(xs, np.ndarray):
+            r = xs % q
+        else:
+            r = np.array([x % q for x in xs], dtype=np.int64)
         return self._sums(lambda a, b, c: r[a] * r[b] % q * c, walk) % q
 
     def _bound(self, xs) -> int:
@@ -558,7 +627,10 @@ class _Compiled:
         read over Z/modulus and the value is a residue in [0, modulus)."""
         xs = coords if modulus is None else [x % modulus for x in coords]
         bound, moduli = self._route(xs, modulus)
-        walk = self._walk(xs, len(moduli))
+        # L is read from the reduced h and never reduced itself, so every
+        # value is the one the weight monomials give, within the bound.
+        xs = self._extend(xs)
+        walk = self._walk(xs, moduli)
         forms = walk[0]
         passes = [self._pass(xs, q, walk) for q in moduli]
         if len(moduli) == 1:
@@ -626,7 +698,8 @@ def _lift(passes, primes, bound: int) -> np.ndarray:
 # Bulk generation holds a family's monomials as two parallel arrays: the
 # sort key of _pack and the coefficient.  Pairs become monomials a block
 # at a time: that keeps the temporaries small next to the finished set (an
-# E8 block's pair x root mask is 0.25 MB).
+# E8 block's pair x root mask is 0.25 MB).  Reading every form of a set
+# expands its L monomials a block of forms at a time too.
 _PAIR_BLOCK = 1024
 
 
@@ -670,6 +743,71 @@ def _merge(x, y):
     return _sort_keys(np.concatenate([x[0], y[0]]), np.concatenate([x[1], y[1]]))
 
 
+def _factored_dim(rs: RootSystem) -> int:
+    """The coordinates of the generated arrays: the weight coordinates, then
+    L_g = sum_s <g, alpha_s> v_s at dim_v + g for every root g."""
+    return rs.dim_v + rs.n_roots
+
+
+@functools.cache
+def _upper(rank: int):
+    """np.triu_indices(rank), read-only: the pairs s <= t."""
+    s, t = np.triu_indices(rank)
+    s.flags.writeable = t.flags.writeable = False
+    return s, t
+
+
+def _cartan_products(pa, pb) -> np.ndarray:
+    """Row k: the coefficients of v_s v_t over the pairs s <= t of _upper in
+    (sum_s pa[k, s] v_s)(sum_t pb[k, t] v_t)."""
+    s, t = _upper(pa.shape[1])
+    return pa[:, s] * pb[:, t] + np.where(s == t, 0, pa[:, t] * pb[:, s])
+
+
+def _l_sizes(pairings, a, b) -> np.ndarray:
+    """The sum of |c| over the weight monomials that L monomial v_a v_b
+    stands for (b >= dim_v): sum_s |<g, alpha_s>| for v_a L_g, and the sum
+    over the Cartan products for L_g L_h."""
+    dim = pairings.shape[0] + pairings.shape[1]
+    # Pairings and their products are at most 18 in size, so int8 keeps the
+    # temporaries of E8's 15,120 pi forms at 0.5 MB each.
+    pairings = pairings.astype(np.int8)
+    sizes = np.abs(pairings[b - dim]).sum(1)
+    two = np.flatnonzero(a >= dim)
+    products = _cartan_products(pairings[a[two] - dim], pairings[b[two] - dim])
+    sizes[two] = np.abs(products).sum(1)
+    return sizes
+
+
+def _expand(pairings, f, a, b, c):
+    """(f, a, b, c) of the monomials c v_a v_b of forms f, each L monomial
+    read as the weight monomials it stands for, in _pack order: c v_a L_g
+    as sum_s c <g, alpha_s> v_a v_s, and c L_g L_h as c times
+    _cartan_products.  The L monomials of a form must expand to monomials it
+    does not hold (as in generated forms, whose other monomials read root
+    coordinates only)."""
+    n, rank = pairings.shape
+    dim = n + rank
+    plain = b < dim
+    parts = [(f[plain], a[plain], b[plain], c[plain])]
+    # c v_a L_g
+    one = np.flatnonzero(~plain & (a < dim))
+    if len(one):
+        p, s = np.nonzero(pairings[b[one] - dim])
+        k = one[p]
+        parts.append((f[k], a[k], n + s, c[k] * pairings[b[k] - dim, s]))
+    # c L_g L_h
+    two = np.flatnonzero(a >= dim)
+    if len(two):
+        products = c[two, None] * _cartan_products(pairings[a[two] - dim], pairings[b[two] - dim])
+        p, q = np.nonzero(products)
+        s, t = _upper(rank)
+        parts.append((f[two[p]], n + s[q], n + t[q], products[p, q]))
+    f, a, b, c = (np.concatenate(column) for column in zip(*parts))
+    key, c = _sort_keys(_pack(f, a, b, dim), c)
+    return (*_unpack(key, dim), c)
+
+
 def _other_members(index, ii, jj):
     """(p, m) for every member m of the square through the pair
     (ii[p], jj[p]) other than the pair itself, grouped by p."""
@@ -695,38 +833,33 @@ def _pi2_monomials(f, ii, jj, rs: RootSystem, signs: SignTable):
     root = (g == ii[form]) | (d == ii[form])
     sign = np.zeros(len(ii), dtype=c.dtype)
     sign[form[root]] = c[root]
-    return _monomials(f[form], g, d, c * sign[form], rs.dim_v)
+    return _monomials(f[form], g, d, c * sign[form], _factored_dim(rs))
 
 
 def _two_pi3_monomials(f, ii, jj, rs: RootSystem, signs: SignTable):
     """The 2pi/3 form of each ordered pair (alpha, beta) = (ii[p], jj[p])."""
-    neg, t, dim = rs._neg, signs._table, rs.dim_v
+    neg, t, dim = rs._neg, signs._table, _factored_dim(rs)
     # N_{alpha,-m} v_{alpha-m} v_m over the other square members m.
     p, m = _other_members(rs._square_index, ii, jj)
     a, neg_m = ii[p], neg[m]
     members = _monomials(f[p], rs._sum_idx[a, neg_m], m, t[a, neg_m], dim)
-    # Zero weights: -v_alpha * sum_s <beta, alpha_s> v_s.
-    c = -rs._pairings[jj]
-    p, s = np.nonzero(c)
-    return _merge(members, _monomials(f[p], ii[p], rs.n_roots + s, c[p, s], dim))
+    # The Cartan part, -v_alpha L_beta.
+    cartan = _monomials(f, ii, rs.dim_v + jj, np.full(len(f), -1, np.int8), dim)
+    return _merge(members, cartan)
 
 
 def _pi_monomials(f, ii, jj, rs: RootSystem):
     """The pi form of each unordered pair (alpha, beta) = (ii[p], jj[p])."""
-    neg, n, dim = rs._neg, rs.n_roots, rs.dim_v
+    neg, dim = rs._neg, _factored_dim(rs)
     # v_{alpha-m} v_{m-alpha} - v_m v_{-m} over the other square members m.
     p, m = _other_members(rs._square_index, ii, jj)
     g = np.concatenate([rs._sum_idx[ii[p], neg[m]], m])
     c = np.ones(len(g), np.int8)
     c[len(m) :] = -1
     members = _monomials(f[np.concatenate([p, p])], g, neg[g], c, dim)
-    # Zero weights: -(sum_s <alpha, alpha_s> v_s)(sum_t <beta, alpha_t> v_t),
-    # one monomial per s <= t.
-    pa, pb = rs._pairings[ii], rs._pairings[jj]
-    s, u = np.triu_indices(rs.rank)
-    c = -(pa[:, s] * pb[:, u] + np.where(s == u, 0, pa[:, u] * pb[:, s]))
-    p, q = np.nonzero(c)
-    return _merge(members, _monomials(f[p], n + s[q], n + u[q], c[p, q], dim))
+    # The Cartan part, -L_alpha L_beta.
+    cartan = _monomials(f, rs.dim_v + ii, rs.dim_v + jj, np.full(len(f), -1, np.int8), dim)
+    return _merge(members, cartan)
 
 
 def form_monomials(rs: RootSystem, signs: SignTable, codes, ii, jj):
@@ -761,9 +894,9 @@ def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     ii = np.concatenate([index.members[index.start], ii, ii[upper]])
     jj = np.concatenate([index.members[index.start + 1], jj, jj[upper]])
     _, (key, c) = form_monomials(rs, signs, codes, ii, jj)
-    form, ia, ib = _unpack(key, rs.dim_v)
+    form, ia, ib = _unpack(key, _factored_dim(rs))
     offsets = np.searchsorted(form, np.arange(len(names) + 1))
-    return EquationSet(rs, _parts=(codes, names, _Compiled(ia, ib, c, offsets)))
+    return EquationSet(rs, _parts=(codes, names, _Compiled(ia, ib, c, offsets, rs._pairings)))
 
 
 def eqset_from_json(rs: RootSystem, doc) -> EquationSet:

@@ -69,6 +69,8 @@ from .equations import (
     _KINDS,
     EquationSet,
     FormKind,
+    _expand,
+    _factored_dim,
     _unpack,
     form_monomials,
     generate_all_equations,
@@ -276,9 +278,10 @@ def _prepare_case(rs, signs, alpha, beta, rho, phi: FormKind):
 
 def _ledger_arrays(rs, signs, cases):
     """What batch.ledger_block reads for the cases (rho's root number, form,
-    [(coeff, power, target form)]), from form_monomials: (rho, (case, a, b,
-    c), (case, power, a, b, coeff * c)), and per case None or the
-    RuntimeError naming the first of its forms whose pair is in no square."""
+    [(coeff, power, target form)]), from form_monomials with the L monomials
+    expanded: (rho, (case, a, b, c), (case, power, a, b, coeff * c)), and
+    per case None or the RuntimeError naming the first of its forms whose
+    pair is in no square."""
     # Each case's own form, marked by power -1, then its target forms.
     rows = [
         (x, coeff, power, *g)
@@ -287,7 +290,7 @@ def _ledger_arrays(rs, signs, cases):
     ]
     owner, weight, power, kinds, ii, jj = zip(*rows)
     missing, (key, c) = form_monomials(rs, signs, [_KINDS.index(k) for k in kinds], ii, jj)
-    f, a, b = _unpack(key, rs.dim_v)
+    f, a, b, c = _expand(rs._pairings, *_unpack(key, _factored_dim(rs)), c)
     errors = [None] * len(cases)
     for x in np.flatnonzero(missing)[::-1].tolist():
         errors[owner[x]] = RuntimeError(_no_square(rs.roots[ii[x]], rs.roots[jj[x]]))

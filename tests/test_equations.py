@@ -262,12 +262,13 @@ def _route_values(compiled, coords, modulus=None, route=None):
     lifted, over Z too."""
     xs = coords if modulus is None else [x % modulus for x in coords]
     bound, moduli = compiled._route(xs, modulus)
+    xs = compiled._extend(xs)
     if route == "whole":
         walk = compiled._whole
     elif route == "restricted":
         walk = compiled._gather(compiled._support(xs))
     else:
-        walk = compiled._walk(xs, len(moduli))
+        walk = compiled._walk(xs, moduli)
     passes = [compiled._pass(xs, q, walk) for q in moduli]
     if len(moduli) > 1:
         values = equations._lift(passes, moduli[1:], bound)
@@ -716,16 +717,24 @@ def test_generator_matches_per_form_builders_sampled_e8(system, eqset_for):
 
 @pytest.mark.parametrize("name", ["D5", "D6", "D7", "E6", "E7", "E8"])
 def test_generated_arrays_pinned_and_equal_to_flattened_forms(system, eqset_for, name):
+    # The generated arrays hold each Cartan part as one L monomial; with
+    # those expanded they are the arrays of the forms flattened, the ones
+    # the digests pin, and the bound's weight is the expanded forms' own.
     rs, _ = system(name)
     eqset = eqset_for(name)
     compiled = eqset.compiled()
-    arrays = (compiled.ia, compiled.ib, compiled.c, compiled.offsets)
+    assert all(x.dtype == np.int64 for x in (compiled.ia, compiled.ib, compiled.c))
+    form = np.repeat(np.arange(compiled.n_forms), np.diff(compiled.offsets))
+    f, ia, ib, c = equations._expand(rs._pairings, form, compiled.ia, compiled.ib, compiled.c)
+    arrays = (ia, ib, c, np.searchsorted(f, np.arange(compiled.n_forms + 1)))
     flat = EquationSet(rs, eqset.forms).compiled()
     for got, want in zip(arrays, (flat.ia, flat.ib, flat.c, flat.offsets)):
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
     assert digest == COMPILED_SHA256[name]
+    assert compiled.weight == flat.weight
+    assert len(compiled.c) < len(flat.c) and flat.ib.max() < rs.dim_v
 
 
 @pytest.mark.parametrize("name", sorted(JSON_SHA256))
@@ -796,7 +805,7 @@ def test_concurrent_checks_leave_set_unchanged():
     attrs = dict(vars(eqset))
     compiled = eqset.compiled()
     compiled_attrs = dict(vars(compiled))
-    array_names = ("ia", "ib", "c", "offsets", "_by_a", "_a_start")
+    array_names = ("ia", "ib", "c", "offsets", "_by_a", "_a_start", "_pairings")
     arrays = [getattr(compiled, name).copy() for name in array_names]
     rng = random.Random(5)
     vectors = [basis_vector(rs, IntegerRing(), rho) for rho in rs.roots[::8]]
@@ -817,9 +826,9 @@ def test_concurrent_checks_leave_set_unchanged():
     for v in vectors:
         m = getattr(v.ring, "modulus", None)
         xs = v.coords if m is None else [x % m for x in v.coords]
-        passes = len(compiled._route(xs, m)[1])
-        candidates = compiled._candidates(compiled._support(xs))
-        routes.add(equations._restricted(candidates, len(compiled.c), passes))
+        moduli = compiled._route(xs, m)[1]
+        candidates = compiled._candidates(compiled._support(compiled._extend(xs)))
+        routes.add(equations._restricted(candidates, len(compiled.c), moduli))
     assert routes == {True, False}
 
     picks = rng.sample(range(len(eqset.forms)), 30) + [-1]
@@ -872,11 +881,11 @@ def test_sliced_evaluation_matches_whole_set_sums(system, eqset_for, name):
     rs, _ = system(name)
     compiled = eqset_for(name).compiled()
     assert len(compiled._whole[1]) > 1
-    varr = np.random.default_rng(7).integers(-50, 50, rs.dim_v)
+    xs = np.random.default_rng(7).integers(-50, 50, rs.dim_v).tolist()
+    varr = compiled._extend(xs)
     whole = np.add.reduceat(
         compiled.c * varr[compiled.ia] * varr[compiled.ib], compiled.offsets[:-1]
     )
-    xs = varr.tolist()
     assert _route_values(compiled, xs, route="whole") == whole.tolist()
     assert _route_values(compiled, xs, 7, "whole") == (whole % 7).tolist()
 
@@ -898,7 +907,9 @@ def test_oversized_coefficients_rejected(system):
 # The rings of the route-agreement test: (modulus, coordinate draw, the
 # _route_name of each of its vectors).  The vector with no coordinate set
 # takes the int64 pass unless the modulus does not fit in int64.  Z/6
-# coordinates are drawn unreduced.  Past 2^31 the values are lifted, with
+# coordinates are drawn unreduced.  Small coordinates modulo 10^12 - 1
+# make some L coordinates negative, so their residues are near m, yet the
+# values stay on the int64 pass.  Past 2^31 the values are lifted, with
 # one prime (10^12 - 1, 2^40) or several (2^64 + 1 and 2^64, whose
 # coordinates need all 64 bits or more).
 LIFTED = {"int64", "2^64 + primes"}
@@ -907,6 +918,7 @@ ROUTE_RINGS = {
     "zmod-6": (6, lambda rng: rng.randrange(1, 6) + 6 * rng.randint(-3, 3), {"int64"}),
     "zmod-2^31-2": (2**31 - 2, lambda rng: rng.randrange(1, 2**31 - 2), {"int64", "mod m"}),
     "zmod-10^12-1": (10**12 - 1, lambda rng: rng.randrange(1, 10**12 - 1), LIFTED),
+    "zmod-10^12-1-small": (10**12 - 1, lambda rng: rng.randrange(1, 4), {"int64"}),
     "zmod-2^64+1": (2**64 + 1, lambda rng: rng.randrange(2**63, 2**64 + 1), {"2^64 + primes"}),
     "int-above-2^40": (None, lambda rng: rng.choice((-1, 1)) * rng.randrange(2**40, 2**41), LIFTED),
     "int-above-2^64": (None, lambda rng: rng.choice((-1, 1)) * rng.randrange(2**64, 2**66), LIFTED),
@@ -914,10 +926,12 @@ ROUTE_RINGS = {
 
 
 def _route_supports(rs, rng):
-    """Supports from no coordinate to all of them.  A zero weight alone
-    reaches only the Cartan squares v_s v_s of the pi forms."""
+    """Supports from no coordinate to all of them.  A zero weight alone sets
+    L coordinates, which the pi forms' L_alpha L_beta alone read; with all
+    zero weights set, or with a root too, more of them are nonzero."""
     n, dim = rs.n_roots, rs.dim_v
-    fixed = [[], [n], [rng.randrange(n), n + 1]]
+    cartan = list(range(n, dim))
+    fixed = [[], [n], [rng.randrange(n), n + 1], cartan, [rng.randrange(n), *cartan]]
     return fixed + [sorted(rng.sample(range(dim), k)) for k in (3, dim // 4, dim)]
 
 
@@ -952,15 +966,16 @@ def test_restricted_route_matches_whole_set_walk(system, eqset_for, name):
     # evaluate_form reads every E8 form in about 0.4 s, so on E7 and E8 it
     # checks the vectors with a quarter of the coordinates set, and the
     # whole-set walk checks the others.
-    checked = range(len(supports)) if rs.dim_v < 100 else [4]
+    checked = range(len(supports)) if rs.dim_v < 100 else [6]
     used = _assert_routes_agree(eqset_for(name), rs, rng, supports, checked)
     assert used == {label: routes for label, (_, _, routes) in ROUTE_RINGS.items()}
-    # In the 2pi/3 forms a zero weight s occurs only second, in v_alpha v_s,
-    # so the index lists nothing under it.
+    # In the 2pi/3 forms an L coordinate occurs only second, in
+    # v_alpha L_beta, so the index lists nothing under it; a root and a zero
+    # weight set some of them.
     two_pi3 = eqset_for(name).of_kind(FormKind.TWO_PI3)
-    compiled, s = two_pi3.compiled(), rs.n_roots + 1
+    compiled, s = two_pi3.compiled(), rs.dim_v + 1
     assert compiled._a_start[s] == compiled._a_start[s + 1] and s in compiled.ib
-    supports = [[rng.randrange(rs.n_roots), s], range(rs.dim_v)]
+    supports = [[rng.randrange(rs.n_roots), rs.n_roots + 1], range(rs.dim_v)]
     _assert_routes_agree(two_pi3, rs, rng, supports, [0] if rs.dim_v < 100 else [])
 
 
@@ -979,3 +994,63 @@ def test_route_agreement_catches_a_dropped_index_entry(system, eqset_for):
         dropped.__dict__.update(vars(eqset), _compiled=broken)
         with pytest.raises(AssertionError):
             _assert_routes_agree(dropped, rs, random.Random(j), [range(rs.dim_v)], [])
+
+
+def _assert_factored_agrees(factored, canonical, rs, rng):
+    """On vectors with the route-test supports over every route ring, the
+    set with L monomials and the same forms without them take the same
+    route and give every form the same value, and check_vector the same
+    verdict and witness.  Over Z/(10^12 - 1) some vector on the int64 pass
+    has an L coordinate whose residue is past its largest coordinate: L
+    reduced mod m there would give values far outside the bound."""
+    f, c = factored.compiled(), canonical.compiled()
+    assert f.weight == c.weight
+    past = False
+    for label, (m, draw, _) in ROUTE_RINGS.items():
+        ring = IntegerRing() if m is None else IntegersMod(m)
+        for support in _route_supports(rs, rng):
+            coords = [0] * rs.dim_v
+            for a in support:
+                coords[a] = draw(rng)
+            assert _route_name(f, coords, m) == _route_name(c, coords, m)
+            assert _route_values(f, coords, m) == _route_values(c, coords, m), (label, support)
+            assert f.first_nonzero(coords, m) == c.first_nonzero(coords, m)
+            v = AdjointVector(rs, ring, coords)
+            assert factored.check_vector(v) == canonical.check_vector(v), (label, support)
+            if m == 10**12 - 1 and _route_name(f, coords, m) == "int64":
+                l_mod_m = rs._pairings @ np.array(coords[rs.n_roots :]) % m
+                past |= max(l_mod_m) > max(coords)
+    assert past
+
+
+@pytest.mark.parametrize("name", ["D5", "D7", "E6", "E7", "E8"])
+def test_factored_evaluation_matches_canonical(system, eqset_for, name):
+    # The generated set against the same forms rebuilt through
+    # EquationSet(rs, forms), whose arrays hold no L coordinate; on E8 a
+    # sample of 3,000 forms of each.
+    rs, _ = system(name)
+    eqset = eqset_for(name)
+    if name == "E8":
+        rows = np.array(sorted(random.Random(8).sample(range(len(eqset.forms)), 3000)))
+        parts = eqset._kinds[rows], eqset._names[rows], eqset.compiled().take(rows)
+        eqset = EquationSet(rs, _parts=parts)
+        assert 0 not in eqset.counts().values()
+    canonical = EquationSet(rs, eqset.forms)
+    _assert_factored_agrees(eqset, canonical, rs, random.Random(name))
+
+
+def test_factored_agreement_catches_a_flipped_l_coefficient(system, eqset_for):
+    # A copy of the arrays with the sign of one L monomial flipped, in a
+    # 2pi/3 form or in a pi form, gives that form other values.
+    rs, _ = system("D5")
+    eqset = eqset_for("D5")
+    canonical = EquationSet(rs, eqset.forms)
+    real = eqset.compiled()
+    l_monos = np.flatnonzero(real.ib >= rs.dim_v)
+    for j in (l_monos[0], l_monos[-1]):
+        c = real.c.copy()
+        c[j] *= -1
+        broken = equations._Compiled(real.ia, real.ib, c, real.offsets, rs._pairings)
+        flipped = EquationSet(rs, _parts=(eqset._kinds, eqset._names, broken))
+        with pytest.raises(AssertionError):
+            _assert_factored_agrees(flipped, canonical, rs, random.Random(int(j)))

@@ -593,6 +593,26 @@ def test_ledger_forms_are_the_generated_forms(system, eqset_for, name):
     assert kinds == set(FormKind)
 
 
+def test_ledger_arrays_hold_no_l_coordinate(system):
+    # The generated arrays hold each Cartan part as one monomial over L
+    # coordinates, past dim_v; the ledger reads its forms and targets with
+    # those expanded, so on sampled E7 cases every monomial is over weight
+    # coordinates, zero weights among them.
+    rs, signs = system("E7")
+    cases = []
+    for entry in LEDGER_ENTRIES:
+        angle, phi, subcase = entry
+        rng = _rng_for(0, f"cases/{angle}/{phi.value}/{subcase}")
+        for _ in range(20):
+            alpha, beta, rho = sample_case_config(rs, rng, entry)
+            cases.append(verify._prepare_case(rs, signs, alpha, beta, rho, phi)[-3:])
+    _, (_, *own), (_, _, *target), errors = verify._ledger_arrays(rs, signs, cases)
+    assert errors == [None] * len(cases)
+    a, b = (np.concatenate([x, y]) for x, y in zip(own[:2], target[:2]))
+    assert max(a.max(), b.max()) < rs.dim_v
+    assert (b >= rs.n_roots).any() and (a >= rs.n_roots).any()
+
+
 def test_roots_orthogonal_to_a_square_are_checked_where_they_occur(system):
     # Roots orthogonal to every member of a square occur on D_l from l = 6
     # on and on E_7; the commutator suite's fixes-square route must meet
