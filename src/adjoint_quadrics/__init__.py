@@ -11,9 +11,7 @@ from .action import (
     apply_elementary,
     apply_word,
     basis_vector,
-    inverse_word,
     zero_vector,
-    zero_weight_combo,
 )
 from .equations import (
     EquationSet,
@@ -22,10 +20,6 @@ from .equations import (
     eqset_from_json,
     evaluate_form,
     generate_all_equations,
-    pi2_form,
-    pi2_form_for_square,
-    pi_form,
-    two_pi3_form,
 )
 from .rings import IntegerRing, IntegersMod, Poly, PolynomialRing, Ring, ring_from_name
 from .root_system import (
@@ -45,17 +39,9 @@ from .squares import (
     AngleClass,
     InvalidPairError,
     MaximalSquare,
-    NotAnA3TripleError,
-    PairSets,
-    SignColumn,
     SquareAngle,
     classify_root_vs_square,
-    conjugate_pair,
     enumerate_squares,
-    extend_a3_to_d4,
-    modified_square,
-    pair_sets,
-    sign_column,
     square_of_pair,
 )
 from .verify import (
@@ -70,8 +56,6 @@ from .verify import (
     suite_jacobi,
     suite_orbit,
     suite_words,
-    verify_case_identity,
-    verify_commutator_reduction,
     verify_orbit_membership,
 )
 

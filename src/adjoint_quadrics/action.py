@@ -83,11 +83,6 @@ class Word:
         return cls(tuple(factors))
 
 
-def inverse_word(word: Word, ring: Ring) -> Word:
-    """The reversed word with negated arguments."""
-    return Word(tuple(Elementary(e.rho, ring.neg(e.xi)) for e in reversed(word.factors)))
-
-
 def zero_vector(rs: RootSystem, ring: Ring) -> AdjointVector:
     return AdjointVector(rs, ring, [ring.zero for _ in range(rs.dim_v)])
 
@@ -149,18 +144,3 @@ def apply_word(rs: RootSystem, signs: SignTable, word: Word, v: AdjointVector) -
     for e in reversed(word.factors):
         v = apply_elementary(rs, signs, e, v)
     return v
-
-
-def zero_weight_combo(rs: RootSystem, beta: Root, v: AdjointVector):
-    """sum_s <beta, alpha_s> v_s over the zero-weight coordinates.
-
-    Shift law: applying x_rho(xi) first adds xi * <beta, rho> * v_{-rho}.
-    """
-    ring = v.ring
-    bi = rs.root_index(beta)
-    total = ring.zero
-    for s in range(rs.rank):
-        c = int(rs._pairings[bi, s])
-        if c:
-            total = ring.add(total, ring.mul(ring.from_int(c), v.coords[rs.n_roots + s]))
-    return total

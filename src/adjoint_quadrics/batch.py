@@ -7,14 +7,15 @@ and square numbers, built a block at a time (row_hits), and the kernels
 here check a block at a time, reading the root system's tables (_gram,
 _sum_idx, _neg, _pairings), the sign table and the square index.  Each
 kernel returns per-sample verdicts, and flagged keeps only the samples a
-failure entry needs.  The scalar helpers in squares (pair_sets,
-conjugate_pair, sign_column, modified_square, extend_a3_to_d4,
-classify_root_vs_square) are the reference the kernels are tested
-against.  The draws below serve the suites that still sample (cases,
-commutator, words, orbit).  The ledger and commutator kernels at the end
-check a block of the cases and commutator suites' identities on integer
-coefficient arrays, through the roots' action rows; the Poly evaluation in
-verify is their reference.
+failure entry needs.  The kernels are tested against
+squares.classify_root_vs_square and against scalar helpers kept with the
+tests (pair_sets, conjugate_pair, sign_column, modified_square and
+extend_a3_to_d4 in tests/reference.py).  The draws below serve the suites
+that still sample (cases, commutator, words, orbit).  The ledger and
+commutator kernels at the end check a block of the cases and commutator
+suites' identities on integer coefficient arrays, through the roots'
+action rows; an evaluation over PolynomialRing, kept with the tests too,
+is their reference.
 
 A sum or difference of two roots is read from _sum_idx.  The sum
 sigma - gamma of three roots is looked up by a signed mixed-radix key of
@@ -85,7 +86,8 @@ class Tables:
         self.gram = rs._gram.astype(np.int8)
         # The doubled products again, from the root coordinates and the
         # Cartan matrix: the S_pi/2 scan narrows its candidates with them,
-        # and like pair_sets' scan over every root it does not read _gram.
+        # and like the scalar pair_sets' scan over every root it does not read
+        # _gram.
         self.inner = (rs._coeffs @ rs._pairings.T).astype(np.int8)
         self.neg = rs._neg
         self.sums = rs._sum_idx
@@ -98,7 +100,7 @@ class Tables:
         self.key = coeffs.astype(dtype) @ np.array(powers, dtype=dtype)
         self._order = np.argsort(self.key)
         self._sorted = self.key[self._order]
-        # The order of squares._unordered.
+        # The order in which the scalar pair_sets stores an unordered pair.
         self.lex = rs._lex
         self.kmax = int(self.index.size.max()) // 2
 

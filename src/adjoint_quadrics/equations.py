@@ -20,23 +20,23 @@ form per ordered orthogonal pair (both orders are emitted; the
 orderedness is visible in the counts), and one pi form per unordered
 pair.  Bulk generation builds all three families at once as flat
 monomial arrays through the square descriptions above, from the square
-index, the sum table and the sign table (form_monomials, which the
-verification suites call too).  The per-form builders two_pi3_form and
-pi_form follow the other description, through the companion sets of the
-pair, and pi2_form reads the square's pairs; only the tests call them.
-Neither side checks itself: the tests compare every generated form with
-its per-form builder, and the identities that make the descriptions
-agree are verification checks (combinatorics companion-sets for the
-monomials, jacobi triangle and negation for the 2pi/3 signs, jacobi
-orthogonal-quadruple for the pi/2 coefficients).
+index, the sum table and the sign table; form_monomials runs the same
+kernels on any list of (kind, pair) for the verification suites.  The
+tests keep per-form builders that follow the other description, through
+the companion sets of the pair (tests/reference.py), and compare every
+generated form with them.  Neither side checks itself: the identities
+that make the descriptions agree are verification checks (combinatorics
+companion-sets for the monomials, jacobi triangle and negation for the
+2pi/3 signs, jacobi orthogonal-quadruple for the pi/2 coefficients).
 
 An `EquationSet` holds its root system and arrays, and no Python object
 per form: each form's kind code and integer name (its square's number,
 or i * n_roots + j for the roots i and j of its pair), the names sorted
 for lookup, and the flattened monomial arrays.  A `QuadraticForm` is
 built from them only when it is read (`forms[i]`, `form_for`, JSON
-output, a failing check's witness), its key from the root system.
-Checks over Z and Z/m read the arrays alone.
+output), its key from the root system.  Checks over Z and Z/m read the
+arrays alone, and a failing check names its witness by the kind and key
+of its form, without reading the form's monomials.
 
 The generated arrays keep the Cartan part of each 2pi/3 and pi form as
 the product written above.  Past the weight coordinates 0 to dim_v - 1
@@ -46,9 +46,10 @@ each root g, and the Cartan part is the one monomial -v_alpha L_beta of a
 786,240 monomials on E8, where the expanded forms have 1,046,304.
 `_expand` reads an L monomial as the weight monomials it stands for,
 c v_a L_g as sum_s c <g, alpha_s> v_a v_s and c L_g L_h as c times the
-product of the two sums.  A form that is read, and the forms of the
-verification ledger, go through it, so they hold weight monomials only,
-as does a set built from forms.
+product of the two sums.  A form that is read, and the forms that
+form_monomials returns to the verification ledger, go through it, so
+they hold weight monomials only, as does a set built from forms.  The
+packed keys and the L coordinates stay inside this module.
 
 `EquationSet.check_vector` decides over Z and Z/m exactly, through the
 compiled arrays.  Z/m coordinates are first lifted to [0, m).  The check
@@ -102,9 +103,8 @@ import numpy as np
 
 from .action import AdjointVector
 from .rings import IntegerRing, IntegersMod
-from .root_system import Root, RootSystem, SystemId
+from .root_system import RootSystem, SystemId
 from .signs import SignTable
-from .squares import InvalidPairError, MaximalSquare, square_of_pair
 
 # int64 products and sums wrap around, so one int64 pass gives every value
 # modulo 2^64 (_WRAP), and exactly while S * max|x|^2 is below 2^63.
@@ -175,10 +175,7 @@ class QuadraticForm:
     monomials: tuple[tuple[int, int, int], ...]
 
     def key_json(self):
-        if self.kind is FormKind.PI2:
-            return {"sigma": list(self.key)}
-        alpha, beta = self.key
-        return {"alpha": list(alpha), "beta": list(beta)}
+        return key_json(self.kind, self.key)
 
     def to_json(self, rs: RootSystem):
         return {
@@ -191,92 +188,12 @@ class QuadraticForm:
         }
 
 
-def _finish(system, kind, key, acc: dict) -> QuadraticForm:
-    monos = tuple(sorted((a, b, c) for (a, b), c in acc.items() if c != 0))
-    return QuadraticForm(system, kind, key, monos)
-
-
-def _put(acc: dict, a: int, b: int, c: int) -> None:
-    if a > b:
-        a, b = b, a
-    if a == b:
-        raise RuntimeError("quadratic form touched a squared coordinate")
-    acc[(a, b)] = acc.get((a, b), 0) + c
-
-
-def pi2_form(rs: RootSystem, signs: SignTable, alpha: Root, beta: Root) -> QuadraticForm:
-    """The pi/2 form rooted at the pair (alpha, beta), leading coefficient +1.
-
-    Rooting at another pair of the same square changes the form by a
-    global sign only.
-    """
-    square = square_of_pair(rs, alpha, beta)
-    ai, bi = rs.root_index(alpha), rs.root_index(beta)
-    neg = rs._neg
-    acc: dict = {}
-    _put(acc, ai, bi, 1)
-    for g, d in square.pairs:
-        gi, di = rs.root_index(g), rs.root_index(d)
-        if {gi, di} == {ai, bi}:
-            continue
-        c = signs.n_idx(ai, int(neg[gi])) * signs.n_idx(bi, int(neg[di]))
-        _put(acc, gi, di, -c)
-    return _finish(rs.system, FormKind.PI2, tuple(square.sigma), acc)
-
-
-def pi2_form_for_square(rs: RootSystem, signs: SignTable, square: MaximalSquare) -> QuadraticForm:
-    """The square-keyed pi/2 form, rooted at the square's canonical first pair."""
-    a, b = square.pairs[0]
-    return pi2_form(rs, signs, a, b)
-
-
-def two_pi3_form(rs: RootSystem, signs: SignTable, alpha: Root, beta: Root) -> QuadraticForm:
-    """-sum N_{g,a-g} v_g v_{a-g} over the roots g at angle pi/3 to both
-    alpha and beta, less v_alpha * sum_s <beta, alpha_s> v_s."""
-    ai, bi = rs.root_index(alpha), rs.root_index(beta)
-    if rs.dot2_idx(ai, bi) != 0:
-        raise InvalidPairError(f"{alpha} and {beta} are not orthogonal")
-    neg = rs._neg
-    acc: dict = {}
-    for gi in np.flatnonzero((rs._gram[ai] == 1) & (rs._gram[bi] == 1)).tolist():
-        di = int(rs._sum_idx[ai, int(neg[gi])])  # alpha - gamma
-        _put(acc, gi, di, -signs.n_idx(gi, di))
-    for s in range(rs.rank):
-        c = int(rs._pairings[bi, s])
-        if c:
-            _put(acc, ai, rs.n_roots + s, -c)
-    return _finish(rs.system, FormKind.TWO_PI3, (alpha, beta), acc)
-
-
-def pi_form(rs: RootSystem, signs: SignTable, alpha: Root, beta: Root) -> QuadraticForm:
-    """sum <g, beta> v_g v_{-g} over the roots g at angle 2pi/3 to alpha,
-    less (sum_s <alpha, alpha_s> v_s)(sum_t <beta, alpha_t> v_t)."""
-    ai, bi = rs.root_index(alpha), rs.root_index(beta)
-    if rs.dot2_idx(ai, bi) != 0:
-        raise InvalidPairError(f"{alpha} and {beta} are not orthogonal")
-    neg = rs._neg
-    acc: dict = {}
-    for gi in np.flatnonzero(rs._gram[ai] == -1).tolist():
-        c = int(rs._gram[bi, gi])
-        if c:
-            _put(acc, gi, int(neg[gi]), c)
-
-    pa, pb = rs._pairings[ai], rs._pairings[bi]
-    base = rs.n_roots
-    for s in range(rs.rank):
-        cs = int(pa[s])
-        if cs == 0:
-            continue
-        for t in range(rs.rank):
-            ct = int(pb[t])
-            if ct == 0:
-                continue
-            if s == t:
-                acc[(base + s, base + s)] = acc.get((base + s, base + s), 0) - cs * ct
-            else:
-                _put(acc, base + s, base + t, -cs * ct)
-    key = (alpha, beta) if ai < bi else (beta, alpha)
-    return _finish(rs.system, FormKind.PI, key, acc)
+def key_json(kind: FormKind, key):
+    """The JSON object naming the form of that kind and key."""
+    if kind is FormKind.PI2:
+        return {"sigma": list(key)}
+    alpha, beta = key
+    return {"alpha": list(alpha), "beta": list(beta)}
 
 
 def evaluate_form(form: QuadraticForm, v: AdjointVector):
@@ -354,15 +271,17 @@ class EquationSet:
         f, a, b, coef = _expand(rs._pairings, f, c.ia[s], c.ib[s], c.c[s])
         monos = list(zip(a.tolist(), b.tolist(), coef.tolist()))
         ends = np.searchsorted(f, np.arange(hi - lo + 1)).tolist()
-        forms = []
-        for i, (x, y) in enumerate(zip(ends, ends[1:]), lo):
-            kind, name = _KINDS[self._kinds[i]], int(self._names[i])
-            if kind is FormKind.PI2:
-                key = rs.squares[name].sigma
-            else:
-                key = tuple(rs.roots[r] for r in divmod(name, rs.n_roots))
-            forms.append(QuadraticForm(self.system, kind, key, tuple(monos[x:y])))
-        return forms
+        return [
+            QuadraticForm(self.system, *self._key(i), tuple(monos[x:y]))
+            for i, (x, y) in enumerate(zip(ends, ends[1:]), lo)
+        ]
+
+    def _key(self, i: int):
+        """(kind, key) of form i, the key read from the root system."""
+        kind, name, rs = _KINDS[self._kinds[i]], int(self._names[i]), self.rs
+        if kind is FormKind.PI2:
+            return kind, rs.squares[name].sigma
+        return kind, tuple(rs.roots[r] for r in divmod(name, rs.n_roots))
 
     def counts(self) -> dict[str, int]:
         n = np.bincount(self._kinds, minlength=len(_KINDS)).tolist()
@@ -407,8 +326,8 @@ class EquationSet:
                     break
         if idx is None:
             return True, None
-        (f,) = self._read(idx, idx + 1)
-        return False, {"kind": f.kind.value, "key": f.key_json(), "value": ring.format(value)}
+        kind, key = self._key(idx)
+        return False, {"kind": kind.value, "key": key_json(kind, key), "value": ring.format(value)}
 
     def to_json_doc(self, rs: RootSystem):
         return {
@@ -862,12 +781,13 @@ def _pi_monomials(f, ii, jj, rs: RootSystem):
     return _merge(members, cartan)
 
 
-def form_monomials(rs: RootSystem, signs: SignTable, codes, ii, jj):
+def _form_keys(rs: RootSystem, signs: SignTable, codes, ii, jj):
     """The form of kind _KINDS[codes[f]] at each pair (ii[f], jj[f]), a
     block of pairs at a time: the pi/2 form rooted at the pair, the 2pi/3
     form of the ordered and the pi form of the unordered pair.  Returns
     (missing, (key, c)): the pairs in no square, which get no form, and the
-    monomials with _pack's keys of form f, in key order within a kind."""
+    monomials with _pack's keys of form f over _factored_dim's coordinates,
+    in key order within a kind."""
     codes, ii, jj = np.asarray(codes), np.asarray(ii, np.int64), np.asarray(jj, np.int64)
     missing = rs._square_index.square_of[ii, jj] < 0
     kernels = ((_pi2_monomials, signs), (_two_pi3_monomials, signs), (_pi_monomials,))
@@ -882,6 +802,18 @@ def form_monomials(rs: RootSystem, signs: SignTable, codes, ii, jj):
     return missing, (np.concatenate(keys), np.concatenate(cs).astype(np.int64, copy=False))
 
 
+def form_monomials(rs: RootSystem, signs: SignTable, kinds, ii, jj):
+    """The form of kind kinds[f] (a FormKind) at each pair (ii[f], jj[f]),
+    as a set generated by generate_all_equations holds it: the pi/2 form
+    rooted at the pair, the 2pi/3 form of the ordered and the pi form of
+    the unordered pair.  Returns (missing, (f, a, b, c)): the pairs in no
+    square, which get no form, and the monomials c v_a v_b of each form f
+    over the weight coordinates, its Cartan part expanded, in (f, a, b)
+    order."""
+    missing, (key, c) = _form_keys(rs, signs, [_KINDS.index(k) for k in kinds], ii, jj)
+    return missing, _expand(rs._pairings, *_unpack(key, _factored_dim(rs)), c)
+
+
 def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     """One pi/2 form per square, one 2pi/3 form per ordered orthogonal pair,
     one pi form per unordered pair, in deterministic key order."""
@@ -893,7 +825,7 @@ def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     codes = np.repeat(np.arange(3, dtype=np.int8), [len(rs.squares), len(ii), upper.sum()])
     ii = np.concatenate([index.members[index.start], ii, ii[upper]])
     jj = np.concatenate([index.members[index.start + 1], jj, jj[upper]])
-    _, (key, c) = form_monomials(rs, signs, codes, ii, jj)
+    _, (key, c) = _form_keys(rs, signs, codes, ii, jj)
     form, ia, ib = _unpack(key, _factored_dim(rs))
     offsets = np.searchsorted(form, np.arange(len(names) + 1))
     return EquationSet(rs, _parts=(codes, names, _Compiled(ia, ib, c, offsets, rs._pairings)))

@@ -212,9 +212,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

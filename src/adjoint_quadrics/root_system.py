@@ -421,10 +421,6 @@ class RootSystem:
         return tuple(-x for x in root)
 
     @staticmethod
-    def height(root: Root) -> int:
-        return sum(root)
-
-    @staticmethod
     def is_positive(root: Root) -> bool:
         return all(x >= 0 for x in root)
 
@@ -473,12 +469,6 @@ class RootSystem:
         """alpha + beta when that vector is a root, else None."""
         i, j = self.root_index(alpha), self.root_index(beta)
         s = int(self._sum_idx[i, j])
-        return self.roots[s] if s >= 0 else None
-
-    def sub_if_root(self, alpha: Root, beta: Root) -> Root | None:
-        """alpha - beta when that vector is a root, else None."""
-        i, j = self.root_index(alpha), self.root_index(beta)
-        s = int(self._sum_idx[i, int(self._neg[j])])
         return self.roots[s] if s >= 0 else None
 
     # -- weight indexing ---------------------------------------------------

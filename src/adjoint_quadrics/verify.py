@@ -29,9 +29,12 @@ x_rho(xi), coefficient by coefficient.  Each sample's draws, classes and
 sub-case are decided in Python and name its forms by kind and pair; the
 forms come from equations.form_monomials, the kernels that generate the
 equation set, so the ledger checks what check_vector evaluates.  A failing
-case's residual is printed as the Poly it equals.  verify_case_identity
-and verify_commutator_reduction evaluate the same forms over
-PolynomialRing, as the reference the batched checks are tested against.
+case's residual is printed as the Poly it equals.  The tests keep an
+evaluation of the same forms over PolynomialRing, one case at a time, as
+the reference the batched checks are compared with (tests/reference.py);
+it shares with the suites what _prepare_case, _reduction_plan,
+_square_forms and _square_verdict decide and the forms _ledger_arrays
+reads.
 
 The jacobi and combinatorics suites check every case on every system, so
 their reports depend on the system alone (the seed is only recorded, and
@@ -41,10 +44,10 @@ square numbers, and the batch module evaluates both sides of every
 comparison on blocks of them with numpy, over the sign table, the Gram and
 sum tables and the root system's square index.  Two-way checks keep both
 computations: the companion sets are a direct scan over the roots against
-the square formulas, as in pair_sets.  Failure entries are built for the
-failing cases only, in case order, so the reports are the ones the
-per-case loops gave.  The scalar helpers of the squares module stay the
-reference the batched checks are tested against.
+the square formulas.  Failure entries are built for the failing cases
+only, in case order, so the reports are the ones the per-case loops gave.
+The scalar square helpers that the batched checks are compared with are
+kept with the tests (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -65,16 +68,7 @@ from .action import (
     apply_word,
     basis_vector,
 )
-from .equations import (
-    _KINDS,
-    EquationSet,
-    FormKind,
-    _expand,
-    _factored_dim,
-    _unpack,
-    form_monomials,
-    generate_all_equations,
-)
+from .equations import EquationSet, FormKind, form_monomials, generate_all_equations
 from .rings import IntegerRing, IntegersMod, Poly, PolynomialRing, Ring
 from .root_system import Root, RootSystem, ZeroWeight, build_root_system
 from .signs import SignTable, build_sign_table
@@ -93,9 +87,8 @@ from .squares import (
 )
 
 SUITE_NAMES = ("jacobi", "combinatorics", "cases", "commutator", "words", "orbit")
-
-class VerificationFailure(RuntimeError):
-    """Raised by the strict verification entry points on a failed check."""
+# The words suite draws words of 0 to this many factors.
+_MAX_WORD_LENGTH = 12
 
 
 @dataclass
@@ -262,7 +255,7 @@ def _ledger_target(rs, signs, phi: FormKind, a, b, r, kind: SquareAngle, mate):
 
 
 def _prepare_case(rs, signs, alpha, beta, rho, phi: FormKind):
-    """What verify_case_identity decides before any arithmetic: (angle class,
+    """What a ledger case decides before any arithmetic: (angle class,
     sub-case, config, rho's root number, form, _ledger_target's targets)."""
     square = square_of_pair(rs, alpha, beta)
     cls = classify_root_vs_square(rs, rho, square)
@@ -278,10 +271,9 @@ def _prepare_case(rs, signs, alpha, beta, rho, phi: FormKind):
 
 def _ledger_arrays(rs, signs, cases):
     """What batch.ledger_block reads for the cases (rho's root number, form,
-    [(coeff, power, target form)]), from form_monomials with the L monomials
-    expanded: (rho, (case, a, b, c), (case, power, a, b, coeff * c)), and
-    per case None or the RuntimeError naming the first of its forms whose
-    pair is in no square."""
+    [(coeff, power, target form)]), from form_monomials: (rho, (case, a, b,
+    c), (case, power, a, b, coeff * c)), and per case None or the
+    RuntimeError naming the first of its forms whose pair is in no square."""
     # Each case's own form, marked by power -1, then its target forms.
     rows = [
         (x, coeff, power, *g)
@@ -289,8 +281,7 @@ def _ledger_arrays(rs, signs, cases):
         for coeff, power, g in ((1, -1, form), *targets)
     ]
     owner, weight, power, kinds, ii, jj = zip(*rows)
-    missing, (key, c) = form_monomials(rs, signs, [_KINDS.index(k) for k in kinds], ii, jj)
-    f, a, b, c = _expand(rs._pairings, *_unpack(key, _factored_dim(rs)), c)
+    missing, (f, a, b, c) = form_monomials(rs, signs, kinds, ii, jj)
     errors = [None] * len(cases)
     for x in np.flatnonzero(missing)[::-1].tolist():
         errors[owner[x]] = RuntimeError(_no_square(rs.roots[ii[x]], rs.roots[jj[x]]))
@@ -299,49 +290,6 @@ def _ledger_arrays(rs, signs, cases):
     rho = np.array([r for r, _, _ in cases], dtype=np.int64)
     target = (case[~own], power[~own], a[~own], b[~own], weight[~own] * c[~own])
     return rho, (case[own], a[own], b[own], c[own]), target, errors
-
-
-def _poly_residuals(rs, signs, cases):
-    """Per case as in _ledger_arrays, one at a time: f(x_rho(xi) v) - f(v) -
-    sum coeff xi^power g(v) over PolynomialRing, v generic, or the error."""
-    rho, form, target, errors = _ledger_arrays(rs, signs, cases)
-    ring = PolynomialRing()
-    xi = ring.variable("xi")
-    v = generic_vector(rs, ring)
-    for x, error in enumerate(errors):
-        w = apply_elementary(rs, signs, Elementary(rs.roots[rho[x]], xi), v).coords
-        total = ring.zero
-        for _, i, j, c in zip(*(col[form[0] == x].tolist() for col in form)):
-            total = total + c * (w[i] * w[j] - v.coords[i] * v.coords[j])
-        for _, power, i, j, c in zip(*(col[target[0] == x].tolist() for col in target)):
-            total = total - c * xi**power * v.coords[i] * v.coords[j]
-        yield error or total
-
-
-def verify_case_identity(
-    rs: RootSystem,
-    signs: SignTable,
-    alpha: Root,
-    beta: Root,
-    rho: Root,
-    phi: FormKind,
-    strict: bool = False,
-) -> CaseResult:
-    """Check one ledger identity symbolically; the residual must vanish.
-
-    With strict=True a nonzero residual raises VerificationFailure with the
-    residual attached instead of returning a failed result.  This is the
-    Poly reference for case_identities, which the suite runs.
-    """
-    angle, subcase, config, *case = _prepare_case(rs, signs, alpha, beta, rho, phi)
-    (residual,) = _poly_residuals(rs, signs, [case])
-    if isinstance(residual, RuntimeError):
-        raise residual
-    if residual.is_zero():
-        return CaseResult(True, angle, phi.value, subcase, config)
-    if strict:
-        raise VerificationFailure(f"nonzero residual for {config}: {residual}")
-    return CaseResult(False, angle, phi.value, subcase, config, str(residual))
 
 
 def _ledger_residuals(rs, signs, cases) -> list:
@@ -359,7 +307,7 @@ def _ledger_residuals(rs, signs, cases) -> list:
 
 def _residual_text(rs, terms) -> str:
     """str() of the Poly with these terms, over the variables xi, v0, v1,
-    ... registered in verify_case_identity's order."""
+    ... registered in that order."""
     ring = PolynomialRing()
     ring.variable("xi")
     generic_vector(rs, ring)
@@ -367,9 +315,9 @@ def _residual_text(rs, terms) -> str:
 
 
 def case_identities(rs: RootSystem, signs: SignTable, phi: FormKind, configs) -> list:
-    """verify_case_identity on each (alpha, beta, rho), checked together on
-    integer coefficient arrays: per config, its CaseResult, or the
-    RuntimeError its set-up raised."""
+    """The ledger identity of the form phi at each (alpha, beta, rho),
+    checked together on integer coefficient arrays: per config, its
+    CaseResult, or the RuntimeError its set-up raised."""
     results, prepared = [], []
     for alpha, beta, rho in configs:
         try:
@@ -421,9 +369,11 @@ def _square_verdict(config, moved):
 
 
 def _reduction_plan(rs, rho, square):
-    """What verify_commutator_reduction decides before any arithmetic:
-    (config, plan), plan being a failed CommutatorResult, None for the
-    fixes-square sub-case, or the factors (a, b, their angle classes)."""
+    """What a commutator reduction decides before any arithmetic: (config,
+    plan), plan being a failed CommutatorResult, None for the fixes-square
+    sub-case, or the factors (a, b, their angle classes) of the
+    decomposition x_rho(xi) = [x_a(xi), x_b(eps)] that rho's angle class
+    (pi/2 or pi/3) names."""
     cls = classify_root_vs_square(rs, rho, square)
     config = {"rho": list(rho), "sigma": list(square.sigma), "class": cls.kind.value}
     if cls.kind is SquareAngle.PERP:
@@ -475,57 +425,16 @@ def _reduction_plan(rs, rho, square):
     return config, (a, b, factor_classes)
 
 
-def verify_commutator_reduction(
-    rs: RootSystem, signs: SignTable, rho: Root, square: MaximalSquare
-) -> CommutatorResult:
-    """Find the decomposition x_rho(xi) = [x_a(xi), x_b(eps)] named by the
-    angle class (pi/2 or pi/3) and verify it as an operator identity on a
-    generic vector, symbolically in xi.
-
-    One sub-case of class pi/2 has no such decomposition: rho orthogonal to
-    every member of the square (occurs on D_l for l >= 6 and on E_7, never
-    on D_5, E_6 or E_8).  There x_rho(xi) provably fixes everything the
-    square's forms touch, which is verified directly instead (mode
-    "fixes-square").  This is the Poly reference for commutator_reductions,
-    which the suite runs.
-    """
-    config, plan = _reduction_plan(rs, rho, square)
-    if isinstance(plan, CommutatorResult):
-        return plan
-    if plan is None:
-        # x_rho(xi) must leave every form of the square unchanged.
-        cases = [(rs.root_index(rho), form, []) for form in _square_forms(rs, square)]
-        residuals = _poly_residuals(rs, signs, cases)
-        moved = (x if isinstance(x, RuntimeError) else not x.is_zero() for x in residuals)
-        result = _square_verdict(config, moved)
-        if isinstance(result, RuntimeError):
-            raise result
-        return result
-    a, b, factor_classes = plan
-    ring = PolynomialRing()
-    xi = ring.variable("xi")
-    v = generic_vector(rs, ring)
-    rhs = apply_elementary(rs, signs, Elementary(rho, xi), v)
-    for eps in (1, -1):
-        word = Word(
-            (
-                Elementary(a, xi),
-                Elementary(b, ring.from_int(eps)),
-                Elementary(a, -xi),
-                Elementary(b, ring.from_int(-eps)),
-            )
-        )
-        lhs = apply_word(rs, signs, word, v)
-        if lhs.coords == rhs.coords:
-            return CommutatorResult(True, config, epsilon=eps, factor_classes=factor_classes)
-    return CommutatorResult(False, config, detail=_NO_EPSILON)
-
-
 def commutator_reductions(rs: RootSystem, signs: SignTable, configs) -> list:
-    """verify_commutator_reduction on each (rho, square), checked together
-    on integer coefficient arrays: per config, its CommutatorResult, or the
-    RuntimeError its set-up raised.  The fixes-square sub-case is the
-    ledger check with no target forms."""
+    """The commutator reduction of each (rho, square), checked together on
+    integer coefficient arrays: per config, its CommutatorResult, or the
+    RuntimeError its set-up raised.  The reduction is found for rho's
+    angle class and holds if some eps in (1, -1) makes the commutator equal
+    x_rho(xi) as a matrix polynomial in xi.  One sub-case of class pi/2 has
+    no such decomposition: rho orthogonal to every member of the square
+    (on D_l for l >= 6 and on E_7, never on D_5, E_6 or E_8).  There
+    x_rho(xi) must fix every form of the square, checked as the ledger
+    check with no target forms (mode "fixes-square")."""
     results, reductions, fixed = [], [], []
     for rho, square in configs:
         try:
@@ -711,40 +620,6 @@ def suite_jacobi(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport:
 
     rep.wall_time_s = time.perf_counter() - t0
     return rep
-
-
-def _class_pattern_ok(rs, rho, square, cls) -> bool:
-    d_sigma = rs.doubled_inner_vec(rho, square.sigma)
-    pairs_d = [
-        (rs.doubled_inner(rho, a), rs.doubled_inner(rho, b)) for a, b in square.pairs
-    ]
-    if cls.kind is SquareAngle.IN_SQUARE:
-        if d_sigma != 2 or square.member(cls.index) != rho:
-            return False
-        return all(
-            sorted(pd) == [0, 2] if abs(i + 1) == abs(cls.index) else pd == (1, 1)
-            for i, pd in enumerate(pairs_d)
-        )
-    if cls.kind is SquareAngle.OPPOSITE_SQUARE:
-        if d_sigma != -2 or square.member(cls.index) != rs.negate(rho):
-            return False
-        return all(
-            sorted(pd) == [-2, 0] if abs(i + 1) == abs(cls.index) else pd == (-1, -1)
-            for i, pd in enumerate(pairs_d)
-        )
-    if cls.kind is SquareAngle.PERP:
-        # A root may be orthogonal to every member (on D_l, l >= 6, and E_7),
-        # so only the existence of a doubly-orthogonal pair is required.
-        return (
-            d_sigma == 0
-            and all(sorted(pd) in ([0, 0], [-1, 1]) for pd in pairs_d)
-            and any(pd == (0, 0) for pd in pairs_d)
-        )
-    if cls.kind is SquareAngle.THIRD:
-        return d_sigma == 1 and all(sorted(pd) == [0, 1] for pd in pairs_d)
-    if cls.kind is SquareAngle.TWO_THIRDS:
-        return d_sigma == -1 and all(sorted(pd) == [-1, 0] for pd in pairs_d)
-    return False
 
 
 def suite_combinatorics(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport:
@@ -947,7 +822,6 @@ def suite_words(
     seed=0,
     samples: int | None = None,
     rings: tuple[Ring, ...] | None = None,
-    max_length: int = 12,
 ) -> SuiteReport:
     """Random elementary words: every form vanishes on g e^rho over every ring."""
     t0 = time.perf_counter()
@@ -960,7 +834,7 @@ def suite_words(
         rng = _rng_for(seed, f"words/{ring.name}")
         failures = []
         for _ in range(samples):
-            length = rng.randint(0, max_length)
+            length = rng.randint(0, _MAX_WORD_LENGTH)
             factors = []
             for _ in range(length):
                 rho = _random_root(rs, rng)

@@ -25,19 +25,16 @@ from adjoint_quadrics import (
     basis_vector,
     build_root_system,
     enumerate_squares,
-    extend_a3_to_d4,
-    pi2_form,
-    sign_column,
     square_of_pair,
 )
 from adjoint_quadrics.verify import (
-    _class_pattern_ok,
     classify_root_vs_square,
     suite_cases,
     suite_commutator,
     suite_jacobi,
     suite_words,
 )
+from reference import _class_pattern_ok, extend_a3_to_d4, pi2_form, sign_column
 
 ALL_SYSTEMS = ["D5", "D6", "E6", "E7", "E8"]
 EXHAUSTIVE = {"D5", "D6", "E6"}

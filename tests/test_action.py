@@ -18,11 +18,10 @@ from adjoint_quadrics import (
     basis_vector,
     build_root_system,
     build_sign_table,
-    inverse_word,
     zero_vector,
-    zero_weight_combo,
 )
 from adjoint_quadrics.verify import generic_vector
+from reference import inverse_word, zero_weight_combo
 
 
 def test_basis_vectors(system):

@@ -1,0 +1,81 @@
+"""The package's public surface: every name the benchmark imports exists,
+and the test references live in tests/reference.py alone.
+
+The benchmark scripts are read with ast, not run, so this takes
+milliseconds.
+"""
+
+import ast
+import importlib
+import pathlib
+import pkgutil
+
+import adjoint_quadrics
+import reference
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# Test references that the package does not define.
+REFERENCE_NAMES = (
+    "pi2_form",
+    "pi2_form_for_square",
+    "two_pi3_form",
+    "pi_form",
+    "_put",
+    "_finish",
+    "verify_case_identity",
+    "verify_commutator_reduction",
+    "_poly_residuals",
+    "_class_pattern_ok",
+    "VerificationFailure",
+    "pair_sets",
+    "conjugate_pair",
+    "sign_column",
+    "modified_square",
+    "extend_a3_to_d4",
+    "PairSets",
+    "SignColumn",
+    "NotAnA3TripleError",
+    "_unordered",
+    "zero_weight_combo",
+    "inverse_word",
+)
+
+
+def _imports(path: pathlib.Path):
+    """(module, name) of every `from module import name` in the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    ]
+
+
+def _submodules():
+    # __main__ runs the command line when imported.
+    names = [m.name for m in pkgutil.iter_modules(adjoint_quadrics.__path__)]
+    return [importlib.import_module(f"adjoint_quadrics.{n}") for n in names if n != "__main__"]
+
+
+def test_benchmark_imports_exist():
+    for script in ("session.py", "selftest.py"):
+        names = [n for m, n in _imports(ROOT / "perfbench" / script) if m == "adjoint_quadrics"]
+        assert names, script
+        assert [n for n in names if not hasattr(adjoint_quadrics, n)] == [], script
+
+
+def test_references_live_only_in_the_tests():
+    for module in [adjoint_quadrics, *_submodules()]:
+        assert [n for n in REFERENCE_NAMES if hasattr(module, n)] == [], module.__name__
+    assert all(hasattr(reference, n) for n in REFERENCE_NAMES)
+    for path in sorted((ROOT / "src" / "adjoint_quadrics").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = [m for m, _ in _imports(path)] + [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        ]
+        assert not [m for m in imported if m.split(".")[0] in ("reference", "tests")], path.name

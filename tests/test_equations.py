@@ -30,15 +30,11 @@ from adjoint_quadrics import (
     eqset_from_json,
     evaluate_form,
     generate_all_equations,
-    pi2_form,
-    pi2_form_for_square,
-    pi_form,
-    sign_column,
     square_of_pair,
-    two_pi3_form,
 )
 from adjoint_quadrics import equations
 from adjoint_quadrics.verify import suite_jacobi
+from reference import pi2_form, pi2_form_for_square, pi_form, sign_column, two_pi3_form
 
 # True form counts (pi/2 per square, 2pi/3 per ordered orthogonal pair,
 # pi per unordered pair).  D_l square counts reflect the two square sizes.
@@ -461,8 +457,9 @@ def test_lift_is_exact_at_the_bound(system):
 
 
 def test_checks_build_only_the_witness_form(system, monkeypatch):
-    # Generation and Z, Z/m checks read the compiled arrays; the one form
-    # built is a failing check's witness.
+    # Generation and Z, Z/m checks read the compiled arrays, and a failing
+    # check names its witness from them: not even the witness form is
+    # built.
     rs, signs = system("E6")
     built = []
     real = equations.QuadraticForm
@@ -479,10 +476,32 @@ def test_checks_build_only_the_witness_form(system, monkeypatch):
         v.coords[rs.root_index(rs.roots[9])] = ring.parse(str(3 << 40))
         assert eqset.check_vector(v) == (True, None)
         assert built == []
-        ok, witness = eqset.check_vector(basis_vector(rs, ring, ZeroWeight(2)))
-        assert not ok and len(built) == 1
-        f = built.pop()
-        assert witness["kind"] == f.kind.value and witness["key"] == f.key_json()
+        v = basis_vector(rs, ring, ZeroWeight(2))
+        ok, witness = eqset.check_vector(v)
+        assert not ok and built == []
+        assert (ok, witness) == _direct_check(eqset, v)
+        built.clear()
+
+
+def test_witness_is_named_without_expanding_its_form(system, eqset_for, monkeypatch):
+    # A negative control's witness (kind, key and value) comes from the
+    # form's kind code and name and the check's value; the form's
+    # monomials, whose Cartan part is expanded when read, are not read.
+    rs, _ = system("D7")
+    eqset = eqset_for("D7")
+    controls = []
+    for ring in (IntegerRing(), IntegersMod(7)):
+        v = basis_vector(rs, ring, ZeroWeight(3))
+        v.coords[4] = ring.from_int(2)
+        controls.append((v, _direct_check(eqset, v)))
+        assert controls[-1][1][0] is False
+
+    def refuse(*args):
+        raise AssertionError("the witness expanded a form")
+
+    monkeypatch.setattr(equations, "_expand", refuse)
+    for v, want in controls:
+        assert eqset.check_vector(v) == want
 
 
 def test_polynomial_vectors_take_the_per_form_route(eqset_for, system):

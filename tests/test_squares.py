@@ -9,16 +9,18 @@ import pytest
 from adjoint_quadrics import (
     InvalidPairError,
     build_root_system,
-    NotAnA3TripleError,
     SquareAngle,
     classify_root_vs_square,
-    conjugate_pair,
     enumerate_squares,
+    square_of_pair,
+)
+from reference import (
+    NotAnA3TripleError,
+    conjugate_pair,
     extend_a3_to_d4,
     modified_square,
     pair_sets,
     sign_column,
-    square_of_pair,
 )
 
 # True square censuses: orthogonal pairs grouped by their sum.  The E systems

