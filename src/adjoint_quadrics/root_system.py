@@ -200,6 +200,11 @@ class ActionRows(NamedTuple):
     a shift row (shift[i], rule 2 of the action) coef is 1: the structure
     constant N_{rho, source} multiplies it, and the sign table holds that
     (see action.elementary_rows).
+
+    The rows of root r that read coordinate s are by_source[k] for k in
+    run[r * dim_v + s]:run[r * dim_v + s + 1], both int32, so a vector's
+    support picks its rows (see action.apply_word).  start is run[::dim_v],
+    a view of it.
     """
 
     target: np.ndarray
@@ -208,6 +213,8 @@ class ActionRows(NamedTuple):
     coef: np.ndarray
     shift: np.ndarray
     start: np.ndarray
+    by_source: np.ndarray
+    run: np.ndarray
 
 
 def cartan_matrix(system: SystemId) -> np.ndarray:
@@ -343,9 +350,12 @@ class RootSystem:
         )
         shift = np.arange(len(root)) < len(r2)
         order = np.argsort(((root * self.dim_v + target) * 3 + degree) * self.dim_v + source)
-        start = np.concatenate([[0], np.cumsum(np.bincount(root, minlength=n))])
+        key = (root * self.dim_v + source)[order]
+        by_source = np.argsort(key, kind="stable").astype(np.int32)
+        run = np.cumsum(np.bincount(key, minlength=n * self.dim_v), dtype=np.int32)
+        run = np.concatenate([np.zeros(1, np.int32), run])
         columns = (target, degree, source, coef, shift)
-        return ActionRows(*(column[order] for column in columns), start)
+        return ActionRows(*(column[order] for column in columns), run[:: self.dim_v], by_source, run)
 
     def _build_squares(self) -> tuple[tuple[MaximalSquare, ...], SquareIndex]:
         """Every maximal square, sorted by sigma, and their index arrays.

@@ -15,6 +15,9 @@ stays independent of the code it checks:
   ledger and the commutator reductions over PolynomialRing on a generic
   vector, against the integer coefficient arrays of the cases and
   commutator suites;
+- apply_word_by_rules, which applies a word by the four rules of the
+  action module's docstring, read through the root system's and the sign
+  table's public helpers, against the action rows that apply_word runs;
 - zero_weight_combo and inverse_word, which the action tests use.
 
 The Poly references share with the suites what is decided before any
@@ -32,7 +35,7 @@ import numpy as np
 from adjoint_quadrics.action import AdjointVector, Elementary, Word, apply_elementary, apply_word
 from adjoint_quadrics.equations import FormKind, QuadraticForm
 from adjoint_quadrics.rings import PolynomialRing, Ring
-from adjoint_quadrics.root_system import MaximalSquare, Root, RootSystem
+from adjoint_quadrics.root_system import MaximalSquare, Root, RootSystem, ZeroWeight
 from adjoint_quadrics.signs import SignTable
 from adjoint_quadrics.squares import (
     _NOT_A_ROOT,
@@ -469,7 +472,38 @@ def verify_commutator_reduction(
 
 
 # ---------------------------------------------------------------------------
-# Action helpers.
+# The action, and action helpers.
+
+
+def apply_word_by_rules(rs: RootSystem, signs: SignTable, word: Word, v: AdjointVector):
+    """The coordinates of word(v), one factor x_rho(xi) at a time, last
+    first, by the rules of the action: a root lambda with lambda - rho = mu
+    a root gains N_{rho,mu} xi v_mu, zero coordinate s gains m_s(rho) xi
+    v_{-rho}, and the rho coordinate loses sum_s <rho, alpha_s> xi v_s and
+    xi^2 v_{-rho}."""
+    ring = v.ring
+    old = list(v.coords)
+    for e in reversed(word.factors):
+        rho, xi = e.rho, e.xi
+        new = list(old)
+
+        def gain(weight, c, degree, x):
+            i = rs.weight_position(weight)
+            term = ring.mul(ring.from_int(c), ring.mul(xi if degree == 1 else ring.mul(xi, xi), x))
+            new[i] = ring.add(new[i], term)
+
+        minus = rs.negate(rho)
+        v_minus = old[rs.weight_position(minus)]
+        for lam in rs.roots:
+            mu = rs.add_if_root(lam, minus)
+            if mu is not None:
+                gain(lam, signs.structure_constant(rho, mu), 1, old[rs.weight_position(mu)])
+        for s in range(1, rs.rank + 1):
+            gain(ZeroWeight(s), rho[s - 1], 1, v_minus)
+            gain(rho, -rs.pairing(rho, s), 1, old[rs.weight_position(ZeroWeight(s))])
+        gain(rho, -1, 2, v_minus)
+        old = new
+    return old
 
 
 def inverse_word(word: Word, ring: Ring) -> Word:

@@ -16,16 +16,13 @@ import time
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from adjoint_quadrics import (
-    IntegersMod,
     IntegerRing,
     ZeroWeight,
     basis_vector,
     build_root_system,
     enumerate_squares,
-    square_of_pair,
 )
 from adjoint_quadrics.verify import (
     classify_root_vs_square,

@@ -21,7 +21,7 @@ from adjoint_quadrics import (
     zero_vector,
 )
 from adjoint_quadrics.verify import generic_vector
-from reference import inverse_word, zero_weight_combo
+from reference import apply_word_by_rules, inverse_word, zero_weight_combo
 
 
 def test_basis_vectors(system):
@@ -255,6 +255,26 @@ def test_system_mismatch_rejected(system):
     v6 = zero_vector(rs6, ring)
     with pytest.raises(ValueError):
         apply_elementary(rs5, signs5, Elementary(rs5.roots[0], 1), v6)
+    with pytest.raises(ValueError, match="do not match"):
+        apply_word(rs5, signs5, Word(()), v6)
+
+
+def test_empty_word_returns_a_fresh_vector(system):
+    rs, signs = system("D5")
+    v = basis_vector(rs, IntegerRing(), rs.roots[4])
+    w = apply_word(rs, signs, Word(()), v)
+    assert w == v and w is not v and w.coords is not v.coords
+
+
+def test_wrong_length_rejected(system):
+    rs, signs = system("D5")
+    ring = IntegerRing()
+    short = AdjointVector(rs, ring, [1] * 10)
+    message = "vector has 10 coordinates, D5 has 45"
+    with pytest.raises(ValueError, match=message):
+        apply_elementary(rs, signs, Elementary(rs.roots[0], 1), short)
+    with pytest.raises(ValueError, match=message):
+        apply_word(rs, signs, Word(()), short)
 
 
 def test_concurrent_words_leave_system_unchanged():
@@ -312,3 +332,45 @@ def test_concurrent_words_leave_system_unchanged():
         assert vars(obj).keys() == before.keys()
         assert all(vars(obj)[k] is before[k] for k in before)
     assert pickle.dumps((vars(rs), vars(signs))) == state
+
+
+def _vectors(rs, ring, rng, draw, top=None):
+    """A sparse vector (two coordinates drawn by draw(rng), one of them a
+    root's) and a dense one; top, when given, replaces a coordinate of each."""
+    sparse = zero_vector(rs, ring)
+    at = rng.randrange(rs.n_roots), rng.randrange(rs.dim_v)
+    for i in at:
+        sparse.coords[i] = draw(rng)
+    dense = AdjointVector(rs, ring, [draw(rng) for _ in range(rs.dim_v)])
+    if top is not None:
+        sparse.coords[at[0]] = dense.coords[rng.randrange(rs.dim_v)] = top
+    return sparse, dense
+
+
+def _word(rs, rng, args):
+    return Word(tuple(Elementary(rs.roots[rng.randrange(rs.n_roots)], a) for a in args))
+
+
+@pytest.mark.parametrize("name", ["D5", "D7", "E6", "E8"])
+def test_words_follow_the_rules(system, name):
+    # apply_word runs the action rows by source; the reference applies the
+    # four rules of the action through the public helpers.
+    rs, signs = system(name)
+    rng = random.Random(14)
+    big = 10**12 - 1
+    rings = (
+        (IntegerRing(), lambda r: r.randint(-3, 3), 2**63 + 5,
+         lambda r: r.choice((-1, 1)) * r.randrange(2**20 - 8, 2**20 + 8)),
+        (IntegersMod(4), lambda r: r.randrange(4), None, lambda r: r.randrange(4)),
+        (IntegersMod(big), lambda r: r.randrange(big), None, lambda r: r.randrange(big)),
+    )
+    for ring, coord, top, xi in rings:
+        for v in _vectors(rs, ring, rng, coord, top) * 2:
+            word = _word(rs, rng, [xi(rng) for _ in range(rng.randint(1, 6))])
+            assert apply_word(rs, signs, word, v).coords == apply_word_by_rules(rs, signs, word, v)
+    ring = PolynomialRing()
+    x, y = ring.variable("xi"), ring.variable("eta")
+    sparse, _ = _vectors(rs, ring, rng, lambda r: ring.from_int(r.randint(1, 3)))
+    for v, args in ((sparse, (x, y, -x, ring.one)), (generic_vector(rs, ring), (x, -y))):
+        word = _word(rs, rng, args)
+        assert apply_word(rs, signs, word, v).coords == apply_word_by_rules(rs, signs, word, v)

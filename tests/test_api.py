@@ -1,8 +1,8 @@
 """The package's public surface: every name the benchmark imports exists,
-and the test references live in tests/reference.py alone.
+the test references live in tests/reference.py alone, and no module in
+src/ or tests/ imports a name it does not use.
 
-The benchmark scripts are read with ast, not run, so this takes
-milliseconds.
+The scripts are read with ast, not run, so this takes milliseconds.
 """
 
 import ast
@@ -79,3 +79,34 @@ def test_references_live_only_in_the_tests():
             for alias in node.names
         ]
         assert not [m for m in imported if m.split(".")[0] in ("reference", "tests")], path.name
+
+
+def _unused_imports(path: pathlib.Path):
+    """The names a file imports and never reads.  An import binds its alias,
+    or the first part of a dotted module; `from __future__` binds nothing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read]
+
+
+def test_no_unused_imports():
+    # A package's __init__ imports in order to re-export.
+    unused = {
+        str(path.relative_to(ROOT)): _unused_imports(path)
+        for folder in (ROOT / "src", ROOT / "tests")
+        for path in sorted(folder.rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert len(unused) > 20
+    assert {path: names for path, names in unused.items() if names} == {}

@@ -4,16 +4,14 @@ import random
 import pytest
 
 from adjoint_quadrics import (
-    Elementary,
     FormKind,
-    IntegersMod,
     IntegerRing,
     Word,
     enumerate_squares,
     report_json,
     verify_orbit_membership,
 )
-from adjoint_quadrics.squares import SquareAngle, classify_root_vs_square, square_of_pair
+from adjoint_quadrics.squares import SquareAngle, classify_root_vs_square
 from adjoint_quadrics.verify import (
     LEDGER_ENTRIES,
     run_suite,
