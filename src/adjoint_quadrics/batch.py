@@ -11,11 +11,13 @@ failure entry needs.  The kernels are tested against
 squares.classify_root_vs_square and against scalar helpers kept with the
 tests (pair_sets, conjugate_pair, sign_column, modified_square and
 extend_a3_to_d4 in tests/reference.py).  The draws below serve the suites
-that still sample (cases, commutator, words, orbit).  The ledger and
-commutator kernels at the end check a block of the cases and commutator
-suites' identities on integer coefficient arrays, through the roots'
-action rows; an evaluation over PolynomialRing, kept with the tests too,
-is their reference.
+that still sample (cases, commutator, words, orbit); they give root and
+square numbers, which the cases and commutator suites keep up to their
+reports (draw_root_and_square is the commutator suite's whole draw).  The
+ledger and commutator kernels at the end check a block of the cases and
+commutator suites' identities on integer coefficient arrays, through the
+roots' action rows; an evaluation over PolynomialRing, kept with the
+tests too, is their reference.
 
 A sum or difference of two roots is read from _sum_idx.  The sum
 sigma - gamma of three roots is looked up by a signed mixed-radix key of
@@ -67,6 +69,24 @@ def draw_square(rs: RootSystem, rng: random.Random) -> int:
     if s < 0:
         raise RuntimeError("an orthogonal pair lies in no square")
     return s
+
+
+def _resample_square(rs: RootSystem, rng: random.Random, s: int, d: int):
+    """(s or, while it has none, up to 199 squares drawn after it, the roots
+    at doubled product d with its sigma).  At 2pi/3, the D_l squares whose
+    sigma is twice a coordinate vector have none."""
+    for _ in range(200):
+        roots = np.flatnonzero(rs._pairings @ rs._square_index.sigma[s] == d).tolist()
+        if roots:
+            return s, roots
+        s = draw_square(rs, rng)
+    raise RuntimeError(f"no square with roots at doubled product {d} with sigma found")
+
+
+def draw_root_and_square(rs: RootSystem, rng: random.Random, d: int) -> tuple[int, int]:
+    """(root, square) at doubled product d: a square, resampled, and a root."""
+    s, roots = _resample_square(rs, rng, draw_square(rs, rng), d)
+    return roots[rng.randrange(len(roots))], s
 
 
 class Tables:

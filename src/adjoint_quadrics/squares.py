@@ -16,14 +16,15 @@ with signed indices p+1 and -(p+1).  The squares are built once, with the
 root system (RootSystem.squares and its square index); the functions here
 only read them.
 
-This module also classifies the position of an arbitrary root relative
-to a square (five angle classes, decided by the doubled product with
-sigma).  The companion sets S_{pi/2}, S_{2pi/3}, S_pi, S'_pi of an
-orthogonal pair, sign columns, modified squares, conjugate pairs and the
-extension of an A_3 triple to a D_4 configuration are computed by the
-batch kernels of the combinatorics suite, a block of cases at a time;
-their one-case-at-a-time references are kept with the tests
-(tests/reference.py).
+This module also decides the position of a root relative to a square,
+one of five angle classes by the doubled product with sigma, in one
+function on root and member numbers (position_class, which
+classify_root_vs_square calls with a MaximalSquare's own).  The companion
+sets S_{pi/2}, S_{2pi/3}, S_pi, S'_pi of an orthogonal pair, sign
+columns, modified squares, conjugate pairs and the extension of an A_3
+triple to a D_4 configuration are computed by the batch kernels of the
+combinatorics suite, a block of cases at a time; their one-case-at-a-time
+references are kept with the tests (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -102,26 +103,29 @@ _ANGLE_BY_DOT2 = {
 }
 
 
-def classify_root_vs_square(rs: RootSystem, rho: Root, square: MaximalSquare) -> AngleClass:
-    """Exactly one of the five position classes applies to (rho, square).
-
-    The class is decided by the doubled product with sigma (2, -2, 0, 1, -1
-    for angles 0, pi, pi/2, pi/3, 2pi/3); membership indices are resolved
-    for the first two classes.  Failure to resolve is a program error, not
-    a user error.
-    """
-    d = rs.doubled_inner_vec(rho, square.sigma)
+def position_class(rs: RootSystem, rho: int, sigma, members) -> tuple[SquareAngle, int | None]:
+    """The class of root number rho against the square with this sigma and
+    these member numbers (pair layout), by the doubled product with sigma
+    (2, -2, 0, 1, -1 for angles 0, pi, pi/2, pi/3, 2pi/3), and for classes 0
+    and pi the position in members of rho or -rho.  Failure to resolve is a
+    program error, not a user error."""
+    d = int(rs._pairings[rho] @ sigma)
     kind = _ANGLE_BY_DOT2.get(d)
     if kind is None:
-        raise RuntimeError(_impossible_product(d, square.sigma))
-    if kind is SquareAngle.IN_SQUARE:
-        i = square.index_of(rho)
-        if i is None:
-            raise RuntimeError(_not_a_member(rho, opposite=False))
-        return AngleClass(kind, i)
-    if kind is SquareAngle.OPPOSITE_SQUARE:
-        i = square.index_of(rs.negate(rho))
-        if i is None:
-            raise RuntimeError(_not_a_member(rho, opposite=True))
-        return AngleClass(kind, i)
-    return AngleClass(kind)
+        raise RuntimeError(_impossible_product(d, tuple(int(x) for x in sigma)))
+    if kind is SquareAngle.IN_SQUARE or kind is SquareAngle.OPPOSITE_SQUARE:
+        opposite = kind is SquareAngle.OPPOSITE_SQUARE
+        member = int(rs._neg[rho]) if opposite else rho
+        if member not in members:
+            raise RuntimeError(_not_a_member(rs.roots[rho], opposite))
+        return kind, members.index(member)
+    return kind, None
+
+
+def classify_root_vs_square(rs: RootSystem, rho: Root, square: MaximalSquare) -> AngleClass:
+    """Exactly one of the five position classes applies to (rho, square);
+    position_class on the square's own sigma and members, with the member
+    position as a signed index."""
+    members = [rs.root_index(m) for m in square.members()]
+    kind, p = position_class(rs, rs.root_index(rho), square.sigma, members)
+    return AngleClass(kind, None if p is None else (p // 2 + 1) * (-1) ** p)

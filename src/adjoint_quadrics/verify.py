@@ -25,16 +25,17 @@ is the root's action rows, I + xi E1 + xi^2 E2.  A ledger case expands f
 through the rows of its rho, subtracts the target forms and passes iff
 every coefficient of xi^k v_p v_q is zero; a reduction composes the four
 factors as a matrix polynomial over Z[xi] and compares it with the rows of
-x_rho(xi), coefficient by coefficient.  Each sample's draws, classes and
-sub-case are decided in Python and name its forms by kind and pair; the
-forms come from equations.form_monomials, the kernels that generate the
-equation set, so the ledger checks what check_vector evaluates.  A failing
-case's residual is printed as the Poly it equals.  The tests keep an
-evaluation of the same forms over PolynomialRing, one case at a time, as
-the reference the batched checks are compared with (tests/reference.py);
-it shares with the suites what _prepare_case, _reduction_plan,
-_square_forms and _square_verdict decide and the forms _ledger_arrays
-reads.
+x_rho(xi), coefficient by coefficient.  A sample stays root and square
+numbers from its draw to its report, read against the root system's
+tables and square index and classed by squares.position_class; its
+sub-case names its forms by kind and pair.  The forms come from
+equations.form_monomials, the kernels that generate the equation set, so
+the ledger checks what check_vector evaluates.  A failing case's residual
+is printed as the Poly it equals.  The tests keep an evaluation of the
+same forms over PolynomialRing, one case at a time, as the reference the
+batched checks are compared with (tests/reference.py); it shares with
+the suites what _prepare_case, _reduction_plan, _square_forms and
+_square_verdict decide and the forms _ledger_arrays reads.
 
 The jacobi and combinatorics suites check every case on every system, so
 their reports depend on the system alone (the seed is only recorded, and
@@ -76,14 +77,12 @@ from .squares import (
     _ANGLE_BY_DOT2,
     _NOT_A_ROOT,
     _SCAN_DISAGREES,
-    MaximalSquare,
     SquareAngle,
     _impossible_product,
     _no_extension,
     _no_square,
     _not_a_member,
-    classify_root_vs_square,
-    square_of_pair,
+    position_class,
 )
 
 SUITE_NAMES = ("jacobi", "combinatorics", "cases", "commutator", "words", "orbit")
@@ -251,22 +250,32 @@ def _ledger_target(rs, signs, phi: FormKind, a, b, r, kind: SquareAngle, mate):
             return "(b1,rho)=-1", [(-1, 1, (TWO_PI3, neg[r], b))]
         return "(b1,rho)=0", [(-1, 1, (TWO_PI3, neg[r], a))]
 
-    raise ValueError(f"no ledger entry for angle class {kind.value}")
+    raise RuntimeError(f"no ledger entry for angle class {kind.value}")
 
 
-def _prepare_case(rs, signs, alpha, beta, rho, phi: FormKind):
-    """What a ledger case decides before any arithmetic: (angle class,
-    sub-case, config, rho's root number, form, _ledger_target's targets)."""
-    square = square_of_pair(rs, alpha, beta)
-    cls = classify_root_vs_square(rs, rho, square)
-    a, b, r = (rs.root_index(x) for x in (alpha, beta, rho))
-    mate = None if cls.index is None else rs.root_index(square.member(-cls.index))
-    if phi is FormKind.PI2 and cls.kind is SquareAngle.IN_SQUARE:
+def _members(rs, s: int) -> list[int]:
+    """The member numbers of square s, in pair layout."""
+    index = rs._square_index
+    return index.members[index.start[s] :][: index.size[s]].tolist()
+
+
+def _prepare_case(rs, signs, a: int, b: int, r: int, phi: FormKind):
+    """What the ledger case of the form phi at root numbers (alpha, beta,
+    rho) decides before any arithmetic: (angle class, sub-case, config, r,
+    form, _ledger_target's targets)."""
+    s = int(rs._square_index.square_of[a, b])
+    if s < 0:
+        raise RuntimeError(_no_square(rs.roots[a], rs.roots[b]))
+    members = _members(rs, s)
+    kind, p = position_class(rs, r, rs._square_index.sigma[s], members)
+    mate = None if p is None else members[p ^ 1]
+    if phi is FormKind.PI2 and kind is SquareAngle.IN_SQUARE:
         # The pi/2 form is square-keyed up to sign; root it at rho's pair.
         a, b = r, mate
-    subcase, targets = _ledger_target(rs, signs, phi, a, b, r, cls.kind, mate)
-    config = dict(alpha=list(rs.roots[a]), beta=list(rs.roots[b]), rho=list(rho), phi=phi.value)
-    return cls.kind.value, subcase, config, r, (phi, a, b), targets
+    subcase, targets = _ledger_target(rs, signs, phi, a, b, r, kind, mate)
+    roots = rs.roots
+    config = dict(alpha=list(roots[a]), beta=list(roots[b]), rho=list(roots[r]), phi=phi.value)
+    return kind.value, subcase, config, r, (phi, a, b), targets
 
 
 def _ledger_arrays(rs, signs, cases):
@@ -315,13 +324,13 @@ def _residual_text(rs, terms) -> str:
 
 
 def case_identities(rs: RootSystem, signs: SignTable, phi: FormKind, configs) -> list:
-    """The ledger identity of the form phi at each (alpha, beta, rho),
-    checked together on integer coefficient arrays: per config, its
-    CaseResult, or the RuntimeError its set-up raised."""
+    """The ledger identity of the form phi at each (alpha, beta, rho) of
+    root numbers, checked together on integer coefficient arrays: per
+    config, its CaseResult, or the RuntimeError its set-up raised."""
     results, prepared = [], []
-    for alpha, beta, rho in configs:
+    for a, b, r in configs:
         try:
-            prepared.append((len(results), *_prepare_case(rs, signs, alpha, beta, rho, phi)))
+            prepared.append((len(results), *_prepare_case(rs, signs, a, b, r, phi)))
             results.append(None)
         except RuntimeError as exc:
             results.append(exc)
@@ -349,11 +358,12 @@ _MOVED = "a form moved under a root orthogonal to the square"
 _NO_EPSILON = "no epsilon makes the commutator match"
 
 
-def _square_forms(rs, square):
-    """The forms attached to a square, named as in _ledger_target, in the
+def _square_forms(rs, s: int):
+    """The forms attached to square s, named as in _ledger_target, in the
     order the fixes-square check reads them."""
     PI2, TWO_PI3, PI = FormKind
-    ij = [map(rs.root_index, pair) for pair in square.pairs]
+    m = _members(rs, s)
+    ij = zip(m[::2], m[1::2])
     return [f for i, j in ij for f in ((PI2, i, j), (TWO_PI3, i, j), (TWO_PI3, j, i), (PI, i, j))]
 
 
@@ -368,67 +378,54 @@ def _square_verdict(config, moved):
     return CommutatorResult(True, config, mode="fixes-square")
 
 
-def _reduction_plan(rs, rho, square):
-    """What a commutator reduction decides before any arithmetic: (config,
-    plan), plan being a failed CommutatorResult, None for the fixes-square
-    sub-case, or the factors (a, b, their angle classes) of the
-    decomposition x_rho(xi) = [x_a(xi), x_b(eps)] that rho's angle class
-    (pi/2 or pi/3) names."""
-    cls = classify_root_vs_square(rs, rho, square)
-    config = {"rho": list(rho), "sigma": list(square.sigma), "class": cls.kind.value}
-    if cls.kind is SquareAngle.PERP:
-        chosen = None
-        for x, y in square.pairs:
-            dx, dy = rs.doubled_inner(rho, x), rs.doubled_inner(rho, y)
-            if dx == 1 and dy == -1:
-                chosen = y
-                break
-            if dx == -1 and dy == 1:
-                chosen = x
-                break
-        if chosen is None:
-            return config, None
-        a = tuple(p + r for p, r in zip(chosen, rho))  # beta_{-j} + rho, lies in the square
-        b = rs.negate(chosen)
+def _reduction_plan(rs, r: int, s: int):
+    """What the commutator reduction of root number r against square s
+    decides before any arithmetic: (config, plan), plan being a failed
+    CommutatorResult, None for the fixes-square sub-case, or the factors
+    (a, b, their angle classes) of the decomposition x_rho(xi) =
+    [x_a(xi), x_b(eps)] that rho's angle class (pi/2 or pi/3) names."""
+    sigma, members = rs._square_index.sigma[s], _members(rs, s)
+    kind, _ = position_class(rs, r, sigma, members)
+    config = {"rho": list(rs.roots[r]), "sigma": sigma.tolist(), "class": kind.value}
+    # Per doubled products of rho with a pair, which member of the first
+    # such pair the factors are made from.
+    if kind is SquareAngle.PERP:
+        which = {(1, -1): 1, (-1, 1): 0}
         expected = (SquareAngle.IN_SQUARE, SquareAngle.OPPOSITE_SQUARE)
-    elif cls.kind is SquareAngle.THIRD:
-        chosen = None
-        for x, y in square.pairs:
-            dx, dy = rs.doubled_inner(rho, x), rs.doubled_inner(rho, y)
-            if dx == 1 and dy == 0:
-                chosen = x
-                break
-            if dx == 0 and dy == 1:
-                chosen = y
-                break
-        if chosen is None:
-            return config, CommutatorResult(False, config, detail="no member at angle pi/3 found")
-        a = tuple(x - y for x, y in zip(rho, chosen))  # rho - beta_{-1}
-        b = chosen
+    elif kind is SquareAngle.THIRD:
+        which = {(1, 0): 0, (0, 1): 1}
         expected = (SquareAngle.TWO_THIRDS, SquareAngle.IN_SQUARE)
     else:
         raise ValueError("commutator reduction applies to angle classes pi/2 and pi/3 only")
-
-    if not (rs.is_root(a) and rs.is_root(b)):
+    chosen = None
+    products = rs._gram[r, members].tolist()
+    for p in range(0, len(members), 2):
+        at = which.get(tuple(products[p : p + 2]))
+        if at is not None:
+            chosen = members[p + at]
+            break
+    if chosen is None and kind is SquareAngle.PERP:
+        return config, None
+    if chosen is None:
+        return config, CommutatorResult(False, config, detail="no member at angle pi/3 found")
+    if kind is SquareAngle.PERP:
+        # beta_{-j} + rho, which lies in the square, and -beta_{-j}.
+        a, b = int(rs._sum_idx[chosen, r]), int(rs._neg[chosen])
+    else:
+        a, b = int(rs._sum_idx[r, rs._neg[chosen]]), chosen  # rho - beta_{-1}
+    if a < 0:
         return config, CommutatorResult(False, config, detail="factor is not a root")
-    factor_classes = (
-        classify_root_vs_square(rs, a, square).kind.value,
-        classify_root_vs_square(rs, b, square).kind.value,
-    )
+    factor_classes = tuple(position_class(rs, x, sigma, members)[0].value for x in (a, b))
     if factor_classes != tuple(k.value for k in expected):
-        return config, CommutatorResult(
-            False,
-            config,
-            factor_classes=factor_classes,
-            detail="factor angle classes differ from the named ones",
-        )
+        detail = "factor angle classes differ from the named ones"
+        return config, CommutatorResult(False, config, factor_classes=factor_classes, detail=detail)
     return config, (a, b, factor_classes)
 
 
 def commutator_reductions(rs: RootSystem, signs: SignTable, configs) -> list:
-    """The commutator reduction of each (rho, square), checked together on
-    integer coefficient arrays: per config, its CommutatorResult, or the
-    RuntimeError its set-up raised.  The reduction is found for rho's
+    """The commutator reduction of each (rho, square) of root and square
+    numbers, checked together on integer coefficient arrays: per config,
+    its CommutatorResult, or the RuntimeError its set-up raised.  The reduction is found for rho's
     angle class and holds if some eps in (1, -1) makes the commutator equal
     x_rho(xi) as a matrix polynomial in xi.  One sub-case of class pi/2 has
     no such decomposition: rho orthogonal to every member of the square
@@ -436,18 +433,17 @@ def commutator_reductions(rs: RootSystem, signs: SignTable, configs) -> list:
     x_rho(xi) must fix every form of the square, checked as the ledger
     check with no target forms (mode "fixes-square")."""
     results, reductions, fixed = [], [], []
-    for rho, square in configs:
+    for r, s in configs:
         try:
-            config, plan = _reduction_plan(rs, rho, square)
+            config, plan = _reduction_plan(rs, r, s)
         except RuntimeError as exc:
             results.append(exc)
             continue
         if plan is None:
-            fixed.append((len(results), config, rs.root_index(rho), _square_forms(rs, square)))
+            fixed.append((len(results), config, r, _square_forms(rs, s)))
         elif not isinstance(plan, CommutatorResult):
             a, b, classes = plan
-            positions = [rs.root_index(r) for r in (rho, a, b)]
-            reductions.append((len(results), config, classes, positions))
+            reductions.append((len(results), config, classes, (r, a, b)))
         results.append(plan)
 
     if reductions:
@@ -497,64 +493,42 @@ def _rng_for(seed, label: str) -> random.Random:
     return random.Random(f"{seed}/{label}")
 
 
-def _random_root(rs, rng) -> Root:
-    return rs.roots[batch.draw_root(rs, rng)]
-
-
-def _random_square(rs, rng) -> MaximalSquare:
-    return rs.squares[batch.draw_square(rs, rng)]
-
-
-def _roots_at_sigma_angle(rs, square, dot2_value: int) -> list[int]:
-    d = rs._pairings @ np.array(square.sigma, dtype=np.int64)
-    return np.nonzero(d == dot2_value)[0].tolist()
-
-
-def sample_case_config(rs, rng, entry):
-    """A single (alpha, beta, rho) landing in the given ledger entry."""
+def sample_case_config(rs, rng, entry) -> tuple[int, int, int]:
+    """A single (alpha, beta, rho) of root numbers landing in the given
+    ledger entry."""
     angle, phi, subcase = entry
-    square = _random_square(rs, rng)
-    p = rng.randrange(square.k)
-    alpha, beta = square.pairs[p]
+    s = batch.draw_square(rs, rng)
+    members = _members(rs, s)
+    a, b = members[2 * rng.randrange(len(members) // 2) :][:2]
     if rng.random() < 0.5:
-        alpha, beta = beta, alpha
+        a, b = b, a
 
     if angle in ("0", "pi"):
         if subcase in ("re-rooted", "any"):
-            member = square.member(rng.choice(square.signed_indices()))
+            member = rng.choice(members)
         elif subcase == "j=1":
-            member = alpha
+            member = a
         elif subcase == "j=-1":
-            member = beta
+            member = b
         else:
-            others = [m for m in square.members() if m != alpha and m != beta]
+            others = [m for m in members if m != a and m != b]
             member = others[rng.randrange(len(others))]
-        rho = member if angle == "0" else rs.negate(member)
-        return alpha, beta, rho
+        return a, b, member if angle == "0" else int(rs._neg[member])
 
     # 2pi/3 class: rho has doubled product -1 with sigma; orient the pair to
-    # put the requested product on alpha.  Some squares have no roots in this
-    # class (the D_l squares whose sigma is twice a coordinate vector), so
-    # resample the square until one does.
-    cands = _roots_at_sigma_angle(rs, square, -1)
-    for _ in range(200):
-        if cands:
-            break
-        square = _random_square(rs, rng)
-        cands = _roots_at_sigma_angle(rs, square, -1)
-    else:
-        raise RuntimeError("no square with roots at angle 2pi/3 found")
-    p = rng.randrange(square.k)
-    alpha, beta = square.pairs[p]
-    rho = rs.roots[cands[rng.randrange(len(cands))]]
+    # put the requested product on alpha.
+    s, cands = batch._resample_square(rs, rng, s, -1)
+    members = _members(rs, s)
+    a, b = members[2 * rng.randrange(len(members) // 2) :][:2]
+    r = cands[rng.randrange(len(cands))]
     want = -1 if subcase == "(b1,rho)=-1" else 0
     if subcase == "any":
         want = rng.choice((-1, 0))
-    if rs.doubled_inner(alpha, rho) != want:
-        alpha, beta = beta, alpha
-    if rs.doubled_inner(alpha, rho) != want:
+    if rs._gram[a, r] != want:
+        a, b = b, a
+    if rs._gram[a, r] != want:
         raise RuntimeError("2pi/3 pair pattern violated")
-    return alpha, beta, rho
+    return a, b, r
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +648,7 @@ def suite_combinatorics(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport
     rep.add("conjugate-pairs", count, conj_failures)
 
     # Position lemma.  A class that cannot be resolved fails with
-    # classify_root_vs_square's message.
+    # position_class's message.
     count, (rho, cl_sq), (d, _, missing) = batch.flagged(
         batch.position_block, tb, configs, lambda d, ok, missing: ~ok
     )
@@ -746,9 +720,10 @@ def suite_cases(rs: RootSystem, signs: SignTable, seed=0, samples: int | None = 
                 sample_case_config(rs, rng, entry) for _ in range(min(batch.BLOCK, samples - lo))
             ]
             results = case_identities(rs, signs, phi, configs)
-            for (alpha, beta, rho), result in zip(configs, results):
+            for (a, b, r), result in zip(configs, results):
                 if isinstance(result, RuntimeError):
-                    config = {"alpha": list(alpha), "beta": list(beta), "rho": list(rho)}
+                    roots = (list(rs.roots[x]) for x in (a, b, r))
+                    config = dict(zip(("alpha", "beta", "rho"), roots))
                     failures.append({"config": config, "error": str(result)})
                 elif result.angle != angle or (
                     subcase not in ("re-rooted", "any") and result.subcase != subcase
@@ -784,24 +759,15 @@ def suite_commutator(
         # attempts than could still be needed, so the suite stops where a
         # one-at-a-time loop would.
         while reductions < samples and attempts < 60 * samples:
-            configs = []
-            for _ in range(min(samples - reductions, 60 * samples - attempts, batch.BLOCK)):
-                square = _random_square(rs, rng)
-                cands = _roots_at_sigma_angle(rs, square, dval)
-                for _ in range(200):
-                    if cands:
-                        break
-                    square = _random_square(rs, rng)
-                    cands = _roots_at_sigma_angle(rs, square, dval)
-                else:
-                    raise RuntimeError(f"no square with roots in class {label} found")
-                configs.append((rs.roots[cands[rng.randrange(len(cands))]], square))
+            configs = [
+                batch.draw_root_and_square(rs, rng, dval)
+                for _ in range(min(samples - reductions, 60 * samples - attempts, batch.BLOCK))
+            ]
             attempts += len(configs)
-            for (rho, square), result in zip(configs, commutator_reductions(rs, signs, configs)):
+            for (r, s), result in zip(configs, commutator_reductions(rs, signs, configs)):
                 if isinstance(result, RuntimeError):
-                    failures.append(
-                        {"rho": list(rho), "sigma": list(square.sigma), "error": str(result)}
-                    )
+                    rho, sigma = list(rs.roots[r]), rs._square_index.sigma[s].tolist()
+                    failures.append({"rho": rho, "sigma": sigma, "error": str(result)})
                 elif not result.ok:
                     failures.append({"config": result.config, "detail": result.detail})
                 elif result.mode == "fixes-square":
@@ -837,14 +803,14 @@ def suite_words(
             length = rng.randint(0, _MAX_WORD_LENGTH)
             factors = []
             for _ in range(length):
-                rho = _random_root(rs, rng)
+                rho = rs.roots[batch.draw_root(rs, rng)]
                 if isinstance(ring, IntegersMod):
                     xi = rng.randrange(ring.modulus)
                 else:
                     xi = rng.randint(-2, 2)
                 factors.append(Elementary(rho, xi))
             word = Word(tuple(factors))
-            rho0 = _random_root(rs, rng)
+            rho0 = rs.roots[batch.draw_root(rs, rng)]
             ok, witness = verify_orbit_membership(rs, signs, eqset, word, rho0, ring)
             if not ok:
                 failures.append(
@@ -894,7 +860,7 @@ def suite_orbit(
                 for _ in range(rs.dim_v)
             ],
         )
-        rho = _random_root(rs, rng)
+        rho = rs.roots[batch.draw_root(rs, rng)]
         if isinstance(r, IntegersMod):
             xi, eta = rng.randrange(7), rng.randrange(7)
         else:

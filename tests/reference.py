@@ -24,6 +24,7 @@ The Poly references share with the suites what is decided before any
 arithmetic (verify._prepare_case, verify._reduction_plan,
 verify._square_forms, verify._square_verdict) and the forms the ledger
 reads (verify._ledger_arrays), so they check the same forms the suites do.
+Like those, they take their configurations as root and square numbers.
 """
 
 from __future__ import annotations
@@ -402,19 +403,20 @@ def _poly_residuals(rs, signs, cases):
 def verify_case_identity(
     rs: RootSystem,
     signs: SignTable,
-    alpha: Root,
-    beta: Root,
-    rho: Root,
+    a: int,
+    b: int,
+    r: int,
     phi: FormKind,
     strict: bool = False,
 ) -> CaseResult:
-    """Check one ledger identity symbolically; the residual must vanish.
+    """Check one ledger identity, at root numbers (alpha, beta, rho),
+    symbolically; the residual must vanish.
 
     With strict=True a nonzero residual raises VerificationFailure with the
     residual attached instead of returning a failed result.  This is the
     Poly reference for verify.case_identities, which the suite runs.
     """
-    angle, subcase, config, *case = _prepare_case(rs, signs, alpha, beta, rho, phi)
+    angle, subcase, config, *case = _prepare_case(rs, signs, a, b, r, phi)
     (residual,) = _poly_residuals(rs, signs, [case])
     if isinstance(residual, RuntimeError):
         raise residual
@@ -426,11 +428,12 @@ def verify_case_identity(
 
 
 def verify_commutator_reduction(
-    rs: RootSystem, signs: SignTable, rho: Root, square: MaximalSquare
+    rs: RootSystem, signs: SignTable, r: int, s: int
 ) -> CommutatorResult:
     """Find the decomposition x_rho(xi) = [x_a(xi), x_b(eps)] named by the
-    angle class (pi/2 or pi/3) and verify it as an operator identity on a
-    generic vector, symbolically in xi.
+    angle class (pi/2 or pi/3) of root number r against square s, and
+    verify it as an operator identity on a generic vector, symbolically in
+    xi.
 
     One sub-case of class pi/2 has no such decomposition: rho orthogonal to
     every member of the square (occurs on D_l for l >= 6 and on E_7, never
@@ -439,12 +442,12 @@ def verify_commutator_reduction(
     "fixes-square").  This is the Poly reference for
     verify.commutator_reductions, which the suite runs.
     """
-    config, plan = _reduction_plan(rs, rho, square)
+    config, plan = _reduction_plan(rs, r, s)
     if isinstance(plan, CommutatorResult):
         return plan
     if plan is None:
         # x_rho(xi) must leave every form of the square unchanged.
-        cases = [(rs.root_index(rho), form, []) for form in _square_forms(rs, square)]
+        cases = [(r, form, []) for form in _square_forms(rs, s)]
         residuals = _poly_residuals(rs, signs, cases)
         moved = (x if isinstance(x, RuntimeError) else not x.is_zero() for x in residuals)
         result = _square_verdict(config, moved)
@@ -452,6 +455,7 @@ def verify_commutator_reduction(
             raise result
         return result
     a, b, factor_classes = plan
+    rho, a, b = (rs.roots[x] for x in (r, a, b))
     ring = PolynomialRing()
     xi = ring.variable("xi")
     v = generic_vector(rs, ring)

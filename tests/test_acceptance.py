@@ -24,8 +24,8 @@ from adjoint_quadrics import (
     build_root_system,
     enumerate_squares,
 )
+from adjoint_quadrics.squares import classify_root_vs_square
 from adjoint_quadrics.verify import (
-    classify_root_vs_square,
     suite_cases,
     suite_commutator,
     suite_jacobi,

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from adjoint_quadrics import (
+    RootSystem,
     build_root_system,
     build_sign_table,
     classify_root_vs_square,
@@ -38,9 +39,7 @@ from adjoint_quadrics.squares import _ANGLE_BY_DOT2
 from adjoint_quadrics.verify import (
     LEDGER_ENTRIES,
     SuiteReport,
-    _random_square,
     _rng_for,
-    _roots_at_sigma_angle,
     case_identities,
     commutator_reductions,
     run_suite,
@@ -527,6 +526,39 @@ def test_ledger_reports_pinned(system, name, seed, samples):
     assert _digest(reports) == LEDGER_PINNED[name, seed, samples]
 
 
+@pytest.mark.parametrize("name, seed, samples", [("D6", 0, None), ("E7", 5, 3)])
+def test_ledger_suites_keep_configs_as_numbers(monkeypatch, system, name, seed, samples):
+    # The cases and commutator suites carry root and square numbers from the
+    # draw to the report: with the tuple-level helpers raising, they still
+    # give the pinned reports.  D6 has fixes-square configs.
+    rs, signs = system(name)
+
+    def tuple_helper(*args, **kw):
+        raise AssertionError("a suite called a tuple-level helper")
+
+    monkeypatch.setattr("adjoint_quadrics.squares.square_of_pair", tuple_helper)
+    monkeypatch.setattr("adjoint_quadrics.squares.classify_root_vs_square", tuple_helper)
+    for method in ("root_index", "doubled_inner", "is_root"):
+        monkeypatch.setattr(RootSystem, method, tuple_helper)
+    reports = [suite_cases(rs, signs, seed, samples), suite_commutator(rs, signs, seed, samples)]
+    assert _digest(reports) == LEDGER_PINNED[name, seed, samples]
+
+
+def test_misclassed_ledger_case_is_a_failure_entry():
+    # Every other square's sigma zeroed in the square index: a member drawn
+    # from such a square reads as orthogonal to it, where the ledger has no
+    # entry.  The suite reports those cases as failures and raises nothing;
+    # the 2pi/3 draws redraw past such squares, which have no root at 2pi/3.
+    rs = build_root_system("D5")
+    signs = build_sign_table(rs)
+    rs._square_index.sigma[::2] = 0
+    rep = suite_cases(rs, signs, seed=0, samples=5)
+    assert not rep.ok
+    errors = {f.get("error") for c in rep.checks for f in c["failures"]}
+    assert "no ledger entry for angle class pi/2" in errors
+    assert not suite_commutator(rs, signs, seed=0, samples=5).ok
+
+
 def _perpendicular_configs(rs):
     """(root, square) for every root orthogonal to every member of a
     square, from the Gram matrix and the square index."""
@@ -547,11 +579,12 @@ def _ledger_forms(rs, signs, seed, samples):
         angle, phi, subcase = entry
         rng = _rng_for(seed, f"cases/{angle}/{phi.value}/{subcase}")
         for _ in range(samples):
-            alpha, beta, rho = sample_case_config(rs, rng, entry)
-            *_, form, targets = verify._prepare_case(rs, signs, alpha, beta, rho, phi)
+            *_, form, targets = verify._prepare_case(
+                rs, signs, *sample_case_config(rs, rng, entry), phi
+            )
             forms += [form] + [g for _, _, g in targets]
     for s in sorted({s for _, s in _perpendicular_configs(rs)}):
-        forms += verify._square_forms(rs, rs.squares[s])
+        forms += verify._square_forms(rs, s)
     return forms
 
 
@@ -597,8 +630,8 @@ def test_ledger_arrays_hold_no_l_coordinate(system):
         angle, phi, subcase = entry
         rng = _rng_for(0, f"cases/{angle}/{phi.value}/{subcase}")
         for _ in range(20):
-            alpha, beta, rho = sample_case_config(rs, rng, entry)
-            cases.append(verify._prepare_case(rs, signs, alpha, beta, rho, phi)[-3:])
+            config = sample_case_config(rs, rng, entry)
+            cases.append(verify._prepare_case(rs, signs, *config, phi)[-3:])
     _, (_, *own), (_, _, *target), errors = verify._ledger_arrays(rs, signs, cases)
     assert errors == [None] * len(cases)
     a, b = (np.concatenate([x, y]) for x, y in zip(own[:2], target[:2]))
@@ -628,9 +661,9 @@ def _same_case_results(rs, signs, per_entry, seed):
         rng = _rng_for(seed, f"agree/{entry}")
         configs = [sample_case_config(rs, rng, entry) for _ in range(per_entry)]
         phi = entry[1]
-        for (alpha, beta, rho), got in zip(configs, case_identities(rs, signs, phi, configs)):
+        for config, got in zip(configs, case_identities(rs, signs, phi, configs)):
             try:
-                want = verify_case_identity(rs, signs, alpha, beta, rho, phi)
+                want = verify_case_identity(rs, signs, *config, phi)
             except RuntimeError as exc:
                 assert isinstance(got, RuntimeError) and str(got) == str(exc)
                 continue
@@ -646,18 +679,12 @@ def test_case_identities_match_poly(system, name, per_entry):
 
 
 def _commutator_configs(rs, seed, per_class):
-    """(rho, square) draws of both commutator classes, as the suite draws
-    them."""
+    """(rho, square) draws of both commutator classes, as root and square
+    numbers, as the suite draws them."""
     configs = []
     for label, dval in (("pi/2", 0), ("pi/3", 1)):
         rng = _rng_for(seed, f"commutator/{label}")
-        for _ in range(per_class):
-            square = _random_square(rs, rng)
-            cands = _roots_at_sigma_angle(rs, square, dval)
-            while not cands:
-                square = _random_square(rs, rng)
-                cands = _roots_at_sigma_angle(rs, square, dval)
-            configs.append((rs.roots[cands[rng.randrange(len(cands))]], square))
+        configs += [batch.draw_root_and_square(rs, rng, dval) for _ in range(per_class)]
     return configs
 
 
@@ -666,9 +693,9 @@ def _same_commutator_results(rs, signs, configs):
     verdict, epsilon, mode, factor classes and detail, and the same errors.
     Returns the results."""
     got = commutator_reductions(rs, signs, configs)
-    for (rho, square), result in zip(configs, got):
+    for (r, s), result in zip(configs, got):
         try:
-            want = verify_commutator_reduction(rs, signs, rho, square)
+            want = verify_commutator_reduction(rs, signs, r, s)
         except RuntimeError as exc:
             assert isinstance(result, RuntimeError) and str(result) == str(exc)
             continue
@@ -785,8 +812,7 @@ def test_fixes_square_verdicts_follow_the_form_order():
     for _, s in picked[::2]:
         g, d = (rs.root_index(x) for x in rs.squares[s].pairs[1])
         index.square_of[g, d] = index.square_of[d, g] = -1
-    configs = [(rs.roots[r], rs.squares[s]) for r, s in picked]
-    results = _same_commutator_results(rs, signs, configs)
+    results = _same_commutator_results(rs, signs, picked)
     outcomes = {
         "error" if isinstance(r, RuntimeError) else "fixed" if r.ok else r.detail for r in results
     }

@@ -43,11 +43,11 @@ def test_case_identity_direct(system):
     # One deterministic configuration per angle class on E6.
     rs, signs = system("E6")
     sq = enumerate_squares(rs)[42]
-    alpha, beta = sq.pairs[0]
+    a, b = (rs.root_index(x) for x in sq.pairs[0])
     for phi in (FormKind.PI2, FormKind.TWO_PI3, FormKind.PI):
-        res = verify_case_identity(rs, signs, alpha, beta, alpha, phi)
+        res = verify_case_identity(rs, signs, a, b, a, phi)
         assert res.ok and res.angle == "0"
-        res = verify_case_identity(rs, signs, alpha, beta, rs.negate(beta), phi)
+        res = verify_case_identity(rs, signs, a, b, int(rs._neg[b]), phi)
         assert res.ok and res.angle == "pi"
 
 
@@ -56,8 +56,8 @@ def test_case_identity_two_thirds_subcases(system):
     rng = _rng_for(3, "direct")
     for sub in ("(b1,rho)=-1", "(b1,rho)=0"):
         for phi in (FormKind.TWO_PI3, FormKind.PI):
-            alpha, beta, rho = sample_case_config(rs, rng, ("2pi/3", phi, sub))
-            res = verify_case_identity(rs, signs, alpha, beta, rho, phi)
+            config = sample_case_config(rs, rng, ("2pi/3", phi, sub))
+            res = verify_case_identity(rs, signs, *config, phi)
             assert res.ok and res.subcase == sub
 
 
@@ -69,9 +69,10 @@ def test_case_identity_d5_small_squares(system):
     sq = small[0]
     alpha, beta = sq.pairs[1]
     others = [m for m in sq.members() if m not in (alpha, beta)]
+    a, b = rs.root_index(alpha), rs.root_index(beta)
     for phi in (FormKind.PI2, FormKind.TWO_PI3, FormKind.PI):
         for rho in (alpha, beta, others[0], rs.negate(alpha), rs.negate(others[0])):
-            res = verify_case_identity(rs, signs, alpha, beta, rho, phi)
+            res = verify_case_identity(rs, signs, a, b, rs.root_index(rho), phi)
             assert res.ok, (phi, rho, res.residual)
 
 
@@ -88,16 +89,16 @@ def test_commutator_factor_classes(system):
     squares = enumerate_squares(rs)
     seen = set()
     while len(seen) < 2:
-        sq = squares[rng.randrange(len(squares))]
-        for rho in rs.roots:
-            kind = classify_root_vs_square(rs, rho, sq).kind
+        s = rng.randrange(len(squares))
+        for r, rho in enumerate(rs.roots):
+            kind = classify_root_vs_square(rs, rho, squares[s]).kind
             if kind is SquareAngle.PERP and "perp" not in seen:
-                res = verify_commutator_reduction(rs, signs, rho, sq)
+                res = verify_commutator_reduction(rs, signs, r, s)
                 assert res.ok and res.epsilon in (1, -1)
                 assert res.factor_classes == ("0", "pi")
                 seen.add("perp")
             elif kind is SquareAngle.THIRD and "third" not in seen:
-                res = verify_commutator_reduction(rs, signs, rho, sq)
+                res = verify_commutator_reduction(rs, signs, r, s)
                 assert res.ok and res.epsilon in (1, -1)
                 assert res.factor_classes == ("2pi/3", "0")
                 seen.add("third")
@@ -107,7 +108,7 @@ def test_commutator_rejects_direct_classes(system):
     rs, signs = system("E6")
     sq = enumerate_squares(rs)[0]
     with pytest.raises(ValueError):
-        verify_commutator_reduction(rs, signs, sq.member(1), sq)
+        verify_commutator_reduction(rs, signs, rs.root_index(sq.member(1)), 0)
 
 
 def test_orbit_membership_empty_word(system, eqset_for):
@@ -177,7 +178,7 @@ def test_strict_mode_raises_on_corruption(system):
     rs = build_root_system("D5")
     signs = build_sign_table(rs)
     sq = enumerate_squares(rs)[0]
-    a, b = sq.pairs[0]
+    a, b = (rs.root_index(x) for x in sq.pairs[0])
     # Healthy table: strict mode returns normally.
     res = verify_case_identity(rs, signs, a, b, a, FormKind.PI, strict=True)
     assert res.ok
@@ -193,10 +194,9 @@ def test_strict_mode_raises_on_corruption(system):
     with pytest.raises((VerificationFailure, RuntimeError)) as caught:
         for sq in enumerate_squares(rs):
             for pair in sq.pairs:
+                a, b = (rs.root_index(x) for x in pair)
                 for phi in (FormKind.PI2, FormKind.TWO_PI3, FormKind.PI):
-                    verify_case_identity(
-                        rs, signs, pair[0], pair[1], pair[0], phi, strict=True
-                    )
+                    verify_case_identity(rs, signs, a, b, a, phi, strict=True)
     # A residual, not a builder's check: the action rows read the flipped
     # signs from the table when they are used.
     assert caught.type is VerificationFailure
