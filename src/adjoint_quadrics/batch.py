@@ -345,8 +345,8 @@ for _d, _own, _x, _y in (
 
 def _positions(tb: Tables, width: int, s, rho, d):
     m = tb.member_block(s, width)
-    # The signed index of rho or -rho, as index_of finds it: the first
-    # position holding it.
+    # The signed index of rho or -rho in the square: the first position
+    # holding it.
     target = np.where(d == 2, rho, np.where(d == -2, tb.neg[rho], -1))
     hit = m == target[:, None]
     found = hit.any(1)
@@ -407,7 +407,7 @@ def _modified_squares(tb: Tables, width: int, s):
     out[:, pos, base + 1] = np.where(even, nb, bj)
     out[out < 0] = 0
     ok = (out[:, pos, pos] == bj) & (out[:, pos, pos ^ 1] == nb)
-    # Two members have product 0 if index_of pairs them, else 1.
+    # Two members have product 0 if their signed indices pair them, else 1.
     first = (out[..., :, None] == out[..., None, :]).argmax(-1)
     signed = (first // 2 + 1) * (1 - 2 * (first % 2))
     paired = signed[..., :, None] == -signed[..., None, :]

@@ -51,6 +51,19 @@ form_monomials returns to the verification ledger, go through it, so
 they hold weight monomials only, as does a set built from forms.  The
 packed keys and the L coordinates stay inside this module.
 
+The compiled arrays of every set, generated, built from forms or taken
+from another, share one layout that follows from their data (_layout):
+coordinates as int16 while the set has fewer than 2^15 of them (dim_v +
+n_roots, the weight and L coordinates), else int32, and coefficients in
+the narrowest signed integer type that holds them, int8 in every
+generated set.  That is 5 bytes a monomial, 3.9 MB on E8, where int64
+arrays took 18.9 MB.  Generation builds its coefficients as int8 and
+unpacks its keys straight into the narrow coordinates.  Only what a check
+evaluates is widened, once per check: the restricted route gathers its
+monomials as intp, and the whole-set walk widens one piece at a time and
+makes every pass of the check on it before the next.  `_expand`, and so
+every form that is read and form_monomials, give int64.
+
 `EquationSet.check_vector` decides over Z and Z/m exactly, through the
 compiled arrays.  Z/m coordinates are first lifted to [0, m).  The check
 appends every L_g, computed from the Cartan coordinates so lifted, by
@@ -114,11 +127,15 @@ _WRAP = 1 << 64
 # coefficients does too while the form's sum of |c| is below 2^32.
 _PRIME_LIMIT = 1 << 31
 _MAX_WEIGHT = 1 << 32
-# Bulk evaluation runs over slices of about this many monomials, so each
-# temporary is 128 KB.  That is exactly glibc's default mmap threshold, so
-# whether a slice is reused or mmapped and page-faulted in again on every
-# call depends on the allocator's history in the process (31 minor faults
-# per D7 check were seen).  Larger slices fault more: 8 MB whole-set
+# Bulk evaluation runs over slices of about this many monomials.  A check
+# widens each slice's stored int16 coordinates to intp once, then makes all
+# its passes on it: a 2^14-monomial int64 pass indexed by int16 coordinates
+# took about 2.2 times as long as by intp ones, and one that widened them
+# first about 1.3 times (2 vCPUs).  Each int64 temporary of a pass is
+# 128 KB.  That is exactly glibc's default mmap threshold, so whether a
+# slice's temporaries are reused or mmapped and page-faulted in again on
+# every call depends on the allocator's history in the process (31 minor
+# faults per D7 check were seen).  Larger slices fault more: 8 MB whole-set
 # temporaries on E8, and 512 KB slices (2^16 monomials) on D7, which took
 # about 640 minor faults per check.  Capping the slices below the threshold
 # did not make the faults go away.  Smaller slices (2^12) cost E8 checks
@@ -370,19 +387,40 @@ class _Forms(Sequence):
     __hash__ = None
 
 
+def _layout(dim: int, c: np.ndarray):
+    """(coordinate dtype, coefficient dtype) of the compiled arrays over dim
+    coordinates with the coefficients c: int16 while dim is below 2^15,
+    else int32, and the narrowest signed integer type that holds c."""
+    lo, hi = (int(c.min()), int(c.max())) if len(c) else (0, 0)
+    for coef in (np.int8, np.int16, np.int32, np.int64):
+        if np.iinfo(coef).min <= lo and hi <= np.iinfo(coef).max:
+            break
+    return (np.int16 if dim < 1 << 15 else np.int32), coef
+
+
 class _Compiled:
     """Flattened monomial arrays for bulk evaluation of a whole set, and an
-    index of the monomials by their first coordinate."""
+    index of the monomials by their first coordinate.
+
+    The arrays are stored narrow, in _layout's dtypes: int16 coordinates
+    (int32 from 2^15 coordinates on) and the narrowest coefficient type,
+    int8 in generated sets.  A check widens only what it evaluates:
+    _gather copies the monomials it keeps as intp, and _passes widens each
+    piece of the whole-set walk once for every pass of the check."""
 
     def __init__(self, ia, ib, c, offsets, pairings: np.ndarray):
-        """Form f owns monomials offsets[f]:offsets[f+1] of the int64 arrays,
-        over the weight coordinates and the L coordinates of the root
-        system's `pairings` (see _factored_dim)."""
+        """Form f owns monomials offsets[f]:offsets[f+1] of the arrays, over
+        the weight coordinates and the L coordinates of the root system's
+        `pairings` (see _factored_dim), kept in _layout's dtypes."""
         if np.any(offsets[1:] == offsets[:-1]):
             raise RuntimeError("empty form cannot be compiled")
-        self.ia = ia
-        self.ib = ib
-        self.c = c
+        dim = len(pairings) + sum(pairings.shape)
+        if len(ia) and (min(ia.min(), ib.min()) < 0 or max(ia.max(), ib.max()) >= dim):
+            raise ValueError(f"a monomial reads a coordinate outside 0 to {dim - 1}")
+        coord, coef = _layout(dim, c)
+        self.ia = ia = ia.astype(coord, copy=False)
+        self.ib = ib = ib.astype(coord, copy=False)
+        self.c = c = c.astype(coef, copy=False)
         self.offsets = offsets
         self.n_forms = len(offsets) - 1
         self._pairings = pairings
@@ -417,9 +455,11 @@ class _Compiled:
         # monomial counted as those it stands for, so every value is at most
         # weight * max|x|^2 in size.  Clipping keeps the int64 sums exact.
         def size(c):
-            return np.abs(np.clip(c, -_MAX_WEIGHT, _MAX_WEIGHT))
+            return np.abs(np.clip(c.astype(np.int64), -_MAX_WEIGHT, _MAX_WEIGHT))
 
-        weight = self._sums(lambda a, b, c: size(c), self._whole)
+        weight = np.empty(self.n_forms, dtype=np.int64)
+        for out, _, _, piece, starts in pieces:
+            weight[out] = np.add.reduceat(size(piece), starts)
         big = np.flatnonzero(ib >= sum(pairings.shape))
         extra = size(c[big]) * (_l_sizes(pairings, ia[big], ib[big]) - 1)
         np.add.at(weight, np.searchsorted(offsets, big, side="right") - 1, extra)
@@ -489,39 +529,35 @@ class _Compiled:
         mono = np.concatenate(runs) if runs else np.zeros(0, dtype=np.int32)
         inside = np.zeros(len(starts) - 1, dtype=bool)
         inside[support] = True
+        # np.take converts narrow indices faster than indexing does, and
         # int64 indices spare numpy a conversion on each use below.
-        mono = mono[inside[np.take(self.ib, mono)]].astype(np.int64)
+        mono = mono[inside.take(self.ib.take(mono))].astype(np.int64)
         if len(mono) == 0:
             return np.zeros(0, dtype=np.int64), ()
         # Monomial order is form order.
         mono.sort()
         form = np.searchsorted(self.offsets, mono, side="right") - 1
         first = np.flatnonzero(np.diff(form, prepend=-1))
-        return form[first], ((slice(None), self.ia[mono], self.ib[mono], self.c[mono], first),)
+        a, b = (x[mono].astype(np.intp) for x in (self.ia, self.ib))
+        return form[first], ((slice(None), a, b, self.c[mono], first),)
 
-    def _sums(self, products, walk) -> np.ndarray:
-        """The sums of products(ia, ib, c) over each form of the walk."""
+    def _passes(self, xs, moduli, walk) -> list[np.ndarray]:
+        """The walk's form values at the extended coordinates xs modulo each
+        of `moduli`: _WRAP for the wrapping int64 pass, whose values are
+        int64, or q < 2^31 for residues in [0, q).  Each piece of the walk
+        is widened to intp once, and every pass reads it before the next."""
         forms, pieces = walk
-        values = np.empty(len(forms), dtype=np.int64)
+        vectors = [_coordinates(xs, q) for q in moduli]
+        values = np.empty((len(moduli), len(forms)), dtype=np.int64)
         for out, a, b, c, starts in pieces:
-            values[out] = np.add.reduceat(products(a, b, c), starts)
-        return values
-
-    def _pass(self, xs, q: int, walk) -> np.ndarray:
-        """The walk's form values modulo q at the extended coordinates xs:
-        _WRAP for the wrapping int64 pass, whose values are int64, or q < 2^31
-        for residues in [0, q)."""
-        if q == _WRAP:
-            try:
-                v = np.asarray(xs, dtype=np.int64)
-            except OverflowError:
-                v = np.array([x & _WRAP - 1 for x in xs], dtype=np.uint64).view(np.int64)
-            return self._sums(lambda a, b, c: c * v[a] * v[b], walk)
-        if isinstance(xs, np.ndarray):
-            r = xs % q
-        else:
-            r = np.array([x % q for x in xs], dtype=np.int64)
-        return self._sums(lambda a, b, c: r[a] * r[b] % q * c, walk) % q
+            a, b = a.astype(np.intp, copy=False), b.astype(np.intp, copy=False)
+            for q, v, sums in zip(moduli, vectors, values):
+                products = c * v[a] * v[b] if q == _WRAP else v[a] * v[b] % q * c
+                sums[out] = np.add.reduceat(products, starts)
+        for q, sums in zip(moduli, values):
+            if q != _WRAP:
+                sums %= q
+        return list(values)
 
     def _bound(self, xs) -> int:
         return max((abs(x) for x in xs), default=0) ** 2 * self.weight
@@ -529,9 +565,9 @@ class _Compiled:
     def _route(self, xs, modulus: int | None = None):
         """(bound, moduli) for exact evaluation at the integer coordinates xs,
         in [0, modulus) over Z/modulus: every value is at most bound in size,
-        and the check makes one _pass modulo each of moduli.  [_WRAP] alone
-        is exact, [modulus] is exact mod the modulus, and [_WRAP, primes...]
-        is read through _lift."""
+        and _passes makes one pass modulo each of moduli.  [_WRAP] alone is
+        exact, [modulus] is exact mod the modulus, and [_WRAP, primes...] is
+        read through _lift."""
         bound = self._bound(xs)
         # int64 must hold the exact values, and the modulus to reduce by it.
         if max(bound, modulus or 0) < _WRAP >> 1:
@@ -551,7 +587,7 @@ class _Compiled:
         xs = self._extend(xs)
         walk = self._walk(xs, moduli)
         forms = walk[0]
-        passes = [self._pass(xs, q, walk) for q in moduli]
+        passes = self._passes(xs, moduli, walk)
         if len(moduli) == 1:
             # The exact values, or their residues if the pass was mod m.
             values = passes[0] if modulus in (None, moduli[0]) else passes[0] % modulus
@@ -569,6 +605,19 @@ class _Compiled:
         if len(nz) == 0:
             return None, None
         return int(forms[nz[0]]), int(values[nz[0]])
+
+
+def _coordinates(xs, q: int) -> np.ndarray:
+    """The extended coordinates xs as the int64 vector of a _passes pass
+    modulo q: wrapped to int64 for q = _WRAP, else their residues mod q."""
+    if q == _WRAP:
+        try:
+            return np.asarray(xs, dtype=np.int64)
+        except OverflowError:
+            return np.array([x & _WRAP - 1 for x in xs], dtype=np.uint64).view(np.int64)
+    if isinstance(xs, np.ndarray):
+        return xs % q
+    return np.array([x % q for x in xs], dtype=np.int64)
 
 
 @functools.cache
@@ -627,16 +676,18 @@ def _pack(form, a, b, dim: int) -> np.ndarray:
     monomials v_a v_b, a <= b < dim, of forms `form`.  They sort like
     (form * dim + a) * dim + b, the canonical monomial order."""
     w = dim.bit_length()
-    return form.astype(np.int64) << 2 * w | a << w | b
+    return form.astype(np.int64) << 2 * w | a.astype(np.int64, copy=False) << w | b
 
 
-def _unpack(key, dim: int):
-    """(form, a, b) of _pack's keys; form is `key`, shifted in place, which
-    spares E8 generation an 8 MB array at its peak."""
+def _unpack(key, dim: int, coord=np.int64):
+    """(form, a, b) of _pack's keys, a and b of dtype coord; form is `key`,
+    shifted in place, which spares E8 generation an 8 MB array at its
+    peak, and a and b are written straight into coord."""
     w = dim.bit_length()
-    b = key & (1 << w) - 1
+    mask = (1 << w) - 1
+    b = np.bitwise_and(key, mask, out=np.empty(len(key), coord), casting="unsafe")
     key >>= w
-    a = key & (1 << w) - 1
+    a = np.bitwise_and(key, mask, out=np.empty(len(key), coord), casting="unsafe")
     key >>= w
     return key, a, b
 
@@ -724,7 +775,7 @@ def _expand(pairings, f, a, b, c):
         parts.append((f[two[p]], n + s[q], n + t[q], products[p, q]))
     f, a, b, c = (np.concatenate(column) for column in zip(*parts))
     key, c = _sort_keys(_pack(f, a, b, dim), c)
-    return (*_unpack(key, dim), c)
+    return (*_unpack(key, dim), c.astype(np.int64, copy=False))
 
 
 def _other_members(index, ii, jj):
@@ -791,7 +842,7 @@ def _form_keys(rs: RootSystem, signs: SignTable, codes, ii, jj):
     codes, ii, jj = np.asarray(codes), np.asarray(ii, np.int64), np.asarray(jj, np.int64)
     missing = rs._square_index.square_of[ii, jj] < 0
     kernels = ((_pi2_monomials, signs), (_two_pi3_monomials, signs), (_pi_monomials,))
-    keys, cs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    keys, cs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int8)]
     for code, (kernel, *args) in enumerate(kernels):
         forms = np.flatnonzero((codes == code) & ~missing)
         for lo in range(0, len(forms), _PAIR_BLOCK):
@@ -799,7 +850,7 @@ def _form_keys(rs: RootSystem, signs: SignTable, codes, ii, jj):
             key, c = kernel(f, ii[f], jj[f], rs, *args)
             keys.append(key)
             cs.append(c)
-    return missing, (np.concatenate(keys), np.concatenate(cs).astype(np.int64, copy=False))
+    return missing, (np.concatenate(keys), np.concatenate(cs))
 
 
 def form_monomials(rs: RootSystem, signs: SignTable, kinds, ii, jj):
@@ -826,8 +877,12 @@ def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     ii = np.concatenate([index.members[index.start], ii, ii[upper]])
     jj = np.concatenate([index.members[index.start + 1], jj, jj[upper]])
     _, (key, c) = _form_keys(rs, signs, codes, ii, jj)
-    form, ia, ib = _unpack(key, _factored_dim(rs))
+    dim = _factored_dim(rs)
+    form, ia, ib = _unpack(key, dim, _layout(dim, c)[0])
     offsets = np.searchsorted(form, np.arange(len(names) + 1))
+    # The form numbers fill the 8-byte key buffer, more than the 5 bytes a
+    # monomial that the set keeps; it is freed before the index is built.
+    del key, form
     return EquationSet(rs, _parts=(codes, names, _Compiled(ia, ib, c, offsets, rs._pairings)))
 
 

@@ -154,15 +154,6 @@ class MaximalSquare:
     def signed_indices(self) -> list[int]:
         return [i for p in range(1, self.k + 1) for i in (p, -p)]
 
-    def index_of(self, root: Root) -> int | None:
-        """Signed index of a member, or None."""
-        for p, (a, b) in enumerate(self.pairs):
-            if root == a:
-                return p + 1
-            if root == b:
-                return -(p + 1)
-        return None
-
     def to_json(self):
         return {"sigma": list(self.sigma), "pairs": [[list(a), list(b)] for a, b in self.pairs]}
 
@@ -451,12 +442,6 @@ class RootSystem:
     def pairing(self, root: Root, s: int) -> int:
         """The Cartan pairing <root, alpha_s>, s in 1..l."""
         return int(self._pairings[self.root_index(root), s - 1])
-
-    def doubled_inner_vec(self, alpha: Root, vec: tuple[int, ...]) -> int:
-        """Doubled inner product of a root with an arbitrary lattice vector."""
-        i = self.root_index(alpha)
-        v = np.array(vec, dtype=np.int64)
-        return int(self._coeffs[i] @ self.cartan @ v)
 
     def classify_pair(self, alpha: Root, beta: Root) -> PairRelation:
         """Relative position of two roots, decided by the doubled product.

@@ -706,7 +706,8 @@ def suite_combinatorics(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport
 
 
 def suite_cases(rs: RootSystem, signs: SignTable, seed=0, samples: int | None = None) -> SuiteReport:
-    """The symbolic case-identity ledger, sampled per entry."""
+    """The symbolic case-identity ledger, sampled per entry; a draw that
+    fails is a failure entry of its entry's check."""
     t0 = time.perf_counter()
     rep = SuiteReport("cases", str(rs.system), seed)
     if samples is None:
@@ -716,9 +717,12 @@ def suite_cases(rs: RootSystem, signs: SignTable, seed=0, samples: int | None = 
         rng = _rng_for(seed, f"cases/{angle}/{phi.value}/{subcase}")
         failures = []
         for lo in range(0, samples, batch.BLOCK):
-            configs = [
-                sample_case_config(rs, rng, entry) for _ in range(min(batch.BLOCK, samples - lo))
-            ]
+            configs = []
+            for _ in range(min(batch.BLOCK, samples - lo)):
+                try:
+                    configs.append(sample_case_config(rs, rng, entry))
+                except RuntimeError as exc:
+                    failures.append({"error": str(exc)})
             results = case_identities(rs, signs, phi, configs)
             for (a, b, r), result in zip(configs, results):
                 if isinstance(result, RuntimeError):
@@ -741,7 +745,8 @@ def suite_cases(rs: RootSystem, signs: SignTable, seed=0, samples: int | None = 
 def suite_commutator(
     rs: RootSystem, signs: SignTable, seed=0, samples: int | None = None
 ) -> SuiteReport:
-    """Commutator reductions for the two classes without direct identities."""
+    """Commutator reductions for the two classes without direct identities;
+    a draw that fails is a failure entry of its class's check."""
     t0 = time.perf_counter()
     rep = SuiteReport("commutator", str(rs.system), seed)
     if samples is None:
@@ -759,11 +764,13 @@ def suite_commutator(
         # attempts than could still be needed, so the suite stops where a
         # one-at-a-time loop would.
         while reductions < samples and attempts < 60 * samples:
-            configs = [
-                batch.draw_root_and_square(rs, rng, dval)
-                for _ in range(min(samples - reductions, 60 * samples - attempts, batch.BLOCK))
-            ]
-            attempts += len(configs)
+            configs = []
+            for _ in range(min(samples - reductions, 60 * samples - attempts, batch.BLOCK)):
+                attempts += 1
+                try:
+                    configs.append(batch.draw_root_and_square(rs, rng, dval))
+                except RuntimeError as exc:
+                    failures.append({"error": str(exc)})
             for (r, s), result in zip(configs, commutator_reductions(rs, signs, configs)):
                 if isinstance(result, RuntimeError):
                     rho, sigma = list(rs.roots[r]), rs._square_index.sigma[s].tolist()

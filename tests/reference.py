@@ -246,10 +246,25 @@ def extend_a3_to_d4(rs: RootSystem, alpha: Root, beta: Root, gamma: Root) -> Roo
     return rs.roots[int(hits[0])]
 
 
+def doubled_inner_vec(rs: RootSystem, alpha: Root, vec: tuple[int, ...]) -> int:
+    """Doubled inner product of a root with an arbitrary lattice vector."""
+    return int(rs._coeffs[rs.root_index(alpha)] @ rs.cartan @ np.array(vec, dtype=np.int64))
+
+
+def index_of(square: MaximalSquare, root: Root) -> int | None:
+    """Signed index of a member of the square, or None."""
+    for p, (a, b) in enumerate(square.pairs):
+        if root == a:
+            return p + 1
+        if root == b:
+            return -(p + 1)
+    return None
+
+
 def _class_pattern_ok(rs, rho, square, cls) -> bool:
     """Whether the doubled products of rho with sigma and with each pair of
     the square follow the pattern the position lemma gives its class."""
-    d_sigma = rs.doubled_inner_vec(rho, square.sigma)
+    d_sigma = doubled_inner_vec(rs, rho, square.sigma)
     pairs_d = [
         (rs.doubled_inner(rho, a), rs.doubled_inner(rho, b)) for a, b in square.pairs
     ]

@@ -15,7 +15,8 @@ import reference
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-# Test references that the package does not define.
+# Test references that the package does not define, as module attributes
+# or as methods of its classes.
 REFERENCE_NAMES = (
     "pi2_form",
     "pi2_form_for_square",
@@ -39,6 +40,8 @@ REFERENCE_NAMES = (
     "_unordered",
     "zero_weight_combo",
     "inverse_word",
+    "doubled_inner_vec",
+    "index_of",
 )
 
 
@@ -68,7 +71,9 @@ def test_benchmark_imports_exist():
 
 def test_references_live_only_in_the_tests():
     for module in [adjoint_quadrics, *_submodules()]:
-        assert [n for n in REFERENCE_NAMES if hasattr(module, n)] == [], module.__name__
+        classes = [c for c in vars(module).values() if isinstance(c, type)]
+        for owner in (module, *classes):
+            assert [n for n in REFERENCE_NAMES if hasattr(owner, n)] == [], owner.__name__
     assert all(hasattr(reference, n) for n in REFERENCE_NAMES)
     for path in sorted((ROOT / "src" / "adjoint_quadrics").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def _route_values(compiled, coords, modulus=None, route=None):
         walk = compiled._gather(compiled._support(xs))
     else:
         walk = compiled._walk(xs, moduli)
-    passes = [compiled._pass(xs, q, walk) for q in moduli]
+    passes = compiled._passes(xs, moduli, walk)
     if len(moduli) > 1:
         values = equations._lift(passes, moduli[1:], bound)
     else:
@@ -737,16 +738,20 @@ def test_generator_matches_per_form_builders_sampled_e8(system, eqset_for):
 @pytest.mark.parametrize("name", ["D5", "D6", "D7", "E6", "E7", "E8"])
 def test_generated_arrays_pinned_and_equal_to_flattened_forms(system, eqset_for, name):
     # The generated arrays hold each Cartan part as one L monomial; with
-    # those expanded they are the arrays of the forms flattened, the ones
-    # the digests pin, and the bound's weight is the expanded forms' own.
+    # those expanded (as int64) they are the arrays of the forms flattened,
+    # the ones the digests pin as int64 bytes, and the bound's weight is the
+    # expanded forms' own.  Generated, flattened and per-kind sets all store
+    # int16 coordinates and int8 coefficients.
     rs, _ = system(name)
     eqset = eqset_for(name)
     compiled = eqset.compiled()
-    assert all(x.dtype == np.int64 for x in (compiled.ia, compiled.ib, compiled.c))
     form = np.repeat(np.arange(compiled.n_forms), np.diff(compiled.offsets))
     f, ia, ib, c = equations._expand(rs._pairings, form, compiled.ia, compiled.ib, compiled.c)
     arrays = (ia, ib, c, np.searchsorted(f, np.arange(compiled.n_forms + 1)))
     flat = EquationSet(rs, eqset.forms).compiled()
+    parts = [eqset.of_kind(kind).compiled() for kind in FormKind]
+    for stored in (compiled, flat, *parts):
+        assert (stored.ia.dtype, stored.ib.dtype, stored.c.dtype) == (np.int16, np.int16, np.int8)
     for got, want in zip(arrays, (flat.ia, flat.ib, flat.c, flat.offsets)):
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
@@ -921,6 +926,100 @@ def test_oversized_coefficients_rejected(system):
         form = QuadraticForm(rs.system, FormKind.PI, pair, ((0, 1, c),))
         with pytest.raises(ValueError, match="2\\^32"):
             EquationSet(rs, (form,))
+
+
+def test_coordinates_outside_the_set_rejected(system):
+    # The coordinates are stored narrow, so one outside the set's weight
+    # and L coordinates would wrap; it is refused at construction.
+    rs, _ = system("D5")
+    i, j = map(int, np.argwhere(rs._gram == 0)[0])
+    pair = rs.roots[i], rs.roots[j]
+    top = rs.dim_v + rs.n_roots
+    for a, b in ((0, top - 1), (0, top), (-1, 3), (0, 1 << 16)):
+        form = QuadraticForm(rs.system, FormKind.PI, pair, ((a, b, 1),))
+        if b < top and a >= 0:
+            EquationSet(rs, (form,))
+        else:
+            with pytest.raises(ValueError, match="coordinate"):
+                EquationSet(rs, (form,))
+
+
+@pytest.mark.parametrize("scale, dtype", [(300, np.int16), (2**31 - 1, np.int32)])
+def test_wide_coefficients_are_stored_exactly(system, eqset_for, scale, dtype):
+    # A set read from forms whose coefficients pass int8 stores them in the
+    # narrowest type that holds them, and every check gives the exact values
+    # of the forms as written on both walks, past 2^63 too: each form's
+    # first coefficient is scale in size (its sum of |c| stays below 2^32).
+    rs, _ = system("D5")
+    forms = [
+        QuadraticForm(f.system, f.kind, f.key, ((a, b, scale if c > 0 else -scale), *rest))
+        for f in eqset_for("D5").forms
+        for (a, b, c), *rest in [f.monomials]
+    ]
+    wide = EquationSet(rs, forms)
+    compiled = wide.compiled()
+    assert compiled.c.dtype == dtype and compiled.ia.dtype == compiled.ib.dtype == np.int16
+    flat = np.array([c for f in forms for _, _, c in f.monomials])
+    assert np.array_equal(compiled.c, flat) and max(abs(flat)) == scale
+    rng = random.Random(scale)
+    supports = _route_supports(rs, rng)
+    _assert_routes_agree(wide, rs, rng, supports, range(len(supports)))
+    for coords in ([rng.randrange(-3, 4) for _ in range(rs.dim_v)], [1 << 40] * rs.dim_v):
+        for ring in (IntegerRing(), IntegersMod(7), IntegersMod(10**12 - 1)):
+            v = AdjointVector(rs, ring, coords)
+            assert wide.check_vector(v) == _direct_check(wide, v)
+
+
+def test_coordinates_past_int16_are_stored_exactly():
+    # Arrays over 2^15 coordinates or more store them as int32.  A system of
+    # 2^14 roots and rank 1 has 2^14 + 1 weight coordinates and L
+    # coordinates up to 2^15, all equal to its one Cartan coordinate; on
+    # monomials that read coordinates on both sides of 2^15, every walk
+    # gives the values of the same arrays evaluated in int64.
+    n = 1 << 14
+    pairings = np.ones((n, 1), dtype=np.int64)
+    assert equations._layout(2 * n + 1, np.zeros(1, np.int64))[0] is np.int32
+    assert equations._layout(2 * n - 1, np.zeros(1, np.int64))[0] is np.int16
+    rng = np.random.default_rng(15)
+    pool = np.array([0, 1, 7, n - 1, n, n + 1, 30000, (1 << 15) - 1, 1 << 15])
+    sizes = rng.integers(1, 7, 300)
+    a, b = np.sort(rng.choice(pool, (2, sizes.sum())), axis=0)
+    c = rng.choice([-5, -2, -1, 1, 3, 4], sizes.sum())
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    compiled = equations._Compiled(a, b, c, offsets, pairings)
+    assert compiled.ia.dtype == compiled.ib.dtype == np.int32 and compiled.c.dtype == np.int8
+    assert np.array_equal(compiled.ib, b) and compiled.ib.max() == 1 << 15
+    weights = [0, 1, 7, n - 1, n]
+    for m in (None, 7):
+        for support in (weights, [n], range(n + 1)):
+            coords = [0] * (n + 1)
+            for s in support:
+                coords[s] = int(rng.integers(-1000, 1000)) or 1
+            x = np.array(coords + [coords[n]] * n, dtype=np.int64)
+            want = np.add.reduceat(c * x[a] * x[b], offsets[:-1])
+            want = want if m is None else want % m
+            for route in ("restricted", "whole", None):
+                assert _route_values(compiled, coords, m, route) == want.tolist(), (m, route)
+            nz = np.flatnonzero(want)
+            assert compiled.first_nonzero(coords, m) == (int(nz[0]), int(want[nz[0]]))
+
+
+def test_generation_memory_per_monomial(system):
+    # E7 generation, traced after a warm-up, peaks at about 21 bytes a
+    # monomial and keeps about 13 (5 for the narrow arrays, about 4 for the
+    # index).  int64 arrays peaked at 48 and kept 32; int64 coefficients
+    # from the kernels on, or the key buffer kept while the index is built,
+    # each peak at 28.
+    rs, signs = system("E7")
+    generate_all_equations(rs, signs)
+    tracemalloc.start()
+    try:
+        eqset = generate_all_equations(rs, signs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monomials = int(eqset.compiled().offsets[-1])
+    assert peak <= 24 * monomials and kept <= 16 * monomials, (peak / monomials, kept / monomials)
 
 
 # The rings of the route-agreement test: (modulus, coordinate draw, the

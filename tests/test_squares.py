@@ -17,7 +17,9 @@ from adjoint_quadrics import (
 from reference import (
     NotAnA3TripleError,
     conjugate_pair,
+    doubled_inner_vec,
     extend_a3_to_d4,
+    index_of,
     modified_square,
     pair_sets,
     sign_column,
@@ -73,7 +75,7 @@ def test_square_of_pair_properties(system):
         for x in range(len(ms)):
             for y in range(x + 1, len(ms)):
                 d = rs.doubled_inner(ms[x], ms[y])
-                paired = sq.index_of(ms[x]) == -sq.index_of(ms[y])
+                paired = index_of(sq, ms[x]) == -index_of(sq, ms[y])
                 assert d == (0 if paired else 1)
         # Any other orthogonal pair of the square reproduces it.
         g, d_ = sq.pairs[2]
@@ -103,7 +105,7 @@ def test_classification_d5_exhaustive(system):
         for sq in squares:
             cls = classify_root_vs_square(rs, rho, sq)
             seen.add(cls.kind)
-            d = rs.doubled_inner_vec(rho, sq.sigma)
+            d = doubled_inner_vec(rs, rho, sq.sigma)
             assert d == {
                 SquareAngle.IN_SQUARE: 2,
                 SquareAngle.OPPOSITE_SQUARE: -2,
@@ -147,7 +149,7 @@ def test_modified_square(system):
         for x in range(len(ms)):
             for y in range(x + 1, len(ms)):
                 d = rs.doubled_inner(ms[x], ms[y])
-                paired = out.index_of(ms[x]) == -out.index_of(ms[y])
+                paired = index_of(out, ms[x]) == -index_of(out, ms[y])
                 assert d == (0 if paired else 1)
     with pytest.raises(ValueError):
         modified_square(rs, sq, 0)

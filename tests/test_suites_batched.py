@@ -53,6 +53,7 @@ from reference import (
     _class_pattern_ok,
     conjugate_pair,
     extend_a3_to_d4,
+    index_of,
     modified_square,
     pair_sets,
     sign_column,
@@ -224,7 +225,7 @@ def _scalar_modified(rs, sq, j):
     members = out.members()
     for x in range(len(members)):
         for y in range(x + 1, len(members)):
-            paired = out.index_of(members[x]) == -out.index_of(members[y])
+            paired = index_of(out, members[x]) == -index_of(out, members[y])
             ok &= rs.doubled_inner(members[x], members[y]) == (0 if paired else 1)
     return False, not ok
 
@@ -557,6 +558,33 @@ def test_misclassed_ledger_case_is_a_failure_entry():
     errors = {f.get("error") for c in rep.checks for f in c["failures"]}
     assert "no ledger entry for angle class pi/2" in errors
     assert not suite_commutator(rs, signs, seed=0, samples=5).ok
+
+
+@pytest.mark.parametrize(
+    "sigma, cases_error, commutator_error",
+    [
+        ("root", "2pi/3 pair pattern violated", None),
+        (
+            "zero",
+            "no square with roots at doubled product -1 with sigma found",
+            "no square with roots at doubled product 1 with sigma found",
+        ),
+    ],
+)
+def test_failed_draws_are_failure_entries(sigma, cases_error, commutator_error):
+    # Every square's sigma in the square index set to one root's
+    # coefficients, or to 0: the draws themselves fail (no pair of the
+    # square meets rho as the 2pi/3 entry asks, or no square has a root at
+    # the asked doubled product).  Each failed draw is a failure entry of a
+    # report that is not ok, and nothing escapes the suites.
+    rs = build_root_system("D5")
+    signs = build_sign_table(rs)
+    rs._square_index.sigma[:] = rs._coeffs[0] if sigma == "root" else 0
+    for suite, error in ((suite_cases, cases_error), (suite_commutator, commutator_error)):
+        rep = suite(rs, signs, seed=0, samples=5)
+        assert not rep.ok and all(c["passed"] >= 0 for c in rep.checks)
+        if error is not None:
+            assert error in {f.get("error") for c in rep.checks for f in c["failures"]}
 
 
 def _perpendicular_configs(rs):
