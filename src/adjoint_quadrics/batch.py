@@ -11,13 +11,14 @@ failure entry needs.  The kernels are tested against
 squares.classify_root_vs_square and against scalar helpers kept with the
 tests (pair_sets, conjugate_pair, sign_column, modified_square and
 extend_a3_to_d4 in tests/reference.py).  The draws below serve the suites
-that still sample (cases, commutator, words, orbit); they give root and
-square numbers, which the cases and commutator suites keep up to their
-reports (draw_root_and_square is the commutator suite's whole draw).  The
-ledger and commutator kernels at the end check a block of the cases and
-commutator suites' identities on integer coefficient arrays, through the
-roots' action rows; an evaluation over PolynomialRing, kept with the
-tests too, is their reference.
+that still sample: draw_root the words and orbit suites, and Configs the
+cases and commutator suites, which draw (root, square) uniformly among the
+configurations at one doubled product of the root with sigma and keep
+them as root and square numbers up to their reports.  The ledger and
+commutator kernels at the end check a block of the cases and commutator
+suites' identities on integer coefficient arrays, through the roots'
+action rows; an evaluation over PolynomialRing, kept with the tests too,
+is their reference.
 
 A sum or difference of two roots is read from _sum_idx.  The sum
 sigma - gamma of three roots is looked up by a signed mixed-radix key of
@@ -27,6 +28,7 @@ gamma.
 
 from __future__ import annotations
 
+import bisect
 import random
 
 import numpy as np
@@ -53,40 +55,38 @@ def draw_root(rs: RootSystem, rng: random.Random) -> int:
     return rng.randrange(rs.n_roots)
 
 
-def draw_orthogonal_pair(rs: RootSystem, rng: random.Random) -> tuple[int, int]:
-    """A root, redrawn while it is orthogonal to none, and a root orthogonal
-    to it."""
-    while True:
-        i = rng.randrange(rs.n_roots)
-        opts = rs._orthogonal[i]
-        if opts:
-            return i, opts[rng.randrange(len(opts))]
+class Configs:
+    """The (root, square) configurations at doubled product d with the
+    square's sigma, numbered by square, then by root: at(x) is the x-th, for
+    x in range(total), and draw picks one uniformly.  counts[s] is square
+    s's number of them, summed a block of squares at a time, so no roots x
+    squares array is held; at(x) finds its square among the running sums
+    and its root by one row product with that square's sigma."""
 
+    def __init__(self, rs: RootSystem, d: int):
+        # float64 products of these small integers are exact, and run
+        # several times faster than numpy's integer matmul.
+        self.pairings = rs._pairings.astype(np.float64)
+        self.sigma, self.d = rs._square_index.sigma, d
+        self.counts = np.concatenate(
+            [
+                np.count_nonzero(self.pairings @ sigma.T == d, axis=0)
+                for (sigma,) in blocks(self.sigma, size=PAIR_BLOCK)
+            ]
+        )
+        # starts[s] is the number of square s's first configuration.
+        self.starts = [0] + np.cumsum(self.counts).tolist()
+        self.total = self.starts[-1]
 
-def draw_square(rs: RootSystem, rng: random.Random) -> int:
-    """The square through draw_orthogonal_pair's pair."""
-    s = int(rs._square_index.square_of[draw_orthogonal_pair(rs, rng)])
-    if s < 0:
-        raise RuntimeError("an orthogonal pair lies in no square")
-    return s
+    def at(self, x: int) -> tuple[int, int]:
+        s = bisect.bisect_right(self.starts, x) - 1
+        roots = np.flatnonzero(self.pairings @ self.sigma[s] == self.d)
+        return int(roots[x - self.starts[s]]), s
 
-
-def _resample_square(rs: RootSystem, rng: random.Random, s: int, d: int):
-    """(s or, while it has none, up to 199 squares drawn after it, the roots
-    at doubled product d with its sigma).  At 2pi/3, the D_l squares whose
-    sigma is twice a coordinate vector have none."""
-    for _ in range(200):
-        roots = np.flatnonzero(rs._pairings @ rs._square_index.sigma[s] == d).tolist()
-        if roots:
-            return s, roots
-        s = draw_square(rs, rng)
-    raise RuntimeError(f"no square with roots at doubled product {d} with sigma found")
-
-
-def draw_root_and_square(rs: RootSystem, rng: random.Random, d: int) -> tuple[int, int]:
-    """(root, square) at doubled product d: a square, resampled, and a root."""
-    s, roots = _resample_square(rs, rng, draw_square(rs, rng), d)
-    return roots[rng.randrange(len(roots))], s
+    def draw(self, rng: random.Random) -> tuple[int, int]:
+        if not self.total:
+            raise RuntimeError(f"no square with roots at doubled product {self.d} with sigma found")
+        return self.at(rng.randrange(self.total))
 
 
 class Tables:

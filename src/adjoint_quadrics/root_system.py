@@ -313,10 +313,6 @@ class RootSystem:
         # height first).
         self._lex = np.empty(self.n_roots, dtype=np.int64)
         self._lex[np.lexsort(r_mat.T[::-1])] = np.arange(self.n_roots)
-        # Row i: the positions of the roots orthogonal to root i, for draws.
-        self._orthogonal = tuple(
-            tuple(np.flatnonzero(row).tolist()) for row in self._gram == 0
-        )
         self._check_construction()
         self._action_rows = self._build_action_rows()
         self.squares, self._square_index = self._build_squares()

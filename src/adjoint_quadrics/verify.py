@@ -25,17 +25,21 @@ is the root's action rows, I + xi E1 + xi^2 E2.  A ledger case expands f
 through the rows of its rho, subtracts the target forms and passes iff
 every coefficient of xi^k v_p v_q is zero; a reduction composes the four
 factors as a matrix polynomial over Z[xi] and compares it with the rows of
-x_rho(xi), coefficient by coefficient.  A sample stays root and square
-numbers from its draw to its report, read against the root system's
-tables and square index and classed by squares.position_class; its
-sub-case names its forms by kind and pair.  The forms come from
-equations.form_monomials, the kernels that generate the equation set, so
-the ledger checks what check_vector evaluates.  A failing case's residual
-is printed as the Poly it equals.  The tests keep an evaluation of the
-same forms over PolynomialRing, one case at a time, as the reference the
-batched checks are compared with (tests/reference.py); it shares with
-the suites what _prepare_case, _reduction_plan, _square_forms and
-_square_verdict decide and the forms _ledger_arrays reads.
+x_rho(xi), coefficient by coefficient.  Both suites draw each sample
+uniformly among the (root, square) configurations of its angle class
+(batch.Configs; a ledger sample then takes the pair of the square its
+sub-case names), so samples counts configurations per check.  A sample
+stays root and square numbers from its draw to its report, read against
+the root system's tables and square index and classed by
+squares.position_class; its sub-case names its forms by kind and pair.
+The forms come from equations.form_monomials, the kernels that generate
+the equation set, so the ledger checks what check_vector evaluates.  A
+failing case's residual is printed as the Poly it equals.  The tests keep
+an evaluation of the same forms over PolynomialRing, one case at a time,
+as the reference the batched checks are compared with
+(tests/reference.py); it shares with the suites what _prepare_case,
+_reduction_plan, _square_forms and _square_verdict decide and the forms
+_ledger_arrays reads.
 
 The jacobi and combinatorics suites check every case on every system, so
 their reports depend on the system alone (the seed is only recorded, and
@@ -57,6 +61,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -493,42 +498,51 @@ def _rng_for(seed, label: str) -> random.Random:
     return random.Random(f"{seed}/{label}")
 
 
-def sample_case_config(rs, rng, entry) -> tuple[int, int, int]:
+# The doubled product with sigma of a root in each angle class of the ledger.
+CASE_PRODUCTS = {"0": 2, "pi": -2, "2pi/3": -1}
+
+
+def sample_case_config(rs, rng, entry, configs: batch.Configs) -> tuple[int, int, int]:
     """A single (alpha, beta, rho) of root numbers landing in the given
-    ledger entry."""
+    ledger entry: (rho, square) drawn from configs, the configurations at
+    the doubled product CASE_PRODUCTS names for the entry's angle, and the
+    pair (alpha, beta) of that square the sub-case names."""
     angle, phi, subcase = entry
-    s = batch.draw_square(rs, rng)
+    r, s = configs.draw(rng)
     members = _members(rs, s)
-    a, b = members[2 * rng.randrange(len(members) // 2) :][:2]
-    if rng.random() < 0.5:
-        a, b = b, a
+    if angle == "2pi/3":
+        # Order a pair to put the product with rho the sub-case names on alpha.
+        x = rng.randrange(len(members))
+        want = rng.choice((-1, 0)) if subcase == "any" else -1 if subcase == "(b1,rho)=-1" else 0
+        x ^= int(rs._gram[members[x], r] != want)
+        if rs._gram[members[x], r] != want:
+            raise RuntimeError("2pi/3 pair pattern violated")
+        return members[x], members[x ^ 1], r
+    # Classes 0 and pi: p is the position of rho or -rho in the square.
+    _, p = position_class(rs, r, rs._square_index.sigma[s], members)
+    if subcase == "j=1":
+        x = p
+    elif subcase == "j=-1":
+        x = p ^ 1
+    elif subcase == "j!=+-1":
+        x = rng.randrange(len(members) - 2)
+        x += 2 * (x >= p - p % 2)
+    else:
+        x = rng.randrange(len(members))
+    return members[x], members[x ^ 1], r
 
-    if angle in ("0", "pi"):
-        if subcase in ("re-rooted", "any"):
-            member = rng.choice(members)
-        elif subcase == "j=1":
-            member = a
-        elif subcase == "j=-1":
-            member = b
-        else:
-            others = [m for m in members if m != a and m != b]
-            member = others[rng.randrange(len(others))]
-        return a, b, member if angle == "0" else int(rs._neg[member])
 
-    # 2pi/3 class: rho has doubled product -1 with sigma; orient the pair to
-    # put the requested product on alpha.
-    s, cands = batch._resample_square(rs, rng, s, -1)
-    members = _members(rs, s)
-    a, b = members[2 * rng.randrange(len(members) // 2) :][:2]
-    r = cands[rng.randrange(len(cands))]
-    want = -1 if subcase == "(b1,rho)=-1" else 0
-    if subcase == "any":
-        want = rng.choice((-1, 0))
-    if rs._gram[a, r] != want:
-        a, b = b, a
-    if rs._gram[a, r] != want:
-        raise RuntimeError("2pi/3 pair pattern violated")
-    return a, b, r
+def _checked(samples: int, draw, check, failures: list):
+    """(config, result) for each of `samples` draws, checked a block at a
+    time by check(configs); a draw that raises is a failure entry instead."""
+    for lo in range(0, samples, batch.BLOCK):
+        configs = []
+        for _ in range(min(batch.BLOCK, samples - lo)):
+            try:
+                configs.append(draw())
+            except RuntimeError as exc:
+                failures.append({"error": str(exc)})
+        yield from zip(configs, check(configs))
 
 
 # ---------------------------------------------------------------------------
@@ -712,31 +726,24 @@ def suite_cases(rs: RootSystem, signs: SignTable, seed=0, samples: int | None = 
     rep = SuiteReport("cases", str(rs.system), seed)
     if samples is None:
         samples = 100
+    configs = {angle: batch.Configs(rs, d) for angle, d in CASE_PRODUCTS.items()}
     for entry in LEDGER_ENTRIES:
         angle, phi, subcase = entry
         rng = _rng_for(seed, f"cases/{angle}/{phi.value}/{subcase}")
         failures = []
-        for lo in range(0, samples, batch.BLOCK):
-            configs = []
-            for _ in range(min(batch.BLOCK, samples - lo)):
-                try:
-                    configs.append(sample_case_config(rs, rng, entry))
-                except RuntimeError as exc:
-                    failures.append({"error": str(exc)})
-            results = case_identities(rs, signs, phi, configs)
-            for (a, b, r), result in zip(configs, results):
-                if isinstance(result, RuntimeError):
-                    roots = (list(rs.roots[x]) for x in (a, b, r))
-                    config = dict(zip(("alpha", "beta", "rho"), roots))
-                    failures.append({"config": config, "error": str(result)})
-                elif result.angle != angle or (
-                    subcase not in ("re-rooted", "any") and result.subcase != subcase
-                ):
-                    failures.append(
-                        {"config": result.config, "error": "sampler missed the sub-case"}
-                    )
-                elif not result.ok:
-                    failures.append({"config": result.config, "residual": result.residual})
+        draw = partial(sample_case_config, rs, rng, entry, configs[angle])
+        check = partial(case_identities, rs, signs, phi)
+        for drawn, result in _checked(samples, draw, check, failures):
+            if isinstance(result, RuntimeError):
+                roots = (list(rs.roots[x]) for x in drawn)
+                config = dict(zip(("alpha", "beta", "rho"), roots))
+                failures.append({"config": config, "error": str(result)})
+            elif result.angle != angle or (
+                subcase not in ("re-rooted", "any") and result.subcase != subcase
+            ):
+                failures.append({"config": result.config, "error": "sampler missed the sub-case"})
+            elif not result.ok:
+                failures.append({"config": result.config, "residual": result.residual})
         rep.add(f"{angle}/{phi.value}/{subcase}", samples, failures)
     rep.wall_time_s = time.perf_counter() - t0
     return rep
@@ -745,45 +752,31 @@ def suite_cases(rs: RootSystem, signs: SignTable, seed=0, samples: int | None = 
 def suite_commutator(
     rs: RootSystem, signs: SignTable, seed=0, samples: int | None = None
 ) -> SuiteReport:
-    """Commutator reductions for the two classes without direct identities;
-    a draw that fails is a failure entry of its class's check."""
+    """Commutator reductions for the two classes without direct identities,
+    sampled per class; a config where rho is orthogonal to the whole square
+    (no decomposition exists) is checked by the fixes-square route, and a
+    draw that fails is a failure entry of its class's check."""
     t0 = time.perf_counter()
     rep = SuiteReport("commutator", str(rs.system), seed)
     if samples is None:
         samples = 100
-    for label, dval in (("pi/2", 0), ("pi/3", 1)):
+    check = partial(commutator_reductions, rs, signs)
+    for label, d in (("pi/2", 0), ("pi/3", 1)):
         rng = _rng_for(seed, f"commutator/{label}")
+        configs = batch.Configs(rs, d)
         failures = []
-        reductions = 0
-        trivial = 0
-        attempts = 0
-        # Keep sampling until `samples` configurations carrying the named
-        # decomposition are verified; configurations where rho is orthogonal
-        # to the whole square (no decomposition exists) are verified by the
-        # fixes-square route and tallied on top.  Each block draws no more
-        # attempts than could still be needed, so the suite stops where a
-        # one-at-a-time loop would.
-        while reductions < samples and attempts < 60 * samples:
-            configs = []
-            for _ in range(min(samples - reductions, 60 * samples - attempts, batch.BLOCK)):
-                attempts += 1
-                try:
-                    configs.append(batch.draw_root_and_square(rs, rng, dval))
-                except RuntimeError as exc:
-                    failures.append({"error": str(exc)})
-            for (r, s), result in zip(configs, commutator_reductions(rs, signs, configs)):
-                if isinstance(result, RuntimeError):
-                    rho, sigma = list(rs.roots[r]), rs._square_index.sigma[s].tolist()
-                    failures.append({"rho": rho, "sigma": sigma, "error": str(result)})
-                elif not result.ok:
-                    failures.append({"config": result.config, "detail": result.detail})
-                elif result.mode == "fixes-square":
-                    trivial += 1
-                else:
-                    reductions += 1
-        rep.add(f"class-{label}", reductions + trivial + len(failures), failures)
-        rep.checks[-1]["reductions"] = reductions
-        rep.checks[-1]["fixes_square"] = trivial
+        modes = {"reduction": 0, "fixes-square": 0}
+        for (r, s), result in _checked(samples, partial(configs.draw, rng), check, failures):
+            if isinstance(result, RuntimeError):
+                rho, sigma = list(rs.roots[r]), rs._square_index.sigma[s].tolist()
+                failures.append({"rho": rho, "sigma": sigma, "error": str(result)})
+            elif not result.ok:
+                failures.append({"config": result.config, "detail": result.detail})
+            else:
+                modes[result.mode] += 1
+        rep.add(f"class-{label}", samples, failures)
+        rep.checks[-1]["reductions"] = modes["reduction"]
+        rep.checks[-1]["fixes_square"] = modes["fixes-square"]
     rep.wall_time_s = time.perf_counter() - t0
     return rep
 

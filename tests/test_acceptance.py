@@ -390,14 +390,16 @@ def test_criterion_09_commutator_reduction(system):
     bad = []
     for name in ALL_SYSTEMS:
         rs, signs = system(name)
-        rep = suite_commutator(rs, signs, seed=90, samples=100)
+        rep = suite_commutator(rs, signs, seed=90, samples=200)
         if not rep.ok:
             bad.append((name, [c for c in rep.checks if c["passed"] != c["attempted"]]))
         # At least 100 configurations carrying the named decomposition per
-        # class; roots orthogonal to the whole square (D6/E7 only) are
-        # verified separately by the fixes-square route and come on top.
+        # class.  samples counts configurations, and those with rho
+        # orthogonal to the whole square (22% of class pi/2 on D6, 5% on E7,
+        # none elsewhere here) are verified by the fixes-square route
+        # instead, so 200 are drawn per class.
         for c in rep.checks:
-            if c["reductions"] < 100:
+            if c["attempted"] != 200 or c["reductions"] < 100:
                 bad.append((name, c["name"], "fewer than 100 verified reductions"))
     elapsed = time.perf_counter() - t0
     ok = not bad

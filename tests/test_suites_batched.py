@@ -11,6 +11,7 @@ replaces, and show that corrupting a table makes the right checks fail.
 import functools
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from adjoint_quadrics.equations import FormKind, _other_members
 from adjoint_quadrics import verify
 from adjoint_quadrics.squares import _ANGLE_BY_DOT2
 from adjoint_quadrics.verify import (
+    CASE_PRODUCTS,
     LEDGER_ENTRIES,
     SuiteReport,
     _rng_for,
@@ -164,7 +166,8 @@ def _samples(rs, exhaustive: bool):
         p, c = np.nonzero((gram[a] == 0) & (gram[b] == -1))
         return (alpha, beta), (rho, cl), squares, (a[p], b[p], c)
     rng = random.Random(500)
-    pairs = [batch.draw_orthogonal_pair(rs, rng) for _ in range(500)]
+    alpha, beta = np.nonzero(gram == 0)
+    pairs = [(alpha[x], beta[x]) for x in (rng.randrange(len(alpha)) for _ in range(500))]
     configs = [(rng.randrange(n), rng.randrange(n_sq)) for _ in range(500)]
     squares = [rng.randrange(n_sq) for _ in range(500)]
     a, b = np.nonzero(gram == -1)
@@ -300,7 +303,7 @@ def test_batched_checks_match_scalar_helpers(system, name, exhaustive):
     _compare_with_scalar(rs, signs, _samples(rs, exhaustive))
 
 
-def test_batched_checks_match_scalar_helpers_on_corrupted_tables(monkeypatch):
+def test_batched_checks_match_scalar_helpers_on_corrupted_tables():
     # One pair of roots at angle pi/3 recorded as orthogonal, and one
     # structure constant flipped without its antisymmetric partner: the
     # scans, the position patterns, the modified-square products and the
@@ -318,9 +321,6 @@ def test_batched_checks_match_scalar_helpers_on_corrupted_tables(monkeypatch):
     # (x, y) now reads as orthogonal but lies in no square.
     with pytest.raises(RuntimeError, match="no square"):
         square_of_pair(rs, rs.roots[x], rs.roots[y])
-    monkeypatch.setattr(batch, "draw_orthogonal_pair", lambda rs, rng: (x, y))
-    with pytest.raises(RuntimeError, match="no square"):
-        batch.draw_square(rs, random.Random(0))
     differ, _, _ = companion_block(tb, np.array([x]), np.array([y]))
     assert differ.tolist() == [True]
     (alpha, beta), (rho, cl), squares, (a, b, c) = samples
@@ -507,22 +507,27 @@ def test_unresolved_samples_report_the_scalar_messages(monkeypatch):
 
 
 # sha256 of report_json([suite_cases(...), suite_commutator(...)]) as the
-# Poly evaluation gave it, before the ledger was checked on coefficient
-# arrays.
+# Poly evaluation gives it on the same draws (each identity checked one
+# config at a time by tests/reference.py; test_ledger_pins_are_the_poly_reports
+# checks this on D6).
 LEDGER_PINNED = {
     ("D5", 0, None): "aef9f5f618faf2efe5c97d6ac02cbcc1c28b07faac4ca73157d71fc2e247ba9d",
-    ("D6", 0, None): "6195440fcab70a8ac2445e3e6de46bd0208e562052ff2adc4eb7e3337e9ae852",
+    ("D6", 0, None): "48693cbc76b2e359e3475e5491396a61b093ab2101dc1d930684d8674be74996",
     ("E6", 0, None): "abf9a13a32abeda8598a1d40b901372fad2a9d386b86005b861c2fd7173ce633",
-    ("E7", 0, None): "4db5c694fca44a20e372c1a174fc830e0293adef706540553e6aefa1c7fee69e",
+    ("E7", 0, None): "596124ef729e67a9802f505fe7dc54de1d5b4259a4fee5cfc31b13b18a15d11d",
     ("E8", 0, None): "4a2898f8ad3b47cad7220b22e5f755b3d8e305d738e5a92ef23201337203e3c4",
     ("E7", 5, 3): "f55d724975abf9d741097be3694e412c26c1476a43d112cc846704506c98646f",
 }
 
 
+def _ledger_reports(rs, signs, seed, samples):
+    return [suite_cases(rs, signs, seed, samples), suite_commutator(rs, signs, seed, samples)]
+
+
 @pytest.mark.parametrize("name, seed, samples", sorted(LEDGER_PINNED, key=str))
 def test_ledger_reports_pinned(system, name, seed, samples):
     rs, signs = system(name)
-    reports = [suite_cases(rs, signs, seed, samples), suite_commutator(rs, signs, seed, samples)]
+    reports = _ledger_reports(rs, signs, seed, samples)
     assert all(r.ok for r in reports)
     assert _digest(reports) == LEDGER_PINNED[name, seed, samples]
 
@@ -541,18 +546,21 @@ def test_ledger_suites_keep_configs_as_numbers(monkeypatch, system, name, seed, 
     monkeypatch.setattr("adjoint_quadrics.squares.classify_root_vs_square", tuple_helper)
     for method in ("root_index", "doubled_inner", "is_root"):
         monkeypatch.setattr(RootSystem, method, tuple_helper)
-    reports = [suite_cases(rs, signs, seed, samples), suite_commutator(rs, signs, seed, samples)]
+    reports = _ledger_reports(rs, signs, seed, samples)
     assert _digest(reports) == LEDGER_PINNED[name, seed, samples]
 
 
 def test_misclassed_ledger_case_is_a_failure_entry():
-    # Every other square's sigma zeroed in the square index: a member drawn
-    # from such a square reads as orthogonal to it, where the ledger has no
-    # entry.  The suite reports those cases as failures and raises nothing;
-    # the 2pi/3 draws redraw past such squares, which have no root at 2pi/3.
+    # Every other square's sigma zeroed in the square index, and the pairs
+    # of each square after one filed under it: the draws land on the intact
+    # squares only, but a case's form reads its pair's square, whose sigma is
+    # 0, so rho reads as orthogonal to it, where the ledger has no entry.
+    # The suite reports those cases as failures and raises nothing.
     rs = build_root_system("D5")
     signs = build_sign_table(rs)
-    rs._square_index.sigma[::2] = 0
+    index = rs._square_index
+    index.sigma[::2] = 0
+    index.square_of[index.square_of >= 0] &= ~1
     rep = suite_cases(rs, signs, seed=0, samples=5)
     assert not rep.ok
     errors = {f.get("error") for c in rep.checks for f in c["failures"]}
@@ -587,6 +595,57 @@ def test_failed_draws_are_failure_entries(sigma, cases_error, commutator_error):
             assert error in {f.get("error") for c in rep.checks for f in c["failures"]}
 
 
+def test_every_class_attempts_its_samples(system):
+    # samples counts draws per check in both suites.  With every sigma
+    # zeroed only the commutator's class pi/2 has configurations, and each
+    # other draw fails at once as one failure entry; intact D7, where 47% of
+    # the pi/2 configurations are fixes-square, draws exactly samples too.
+    rs = build_root_system("D5")
+    signs = build_sign_table(rs)
+    rs._square_index.sigma[:] = 0
+    for suite in (suite_cases, suite_commutator):
+        rep = suite(rs, signs, seed=0, samples=5)
+        assert not rep.ok
+        assert [c["attempted"] for c in rep.checks] == [5] * len(rep.checks)
+    rs, signs = system("D7")
+    for samples in (3, 70):
+        rep = suite_commutator(rs, signs, seed=0, samples=samples)
+        assert rep.ok and [c["attempted"] for c in rep.checks] == [samples] * 2
+        assert [c["reductions"] + c["fixes_square"] for c in rep.checks] == [samples] * 2
+
+
+@pytest.mark.parametrize("name", ["D5", "D6", "E6"])
+def test_configs_number_every_configuration_once(system, name):
+    # Per doubled product d: the per-square counts are the column sums of the
+    # roots x squares table of products equal to d, and at() maps range(total)
+    # onto the table's configurations, square by square, each once; so draw,
+    # which picks an index uniformly, picks a configuration uniformly.
+    rs, _ = system(name)
+    products = rs._pairings @ rs._square_index.sigma.T
+    totals = {}
+    for d in (2, -2, -1, 0, 1):
+        configs = batch.Configs(rs, d)
+        table = products == d
+        assert configs.counts.tolist() == table.sum(0).tolist()
+        s, r = np.nonzero(table.T)
+        assert [configs.at(x) for x in range(configs.total)] == list(zip(r.tolist(), s.tolist()))
+        totals[d] = configs.total
+    if name == "D5":
+        assert totals == {2: 560, -2: 560, -1: 640, 0: 1200, 1: 640}
+
+
+def test_configs_hold_no_roots_by_squares_array(system):
+    # D17: 544 roots and 38,114 squares, 20.7 million (root, square) pairs;
+    # the counts are summed a block of squares at a time.
+    rs, _ = system("D17")
+    tracemalloc.start()
+    configs = batch.Configs(rs, 0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4e6
+    assert configs.total == int(np.sum(configs.counts)) > 0
+
+
 def _perpendicular_configs(rs):
     """(root, square) for every root orthogonal to every member of a
     square, from the Gram matrix and the square index."""
@@ -598,17 +657,22 @@ def _perpendicular_configs(rs):
     ]
 
 
+def _case_configs(rs):
+    """The cases suite's configurations to draw from, per angle class."""
+    return {angle: batch.Configs(rs, d) for angle, d in CASE_PRODUCTS.items()}
+
+
 def _ledger_forms(rs, signs, seed, samples):
     """Every form the cases suite reads at (seed, samples), and every form
     the fixes-square check can read, each named by its kind and the root
     numbers of its pair."""
-    forms = []
+    forms, configs = [], _case_configs(rs)
     for entry in LEDGER_ENTRIES:
         angle, phi, subcase = entry
         rng = _rng_for(seed, f"cases/{angle}/{phi.value}/{subcase}")
         for _ in range(samples):
             *_, form, targets = verify._prepare_case(
-                rs, signs, *sample_case_config(rs, rng, entry), phi
+                rs, signs, *sample_case_config(rs, rng, entry, configs[angle]), phi
             )
             forms += [form] + [g for _, _, g in targets]
     for s in sorted({s for _, s in _perpendicular_configs(rs)}):
@@ -653,12 +717,12 @@ def test_ledger_arrays_hold_no_l_coordinate(system):
     # those expanded, so on sampled E7 cases every monomial is over weight
     # coordinates, zero weights among them.
     rs, signs = system("E7")
-    cases = []
+    cases, configs = [], _case_configs(rs)
     for entry in LEDGER_ENTRIES:
         angle, phi, subcase = entry
         rng = _rng_for(0, f"cases/{angle}/{phi.value}/{subcase}")
         for _ in range(20):
-            config = sample_case_config(rs, rng, entry)
+            config = sample_case_config(rs, rng, entry, configs[angle])
             cases.append(verify._prepare_case(rs, signs, *config, phi)[-3:])
     _, (_, *own), (_, _, *target), errors = verify._ledger_arrays(rs, signs, cases)
     assert errors == [None] * len(cases)
@@ -684,10 +748,10 @@ def _same_case_results(rs, signs, per_entry, seed):
     """case_identities against verify_case_identity on per_entry seeded
     samples of every ledger entry: the same verdicts and residual strings,
     and the same errors.  Returns the number of failing cases."""
-    failing = 0
+    failing, draws = 0, _case_configs(rs)
     for entry in LEDGER_ENTRIES:
         rng = _rng_for(seed, f"agree/{entry}")
-        configs = [sample_case_config(rs, rng, entry) for _ in range(per_entry)]
+        configs = [sample_case_config(rs, rng, entry, draws[entry[0]]) for _ in range(per_entry)]
         phi = entry[1]
         for config, got in zip(configs, case_identities(rs, signs, phi, configs)):
             try:
@@ -711,8 +775,8 @@ def _commutator_configs(rs, seed, per_class):
     numbers, as the suite draws them."""
     configs = []
     for label, dval in (("pi/2", 0), ("pi/3", 1)):
-        rng = _rng_for(seed, f"commutator/{label}")
-        configs += [batch.draw_root_and_square(rs, rng, dval) for _ in range(per_class)]
+        rng, pool = _rng_for(seed, f"commutator/{label}"), batch.Configs(rs, dval)
+        configs += [pool.draw(rng) for _ in range(per_class)]
     return configs
 
 
@@ -753,32 +817,33 @@ LEDGER_FLIPPED = {
     ("D5", 0, None): (
         [
             ("0/pi/2/re-rooted", 100, 98),
-            ("0/2pi/3/j=1", 100, 94),
-            ("0/2pi/3/j=-1", 100, 98),
-            ("0/2pi/3/j!=+-1", 100, 96),
-            ("0/pi/j=1", 100, 93),
-            ("0/pi/j=-1", 100, 96),
-            ("0/pi/j!=+-1", 100, 94),
-            ("pi/2pi/3/j=-1", 100, 94),
-            ("pi/pi/j=1", 100, 96),
-            ("pi/pi/j=-1", 100, 95),
+            ("0/2pi/3/j=1", 100, 95),
+            ("0/2pi/3/j=-1", 100, 95),
+            ("0/2pi/3/j!=+-1", 100, 90),
+            ("0/pi/j=1", 100, 95),
+            ("0/pi/j=-1", 100, 94),
+            ("0/pi/j!=+-1", 100, 98),
+            ("pi/2pi/3/j=-1", 100, 96),
+            ("pi/pi/j=1", 100, 92),
+            ("pi/pi/j=-1", 100, 97),
+            ("pi/pi/j!=+-1", 100, 96),
+            ("2pi/3/2pi/3/(b1,rho)=0", 100, 96),
             ("2pi/3/pi/(b1,rho)=-1", 100, 95),
-            ("2pi/3/pi/(b1,rho)=0", 100, 98),
-            ("class-pi/2", 119, 100),
-            ("class-pi/3", 118, 100),
+            ("2pi/3/pi/(b1,rho)=0", 100, 96),
+            ("class-pi/2", 100, 86),
+            ("class-pi/3", 100, 82),
         ],
-        "310d2e9e1092d1d8fcd2f18dca8a6aa64714955f830d6e217cc3efa78d3d8174",
+        "78b7326b778f3f48f64b06e26ba887a3d7741093ed12e60143b4ab054cf7b9c0",
     ),
     ("E7", 3, 20): (
         [
             ("0/2pi/3/j=1", 20, 19),
             ("0/2pi/3/j!=+-1", 20, 19),
             ("0/pi/j=1", 20, 19),
-            ("pi/2pi/3/j=-1", 20, 18),
-            ("class-pi/2", 23, 21),
-            ("class-pi/3", 21, 20),
+            ("0/pi/j!=+-1", 20, 19),
+            ("class-pi/3", 20, 17),
         ],
-        "f9c2de118b6c03d6697f3b8c7c391951eb564af300c92de17090ad848431a449",
+        "dde82089e36e53bb747b31992bcf1e798b280c5002604e7567d6c3cee78670f9",
     ),
 }
 
@@ -786,7 +851,7 @@ LEDGER_FLIPPED = {
 @pytest.mark.parametrize("name, seed, samples", sorted(LEDGER_FLIPPED, key=str))
 def test_flipped_sign_fails_the_ledger_like_poly(name, seed, samples):
     rs, signs = _flip_one_sign(name)
-    reports = [suite_cases(rs, signs, seed, samples), suite_commutator(rs, signs, seed, samples)]
+    reports = _ledger_reports(rs, signs, seed, samples)
     failing = [
         (c["name"], c["attempted"], c["passed"])
         for r in reports
@@ -800,6 +865,36 @@ def test_flipped_sign_fails_the_ledger_like_poly(name, seed, samples):
     assert _same_case_results(rs, signs, 6, seed=4) > 0
     results = _same_commutator_results(rs, signs, _commutator_configs(rs, seed=4, per_class=20))
     assert not all(r.ok for r in results)
+
+
+def _or_error(check, *args):
+    try:
+        return check(*args)
+    except RuntimeError as exc:
+        return exc
+
+
+def test_ledger_pins_are_the_poly_reports(monkeypatch, system):
+    # The suites with every identity checked by the Poly reference, one
+    # config at a time, on the suites' own draws, give the pinned reports.
+    monkeypatch.setattr(
+        verify,
+        "case_identities",
+        lambda rs, signs, phi, configs: [
+            _or_error(verify_case_identity, rs, signs, *c, phi) for c in configs
+        ],
+    )
+    monkeypatch.setattr(
+        verify,
+        "commutator_reductions",
+        lambda rs, signs, configs: [
+            _or_error(verify_commutator_reduction, rs, signs, *c) for c in configs
+        ],
+    )
+    runs = [(system("D6"), ("D6", 0, None), LEDGER_PINNED["D6", 0, None])]
+    runs += [(_flip_one_sign(key[0]), key, pin[1]) for key, pin in LEDGER_FLIPPED.items()]
+    for (rs, signs), (_, seed, samples), digest in runs:
+        assert _digest(_ledger_reports(rs, signs, seed, samples)) == digest
 
 
 def test_corrupted_action_row_fails_both_suites():
@@ -816,7 +911,7 @@ def test_corrupted_action_row_fails_both_suites():
     rho = [list(rs.roots[0])]
     for check in cases.checks:
         assert all(f["config"]["rho"] in rho for f in check["failures"])
-    assert _same_case_results(rs, signs, 6, seed=5) > 0
+    assert _same_case_results(rs, signs, 16, seed=5) > 0
 
 
 def test_fixes_square_verdicts_follow_the_form_order():

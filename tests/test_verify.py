@@ -11,8 +11,10 @@ from adjoint_quadrics import (
     report_json,
     verify_orbit_membership,
 )
+from adjoint_quadrics.batch import Configs
 from adjoint_quadrics.squares import SquareAngle, classify_root_vs_square
 from adjoint_quadrics.verify import (
+    CASE_PRODUCTS,
     LEDGER_ENTRIES,
     run_suite,
     sample_case_config,
@@ -54,9 +56,10 @@ def test_case_identity_direct(system):
 def test_case_identity_two_thirds_subcases(system):
     rs, signs = system("E6")
     rng = _rng_for(3, "direct")
+    configs = Configs(rs, CASE_PRODUCTS["2pi/3"])
     for sub in ("(b1,rho)=-1", "(b1,rho)=0"):
         for phi in (FormKind.TWO_PI3, FormKind.PI):
-            config = sample_case_config(rs, rng, ("2pi/3", phi, sub))
+            config = sample_case_config(rs, rng, ("2pi/3", phi, sub), configs)
             res = verify_case_identity(rs, signs, *config, phi)
             assert res.ok and res.subcase == sub
 
