@@ -11,13 +11,13 @@ zero-weight coordinates v_s follows the classical coordinate rules:
      v_rho - sum_s <rho, alpha_s> xi v_s - xi^2 v_{-rho}.
 
 The root system holds these rules as sparse rows for every root, built
-with it (RootSystem._action_rows), and indexes each root's rows by their
-source coordinate; the rows' structure constants are read from the sign
-table each time they are used.  A row c xi^d v_s -> w_t adds nothing
-where v_s = 0, so apply_word keeps the vector's support, the coordinates
-that may be nonzero, and runs for each factor only the rows under it,
-adding each target it writes.  The same loop serves every ring.  Vectors
-are value-semantic: applying a unipotent or a word returns a fresh vector.
+with it (RootSystem.action_rows), indexed by source coordinate; a row of
+rule 2 stores coefficient 0 and reads its structure constant from the sign
+table each time it is used.  A row c xi^d v_s -> w_t adds nothing where
+v_s = 0, so apply_word keeps the vector's support, the coordinates that
+may be nonzero, and runs for each factor only the rows under it, adding
+each target it writes.  The same loop serves every ring.  Vectors are
+value-semantic: applying a unipotent or a word returns a fresh vector.
 Words act left to right with the last factor applied first, so the word
 x_1 x_2 ... x_n sends v to x_1(x_2(...x_n(v))).
 """
@@ -101,16 +101,16 @@ def basis_vector(rs: RootSystem, ring: Ring, weight: Weight) -> AdjointVector:
 def elementary_rows(rs: RootSystem, signs: SignTable, rho: np.ndarray):
     """The rows of x_r(xi) for each root position r in rho, joined:
     (owner, target, degree, source, coef), owner being the index into rho.
-    The shift rows' structure constants N_{r, source} are read from the
-    sign table here, so the rows always act with the table's signs."""
-    rows = rs._action_rows
+    A shift row, stored with coef 0, gets N_{r, source} from the sign
+    table here, so the rows always act with the table's signs."""
+    rows = rs.action_rows
     lo, hi = rows.start[rho], rows.start[rho + 1]
     count = hi - lo
     owner = np.repeat(np.arange(len(rho)), count)
     at = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(count) - count), count)
-    source, shift = rows.source[at], rows.shift[at]
-    coef = rows.coef[at]
-    coef[shift] = signs._table[rho[owner[shift]], source[shift]]
+    source, coef = rows.source[at], rows.coef[at]
+    shift = coef == 0
+    coef[shift] = signs.table[rho[owner[shift]], source[shift]]
     return owner, rows.target[at], rows.degree[at], source, coef
 
 
@@ -140,12 +140,12 @@ def apply_word(rs: RootSystem, signs: SignTable, word: Word, v: AdjointVector) -
     zero = ring.zero
     w = list(v.coords)
     support = {s for s, x in enumerate(w) if x != zero}
-    rows = rs._action_rows
+    rows = rs.action_rows
     # Memoryviews read Python ints; a numpy scalar costs about 100 ns more.
-    target, degree, coef, shift, run, by_source = map(
-        memoryview, (rows.target, rows.degree, rows.coef, rows.shift, rows.run, rows.by_source)
+    target, degree, coef, run, by_source = map(
+        memoryview, (rows.target, rows.degree, rows.coef, rows.run, rows.by_source)
     )
-    table = memoryview(signs._table)
+    table = memoryview(signs.table)
     for e in reversed(word.factors):
         r = rs.root_index(e.rho)
         powers = (None, e.xi, ring.mul(e.xi, e.xi))
@@ -154,7 +154,7 @@ def apply_word(rs: RootSystem, signs: SignTable, word: Word, v: AdjointVector) -
         for s in support:
             for k in range(run[at + s], run[at + s + 1]):
                 i = by_source[k]
-                c = table[r, s] if shift[i] else coef[i]
+                c = coef[i] or table[r, s]
                 y = ring.mul(ring.from_int(c), ring.mul(powers[degree[i]], w[s]))
                 moved.append((target[i], y))
         for t, y in moved:

@@ -4,8 +4,8 @@ checks.
 The jacobi and combinatorics suites (see verify) check every case.
 jacobi_samples and combinatorics_samples list the cases as blocks of root
 and square numbers, built a block at a time (row_hits), and the kernels
-here check a block at a time, reading the root system's tables (_gram,
-_sum_idx, _neg, _pairings), the sign table and the square index.  Each
+here check a block at a time, reading the root system's tables (gram,
+sums, neg, pairings, lex), the sign table and the square index.  Each
 kernel returns per-sample verdicts, and flagged keeps only the samples a
 failure entry needs.  The kernels are tested against
 squares.classify_root_vs_square and against scalar helpers kept with the
@@ -20,7 +20,7 @@ suites' identities on integer coefficient arrays, through the roots'
 action rows; an evaluation over PolynomialRing, kept with the tests too,
 is their reference.
 
-A sum or difference of two roots is read from _sum_idx.  The sum
+A sum or difference of two roots is read from RootSystem.sums.  The sum
 sigma - gamma of three roots is looked up by a signed mixed-radix key of
 its coefficient vector (Tables.lookup), one key subtraction per candidate
 gamma.
@@ -66,8 +66,8 @@ class Configs:
     def __init__(self, rs: RootSystem, d: int):
         # float64 products of these small integers are exact, and run
         # several times faster than numpy's integer matmul.
-        self.pairings = rs._pairings.astype(np.float64)
-        self.sigma, self.d = rs._square_index.sigma, d
+        self.pairings = rs.pairings.astype(np.float64)
+        self.sigma, self.d = rs.square_index.sigma, d
         self.counts = np.concatenate(
             [
                 np.count_nonzero(self.pairings @ sigma.T == d, axis=0)
@@ -90,7 +90,7 @@ class Configs:
 
 
 class Tables:
-    """The arrays the batched checks read, and roots looked up by key.
+    """The tables the batched checks read (rs, signs), and roots by key.
 
     key(v) = sum_s v_s R^s is linear, so key(sigma - gamma) is
     key(sigma) - key(gamma).  Every vector looked up here is a signed sum
@@ -101,33 +101,23 @@ class Tables:
     """
 
     def __init__(self, rs: RootSystem, signs: SignTable):
-        self.n = rs.n_roots
-        self.pairings = rs._pairings
-        self.gram = rs._gram.astype(np.int8)
+        self.rs, self.signs = rs, signs
         # The doubled products again, from the root coordinates and the
-        # Cartan matrix: the S_pi/2 scan narrows its candidates with them,
-        # and like the scalar pair_sets' scan over every root it does not read
-        # _gram.
-        self.inner = (rs._coeffs @ rs._pairings.T).astype(np.int8)
-        self.neg = rs._neg
-        self.sums = rs._sum_idx
-        self.table = signs._table
-        self.index = rs._square_index
-        coeffs = rs._coeffs
-        h = int(np.abs(coeffs).max())
+        # Cartan matrix: the S_pi/2 scan narrows its candidates with them and,
+        # like the scalar pair_sets' scan over every root, does not read gram.
+        self.inner = (rs.coeffs @ rs.pairings.T).astype(np.int8)
+        h = int(np.abs(rs.coeffs).max())
         powers = [(8 * h + 1) ** s for s in range(rs.rank)]
         dtype = np.int64 if 3 * h * sum(powers) <= np.iinfo(np.int64).max else object
-        self.key = coeffs.astype(dtype) @ np.array(powers, dtype=dtype)
+        self.key = rs.coeffs.astype(dtype) @ np.array(powers, dtype=dtype)
         self._order = np.argsort(self.key)
         self._sorted = self.key[self._order]
-        # The order in which the scalar pair_sets stores an unordered pair.
-        self.lex = rs._lex
-        self.kmax = int(self.index.size.max()) // 2
+        self.kmax = int(rs.square_index.size.max()) // 2
 
     def lookup(self, key):
         """Position of the root with each key, or -1 where there is none."""
         pos = np.searchsorted(self._sorted, key)
-        np.minimum(pos, self.n - 1, out=pos)
+        np.minimum(pos, self.rs.n_roots - 1, out=pos)
         missing = self._sorted[pos] != key
         pos = self._order[pos]
         pos[missing] = -1
@@ -137,15 +127,16 @@ class Tables:
         """One integer per (ordered or unordered) pair of positions in [-1, n)."""
         if not ordered:
             x, y = np.minimum(x, y), np.maximum(x, y)
-        return (x + 1) * (self.n + 1) + y + 1
+        return (x + 1) * (self.rs.n_roots + 1) + y + 1
 
     @property
     def codes(self) -> int:
-        return (self.n + 1) ** 2
+        return (self.rs.n_roots + 1) ** 2
 
     def member_block(self, s, width: int):
         """(len(s), width) members of squares s, all of 2k = width members."""
-        return self.index.members[self.index.start[s][:, None] + np.arange(width)]
+        index = self.rs.square_index
+        return index.members[index.start[s][:, None] + np.arange(width)]
 
 
 def blocks(*arrays, size: int = BLOCK):
@@ -187,7 +178,7 @@ def _by_size(tb: Tables, kernel, outputs: int, shape: tuple, s, *rows):
     """kernel(tb, 2k, s[sel], *(r[sel] for r in rows)) over the squares of
     each size 2k: its boolean outputs, padded with False to
     (len(s), *shape)."""
-    sizes = tb.index.size[s]
+    sizes = tb.rs.square_index.size[s]
     out = [np.zeros((len(s),) + shape, dtype=bool) for _ in range(outputs)]
     for width in np.unique(sizes).tolist():
         sel = np.flatnonzero(sizes == width)
@@ -222,17 +213,17 @@ def _distinct(n: int, codes: int, rows):
 def conjugate(tb: Tables, x, y, alpha, beta):
     """conjugate_pair on the pairs {x[i], y[i]}: the positions (gp, dp) of
     the conjugate, or -1 where conjugate_pair would raise."""
-    gram = tb.gram
+    gram, sums, lex = tb.rs.gram, tb.rs.sums, tb.rs.lex
     ok = (x >= 0) & (y >= 0)
     x, y = np.where(ok, x, 0), np.where(ok, y, 0)
-    lo = np.where(tb.lex[x] <= tb.lex[y], x, y)
+    lo = np.where(lex[x] <= lex[y], x, y)
     hi = x + y - lo
-    ok &= tb.sums[lo, hi] == alpha
+    ok &= sums[lo, hi] == alpha
     ok &= (gram[lo, beta] != 0) & (gram[hi, beta] != 0)
     g = np.where(gram[lo, beta] == 1, lo, hi)
     d = lo + hi - g
-    gp = tb.sums[d, beta]
-    dp = tb.sums[g, tb.neg[beta]]
+    gp = sums[d, beta]
+    dp = sums[g, tb.rs.neg[beta]]
     ok &= (gp >= 0) & (dp >= 0)
     return np.where(ok, gp, -1), np.where(ok, dp, -1)
 
@@ -241,12 +232,13 @@ def companion_block(tb: Tables, alpha, beta):
     """Per orthogonal pair: (the direct scans and the square formulas give
     different companion sets or the pair lies in no square, a size or the
     member set is wrong, the conjugate-pair involution fails)."""
-    codes, gram, neg, sums, key = tb.codes, tb.gram, tb.neg, tb.sums, tb.key
+    rs, codes, key = tb.rs, tb.codes, tb.key
+    gram, neg, sums, index = rs.gram, rs.neg, rs.sums, rs.square_index
     b = len(alpha)
-    s = tb.index.square_of[alpha, beta]
+    s = index.square_of[alpha, beta]
     nowhere = s < 0
     s = np.where(nowhere, 0, s)
-    k = tb.index.size[s] // 2
+    k = index.size[s] // 2
     own = tb.code(alpha, beta)
 
     # Direct scans over the roots.  sigma - gamma has the norm of a root
@@ -269,8 +261,8 @@ def companion_block(tb: Tables, alpha, beta):
     pi_prime_scan = (p, tb.code(g, neg[g], ordered=True))
 
     # Square formulas, from the square index.
-    q, pos, m = tb.index.member_rows(s)
-    mate = tb.index.members[tb.index.start[s][q] + (pos ^ 1)]
+    q, pos, m = index.member_rows(s)
+    mate = index.members[index.start[s][q] + (pos ^ 1)]
     c = tb.code(m, mate)
     keep = (pos % 2 == 0) & (c != own[q])
     half_sq = (q[keep], c[keep])
@@ -294,7 +286,7 @@ def companion_block(tb: Tables, alpha, beta):
     for rows in (two_sq, pi_sq, pi_prime_sq):
         wrong |= _distinct(b, codes, rows) != 2 * k - 2
     # -S_pi together with {alpha, beta} must be the square's members.
-    pb, _, members = tb.index.member_rows(s)
+    pb, _, members = index.member_rows(s)
     ends = np.arange(b)
     wrong |= _differ(
         b,
@@ -322,7 +314,7 @@ def position_block(tb: Tables, rho, s):
     products with the members follow the pattern of its class, and whether
     the member rho (class 0) or -rho (class pi) is missing, where
     classify_root_vs_square would raise."""
-    d = np.einsum("ij,ij->i", tb.pairings[rho], tb.index.sigma[s])
+    d = np.einsum("ij,ij->i", tb.rs.pairings[rho], tb.rs.square_index.sigma[s])
     return (d, *_by_size(tb, _positions, 2, (), s, rho, d))
 
 
@@ -347,14 +339,14 @@ def _positions(tb: Tables, width: int, s, rho, d):
     m = tb.member_block(s, width)
     # The signed index of rho or -rho in the square: the first position
     # holding it.
-    target = np.where(d == 2, rho, np.where(d == -2, tb.neg[rho], -1))
+    target = np.where(d == 2, rho, np.where(d == -2, tb.rs.neg[rho], -1))
     hit = m == target[:, None]
     found = hit.any(1)
     missing = (np.abs(d) == 2) & ~found
     own = (np.arange(width // 2) == hit.argmax(1)[:, None] // 2) & found[:, None]
 
     # The products (x, y) of rho with each pair, read as one flat index.
-    g = tb.gram[rho[:, None], m] + 2
+    g = tb.rs.gram[rho[:, None], m] + 2
     cell = ((np.clip(d, -3, 3)[:, None] + 3) * 2 + own) * 25 + g[:, 0::2] * 5 + g[:, 1::2]
     ok = _PAIR_OK.ravel()[cell].all(1) & ~missing
     # Class pi/2 also needs a pair orthogonal to rho.
@@ -370,7 +362,7 @@ def sign_column_block(tb: Tables, s):
 
 
 def _sign_columns(tb: Tables, width: int, s):
-    t, neg = tb.table, tb.neg
+    t, neg = tb.signs.table, tb.rs.neg
     m = tb.member_block(s, width)
     mate = m[:, np.arange(width) ^ 1]
     # c[j, i] is sign_column(j)[i]: 1 where i = +-j, else
@@ -390,13 +382,13 @@ def modified_square_block(tb: Tables, s):
 
 
 def _modified_squares(tb: Tables, width: int, s):
-    gram, neg = tb.gram, tb.neg
+    gram, neg = tb.rs.gram, tb.rs.neg
     m = tb.member_block(s, width)
     pos = np.arange(width)
     # out[:, j, x]: member x, in pair layout, of the square modified at j.
     # Other pairs: b_j - b_i; pair |j|: (b_j, -b_-j) for j > 0, else
     # (-b_-j, b_j).
-    out = tb.sums[m[:, :, None], neg[m][:, None, :]]
+    out = tb.rs.sums[m[:, :, None], neg[m][:, None, :]]
     own = pos[:, None] // 2 == pos[None, :] // 2
     out[:, own] = 0
     error = (out < 0).any(-1)
@@ -428,8 +420,8 @@ def quadruple(index, sq, p, q):
 def quadruple_block(tb: Tables, sq, p, q):
     """Per (square, pair p, pair q): does N_{a,-g} N_{b,-d} = N_{a,-d} N_{b,-g}
     fail?"""
-    t, neg = tb.table, tb.neg
-    a, b, g, d = quadruple(tb.index, sq, p, q)
+    t, neg = tb.signs.table, tb.rs.neg
+    a, b, g, d = quadruple(tb.rs.square_index, sq, p, q)
     return (t[a, neg[g]] * t[b, neg[d]] != t[a, neg[d]] * t[b, neg[g]],)
 
 
@@ -437,7 +429,7 @@ def cocycle_block(tb: Tables, i, j, g):
     """Per triple (alpha, beta, gamma) with alpha + beta = h a root and no
     two of them opposite: is the Jacobi cocycle
     N_{a,b} N_{h,g} + N_{b,g} N_{b+g,a} + N_{g,a} N_{g+a,b} nonzero?"""
-    t, sums = tb.table, tb.sums
+    t, sums = tb.signs.table, tb.rs.sums
     h, bg, ga = sums[i, j], sums[j, g], sums[g, i]
     total = t[i, j] * t[h, g]
     total += np.where(bg >= 0, t[j, g] * t[bg, i], 0)
@@ -448,9 +440,9 @@ def cocycle_block(tb: Tables, i, j, g):
 def cartan_block(tb: Tables, i, j):
     """Per pair (alpha, beta) with beta not +-alpha: is
     <alpha, beta> + N_{a,b} N_{a+b,-b} + N_{-b,a} N_{a-b,b} nonzero?"""
-    t, neg, sums = tb.table, tb.neg, tb.sums
+    t, neg, sums = tb.signs.table, tb.rs.neg, tb.rs.sums
     ab, amb = sums[i, j], sums[i, neg[j]]
-    total = tb.gram[i, j]
+    total = tb.rs.gram[i, j]
     total += np.where(ab >= 0, t[i, j] * t[ab, neg[j]], 0)
     total += np.where(amb >= 0, t[neg[j], i] * t[amb, j], 0)
     return (total != 0,)
@@ -459,7 +451,7 @@ def cartan_block(tb: Tables, i, j):
 def a3_block(tb: Tables, a, b, c):
     """Per A_3 triple: (an extension exists, the first one, it is a D_4
     extension)."""
-    gram = tb.gram
+    gram = tb.rs.gram
     hits = (gram[a] == 0) & (gram[c] == 0) & (gram[b] == -1)
     found = hits.any(1)
     d = hits.argmax(1)
@@ -482,12 +474,12 @@ def jacobi_samples(rs: RootSystem):
     (alpha, beta, gamma) triples with alpha + beta a root, gamma at 2pi/3 to
     it and no two of the three opposite, and (alpha, beta) pairs with beta
     not +-alpha."""
-    n, neg, sums = rs.n_roots, rs._neg, rs._sum_idx
-    k = rs._square_index.size // 2
+    n, neg, sums = rs.n_roots, rs.neg, rs.sums
+    k = rs.square_index.size // 2
     sq, x = _expand(k * k)
     p, q = np.divmod(x, k[sq])
     keep = p != q
-    up = rs._gram == -1
+    up = rs.gram == -1
 
     def third(i, j):
         return up[sums[i, j]] & _without(n, i, neg[i], neg[j])
@@ -505,7 +497,7 @@ def combinatorics_samples(rs: RootSystem):
     squares (for the sign-column and the modified-square checks), and A_3
     triples."""
     n, n_squares = rs.n_roots, len(rs.squares)
-    zero, up = rs._gram == 0, rs._gram == -1
+    zero, up = rs.gram == 0, rs.gram == -1
     every = np.arange(n_squares)
     return (
         blocks(*np.nonzero(zero), size=PAIR_BLOCK),

@@ -98,8 +98,8 @@ residue pass, the check gathers the candidates, keeps those whose b is
 in the support too and evaluates them alone on every pass exactly when
 candidates * (3 + P) < P * (monomials in the set); otherwise it walks
 the whole set.  Both walks give every form the same value.  The index is
-built with the arrays at construction and never written afterwards, so a
-set stays immutable and safe to share across threads.
+built with the arrays, and every array is read-only from construction (a
+write raises ValueError), so a set is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ import numpy as np
 
 from .action import AdjointVector
 from .rings import IntegerRing, IntegersMod
-from .root_system import RootSystem, SystemId
+from .root_system import RootSystem, SystemId, freeze
 from .signs import SignTable
 
 # int64 products and sums wrap around, so one int64 pass gives every value
@@ -254,8 +254,8 @@ class EquationSet:
     from forms flattens them once here.  `form_for` finds a key by binary
     search in the sorted (kind, name) codes, and `forms` builds each
     QuadraticForm on request, its key read from the root system, so the
-    same form read twice is equal but not identical.  Nothing is filled in
-    later, so a set can be shared across threads.
+    same form read twice is equal but not identical.  No array is written
+    after construction, so a set can be shared across threads.
     """
 
     def __init__(self, rs: RootSystem, forms=(), *, _parts=None):
@@ -265,7 +265,7 @@ class EquationSet:
             forms = tuple(forms)
             codes = np.array([_KINDS.index(f.kind) for f in forms], dtype=np.int8)
             names = np.array([_name(rs, f.kind, f.key) for f in forms], dtype=np.int64)
-            _parts = codes, names, _Compiled.from_forms(forms, rs._pairings)
+            _parts = codes, names, _Compiled.from_forms(forms, rs.pairings)
         self.rs = rs
         self.system = rs.system
         self._kinds, self._names, self._compiled = _parts
@@ -274,6 +274,7 @@ class EquationSet:
         self._sorted = code[self._order]
         if np.any(self._sorted[1:] == self._sorted[:-1]):
             raise ValueError("a form's kind and key occur twice in one set")
+        freeze(self._kinds, self._names, self._order, self._sorted)
 
     @property
     def forms(self) -> "_Forms":
@@ -285,7 +286,7 @@ class EquationSet:
         offsets = c.offsets[lo : hi + 1]
         s = slice(offsets[0], offsets[-1])
         f = np.repeat(np.arange(hi - lo), np.diff(offsets))
-        f, a, b, coef = _expand(rs._pairings, f, c.ia[s], c.ib[s], c.c[s])
+        f, a, b, coef = _expand(rs.pairings, f, c.ia[s], c.ib[s], c.c[s])
         monos = list(zip(a.tolist(), b.tolist(), coef.tolist()))
         ends = np.searchsorted(f, np.arange(hi - lo + 1)).tolist()
         return [
@@ -422,8 +423,9 @@ class _Compiled:
         self.ib = ib = ib.astype(coord, copy=False)
         self.c = c = c.astype(coef, copy=False)
         self.offsets = offsets
+        freeze(ia, ib, c, offsets)
         self.n_forms = len(offsets) - 1
-        self._pairings = pairings
+        self.pairings = pairings
         # _extend computes L in int64 while max|h| is at most this.
         self._l_top = (_WRAP // 2 - 1) // int(np.abs(pairings).sum(1).max())
         # The whole-set walk runs over pieces of whole forms of about
@@ -451,6 +453,7 @@ class _Compiled:
         self._a_start = np.searchsorted(key, np.arange(dim + 1, dtype=key.dtype) * n)
         key %= n
         self._by_a = key.astype(np.int32, copy=False)
+        freeze(self._a_start, self._by_a, *(piece[-1] for piece in pieces))
         # The largest sum of |c| over the weight monomials of one form, an L
         # monomial counted as those it stands for, so every value is at most
         # weight * max|x|^2 in size.  Clipping keeps the int64 sums exact.
@@ -479,13 +482,13 @@ class _Compiled:
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         mono = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], sizes)
-        return _Compiled(self.ia[mono], self.ib[mono], self.c[mono], offsets, self._pairings)
+        return _Compiled(self.ia[mono], self.ib[mono], self.c[mono], offsets, self.pairings)
 
     def _extend(self, xs):
         """The integer coordinates xs followed by L_g = sum_s <g, alpha_s> h_s
         for every root g, h the Cartan coordinates of xs, exactly: an int64
         array when they fit, else a list of Python ints."""
-        n = len(self._pairings)
+        n = len(self.pairings)
         h = xs[n:]
         top = max(map(abs, h), default=0)
         if top <= self._l_top:
@@ -496,9 +499,9 @@ class _Compiled:
                 pass
             else:
                 if top:
-                    np.matmul(self._pairings, out[n : len(xs)], out=out[len(xs) :])
+                    np.matmul(self.pairings, out[n : len(xs)], out=out[len(xs) :])
                 return out
-        return [*xs, *(self._pairings.astype(object) @ np.array(h, dtype=object)).tolist()]
+        return [*xs, *(self.pairings.astype(object) @ np.array(h, dtype=object)).tolist()]
 
     def _support(self, xs) -> np.ndarray:
         """The coordinates where the extended coordinates xs are nonzero that
@@ -778,76 +781,85 @@ def _expand(pairings, f, a, b, c):
     return (*_unpack(key, dim), c.astype(np.int64, copy=False))
 
 
-def _other_members(index, ii, jj):
-    """(p, m) for every member m of the square through the pair
-    (ii[p], jj[p]) other than the pair itself, grouped by p."""
+def _held_rows(index, ii, jj):
+    """(held, p, pos, m): whether the square that square_of files each pair
+    (ii[p], jj[p]) under holds it as a pair, and that square's member_rows."""
     s = index.square_of[ii, jj]
-    if np.any(s < 0):
-        raise RuntimeError("orthogonal pair lies in no enumerated square")
-    p, _, m = index.member_rows(s)
-    keep = (m != ii[p]) & (m != jj[p])
-    return p[keep], m[keep]
+    p, pos, m = index.member_rows(s)
+    # Each square's rows start at an even position, so row k ^ 1 is k's mate.
+    hit = (m == ii[p]) & (m[np.arange(len(m)) ^ 1] == jj[p]) & (s[p] >= 0)
+    return np.bincount(p, hit, len(ii)) > 0, p, pos, m
+
+
+def _other_members(index, ii, jj):
+    """(held, p, m): _held_rows' held, and the members m of the square
+    holding each pair (ii[p], jj[p]) other than the pair, grouped by p."""
+    held, p, _, m = _held_rows(index, ii, jj)
+    keep = held[p] & (m != ii[p]) & (m != jj[p])
+    return held, p[keep], m[keep]
 
 
 def _pi2_monomials(f, ii, jj, rs: RootSystem, signs: SignTable):
     """The pi/2 form rooted at each pair (ii[p], jj[p]), numbered f[p] as in
     every kernel: that of its square, v_a v_b - sum N_{a,-g} N_{b,-d} v_g v_d
     with (a, b) the first pair, times the sign of v_ii v_jj in it."""
-    neg, t, index = rs._neg, signs._table, rs._square_index
-    s = index.square_of[ii, jj]
-    p, pos, m = index.member_rows(s)
+    neg, t, index = rs.neg, signs.table, rs.square_index
+    held, p, pos, m = _held_rows(index, ii, jj)
     form, lead, g, d = p[0::2], pos[0::2] == 0, m[0::2], m[1::2]
-    first = index.start[s]
+    first = index.start[index.square_of[ii, jj]]
     a, b = index.members[first][form], index.members[first + 1][form]
     c = np.where(lead, 1, -t[a, neg[g]] * t[b, neg[d]])
-    root = (g == ii[form]) | (d == ii[form])
+    # A pair its square does not hold keeps sign 0, so its form gets no monomials.
+    root = held[form] & ((g == ii[form]) | (d == ii[form]))
     sign = np.zeros(len(ii), dtype=c.dtype)
     sign[form[root]] = c[root]
-    return _monomials(f[form], g, d, c * sign[form], _factored_dim(rs))
+    return held, *_monomials(f[form], g, d, c * sign[form], _factored_dim(rs))
 
 
 def _two_pi3_monomials(f, ii, jj, rs: RootSystem, signs: SignTable):
     """The 2pi/3 form of each ordered pair (alpha, beta) = (ii[p], jj[p])."""
-    neg, t, dim = rs._neg, signs._table, _factored_dim(rs)
+    neg, t, dim = rs.neg, signs.table, _factored_dim(rs)
     # N_{alpha,-m} v_{alpha-m} v_m over the other square members m.
-    p, m = _other_members(rs._square_index, ii, jj)
+    held, p, m = _other_members(rs.square_index, ii, jj)
     a, neg_m = ii[p], neg[m]
-    members = _monomials(f[p], rs._sum_idx[a, neg_m], m, t[a, neg_m], dim)
+    members = _monomials(f[p], rs.sums[a, neg_m], m, t[a, neg_m], dim)
     # The Cartan part, -v_alpha L_beta.
-    cartan = _monomials(f, ii, rs.dim_v + jj, np.full(len(f), -1, np.int8), dim)
-    return _merge(members, cartan)
+    cartan = _monomials(f, ii, rs.dim_v + jj, -held.astype(np.int8), dim)
+    return held, *_merge(members, cartan)
 
 
 def _pi_monomials(f, ii, jj, rs: RootSystem):
     """The pi form of each unordered pair (alpha, beta) = (ii[p], jj[p])."""
-    neg, dim = rs._neg, _factored_dim(rs)
+    neg, dim = rs.neg, _factored_dim(rs)
     # v_{alpha-m} v_{m-alpha} - v_m v_{-m} over the other square members m.
-    p, m = _other_members(rs._square_index, ii, jj)
-    g = np.concatenate([rs._sum_idx[ii[p], neg[m]], m])
+    held, p, m = _other_members(rs.square_index, ii, jj)
+    g = np.concatenate([rs.sums[ii[p], neg[m]], m])
     c = np.ones(len(g), np.int8)
     c[len(m) :] = -1
     members = _monomials(f[np.concatenate([p, p])], g, neg[g], c, dim)
     # The Cartan part, -L_alpha L_beta.
-    cartan = _monomials(f, rs.dim_v + ii, rs.dim_v + jj, np.full(len(f), -1, np.int8), dim)
-    return _merge(members, cartan)
+    cartan = _monomials(f, rs.dim_v + ii, rs.dim_v + jj, -held.astype(np.int8), dim)
+    return held, *_merge(members, cartan)
 
 
 def _form_keys(rs: RootSystem, signs: SignTable, codes, ii, jj):
     """The form of kind _KINDS[codes[f]] at each pair (ii[f], jj[f]), a
     block of pairs at a time: the pi/2 form rooted at the pair, the 2pi/3
     form of the ordered and the pi form of the unordered pair.  Returns
-    (missing, (key, c)): the pairs in no square, which get no form, and the
-    monomials with _pack's keys of form f over _factored_dim's coordinates,
-    in key order within a kind."""
+    (missing, (key, c)): the pairs not held by the square they are filed
+    under (the kernels return their held mask first), which get no form,
+    and the monomials with _pack's keys of form f over _factored_dim's
+    coordinates, in key order within a kind."""
     codes, ii, jj = np.asarray(codes), np.asarray(ii, np.int64), np.asarray(jj, np.int64)
-    missing = rs._square_index.square_of[ii, jj] < 0
+    missing = np.zeros(len(codes), dtype=bool)
     kernels = ((_pi2_monomials, signs), (_two_pi3_monomials, signs), (_pi_monomials,))
     keys, cs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int8)]
     for code, (kernel, *args) in enumerate(kernels):
-        forms = np.flatnonzero((codes == code) & ~missing)
+        forms = np.flatnonzero(codes == code)
         for lo in range(0, len(forms), _PAIR_BLOCK):
             f = forms[lo : lo + _PAIR_BLOCK]
-            key, c = kernel(f, ii[f], jj[f], rs, *args)
+            held, key, c = kernel(f, ii[f], jj[f], rs, *args)
+            missing[f] = ~held
             keys.append(key)
             cs.append(c)
     return missing, (np.concatenate(keys), np.concatenate(cs))
@@ -857,20 +869,19 @@ def form_monomials(rs: RootSystem, signs: SignTable, kinds, ii, jj):
     """The form of kind kinds[f] (a FormKind) at each pair (ii[f], jj[f]),
     as a set generated by generate_all_equations holds it: the pi/2 form
     rooted at the pair, the 2pi/3 form of the ordered and the pi form of
-    the unordered pair.  Returns (missing, (f, a, b, c)): the pairs in no
-    square, which get no form, and the monomials c v_a v_b of each form f
-    over the weight coordinates, its Cartan part expanded, in (f, a, b)
-    order."""
+    the unordered pair.  Returns (missing, (f, a, b, c)): _form_keys'
+    missing, and the monomials c v_a v_b of each form f over the weight
+    coordinates, its Cartan part expanded, in (f, a, b) order."""
     missing, (key, c) = _form_keys(rs, signs, [_KINDS.index(k) for k in kinds], ii, jj)
-    return missing, _expand(rs._pairings, *_unpack(key, _factored_dim(rs)), c)
+    return missing, _expand(rs.pairings, *_unpack(key, _factored_dim(rs)), c)
 
 
 def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     """One pi/2 form per square, one 2pi/3 form per ordered orthogonal pair,
     one pi form per unordered pair, in deterministic key order."""
-    ii, jj = np.nonzero(rs._gram == 0)
+    ii, jj = np.nonzero(rs.gram == 0)
     upper = ii < jj
-    index = rs._square_index
+    index = rs.square_index
     pairs = ii * rs.n_roots + jj
     names = np.concatenate([np.arange(len(rs.squares)), pairs, pairs[upper]])
     codes = np.repeat(np.arange(3, dtype=np.int8), [len(rs.squares), len(ii), upper.sum()])
@@ -883,7 +894,7 @@ def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     # The form numbers fill the 8-byte key buffer, more than the 5 bytes a
     # monomial that the set keeps; it is freed before the index is built.
     del key, form
-    return EquationSet(rs, _parts=(codes, names, _Compiled(ia, ib, c, offsets, rs._pairings)))
+    return EquationSet(rs, _parts=(codes, names, _Compiled(ia, ib, c, offsets, rs.pairings)))
 
 
 def eqset_from_json(rs: RootSystem, doc) -> EquationSet:

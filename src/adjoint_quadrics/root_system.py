@@ -187,10 +187,10 @@ class ActionRows(NamedTuple):
     """x_rho(xi) = I + xi E1 + xi^2 E2 for every root rho, as sparse rows.
 
     Row i adds coef[i] xi^degree[i] v[source[i]] to w[target[i]].  Root r's
-    rows are start[r]:start[r + 1], sorted by (target, degree, source).  On
-    a shift row (shift[i], rule 2 of the action) coef is 1: the structure
-    constant N_{rho, source} multiplies it, and the sign table holds that
-    (see action.elementary_rows).
+    rows are start[r]:start[r + 1], sorted by (target, degree, source).  A
+    shift row (rule 2 of the action) stores coef 0: its coefficient is
+    N_{rho, source}, read from the sign table (see action.elementary_rows).
+    Every other row's coef is nonzero.
 
     The rows of root r that read coordinate s are by_source[k] for k in
     run[r * dim_v + s]:run[r * dim_v + s + 1], both int32, so a vector's
@@ -202,7 +202,6 @@ class ActionRows(NamedTuple):
     degree: np.ndarray
     source: np.ndarray
     coef: np.ndarray
-    shift: np.ndarray
     start: np.ndarray
     by_source: np.ndarray
     run: np.ndarray
@@ -251,6 +250,12 @@ def _positive_roots(cartan: np.ndarray) -> list[Root]:
     return sorted(found)
 
 
+def freeze(*arrays) -> None:
+    """Make the arrays read-only in place: views, no copies."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def _find_rows(table: np.ndarray, rows) -> np.ndarray:
     """The position of each of `rows` among the rows of the int64 `table`,
     or -1 where it is none.  Rows are compared as whole byte strings, so
@@ -266,11 +271,12 @@ def _find_rows(table: np.ndarray, rows) -> np.ndarray:
 class RootSystem:
     """Closed root set with exact doubled inner products and weight indexing.
 
-    Immutable after construction; safe for shared read-only use.  The
-    maximal squares are built with the roots: ``squares`` holds them sorted
-    by sigma, and ``_square_index`` holds them as arrays.  So are the rows
-    of every root's unipotent, ``_action_rows``.  Use
-    :func:`build_root_system` to construct one.
+    Its tables are public and read-only from construction (a write raises
+    ValueError), so a system is immutable and safe to share across threads:
+    ``cartan``; ``coeffs``, ``gram``, ``pairings``, ``neg``, ``sums`` and
+    ``lex``, by root position (see __init__); the maximal squares, sorted by
+    sigma, as ``squares`` and as arrays, ``square_index``; and the rows of
+    every root's unipotent, ``action_rows``.  Use :func:`build_root_system`.
     """
 
     def __init__(self, system: SystemId):
@@ -294,54 +300,54 @@ class RootSystem:
             )
 
         r_mat = np.array(self.roots, dtype=np.int64)
-        self._coeffs = r_mat
+        # Row i: root i's coefficients, and its Cartan pairings <root_i, alpha_s>.
+        self.coeffs, self.pairings = r_mat, r_mat @ self.cartan
         # Doubled inner products of all root pairs (the Gram matrix under
-        # the unit-length normalization, times two).
-        self._gram = r_mat @ self.cartan @ r_mat.T
-        # Row i, column s: the Cartan pairing <root_i, alpha_s>.
-        self._pairings = r_mat @ self.cartan
-        self._neg = _find_rows(r_mat, -r_mat)
+        # the unit-length normalization, times two), in {-2, ..., 2}.
+        self.gram = (r_mat @ self.cartan @ r_mat.T).astype(np.int8)
+        self.neg = _find_rows(r_mat, -r_mat)  # the position of -root_i
         # Sum table: index of root_i + root_j, or -1.  Sums are roots exactly
         # where the doubled product is -1.
         sum_idx = np.full((self.n_roots, self.n_roots), -1, dtype=np.int64)
-        ii, jj = np.nonzero(self._gram == -1)
+        ii, jj = np.nonzero(self.gram == -1)
         sum_idx[ii, jj] = _find_rows(r_mat, r_mat[ii] + r_mat[jj])
         if np.any(sum_idx[ii, jj] < 0):
             raise RuntimeError(f"{system}: a sum at doubled product -1 is not a root")
-        self._sum_idx = sum_idx
+        self.sums = sum_idx
         # Rank of each root in lexicographic order (canonical order is by
         # height first).
-        self._lex = np.empty(self.n_roots, dtype=np.int64)
-        self._lex[np.lexsort(r_mat.T[::-1])] = np.arange(self.n_roots)
+        self.lex = np.empty(self.n_roots, dtype=np.int64)
+        self.lex[np.lexsort(r_mat.T[::-1])] = np.arange(self.n_roots)
         self._check_construction()
-        self._action_rows = self._build_action_rows()
-        self.squares, self._square_index = self._build_squares()
+        self.action_rows = self._build_action_rows()
+        self.squares, self.square_index = self._build_squares()
+        freeze(self.cartan, r_mat, self.gram, self.pairings, self.neg, sum_idx, self.lex)
+        freeze(*self.action_rows, *self.square_index)
 
     def _build_action_rows(self) -> ActionRows:
         """The rows of every x_rho(xi), by the four rules of the action
         module: a root lambda = rho + mu gains N_{rho,mu} xi v_mu; zero
         coordinate s gains rho_s xi v_{-rho}; the rho coordinate loses
         <rho, alpha_s> xi v_s and xi^2 v_{-rho}."""
-        n, neg = self.n_roots, self._neg
-        r2, mu = np.nonzero(self._gram == -1)
-        r3, s3 = np.nonzero(self._coeffs)
-        r4, s4 = np.nonzero(self._pairings)
+        n, neg = self.n_roots, self.neg
+        r2, mu = np.nonzero(self.gram == -1)
+        r3, s3 = np.nonzero(self.coeffs)
+        r4, s4 = np.nonzero(self.pairings)
         every = np.arange(n)
         ones = np.ones_like
         root = np.concatenate([r2, r3, r4, every])
-        target = np.concatenate([self._sum_idx[r2, mu], n + s3, r4, every])
+        target = np.concatenate([self.sums[r2, mu], n + s3, r4, every])
         degree = np.concatenate([ones(r2), ones(r3), ones(r4), 2 * ones(every)])
         source = np.concatenate([mu, neg[r3], n + s4, neg])
         coef = np.concatenate(
-            [ones(r2), self._coeffs[r3, s3], -self._pairings[r4, s4], -ones(every)]
+            [np.zeros_like(r2), self.coeffs[r3, s3], -self.pairings[r4, s4], -ones(every)]
         )
-        shift = np.arange(len(root)) < len(r2)
         order = np.argsort(((root * self.dim_v + target) * 3 + degree) * self.dim_v + source)
         key = (root * self.dim_v + source)[order]
         by_source = np.argsort(key, kind="stable").astype(np.int32)
         run = np.cumsum(np.bincount(key, minlength=n * self.dim_v), dtype=np.int32)
         run = np.concatenate([np.zeros(1, np.int32), run])
-        columns = (target, degree, source, coef, shift)
+        columns = (target, degree, source, coef)
         return ActionRows(*(column[order] for column in columns), run[:: self.dim_v], by_source, run)
 
     def _build_squares(self) -> tuple[tuple[MaximalSquare, ...], SquareIndex]:
@@ -352,8 +358,8 @@ class RootSystem:
         their smaller member; the source never fixes an indexing, so
         determinism is the only requirement.
         """
-        n, coeffs = self.n_roots, self._coeffs
-        ii, jj = np.nonzero(np.triu(self._gram == 0, k=1))
+        n, coeffs = self.n_roots, self.coeffs
+        ii, jj = np.nonzero(np.triu(self.gram == 0, k=1))
         sums = coeffs[ii] + coeffs[jj]
         order = np.lexsort(sums.T[::-1])
         ii, jj, sums = ii[order], jj[order], sums[order]
@@ -361,7 +367,7 @@ class RootSystem:
         new[1:] = (sums[1:] != sums[:-1]).any(axis=1)
         sid = np.cumsum(new) - 1
         sigma = sums[new]
-        lex = self._lex
+        lex = self.lex
         swap = lex[jj] < lex[ii]
         first, second = np.where(swap, jj, ii), np.where(swap, ii, jj)
         order = np.lexsort((lex[first], sid))
@@ -389,11 +395,11 @@ class RootSystem:
     def _check_construction(self) -> None:
         # Cross-check: the set must be closed under all simple reflections
         # and under negation, and all roots must have unit length.
-        if not np.all(np.diag(self._gram) == 2):
+        if not np.all(np.diag(self.gram) == 2):
             raise RuntimeError(f"{self.system}: non-unit root generated")
         # Row (i, s): root i reflected in alpha_s.
-        refl = self._coeffs[:, None] - self._pairings[:, :, None] * np.eye(self.rank, dtype=int)
-        if np.any(_find_rows(self._coeffs, refl.reshape(-1, self.rank)) < 0):
+        refl = self.coeffs[:, None] - self.pairings[:, :, None] * np.eye(self.rank, dtype=int)
+        if np.any(_find_rows(self.coeffs, refl.reshape(-1, self.rank)) < 0):
             raise RuntimeError(f"{self.system}: root set not closed under reflection")
 
     # -- basic queries ----------------------------------------------------
@@ -429,15 +435,11 @@ class RootSystem:
         Equals the Cartan number <alpha, beta> since all roots here have
         length 1.
         """
-        return int(self._gram[self.root_index(alpha), self.root_index(beta)])
-
-    def dot2_idx(self, i: int, j: int) -> int:
-        """Doubled inner product by root position, without validation."""
-        return int(self._gram[i, j])
+        return int(self.gram[self.root_index(alpha), self.root_index(beta)])
 
     def pairing(self, root: Root, s: int) -> int:
         """The Cartan pairing <root, alpha_s>, s in 1..l."""
-        return int(self._pairings[self.root_index(root), s - 1])
+        return int(self.pairings[self.root_index(root), s - 1])
 
     def classify_pair(self, alpha: Root, beta: Root) -> PairRelation:
         """Relative position of two roots, decided by the doubled product.
@@ -446,7 +448,7 @@ class RootSystem:
         alpha +- beta in the root set.
         """
         i, j = self.root_index(alpha), self.root_index(beta)
-        d = int(self._gram[i, j])
+        d = int(self.gram[i, j])
         rel = _RELATION_BY_DOT2[d]
         total = tuple(a + b for a, b in zip(alpha, beta))
         diff = tuple(a - b for a, b in zip(alpha, beta))
@@ -459,7 +461,7 @@ class RootSystem:
     def add_if_root(self, alpha: Root, beta: Root) -> Root | None:
         """alpha + beta when that vector is a root, else None."""
         i, j = self.root_index(alpha), self.root_index(beta)
-        s = int(self._sum_idx[i, j])
+        s = int(self.sums[i, j])
         return self.roots[s] if s >= 0 else None
 
     # -- weight indexing ---------------------------------------------------

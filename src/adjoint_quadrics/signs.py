@@ -26,14 +26,15 @@ import csv
 
 import numpy as np
 
-from .root_system import Root, RootSystem
+from .root_system import Root, RootSystem, freeze
 
 
 class SignTable:
     """Dense table of structure constants for one root system.
 
-    Immutable after construction; safe for shared read-only use.  Use
-    :func:`build_sign_table` to construct one.
+    ``table[i, j]`` is N_{root_i, root_j}, int8, read-only from construction
+    (a write raises ValueError), so a table is immutable and safe to share
+    across threads.  Use :func:`build_sign_table` to construct one.
     """
 
     def __init__(self, rs: RootSystem):
@@ -46,24 +47,21 @@ class SignTable:
             b0[i, i] = 1
             for j in range(i + 1, l):
                 b0[i, j] = rs.cartan[i, j]
-        coeffs = rs._coeffs
+        coeffs = rs.coeffs
         parity = (coeffs @ b0 @ coeffs.T) % 2
         eps = 1 - 2 * parity
         eta = np.where((coeffs >= 0).all(axis=1), 1, -1).astype(np.int64)
 
         table = np.zeros((n, n), dtype=np.int8)
-        ii, jj = np.nonzero(rs._gram == -1)
-        ss = rs._sum_idx[ii, jj]
+        ii, jj = np.nonzero(rs.gram == -1)
+        ss = rs.sums[ii, jj]
         table[ii, jj] = eps[ii, jj] * eta[ii] * eta[jj] * eta[ss]
-        self._table = table
-
-    def n_idx(self, i: int, j: int) -> int:
-        """Structure constant by root positions, without validation."""
-        return int(self._table[i, j])
+        freeze(table)
+        self.table = table
 
     def structure_constant(self, alpha: Root, beta: Root) -> int:
         """N_{alpha,beta}, in {-1, 0, 1}; zero iff alpha + beta is not a root."""
-        return int(self._table[self.rs.root_index(alpha), self.rs.root_index(beta)])
+        return int(self.table[self.rs.root_index(alpha), self.rs.root_index(beta)])
 
     def write_csv(self, fileobj) -> None:
         """Dump rows (alpha coeffs..., beta coeffs..., N) for external checks.
@@ -71,10 +69,10 @@ class SignTable:
         Only pairs with nonzero N are emitted.
         """
         writer = csv.writer(fileobj)
-        ii, jj = np.nonzero(self._table)
+        ii, jj = np.nonzero(self.table)
         for i, j in zip(ii.tolist(), jj.tolist()):
             writer.writerow(
-                list(self.rs.roots[i]) + list(self.rs.roots[j]) + [int(self._table[i, j])]
+                list(self.rs.roots[i]) + list(self.rs.roots[j]) + [int(self.table[i, j])]
             )
 
 

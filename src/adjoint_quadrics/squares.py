@@ -65,9 +65,9 @@ def _no_extension(alpha: Root, beta: Root, gamma: Root) -> str:
 def square_of_pair(rs: RootSystem, alpha: Root, beta: Root) -> MaximalSquare:
     """The unique maximal square containing the orthogonal pair {alpha, beta}."""
     ai, bi = rs.root_index(alpha), rs.root_index(beta)
-    if rs.dot2_idx(ai, bi) != 0:
+    if rs.gram[ai, bi] != 0:
         raise InvalidPairError(f"{alpha} and {beta} are not orthogonal")
-    s = int(rs._square_index.square_of[ai, bi])
+    s = int(rs.square_index.square_of[ai, bi])
     if s < 0:
         raise RuntimeError(_no_square(alpha, beta))
     return rs.squares[s]
@@ -109,13 +109,13 @@ def position_class(rs: RootSystem, rho: int, sigma, members) -> tuple[SquareAngl
     (2, -2, 0, 1, -1 for angles 0, pi, pi/2, pi/3, 2pi/3), and for classes 0
     and pi the position in members of rho or -rho.  Failure to resolve is a
     program error, not a user error."""
-    d = int(rs._pairings[rho] @ sigma)
+    d = int(rs.pairings[rho] @ sigma)
     kind = _ANGLE_BY_DOT2.get(d)
     if kind is None:
         raise RuntimeError(_impossible_product(d, tuple(int(x) for x in sigma)))
     if kind is SquareAngle.IN_SQUARE or kind is SquareAngle.OPPOSITE_SQUARE:
         opposite = kind is SquareAngle.OPPOSITE_SQUARE
-        member = int(rs._neg[rho]) if opposite else rho
+        member = int(rs.neg[rho]) if opposite else rho
         if member not in members:
             raise RuntimeError(_not_a_member(rs.roots[rho], opposite))
         return kind, members.index(member)

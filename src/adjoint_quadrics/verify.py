@@ -208,7 +208,7 @@ def _ledger_target(rs, signs, phi: FormKind, a, b, r, kind: SquareAngle, mate):
     ledger case, a form being (kind, i, j) for its orthogonal pair of root
     numbers.  a, b and r are alpha, beta and rho, and mate the member paired
     with rho (class 0) or with -rho (class pi)."""
-    neg, sums = rs._neg, rs._sum_idx
+    neg, sums = rs.neg, rs.sums
     PI2, TWO_PI3, PI = FormKind
     if kind is SquareAngle.IN_SQUARE:
         if phi is PI2:
@@ -219,7 +219,7 @@ def _ledger_target(rs, signs, phi: FormKind, a, b, r, kind: SquareAngle, mate):
                 return "j=1", [(-1, 1, (PI, a, b)), (1, 2, (TWO_PI3, neg[a], neg[b]))]
             if r == b:
                 return "j=-1", [(-2, 1, (PI2, a, neg[b]))]
-            c = signs.n_idx(a, neg[r])
+            c = int(signs.table[a, neg[r]])
             return "j!=+-1", [(c, 1, (TWO_PI3, sums[a, neg[r]], sums[r, neg[b]]))]
         if r == a:
             return "j=1", [(-2, 1, (TWO_PI3, neg[a], neg[b]))]
@@ -244,7 +244,7 @@ def _ledger_target(rs, signs, phi: FormKind, a, b, r, kind: SquareAngle, mate):
         return "j!=+-1", [(1, 1, (TWO_PI3, m, neg[mate]))]
 
     if kind is SquareAngle.TWO_THIRDS:
-        d = rs._gram[a, r]
+        d = rs.gram[a, r]
         if phi is PI2:
             return "any", []
         if phi is TWO_PI3:
@@ -260,7 +260,7 @@ def _ledger_target(rs, signs, phi: FormKind, a, b, r, kind: SquareAngle, mate):
 
 def _members(rs, s: int) -> list[int]:
     """The member numbers of square s, in pair layout."""
-    index = rs._square_index
+    index = rs.square_index
     return index.members[index.start[s] :][: index.size[s]].tolist()
 
 
@@ -268,11 +268,11 @@ def _prepare_case(rs, signs, a: int, b: int, r: int, phi: FormKind):
     """What the ledger case of the form phi at root numbers (alpha, beta,
     rho) decides before any arithmetic: (angle class, sub-case, config, r,
     form, _ledger_target's targets)."""
-    s = int(rs._square_index.square_of[a, b])
+    s = int(rs.square_index.square_of[a, b])
     if s < 0:
         raise RuntimeError(_no_square(rs.roots[a], rs.roots[b]))
     members = _members(rs, s)
-    kind, p = position_class(rs, r, rs._square_index.sigma[s], members)
+    kind, p = position_class(rs, r, rs.square_index.sigma[s], members)
     mate = None if p is None else members[p ^ 1]
     if phi is FormKind.PI2 and kind is SquareAngle.IN_SQUARE:
         # The pi/2 form is square-keyed up to sign; root it at rho's pair.
@@ -389,7 +389,7 @@ def _reduction_plan(rs, r: int, s: int):
     CommutatorResult, None for the fixes-square sub-case, or the factors
     (a, b, their angle classes) of the decomposition x_rho(xi) =
     [x_a(xi), x_b(eps)] that rho's angle class (pi/2 or pi/3) names."""
-    sigma, members = rs._square_index.sigma[s], _members(rs, s)
+    sigma, members = rs.square_index.sigma[s], _members(rs, s)
     kind, _ = position_class(rs, r, sigma, members)
     config = {"rho": list(rs.roots[r]), "sigma": sigma.tolist(), "class": kind.value}
     # Per doubled products of rho with a pair, which member of the first
@@ -403,7 +403,7 @@ def _reduction_plan(rs, r: int, s: int):
     else:
         raise ValueError("commutator reduction applies to angle classes pi/2 and pi/3 only")
     chosen = None
-    products = rs._gram[r, members].tolist()
+    products = rs.gram[r, members].tolist()
     for p in range(0, len(members), 2):
         at = which.get(tuple(products[p : p + 2]))
         if at is not None:
@@ -415,9 +415,9 @@ def _reduction_plan(rs, r: int, s: int):
         return config, CommutatorResult(False, config, detail="no member at angle pi/3 found")
     if kind is SquareAngle.PERP:
         # beta_{-j} + rho, which lies in the square, and -beta_{-j}.
-        a, b = int(rs._sum_idx[chosen, r]), int(rs._neg[chosen])
+        a, b = int(rs.sums[chosen, r]), int(rs.neg[chosen])
     else:
-        a, b = int(rs._sum_idx[r, rs._neg[chosen]]), chosen  # rho - beta_{-1}
+        a, b = int(rs.sums[r, rs.neg[chosen]]), chosen  # rho - beta_{-1}
     if a < 0:
         return config, CommutatorResult(False, config, detail="factor is not a root")
     factor_classes = tuple(position_class(rs, x, sigma, members)[0].value for x in (a, b))
@@ -514,12 +514,12 @@ def sample_case_config(rs, rng, entry, configs: batch.Configs) -> tuple[int, int
         # Order a pair to put the product with rho the sub-case names on alpha.
         x = rng.randrange(len(members))
         want = rng.choice((-1, 0)) if subcase == "any" else -1 if subcase == "(b1,rho)=-1" else 0
-        x ^= int(rs._gram[members[x], r] != want)
-        if rs._gram[members[x], r] != want:
+        x ^= int(rs.gram[members[x], r] != want)
+        if rs.gram[members[x], r] != want:
             raise RuntimeError("2pi/3 pair pattern violated")
         return members[x], members[x ^ 1], r
     # Classes 0 and pi: p is the position of rho or -rho in the square.
-    _, p = position_class(rs, r, rs._square_index.sigma[s], members)
+    _, p = position_class(rs, r, rs.square_index.sigma[s], members)
     if subcase == "j=1":
         x = p
     elif subcase == "j=-1":
@@ -556,12 +556,8 @@ def suite_jacobi(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport:
     t0 = time.perf_counter()
     rep = SuiteReport("jacobi", str(rs.system), seed)
 
-    table = signs._table
-    gram = rs._gram
-    n = rs.n_roots
-    neg = rs._neg
-    index = rs._square_index
-    roots = rs.roots
+    table, gram, neg, index = signs.table, rs.gram, rs.neg, rs.square_index
+    n, roots = rs.n_roots, rs.roots
 
     bad = int(np.count_nonzero((table != 0) != (gram == -1)))
     rep.add("nonzero-iff-sum-is-root", n * n, [{"count": bad}] * (1 if bad else 0))
@@ -573,7 +569,7 @@ def suite_jacobi(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport:
     rep.add("negation", n * n, [{"count": bad}] * (1 if bad else 0))
 
     ii, jj = np.nonzero(gram == -1)
-    kk = rs._sum_idx[ii, jj]
+    kk = rs.sums[ii, jj]
     gg = neg[kk]
     t1 = table[ii, jj]
     t2 = table[jj, gg]
@@ -618,8 +614,8 @@ def suite_combinatorics(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport
     t0 = time.perf_counter()
     rep = SuiteReport("combinatorics", str(rs.system), seed)
     tb = batch.Tables(rs, signs)
-    gram, roots, squares = rs._gram, rs.roots, rs.squares
-    size = rs._square_index.size
+    gram, roots, squares = rs.gram, rs.roots, rs.squares
+    size = rs.square_index.size
 
     n_pairs = int(np.count_nonzero(np.triu(gram == 0, k=1)))
     # Squares partition the orthogonal pairs; every E-system square has
@@ -768,7 +764,7 @@ def suite_commutator(
         modes = {"reduction": 0, "fixes-square": 0}
         for (r, s), result in _checked(samples, partial(configs.draw, rng), check, failures):
             if isinstance(result, RuntimeError):
-                rho, sigma = list(rs.roots[r]), rs._square_index.sigma[s].tolist()
+                rho, sigma = list(rs.roots[r]), rs.square_index.sigma[s].tolist()
                 failures.append({"rho": rho, "sigma": sigma, "error": str(result)})
             elif not result.ok:
                 failures.append({"config": result.config, "detail": result.detail})

@@ -105,7 +105,7 @@ class SignColumn:
 def sign_column(rs: RootSystem, signs: SignTable, square: MaximalSquare, j: int) -> SignColumn:
     if j == 0 or abs(j) > square.k:
         raise ValueError(f"signed index {j} out of range for k={square.k}")
-    neg = rs._neg
+    neg = rs.neg
     bj = rs.root_index(square.member(j))
     bmj = rs.root_index(square.member(-j))
     entries: dict[int, int] = {}
@@ -115,7 +115,7 @@ def sign_column(rs: RootSystem, signs: SignTable, square: MaximalSquare, j: int)
             continue
         bi = rs.root_index(square.member(i))
         bmi = rs.root_index(square.member(-i))
-        entries[i] = -signs.n_idx(bj, int(neg[bi])) * signs.n_idx(bmj, int(neg[bmi]))
+        entries[i] = -int(signs.table[bj, int(neg[bi])]) * int(signs.table[bmj, int(neg[bmi])])
     return SignColumn(j, entries)
 
 
@@ -145,11 +145,11 @@ def pair_sets(rs: RootSystem, alpha: Root, beta: Root) -> PairSets:
     disagreement is a program error.
     """
     ai, bi = rs.root_index(alpha), rs.root_index(beta)
-    if rs.dot2_idx(ai, bi) != 0:
+    if rs.gram[ai, bi] != 0:
         raise InvalidPairError(f"{alpha} and {beta} are not orthogonal")
     square = square_of_pair(rs, alpha, beta)
-    ga = rs._gram[ai]
-    gb = rs._gram[bi]
+    ga = rs.gram[ai]
+    gb = rs.gram[bi]
 
     # Direct scans.
     sigma = square.sigma
@@ -237,9 +237,9 @@ def extend_a3_to_d4(rs: RootSystem, alpha: Root, beta: Root, gamma: Root) -> Roo
     first in canonical root order is returned.
     """
     ai, bi, ci = rs.root_index(alpha), rs.root_index(beta), rs.root_index(gamma)
-    if rs.dot2_idx(ai, ci) != 0 or rs.dot2_idx(ai, bi) != -1 or rs.dot2_idx(bi, ci) != -1:
+    if rs.gram[ai, ci] != 0 or rs.gram[ai, bi] != -1 or rs.gram[bi, ci] != -1:
         raise NotAnA3TripleError(f"({alpha}, {beta}, {gamma}) is not an A_3 triple")
-    g = rs._gram
+    g = rs.gram
     hits = np.nonzero((g[ai] == 0) & (g[ci] == 0) & (g[bi] == -1))[0]
     if len(hits) == 0:
         raise RuntimeError(_no_extension(alpha, beta, gamma))
@@ -248,7 +248,7 @@ def extend_a3_to_d4(rs: RootSystem, alpha: Root, beta: Root, gamma: Root) -> Roo
 
 def doubled_inner_vec(rs: RootSystem, alpha: Root, vec: tuple[int, ...]) -> int:
     """Doubled inner product of a root with an arbitrary lattice vector."""
-    return int(rs._coeffs[rs.root_index(alpha)] @ rs.cartan @ np.array(vec, dtype=np.int64))
+    return int(rs.coeffs[rs.root_index(alpha)] @ rs.cartan @ np.array(vec, dtype=np.int64))
 
 
 def index_of(square: MaximalSquare, root: Root) -> int | None:
@@ -322,14 +322,14 @@ def pi2_form(rs: RootSystem, signs: SignTable, alpha: Root, beta: Root) -> Quadr
     """
     square = square_of_pair(rs, alpha, beta)
     ai, bi = rs.root_index(alpha), rs.root_index(beta)
-    neg = rs._neg
+    neg = rs.neg
     acc: dict = {}
     _put(acc, ai, bi, 1)
     for g, d in square.pairs:
         gi, di = rs.root_index(g), rs.root_index(d)
         if {gi, di} == {ai, bi}:
             continue
-        c = signs.n_idx(ai, int(neg[gi])) * signs.n_idx(bi, int(neg[di]))
+        c = int(signs.table[ai, int(neg[gi])]) * int(signs.table[bi, int(neg[di])])
         _put(acc, gi, di, -c)
     return _finish(rs.system, FormKind.PI2, tuple(square.sigma), acc)
 
@@ -344,15 +344,15 @@ def two_pi3_form(rs: RootSystem, signs: SignTable, alpha: Root, beta: Root) -> Q
     """-sum N_{g,a-g} v_g v_{a-g} over the roots g at angle pi/3 to both
     alpha and beta, less v_alpha * sum_s <beta, alpha_s> v_s."""
     ai, bi = rs.root_index(alpha), rs.root_index(beta)
-    if rs.dot2_idx(ai, bi) != 0:
+    if rs.gram[ai, bi] != 0:
         raise InvalidPairError(f"{alpha} and {beta} are not orthogonal")
-    neg = rs._neg
+    neg = rs.neg
     acc: dict = {}
-    for gi in np.flatnonzero((rs._gram[ai] == 1) & (rs._gram[bi] == 1)).tolist():
-        di = int(rs._sum_idx[ai, int(neg[gi])])  # alpha - gamma
-        _put(acc, gi, di, -signs.n_idx(gi, di))
+    for gi in np.flatnonzero((rs.gram[ai] == 1) & (rs.gram[bi] == 1)).tolist():
+        di = int(rs.sums[ai, int(neg[gi])])  # alpha - gamma
+        _put(acc, gi, di, -int(signs.table[gi, di]))
     for s in range(rs.rank):
-        c = int(rs._pairings[bi, s])
+        c = int(rs.pairings[bi, s])
         if c:
             _put(acc, ai, rs.n_roots + s, -c)
     return _finish(rs.system, FormKind.TWO_PI3, (alpha, beta), acc)
@@ -362,16 +362,16 @@ def pi_form(rs: RootSystem, signs: SignTable, alpha: Root, beta: Root) -> Quadra
     """sum <g, beta> v_g v_{-g} over the roots g at angle 2pi/3 to alpha,
     less (sum_s <alpha, alpha_s> v_s)(sum_t <beta, alpha_t> v_t)."""
     ai, bi = rs.root_index(alpha), rs.root_index(beta)
-    if rs.dot2_idx(ai, bi) != 0:
+    if rs.gram[ai, bi] != 0:
         raise InvalidPairError(f"{alpha} and {beta} are not orthogonal")
-    neg = rs._neg
+    neg = rs.neg
     acc: dict = {}
-    for gi in np.flatnonzero(rs._gram[ai] == -1).tolist():
-        c = int(rs._gram[bi, gi])
+    for gi in np.flatnonzero(rs.gram[ai] == -1).tolist():
+        c = int(rs.gram[bi, gi])
         if c:
             _put(acc, gi, int(neg[gi]), c)
 
-    pa, pb = rs._pairings[ai], rs._pairings[bi]
+    pa, pb = rs.pairings[ai], rs.pairings[bi]
     base = rs.n_roots
     for s in range(rs.rank):
         cs = int(pa[s])
@@ -539,7 +539,7 @@ def zero_weight_combo(rs: RootSystem, beta: Root, v: AdjointVector):
     bi = rs.root_index(beta)
     total = ring.zero
     for s in range(rs.rank):
-        c = int(rs._pairings[bi, s])
+        c = int(rs.pairings[bi, s])
         if c:
             total = ring.add(total, ring.mul(ring.from_int(c), v.coords[rs.n_roots + s]))
     return total

@@ -43,7 +43,7 @@ def _line(num, ok, name, detail=""):
 
 
 def _orth_pair_indices(rs):
-    ii, jj = np.nonzero(np.triu(rs._gram == 0, k=1))
+    ii, jj = np.nonzero(np.triu(rs.gram == 0, k=1))
     return list(zip(ii.tolist(), jj.tolist()))
 
 
@@ -113,7 +113,7 @@ def test_criterion_02_k_and_cardinalities(system):
         rs, _ = system(name)
         l = rs.rank
         is_d = rs.system.family == "D"
-        gram = rs._gram
+        gram = rs.gram
         pairs = _orth_pair_indices(rs)
         if name not in EXHAUSTIVE:
             rng = random.Random(20)
@@ -290,7 +290,7 @@ def test_criterion_06_position_classification(system):
 
 
 def _a3_triples_exhaustive(rs):
-    gram = rs._gram
+    gram = rs.gram
     for a in rs.roots:
         ai = rs.root_index(a)
         for bi in np.nonzero(gram[ai] == -1)[0].tolist():
@@ -323,7 +323,7 @@ def test_criterion_07_a3_extension(system):
     for name in ["E7", "E8"]:
         rs, _ = system(name)
         rng = random.Random(70)
-        gram = rs._gram
+        gram = rs.gram
         done = 0
         while done < 10_000:
             ai = rng.randrange(rs.n_roots)

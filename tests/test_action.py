@@ -18,9 +18,11 @@ from adjoint_quadrics import (
     basis_vector,
     build_root_system,
     build_sign_table,
+    generate_all_equations,
+    report_json,
     zero_vector,
 )
-from adjoint_quadrics.verify import generic_vector
+from adjoint_quadrics.verify import generic_vector, suite_cases
 from reference import apply_word_by_rules, inverse_word, zero_weight_combo
 
 
@@ -279,8 +281,10 @@ def test_wrong_length_rejected(system):
 
 def test_concurrent_words_leave_system_unchanged():
     # The action rows are built with the root system and the signs are read
-    # from the table, so four threads applying words through a fresh D5 get
-    # the serial answers and write nothing into the system or the table.
+    # from the table, so four threads applying words through a fresh D5,
+    # checking the vectors against one shared equation set and running the
+    # cases suite get the serial answers and write nothing into the system,
+    # the table or the set.
     def words(rs):
         rng = random.Random(12)
         return [
@@ -293,18 +297,24 @@ def test_concurrent_words_leave_system_unchanged():
             for _ in range(40)
         ]
 
-    def answers(rs, signs):
+    def answers(rs, signs, eqset):
         ring = IntegerRing()
-        return [
-            apply_word(rs, signs, word, basis_vector(rs, ring, rs.roots[k % rs.n_roots])).coords
+        vectors = [
+            apply_word(rs, signs, word, basis_vector(rs, ring, rs.roots[k % rs.n_roots]))
             for k, word in enumerate(words(rs))
         ]
+        # Every word's point is in the orbit; a zero weight's basis vector is not.
+        checks = [eqset.check_vector(v) for v in vectors + [basis_vector(rs, ring, ZeroWeight(1))]]
+        cases = report_json([suite_cases(rs, signs, seed=0, samples=20)])
+        return [v.coords for v in vectors], checks, cases
 
     serial_rs = build_root_system("D5")
-    serial = answers(serial_rs, build_sign_table(serial_rs))
+    serial_signs = build_sign_table(serial_rs)
+    serial = answers(serial_rs, serial_signs, generate_all_equations(serial_rs, serial_signs))
     rs = build_root_system("D5")
     signs = build_sign_table(rs)
-    attrs = dict(vars(rs)), dict(vars(signs))
+    eqset = generate_all_equations(rs, signs)
+    attrs = dict(vars(rs)), dict(vars(signs)), dict(vars(eqset))
     state = pickle.dumps((vars(rs), vars(signs)))
 
     n_threads = 4
@@ -313,7 +323,7 @@ def test_concurrent_words_leave_system_unchanged():
 
     def work(t):
         barrier.wait(timeout=30)
-        results[t] = answers(rs, signs)
+        results[t] = answers(rs, signs, eqset)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -328,7 +338,8 @@ def test_concurrent_words_leave_system_unchanged():
     assert not any(th.is_alive() for th in threads)
 
     assert results == [serial] * n_threads
-    for obj, before in zip((rs, signs), attrs):
+    assert [ok for ok, _ in serial[1]] == [True] * 40 + [False]
+    for obj, before in zip((rs, signs, eqset), attrs):
         assert vars(obj).keys() == before.keys()
         assert all(vars(obj)[k] is before[k] for k in before)
     assert pickle.dumps((vars(rs), vars(signs))) == state

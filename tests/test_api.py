@@ -1,6 +1,7 @@
 """The package's public surface: every name the benchmark imports exists,
-the test references live in tests/reference.py alone, and no module in
-src/ or tests/ imports a name it does not use.
+the test references live in tests/reference.py alone, no module in src/ or
+tests/ imports a name it does not use, no module reads another object's
+private tables, and every table is read-only.
 
 The scripts are read with ast, not run, so this takes milliseconds.
 """
@@ -10,8 +11,12 @@ import importlib
 import pathlib
 import pkgutil
 
+import numpy as np
+import pytest
+
 import adjoint_quadrics
 import reference
+from adjoint_quadrics.root_system import ActionRows, SquareIndex
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -115,3 +120,53 @@ def test_no_unused_imports():
     }
     assert len(unused) > 20
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def test_no_module_reads_another_objects_private_tables(system):
+    # The tables of a RootSystem and a SignTable have public names; an
+    # underscore attribute of either is read only through self.
+    rs, signs = system("D5")
+    private = {name for name in vars(rs) | vars(signs) if name.startswith("_")}
+    reads = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted((ROOT / "src" / "adjoint_quadrics").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr in private
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert reads == []
+
+
+def _arrays(name, x):
+    """(name, array) for every numpy array in x: x itself, or the items of a
+    tuple such as a table bundle, by field name where it has them."""
+    if isinstance(x, np.ndarray):
+        return [(name, x)]
+    if not isinstance(x, tuple):
+        return []
+    fields = getattr(x, "_fields", range(len(x)))
+    return [a for f, y in zip(fields, x) for a in _arrays(f"{name}.{f}", y)]
+
+
+# The arrays each object must hold, by attribute name.
+HELD = {
+    "RootSystem": {"cartan", "coeffs", "gram", "pairings", "neg", "sums", "lex"}
+    | {f"square_index.{f}" for f in SquareIndex._fields}
+    | {f"action_rows.{f}" for f in ActionRows._fields},
+    "SignTable": {"table"},
+    "EquationSet": {"_kinds", "_names", "_order", "_sorted"},
+    "_Compiled": {"ia", "ib", "c", "offsets", "_by_a", "_a_start", "pairings"},
+}
+
+
+@pytest.mark.parametrize("owner", sorted(HELD))
+def test_every_table_is_read_only(system, eqset_for, owner):
+    rs, signs = system("D5")
+    eqset = eqset_for("D5")
+    obj = dict(zip(HELD, (rs, signs, eqset, eqset.compiled())))[owner]
+    arrays = [a for name, x in vars(obj).items() for a in _arrays(name, x)]
+    assert HELD[owner] <= {name for name, _ in arrays}
+    for name, a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            np.copyto(a, a.copy())

@@ -35,6 +35,7 @@ from adjoint_quadrics import (
 )
 from adjoint_quadrics import equations
 from adjoint_quadrics.verify import suite_jacobi
+from corrupt import corrupted
 from reference import pi2_form, pi2_form_for_square, pi_form, sign_column, two_pi3_form
 
 # True form counts (pi/2 per square, 2pi/3 per ordered orthogonal pair,
@@ -49,7 +50,7 @@ COUNTS = {
 
 
 def _orth_pairs(rs):
-    ii, jj = np.nonzero(np.triu(rs._gram == 0, k=1))
+    ii, jj = np.nonzero(np.triu(rs.gram == 0, k=1))
     return [(rs.roots[i], rs.roots[j]) for i, j in zip(ii.tolist(), jj.tolist())]
 
 
@@ -436,7 +437,7 @@ def test_lift_is_exact_at_the_bound(system):
     # prime), just below 2^63 p (one prime) and just past it (two primes),
     # p the first prime.
     rs, _ = system("D5")
-    i, j = map(int, np.argwhere(rs._gram == 0)[0])
+    i, j = map(int, np.argwhere(rs.gram == 0)[0])
     form = QuadraticForm(rs.system, FormKind.PI, (rs.roots[i], rs.roots[j]), ((0, 1, 1),))
     eqset = EquationSet(rs, (form,))
     p = equations._prime(0)
@@ -605,8 +606,8 @@ def test_form_for_misses(eqset_for, system):
     # and on the part of that kind.
     rs, _ = system("D5")
     eqset = eqset_for("D5")
-    i, j = map(int, np.argwhere(np.triu(rs._gram == 0, 1))[0])
-    k = int(np.flatnonzero(rs._gram[i] == 1)[0])
+    i, j = map(int, np.argwhere(np.triu(rs.gram == 0, 1))[0])
+    k = int(np.flatnonzero(rs.gram[i] == 1)[0])
     alpha, beta = rs.roots[i], rs.roots[j]
     sigma = tuple(2 * x for x in rs.squares[-1].sigma)
     assert sigma not in {sq.sigma for sq in rs.squares}
@@ -746,7 +747,7 @@ def test_generated_arrays_pinned_and_equal_to_flattened_forms(system, eqset_for,
     eqset = eqset_for(name)
     compiled = eqset.compiled()
     form = np.repeat(np.arange(compiled.n_forms), np.diff(compiled.offsets))
-    f, ia, ib, c = equations._expand(rs._pairings, form, compiled.ia, compiled.ib, compiled.c)
+    f, ia, ib, c = equations._expand(rs.pairings, form, compiled.ia, compiled.ib, compiled.c)
     arrays = (ia, ib, c, np.searchsorted(f, np.arange(compiled.n_forms + 1)))
     flat = EquationSet(rs, eqset.forms).compiled()
     parts = [eqset.of_kind(kind).compiled() for kind in FormKind]
@@ -768,14 +769,8 @@ def test_equations_json_pinned(system, eqset_for, name):
     assert hashlib.sha256(text.encode()).hexdigest() == JSON_SHA256[name]
 
 
-def _fresh(name):
-    # Never the session-cached fixtures: these tests corrupt the sign table.
-    rs = build_root_system(name)
-    return rs, build_sign_table(rs)
-
-
 def _entries_read_by_pi2(rs):
-    neg = rs._neg.tolist()
+    neg = rs.neg.tolist()
     used = set()
     for sq in enumerate_squares(rs):
         a, b = (rs.root_index(r) for r in sq.pairs[0])
@@ -789,15 +784,17 @@ def _flip_two_pi3_sign(rs, signs):
     # N_{gamma,delta} of a 2pi/3 monomial that no pi/2 form reads, so only
     # the 2pi/3 forms change.
     pi2_entries = _entries_read_by_pi2(rs)
-    ii, jj = np.nonzero(rs._gram == 0)
+    ii, jj = np.nonzero(rs.gram == 0)
     for i, j in zip(ii.tolist(), jj.tolist()):
-        gammas = np.nonzero((rs._gram[i] == 1) & (rs._gram[j] == 1))[0].tolist()
-        entries = [(g, int(rs._sum_idx[i, rs._neg[g]])) for g in gammas]
+        gammas = np.nonzero((rs.gram[i] == 1) & (rs.gram[j] == 1))[0].tolist()
+        entries = [(g, int(rs.sums[i, rs.neg[g]])) for g in gammas]
         hits = [e for e in entries if e not in pi2_entries]
         if hits:
             break
     g, d = hits[0]
-    signs._table[g, d] *= -1
+    rs, signs = corrupted(rs, signs, "table")
+    signs.table[g, d] *= -1
+    return rs, signs
 
 
 def _flip_pi2_sign(rs, signs):
@@ -805,16 +802,17 @@ def _flip_pi2_sign(rs, signs):
     sq = enumerate_squares(rs)[0]
     a = rs.root_index(sq.pairs[0][0])
     g = rs.root_index(sq.pairs[1][0])
-    signs._table[a, rs._neg[g]] *= -1
+    rs, signs = corrupted(rs, signs, "table")
+    signs.table[a, rs.neg[g]] *= -1
+    return rs, signs
 
 
 @pytest.mark.parametrize("flip", [_flip_two_pi3_sign, _flip_pi2_sign], ids=["two_pi3", "pi2"])
-def test_jacobi_suite_fails_on_corrupted_form_sign(flip):
+def test_jacobi_suite_fails_on_corrupted_form_sign(system, flip):
     # The generator builds the 2pi/3 and pi/2 coefficients from one
     # description each; the identities that make the other descriptions
     # agree are jacobi checks, and each fails on a single flipped entry.
-    rs, signs = _fresh("D5")
-    flip(rs, signs)
+    rs, signs = flip(*system("D5"))
     report = suite_jacobi(rs, signs, seed=0)
     failing = {c["name"] for c in report.checks if c["passed"] != c["attempted"]}
     assert {"antisymmetry", "negation", "triangle", "orthogonal-quadruple"} <= failing
@@ -824,12 +822,13 @@ def test_concurrent_checks_leave_set_unchanged():
     # check_vector, form_for and reading forms write nothing into the set,
     # so four threads sharing one freshly generated set give the serial
     # answers and leave it as it was.
-    rs, signs = _fresh("D5")
+    rs = build_root_system("D5")
+    signs = build_sign_table(rs)
     eqset = generate_all_equations(rs, signs)
     attrs = dict(vars(eqset))
     compiled = eqset.compiled()
     compiled_attrs = dict(vars(compiled))
-    array_names = ("ia", "ib", "c", "offsets", "_by_a", "_a_start", "_pairings")
+    array_names = ("ia", "ib", "c", "offsets", "_by_a", "_a_start", "pairings")
     arrays = [getattr(compiled, name).copy() for name in array_names]
     rng = random.Random(5)
     vectors = [basis_vector(rs, IntegerRing(), rho) for rho in rs.roots[::8]]
@@ -918,7 +917,7 @@ def test_oversized_coefficients_rejected(system):
     # Residue sums stay exact in int64 only while a form's sum of |c| is
     # below 2^32, so a set past that is refused at construction.
     rs, _ = system("D5")
-    i, j = map(int, np.argwhere(rs._gram == 0)[0])
+    i, j = map(int, np.argwhere(rs.gram == 0)[0])
     pair = rs.roots[i], rs.roots[j]
     ok = QuadraticForm(rs.system, FormKind.PI, pair, ((0, 1, 2**31 - 1), (0, 2, 2**31)))
     EquationSet(rs, (ok,))
@@ -932,7 +931,7 @@ def test_coordinates_outside_the_set_rejected(system):
     # The coordinates are stored narrow, so one outside the set's weight
     # and L coordinates would wrap; it is refused at construction.
     rs, _ = system("D5")
-    i, j = map(int, np.argwhere(rs._gram == 0)[0])
+    i, j = map(int, np.argwhere(rs.gram == 0)[0])
     pair = rs.roots[i], rs.roots[j]
     top = rs.dim_v + rs.n_roots
     for a, b in ((0, top - 1), (0, top), (-1, 3), (0, 1 << 16)):
@@ -1136,7 +1135,7 @@ def _assert_factored_agrees(factored, canonical, rs, rng):
             v = AdjointVector(rs, ring, coords)
             assert factored.check_vector(v) == canonical.check_vector(v), (label, support)
             if m == 10**12 - 1 and _route_name(f, coords, m) == "int64":
-                l_mod_m = rs._pairings @ np.array(coords[rs.n_roots :]) % m
+                l_mod_m = rs.pairings @ np.array(coords[rs.n_roots :]) % m
                 past |= max(l_mod_m) > max(coords)
     assert past
 
@@ -1168,7 +1167,7 @@ def test_factored_agreement_catches_a_flipped_l_coefficient(system, eqset_for):
     for j in (l_monos[0], l_monos[-1]):
         c = real.c.copy()
         c[j] *= -1
-        broken = equations._Compiled(real.ia, real.ib, c, real.offsets, rs._pairings)
+        broken = equations._Compiled(real.ia, real.ib, c, real.offsets, rs.pairings)
         flipped = EquationSet(rs, _parts=(eqset._kinds, eqset._names, broken))
         with pytest.raises(AssertionError):
             _assert_factored_agrees(flipped, canonical, rs, random.Random(int(j)))

@@ -167,10 +167,10 @@ def test_sum_table_matches_tuple_sums(name):
     # on such a code.
     rs = build_root_system(name)
     want = np.full((rs.n_roots, rs.n_roots), -1)
-    for i, j in zip(*np.nonzero(rs._gram == -1)):
+    for i, j in zip(*np.nonzero(rs.gram == -1)):
         s = tuple(a + b for a, b in zip(rs.roots[i], rs.roots[j]))
         want[i, j] = rs.index[s]
-    assert np.array_equal(rs._sum_idx, want)
+    assert np.array_equal(rs.sums, want)
     assert (11**rs.rank > np.iinfo(np.int64).max) == (name == "D19")
 
 
@@ -179,7 +179,7 @@ def test_row_lookup_reports_misses(system):
     # product 2 or 0, is found at -1; the root system raises on such a sum
     # at product -1.
     rs, _ = system("D5")
-    r = rs._coeffs
-    i, j = map(int, np.argwhere(rs._gram == 0)[0])
+    r = rs.coeffs
+    i, j = map(int, np.argwhere(rs.gram == 0)[0])
     rows = np.array([r[3], 2 * r[3], r[i] + r[j], r[-1]])
     assert _find_rows(r, rows).tolist() == [3, -1, -1, rs.n_roots - 1]

@@ -70,7 +70,7 @@ def test_deterministic_across_builds():
     rs2 = build_root_system("D5")
     t1 = build_sign_table(rs1)
     t2 = build_sign_table(rs2)
-    assert np.array_equal(t1._table, t2._table)
+    assert np.array_equal(t1.table, t2.table)
 
 
 def test_module_level_accessor(system):
@@ -87,7 +87,7 @@ def test_csv_dump(system):
     signs.write_csv(buf)
     lines = [ln for ln in buf.getvalue().splitlines() if ln]
     # One row per ordered pair with nonzero constant.
-    expected = int(np.count_nonzero(signs._table))
+    expected = int(np.count_nonzero(signs.table))
     assert len(lines) == expected
     first = lines[0].split(",")
     assert len(first) == 2 * rs.rank + 1

@@ -37,7 +37,7 @@ CENSUS = {
 
 
 def _orthogonal_pairs(rs):
-    ii, jj = np.nonzero(np.triu(rs._gram == 0, k=1))
+    ii, jj = np.nonzero(np.triu(rs.gram == 0, k=1))
     return [(rs.roots[i], rs.roots[j]) for i, j in zip(ii.tolist(), jj.tolist())]
 
 
@@ -247,9 +247,9 @@ def test_extension_d5_exhaustive(system):
     count = 0
     for a in rs.roots:
         ai = rs.root_index(a)
-        for bi in np.nonzero(rs._gram[ai] == -1)[0].tolist():
+        for bi in np.nonzero(rs.gram[ai] == -1)[0].tolist():
             b = rs.roots[bi]
-            for ci in np.nonzero((rs._gram[ai] == 0) & (rs._gram[bi] == -1))[0].tolist():
+            for ci in np.nonzero((rs.gram[ai] == 0) & (rs.gram[bi] == -1))[0].tolist():
                 g = rs.roots[ci]
                 d = extend_a3_to_d4(rs, a, b, g)
                 assert rs.doubled_inner(d, a) == 0
@@ -290,7 +290,7 @@ def test_concurrent_square_lookups_leave_system_unchanged():
     rs = build_root_system("D5")
     attrs = dict(vars(rs))
     arrays = {k: v.copy() for k, v in attrs.items() if isinstance(v, np.ndarray)}
-    index = [a.copy() for a in rs._square_index]
+    index = [a.copy() for a in rs.square_index]
 
     n_threads = 4
     barrier = threading.Barrier(n_threads)
@@ -316,4 +316,4 @@ def test_concurrent_square_lookups_leave_system_unchanged():
     assert vars(rs).keys() == attrs.keys()
     assert all(vars(rs)[k] is attrs[k] for k in attrs)
     assert all(np.array_equal(getattr(rs, k), v) for k, v in arrays.items())
-    assert all(np.array_equal(got, want) for got, want in zip(rs._square_index, index))
+    assert all(np.array_equal(got, want) for got, want in zip(rs.square_index, index))

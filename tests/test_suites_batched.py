@@ -34,7 +34,7 @@ from adjoint_quadrics.batch import (
     position_block,
     sign_column_block,
 )
-from adjoint_quadrics.equations import FormKind, _other_members
+from adjoint_quadrics.equations import FormKind, _other_members, form_monomials
 from adjoint_quadrics import verify
 from adjoint_quadrics.squares import _ANGLE_BY_DOT2
 from adjoint_quadrics.verify import (
@@ -51,6 +51,7 @@ from adjoint_quadrics.verify import (
     suite_commutator,
     suite_jacobi,
 )
+from corrupt import corrupted
 from reference import (
     _class_pattern_ok,
     conjugate_pair,
@@ -101,12 +102,12 @@ def test_suite_reports_pinned(name, seed, samples):
 def _case_counts(rs):
     """Every check's number of cases, from the Gram matrix, the sum table
     and the square index alone."""
-    gram, neg, n = rs._gram, rs._neg, rs.n_roots
+    gram, neg, n = rs.gram, rs.neg, rs.n_roots
     up, zero = gram == -1, gram == 0
-    size = rs._square_index.size
+    size = rs.square_index.size
     k = size // 2
     i, j = np.nonzero(up)
-    h = rs._sum_idx[i, j]
+    h = rs.sums[i, j]
     ints = up.astype(np.int64)
     every = np.arange(n)
     return {
@@ -157,7 +158,7 @@ def test_suites_draw_no_random_numbers(monkeypatch, system):
 def _samples(rs, exhaustive: bool):
     """(pairs, (rho, square) configurations, squares, A_3 triples) as
     position arrays: every one of each, or 500 seeded draws of each."""
-    gram, n, n_sq = rs._gram, rs.n_roots, len(rs.squares)
+    gram, n, n_sq = rs.gram, rs.n_roots, len(rs.squares)
     if exhaustive:
         alpha, beta = np.nonzero(gram == 0)
         rho, cl = np.divmod(np.arange(n * n_sq), n_sq)
@@ -303,19 +304,18 @@ def test_batched_checks_match_scalar_helpers(system, name, exhaustive):
     _compare_with_scalar(rs, signs, _samples(rs, exhaustive))
 
 
-def test_batched_checks_match_scalar_helpers_on_corrupted_tables():
+def test_batched_checks_match_scalar_helpers_on_corrupted_tables(system):
     # One pair of roots at angle pi/3 recorded as orthogonal, and one
     # structure constant flipped without its antisymmetric partner: the
     # scans, the position patterns, the modified-square products and the
     # sign columns now fail on some samples, and must fail on the same ones
     # as the scalar helpers, which read the same tables.
-    rs = build_root_system("D5")
-    signs = build_sign_table(rs)
+    rs, signs = corrupted(*system("D5"), "gram", "table")
     samples = _samples(rs, exhaustive=True)
-    x, y = 0, int(np.flatnonzero(rs._gram[0] == 1)[0])
-    rs._gram[x, y] = rs._gram[y, x] = 0
-    u, v = (int(w[0]) for w in np.nonzero(signs._table))
-    signs._table[u, v] *= -1
+    x, y = 0, int(np.flatnonzero(rs.gram[0] == 1)[0])
+    rs.gram[x, y] = rs.gram[y, x] = 0
+    u, v = (int(w[0]) for w in np.nonzero(signs.table))
+    signs.table[u, v] *= -1
     _compare_with_scalar(rs, signs, samples)
     tb = Tables(rs, signs)
     # (x, y) now reads as orthogonal but lies in no square.
@@ -330,6 +330,16 @@ def test_batched_checks_match_scalar_helpers_on_corrupted_tables():
     assert np.array(modified_square_block(tb, squares)).any()
 
 
+def test_tables_keep_only_what_they_derive(system):
+    # The kernels read the root system's and the sign table's own arrays;
+    # Tables adds the keys, the doubled products from the coordinates and
+    # kmax, and holds no second name or copy of a table.
+    rs, signs = system("D5")
+    tb = Tables(rs, signs)
+    assert set(vars(tb)) == {"rs", "signs", "inner", "key", "_order", "_sorted", "kmax"}
+    assert rs.gram.dtype == np.int8 and np.array_equal(tb.inner, rs.gram)
+
+
 def test_batched_checks_on_d17():
     # D_17 has 38,114 squares, so square numbers pass 2^15, and its root
     # keys pass int64, so Tables holds them as Python ints.
@@ -339,9 +349,9 @@ def test_batched_checks_on_d17():
     assert tb.key.dtype == object
     rng = np.random.default_rng(17)
     i, j = rng.integers(0, rs.n_roots, (2, 2000))
-    assert tb.lookup(tb.key[i] - tb.key[j]).tolist() == rs._sum_idx[i, rs._neg[j]].tolist()
+    assert tb.lookup(tb.key[i] - tb.key[j]).tolist() == rs.sums[i, rs.neg[j]].tolist()
 
-    index, roots = rs._square_index, rs.roots
+    index, roots = rs.square_index, rs.roots
     squares = np.arange(len(rs.squares) - 8, len(rs.squares))
     p, pos, m = index.member_rows(squares)
     first = pos % 2 == 0
@@ -350,24 +360,24 @@ def test_batched_checks_on_d17():
     assert not np.array(companion_block(tb, alpha, beta)).any()
     for x, y in zip(alpha[:4], beta[:4]):
         assert _scalar_companion(rs, roots[x], roots[y]) == (False, False, False)
-    q, others = _other_members(index, alpha, beta)
+    held, q, others = _other_members(index, alpha, beta)
+    assert held.all()
     for k, (x, y, s) in enumerate(zip(alpha.tolist(), beta.tolist(), squares[p[first]])):
         members = index.members[index.start[s] :][: index.size[s]].tolist()
         assert sorted(others[q == k].tolist()) == sorted(set(members) - {x, y})
 
 
-def _flip_one_sign(name):
-    """A fresh system whose sign table has one antisymmetric pair of entries
-    flipped, as in test_strict_mode_raises_on_corruption."""
-    rs = build_root_system(name)
-    signs = build_sign_table(rs)
-    ii, jj = np.nonzero(signs._table)
+def _flip_one_sign(rs, signs):
+    """A copy of the system whose sign table has one antisymmetric pair of
+    entries flipped, as in test_strict_mode_raises_on_corruption."""
+    ii, jj = np.nonzero(signs.table)
     k = 0
-    while int(jj[k]) == int(rs._neg[int(ii[k])]):
+    while int(jj[k]) == int(rs.neg[int(ii[k])]):
         k += 1
     i, j = int(ii[k]), int(jj[k])
-    signs._table[i, j] *= -1
-    signs._table[j, i] *= -1
+    rs, signs = corrupted(rs, signs, "table")
+    signs.table[i, j] *= -1
+    signs.table[j, i] *= -1
     return rs, signs
 
 
@@ -421,23 +431,23 @@ def _failing(reports):
     ]
 
 
-def _flipped_reports(monkeypatch, name, seed, samples):
-    rs, signs = _flip_one_sign(name)
+def _flipped_reports(monkeypatch, system, name, seed, samples):
+    rs, signs = _flip_one_sign(*system(name))
     monkeypatch.setattr(verify, "build_root_system", lambda system: rs)
     monkeypatch.setattr(verify, "build_sign_table", lambda rs: signs)
     return _both(name, seed, samples)
 
 
 @pytest.mark.parametrize("name, seed, samples", sorted(FLIPPED, key=str))
-def test_flipped_sign_fails_like_the_scalar_suites(monkeypatch, name, seed, samples):
-    reports = _flipped_reports(monkeypatch, name, seed, samples)
+def test_flipped_sign_fails_like_the_scalar_suites(monkeypatch, system, name, seed, samples):
+    reports = _flipped_reports(monkeypatch, system, name, seed, samples)
     checks, digest = FLIPPED[name, seed, samples]
     assert _failing(reports) == checks
     assert _digest(reports) == digest
 
 
-def test_flipped_sign_fails_every_structure_check_on_e8(monkeypatch):
-    failing = {c[0] for c in _failing(_flipped_reports(monkeypatch, "E8", 0, None))}
+def test_flipped_sign_fails_every_structure_check_on_e8(monkeypatch, system):
+    failing = {c[0] for c in _failing(_flipped_reports(monkeypatch, system, "E8", 0, None))}
     assert failing == {
         "negation",
         "triangle",
@@ -448,12 +458,11 @@ def test_flipped_sign_fails_every_structure_check_on_e8(monkeypatch):
     }
 
 
-def test_square_index_swap_fails_companion_sets():
+def test_square_index_swap_fails_companion_sets(system):
     # The square formulas read the square index, the direct scans only the
     # roots: a member moved into another square must show.
-    rs = build_root_system("D5")
-    signs = build_sign_table(rs)
-    index = rs._square_index
+    rs, signs = corrupted(*system("D5"), "square_index.members")
+    index = rs.square_index
     members = index.members
     square_0 = members[: index.size[0]]
     square_1 = members[index.start[1] :][: index.size[1]]
@@ -466,7 +475,7 @@ def test_square_index_swap_fails_companion_sets():
     assert companion["failures"][0]["error"] == "companion-set scan disagrees with square formula"
 
 
-def test_unresolved_samples_report_the_scalar_messages(monkeypatch):
+def test_unresolved_samples_report_the_scalar_messages(monkeypatch, system):
     # Corrupted tables under which classify_root_vs_square and
     # extend_a3_to_d4 would raise: the suite reports their messages, word
     # for word, as the per-sample loops did.  Every failure is kept.
@@ -474,9 +483,8 @@ def test_unresolved_samples_report_the_scalar_messages(monkeypatch):
     monkeypatch.setattr(
         SuiteReport, "add", lambda self, *args, **kw: add(self, *args, witness_limit=10**6)
     )
-    rs = build_root_system("D5")
-    signs = build_sign_table(rs)
-    gram, index = rs._gram, rs._square_index
+    rs, signs = corrupted(*system("D5"), "gram", "square_index.members", "square_index.sigma")
+    gram, index = rs.gram, rs.square_index
     # Member m of square 0 moved into square 1 of the index.
     members = index.members
     square_0 = members[: index.size[0]]
@@ -550,15 +558,14 @@ def test_ledger_suites_keep_configs_as_numbers(monkeypatch, system, name, seed, 
     assert _digest(reports) == LEDGER_PINNED[name, seed, samples]
 
 
-def test_misclassed_ledger_case_is_a_failure_entry():
+def test_misclassed_ledger_case_is_a_failure_entry(system):
     # Every other square's sigma zeroed in the square index, and the pairs
     # of each square after one filed under it: the draws land on the intact
     # squares only, but a case's form reads its pair's square, whose sigma is
     # 0, so rho reads as orthogonal to it, where the ledger has no entry.
     # The suite reports those cases as failures and raises nothing.
-    rs = build_root_system("D5")
-    signs = build_sign_table(rs)
-    index = rs._square_index
+    rs, signs = corrupted(*system("D5"), "square_index.sigma", "square_index.square_of")
+    index = rs.square_index
     index.sigma[::2] = 0
     index.square_of[index.square_of >= 0] &= ~1
     rep = suite_cases(rs, signs, seed=0, samples=5)
@@ -566,6 +573,27 @@ def test_misclassed_ledger_case_is_a_failure_entry():
     errors = {f.get("error") for c in rep.checks for f in c["failures"]}
     assert "no ledger entry for angle class pi/2" in errors
     assert not suite_commutator(rs, signs, seed=0, samples=5).ok
+
+
+def test_misfiled_pairs_are_failure_entries(system):
+    # The pairs of each odd square filed under the even square before it,
+    # the members left as they are.  A pair that the square it is filed
+    # under does not hold gets no form, so the cases suite, whose draws
+    # reach every square, reports those cases as failure entries and raises
+    # nothing.  A pi/2 form re-rooted at rho's pair in the wrong square can
+    # land in another angle class than the one drawn: the sampler missed.
+    rs, signs = corrupted(*system("D5"), "square_index.square_of")
+    index = rs.square_index
+    index.square_of[index.square_of >= 0] &= ~1
+    for s, missing in ((0, False), (1, True)):
+        a, b = index.members[index.start[s] :][:2].tolist()
+        got, _ = form_monomials(rs, signs, list(FormKind), [a] * 3, [b] * 3)
+        assert got.tolist() == [missing] * 3
+    rep = suite_cases(rs, signs, seed=0, samples=10)
+    assert not rep.ok
+    errors = {f.get("error") for c in rep.checks for f in c["failures"]}
+    assert "sampler missed the sub-case" in errors
+    assert any(e and e.endswith("lie in no square") for e in errors)
 
 
 @pytest.mark.parametrize(
@@ -579,15 +607,14 @@ def test_misclassed_ledger_case_is_a_failure_entry():
         ),
     ],
 )
-def test_failed_draws_are_failure_entries(sigma, cases_error, commutator_error):
+def test_failed_draws_are_failure_entries(system, sigma, cases_error, commutator_error):
     # Every square's sigma in the square index set to one root's
     # coefficients, or to 0: the draws themselves fail (no pair of the
     # square meets rho as the 2pi/3 entry asks, or no square has a root at
     # the asked doubled product).  Each failed draw is a failure entry of a
     # report that is not ok, and nothing escapes the suites.
-    rs = build_root_system("D5")
-    signs = build_sign_table(rs)
-    rs._square_index.sigma[:] = rs._coeffs[0] if sigma == "root" else 0
+    rs, signs = corrupted(*system("D5"), "square_index.sigma")
+    rs.square_index.sigma[:] = rs.coeffs[0] if sigma == "root" else 0
     for suite, error in ((suite_cases, cases_error), (suite_commutator, commutator_error)):
         rep = suite(rs, signs, seed=0, samples=5)
         assert not rep.ok and all(c["passed"] >= 0 for c in rep.checks)
@@ -600,9 +627,8 @@ def test_every_class_attempts_its_samples(system):
     # zeroed only the commutator's class pi/2 has configurations, and each
     # other draw fails at once as one failure entry; intact D7, where 47% of
     # the pi/2 configurations are fixes-square, draws exactly samples too.
-    rs = build_root_system("D5")
-    signs = build_sign_table(rs)
-    rs._square_index.sigma[:] = 0
+    rs, signs = corrupted(*system("D5"), "square_index.sigma")
+    rs.square_index.sigma[:] = 0
     for suite in (suite_cases, suite_commutator):
         rep = suite(rs, signs, seed=0, samples=5)
         assert not rep.ok
@@ -621,7 +647,7 @@ def test_configs_number_every_configuration_once(system, name):
     # onto the table's configurations, square by square, each once; so draw,
     # which picks an index uniformly, picks a configuration uniformly.
     rs, _ = system(name)
-    products = rs._pairings @ rs._square_index.sigma.T
+    products = rs.pairings @ rs.square_index.sigma.T
     totals = {}
     for d in (2, -2, -1, 0, 1):
         configs = batch.Configs(rs, d)
@@ -649,7 +675,7 @@ def test_configs_hold_no_roots_by_squares_array(system):
 def _perpendicular_configs(rs):
     """(root, square) for every root orthogonal to every member of a
     square, from the Gram matrix and the square index."""
-    index, zero = rs._square_index, rs._gram == 0
+    index, zero = rs.square_index, rs.gram == 0
     return [
         (r, s)
         for s in range(len(rs.squares))
@@ -699,7 +725,7 @@ def test_ledger_forms_are_the_generated_forms(system, eqset_for, name):
     kinds = set()
     for (kind, i, j), lo, hi in zip(forms, bounds, bounds[1:]):
         if kind is FormKind.PI2:
-            key = rs.squares[rs._square_index.square_of[i, j]].sigma
+            key = rs.squares[rs.square_index.square_of[i, j]].sigma
         elif kind is FormKind.TWO_PI3:
             key = (rs.roots[i], rs.roots[j])
         else:
@@ -849,8 +875,8 @@ LEDGER_FLIPPED = {
 
 
 @pytest.mark.parametrize("name, seed, samples", sorted(LEDGER_FLIPPED, key=str))
-def test_flipped_sign_fails_the_ledger_like_poly(name, seed, samples):
-    rs, signs = _flip_one_sign(name)
+def test_flipped_sign_fails_the_ledger_like_poly(system, name, seed, samples):
+    rs, signs = _flip_one_sign(*system(name))
     reports = _ledger_reports(rs, signs, seed, samples)
     failing = [
         (c["name"], c["attempted"], c["passed"])
@@ -892,17 +918,16 @@ def test_ledger_pins_are_the_poly_reports(monkeypatch, system):
         ],
     )
     runs = [(system("D6"), ("D6", 0, None), LEDGER_PINNED["D6", 0, None])]
-    runs += [(_flip_one_sign(key[0]), key, pin[1]) for key, pin in LEDGER_FLIPPED.items()]
+    runs += [(_flip_one_sign(*system(key[0])), key, pin[1]) for key, pin in LEDGER_FLIPPED.items()]
     for (rs, signs), (_, seed, samples), digest in runs:
         assert _digest(_ledger_reports(rs, signs, seed, samples)) == digest
 
 
-def test_corrupted_action_row_fails_both_suites():
+def test_corrupted_action_row_fails_both_suites(system):
     # One fixed coefficient of one root's rows: the xi^2 row of root 0,
     # -xi^2 v_{-rho} turned into +xi^2 v_{-rho}.
-    rs = build_root_system("D5")
-    signs = build_sign_table(rs)
-    rows = rs._action_rows
+    rs, signs = corrupted(*system("D5"), "action_rows.coef")
+    rows = rs.action_rows
     at = rows.start[0] + np.flatnonzero(rows.degree[rows.start[0] : rows.start[1]] == 2)
     assert len(at) == 1 and rows.coef[at[0]] == -1
     rows.coef[at[0]] = 1
@@ -914,21 +939,20 @@ def test_corrupted_action_row_fails_both_suites():
     assert _same_case_results(rs, signs, 16, seed=5) > 0
 
 
-def test_fixes_square_verdicts_follow_the_form_order():
+def test_fixes_square_verdicts_follow_the_form_order(system):
     # E_7 roots orthogonal to a whole square.  One zero-weight row of such a
     # root is corrupted, so its unipotent moves the squares' 2pi/3 forms,
     # and the second pair of every other picked square is dropped from the
     # square index, so the pi/2 builder raises on that pair, before or after
     # the first moved form.  Config by config, the batched check must give
     # the Poly reference's verdict, or raise where it raises.
-    rs = build_root_system("E7")
-    signs = build_sign_table(rs)
-    index, rows, n = rs._square_index, rs._action_rows, rs.n_roots
+    rs, signs = corrupted(*system("E7"), "action_rows.coef", "square_index.square_of")
+    index, rows, n = rs.square_index, rs.action_rows, rs.n_roots
     perp = []
     for s in range(len(rs.squares)):
         members = index.members[index.start[s] :][: index.size[s]]
-        perp += [(r, s) for r in np.flatnonzero((rs._gram[:, members] == 0).all(1)).tolist()]
-    rho = next(r for r, _ in perp if np.count_nonzero(rs._coeffs[r]) >= 3)
+        perp += [(r, s) for r in np.flatnonzero((rs.gram[:, members] == 0).all(1)).tolist()]
+    rho = next(r for r, _ in perp if np.count_nonzero(rs.coeffs[r]) >= 3)
     at = rows.start[rho] + np.flatnonzero(rows.target[rows.start[rho] : rows.start[rho + 1]] >= n)
     rows.coef[at[0]] += 1
     picked = [(r, s) for r, s in perp if r != rho][::150] + [(r, s) for r, s in perp if r == rho]

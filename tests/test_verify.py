@@ -24,6 +24,7 @@ from adjoint_quadrics.verify import (
     suite_words,
     _rng_for,
 )
+from corrupt import corrupted
 from reference import VerificationFailure, verify_case_identity, verify_commutator_reduction
 
 
@@ -49,7 +50,7 @@ def test_case_identity_direct(system):
     for phi in (FormKind.PI2, FormKind.TWO_PI3, FormKind.PI):
         res = verify_case_identity(rs, signs, a, b, a, phi)
         assert res.ok and res.angle == "0"
-        res = verify_case_identity(rs, signs, a, b, int(rs._neg[b]), phi)
+        res = verify_case_identity(rs, signs, a, b, int(rs.neg[b]), phi)
         assert res.ok and res.angle == "pi"
 
 
@@ -176,10 +177,7 @@ def test_run_suite_rejects_unknown():
 def test_strict_mode_raises_on_corruption(system):
     import numpy as np
 
-    from adjoint_quadrics import build_root_system, build_sign_table
-
-    rs = build_root_system("D5")
-    signs = build_sign_table(rs)
+    rs, signs = system("D5")
     sq = enumerate_squares(rs)[0]
     a, b = (rs.root_index(x) for x in sq.pairs[0])
     # Healthy table: strict mode returns normally.
@@ -187,13 +185,14 @@ def test_strict_mode_raises_on_corruption(system):
     assert res.ok
     # Break one entry in a way the form builders tolerate (flip a whole
     # antisymmetric pair), then strict mode must raise.
-    ii, jj = np.nonzero(signs._table)
+    ii, jj = np.nonzero(signs.table)
     k = 0
-    while int(jj[k]) == int(rs._neg[int(ii[k])]):
+    while int(jj[k]) == int(rs.neg[int(ii[k])]):
         k += 1
     i, j = int(ii[k]), int(jj[k])
-    signs._table[i, j] *= -1
-    signs._table[j, i] *= -1
+    rs, signs = corrupted(rs, signs, "table")
+    signs.table[i, j] *= -1
+    signs.table[j, i] *= -1
     with pytest.raises((VerificationFailure, RuntimeError)) as caught:
         for sq in enumerate_squares(rs):
             for pair in sq.pairs:
