@@ -79,10 +79,17 @@ Z/m with m < 2^31, one pass of residues modulo m itself is exact: a
 product of two residues fits in int64, and so does a form's sum.
 Otherwise the int64 pass is joined by residue passes modulo as many
 primes below 2^31 as it takes for 2^64 times their product to exceed 2B.
-Over Z a value is zero iff all its residues are, and only the witness is
-lifted: value + B is its residue mod 2^64 plus 2^64 times Garner's
-mixed-radix digits over the primes (found in int64), summed as Python
-ints.  Over Z/m every value is lifted so and reduced mod m.
+Over Z a value is zero iff all its residues are.  Over Z/m, write
+m = 2^e m' with m' odd and K = B // m: a value is a multiple k m of m
+exactly when its residue mod 2^64 has e low zero bits, when
+k = (that residue >> e) m'^-1 mod 2^(64-e), read as a signed (64-e)-bit
+number, is at most K in size, and when k m matches every prime residue.
+That is decided in int64 while K < 2^(63-e): K is about S m, and S is 25
+to 52 on the supported systems, so for every odd or lightly even m up to
+about 2^57.  Past that range every value is lifted as below and reduced
+mod m.  Either way only the witness is lifted: value + B is its residue
+mod 2^64 plus 2^64 times Garner's mixed-radix digits over the primes
+(found in int64), summed as Python ints, and reduced mod m over Z/m.
 Other rings, such as the polynomial ring, evaluate the forms one at a
 time through `evaluate_form`.
 
@@ -563,14 +570,15 @@ class _Compiled:
         return list(values)
 
     def _bound(self, xs) -> int:
-        return max((abs(x) for x in xs), default=0) ** 2 * self.weight
+        return max(map(abs, xs), default=0) ** 2 * self.weight
 
     def _route(self, xs, modulus: int | None = None):
         """(bound, moduli) for exact evaluation at the integer coordinates xs,
         in [0, modulus) over Z/modulus: every value is at most bound in size,
         and _passes makes one pass modulo each of moduli.  [_WRAP] alone is
-        exact, [modulus] is exact mod the modulus, and [_WRAP, primes...] is
-        read through _lift."""
+        exact, [modulus] is exact mod the modulus, and on [_WRAP, primes...]
+        _zero_mod tells the zero values, in int64 where its range condition
+        holds and else through _lift, and _lift gives the witness."""
         bound = self._bound(xs)
         # int64 must hold the exact values, and the modulus to reduce by it.
         if max(bound, modulus or 0) < _WRAP >> 1:
@@ -582,7 +590,10 @@ class _Compiled:
     def first_nonzero(self, coords, modulus: int | None = None):
         """(index, value) of the first form that does not vanish at the
         integer coordinates, or (None, None).  With a modulus the forms are
-        read over Z/modulus and the value is a residue in [0, modulus)."""
+        read over Z/modulus and the value is a residue in [0, modulus).
+        On the 2^64 pass and primes, _zero_mod finds the zero values, and
+        only the witness is lifted, unless the modulus is outside the
+        range of _zero_mod's int64 test: then every value is lifted."""
         xs = coords if modulus is None else [x % modulus for x in coords]
         bound, moduli = self._route(xs, modulus)
         # L is read from the reduced h and never reduced itself, so every
@@ -591,23 +602,20 @@ class _Compiled:
         walk = self._walk(xs, moduli)
         forms = walk[0]
         passes = self._passes(xs, moduli, walk)
-        if len(moduli) == 1:
+        primes = moduli[1:]
+        if not primes:
             # The exact values, or their residues if the pass was mod m.
             values = passes[0] if modulus in (None, moduli[0]) else passes[0] % modulus
-        elif modulus is not None:
-            values = _lift(passes, moduli[1:], bound) % modulus
-        else:
-            # A value is zero iff all its residues are, since 2^64 times the
-            # product of the primes exceeds 2 bound; only the witness is
-            # lifted.
-            nz = np.flatnonzero(np.logical_or.reduce([r != 0 for r in passes]))
-            if len(nz) == 0:
-                return None, None
-            return int(forms[nz[0]]), int(_lift([r[nz[:1]] for r in passes], moduli[1:], bound)[0])
-        nz = np.flatnonzero(values)
+            nz = np.flatnonzero(values)
+            return (int(forms[nz[0]]), int(values[nz[0]])) if len(nz) else (None, None)
+        zero = _zero_mod(passes, primes, bound, modulus)
+        if zero is None:
+            zero = _lift(passes, primes, bound) % modulus == 0
+        nz = np.flatnonzero(~zero)
         if len(nz) == 0:
             return None, None
-        return int(forms[nz[0]]), int(values[nz[0]])
+        value = int(_lift([r[nz[:1]] for r in passes], primes, bound)[0])
+        return int(forms[nz[0]]), value if modulus is None else value % modulus
 
 
 def _coordinates(xs, q: int) -> np.ndarray:
@@ -639,6 +647,41 @@ def _primes_above(bound: int) -> list[int]:
     while math.prod(primes) <= bound:
         primes.append(_prime(len(primes)))
     return primes
+
+
+def _zero_mod(passes, primes, bound: int, modulus: int | None):
+    """Whether each value in [-bound, bound] with the residues `passes`
+    (as _lift reads them) is 0, over Z (modulus None), or 0 mod modulus,
+    decided in int64; None over Z/modulus where that is not exact.
+
+    Over Z a value is 0 iff all its residues are.  Over Z/m, m = 2^e m'
+    with m' odd, a value is k m for some |k| <= K = bound // m exactly when
+    its 2^64 residue d has e low zero bits, k = (d >> e) m'^-1 mod 2^(64-e)
+    read as a signed (64-e)-bit number is in [-K, K], and k m matches every
+    prime residue: k m is then the value modulo 2^64 times the product of
+    the primes, which exceeds 2 bound.  The signed read gives every k of
+    [-K, K] while K < 2^(63-e), so the test declines past that."""
+    if modulus is None:
+        return ~np.logical_or.reduce([r != 0 for r in passes])
+    e = (modulus & -modulus).bit_length() - 1
+    k_max = bound // modulus
+    if e > 63 or k_max >> 63 - e:
+        return None
+    d = passes[0].view(np.uint64)
+    # The low 64 - e bits of (d >> e) m'^-1, shifted up and back down to
+    # extend their sign; k = -2^(63-e) is out of range, so no abs().
+    k = (d >> e) * pow(modulus >> e, -1, _WRAP) << e
+    k = k.view(np.int64) >> e
+    zero = (k >= -k_max) & (k <= k_max)
+    if e:
+        zero &= d & (1 << e) - 1 == 0
+    for r, p in zip(passes[1:], primes):
+        # t = (k mod p) m - r is 0 mod p iff k m matches r.  numpy reduces
+        # these arrays by floor division about twice as fast as by %, and
+        # k - k // p * p is exact even where k // p * p wraps.
+        t = (k - k // p * p) * (modulus % p) - r
+        zero &= t // p * p == t
+    return zero
 
 
 def _lift(passes, primes, bound: int) -> np.ndarray:

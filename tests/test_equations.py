@@ -244,20 +244,28 @@ def test_mod2_drops_even_coefficients(system):
 def _route_name(compiled, coords, modulus=None):
     """The route first_nonzero takes at the integer coordinates: "int64"
     for the one exact int64 pass, "mod m" for one residue pass modulo the
-    modulus, "2^64 + primes" for the wrapping pass and prime residues."""
+    modulus, "2^64 + primes" for the wrapping pass and prime residues over
+    Z.  Over Z/m those passes are "2^64 + primes, zero test" where
+    _zero_mod tells the values that are 0 mod m in int64, and
+    "2^64 + primes, lifted" where it declines and every value is lifted."""
     xs = coords if modulus is None else [x % modulus for x in coords]
-    moduli = compiled._route(xs, modulus)[1]
-    if len(moduli) > 1:
+    bound, moduli = compiled._route(xs, modulus)
+    if len(moduli) == 1:
+        return "int64" if moduli == [equations._WRAP] else "mod m"
+    if modulus is None:
         return "2^64 + primes"
-    return "int64" if moduli == [equations._WRAP] else "mod m"
+    empty = [np.zeros(0, dtype=np.int64)] * len(moduli)
+    declined = equations._zero_mod(empty, moduli[1:], bound, modulus) is None
+    return "2^64 + primes, " + ("lifted" if declined else "zero test")
 
 
 def _route_values(compiled, coords, modulus=None, route=None):
     """Every form's value at the integer coordinates, over Z or Z/modulus,
     as Python ints, through the "whole" set walk, the "restricted" walk
     over the monomials of the support, or the walk first_nonzero takes, on
-    the passes of _route_name's route.  On "2^64 + primes" every value is
-    lifted, over Z too."""
+    the passes of _route_name's route.  On the 2^64 pass and primes every
+    value is lifted, over Z and Z/m alike, so these values are a reference
+    for _zero_mod's int64 test that does not go through it."""
     xs = coords if modulus is None else [x % modulus for x in coords]
     bound, moduli = compiled._route(xs, modulus)
     xs = compiled._extend(xs)
@@ -376,7 +384,8 @@ def test_moduli_near_2_31_match_evaluate_form(eqset_for, system, m):
     # Coordinates near m put the bound past 2^63.  Below 2^31 one residue
     # pass modulo m gives the values; 2^31 - 1 is also the first prime, so
     # only the composite 2^31 - 2 shows a pass modulo the wrong number.
-    # From 2^31 on they are lifted from the 2^64 pass and a prime.
+    # From 2^31 on they are lifted from the 2^64 pass and a prime: K = S 2^31
+    # is past 2^32, the range of the zero test for a multiple of 2^31.
     rs, signs = system("D5")
     eqset = eqset_for("D5")
     compiled = eqset.compiled()
@@ -390,7 +399,8 @@ def test_moduli_near_2_31_match_evaluate_form(eqset_for, system, m):
     off = v.copy()
     off.coords[rs.n_roots + 2] = rng.randrange(m)
     for w in (v, off):
-        assert _route_name(compiled, w.coords, m) == ("mod m" if m < 2**31 else "2^64 + primes")
+        route = "mod m" if m < 2**31 else "2^64 + primes, lifted"
+        assert _route_name(compiled, w.coords, m) == route
         values = _route_values(compiled, w.coords, m)
         assert values == [evaluate_form(f, w) for f in eqset.forms]
         assert eqset.check_vector(w) == _direct_check(eqset, w)
@@ -456,6 +466,91 @@ def test_lift_is_exact_at_the_bound(system):
                 direct = _direct_check(eqset, v)
                 assert direct[1]["value"] == ring.format(ring.from_int(sign * x * x))
                 assert eqset.check_vector(v) == direct
+
+
+def _residue_passes(values, bound):
+    """The passes of the route over the 2^64 pass and primes for the exact
+    values, at most bound in size: the int64 pass and the residues modulo
+    as many primes as _route takes.  Returns (passes, primes)."""
+    primes = equations._primes_above(2 * bound // equations._WRAP)
+    wrapped = np.array([x % equations._WRAP for x in values], dtype=np.uint64)
+    residues = [np.array([x % p for x in values], dtype=np.int64) for p in primes]
+    return [wrapped.view(np.int64), *residues], primes
+
+
+# Moduli 2^e m' of the zero test: odd, even (e = 1, 40, 50, 62, 63),
+# 3 (2^31 - 1), a multiple of the first prime, and 2^32 - 1, which is 1
+# modulo it: on one prime k m matches the residues of -2^63 for k = -2^63,
+# so only the signed range tells that value from a multiple of m.
+ZERO_TEST_MODULI = [
+    2**31 + 1,
+    2**32 - 1,
+    3 * (2**31 - 1),
+    10**12 - 1,
+    2 * (10**12 - 1),
+    2**40,
+    3 << 50,
+    2**57 - 1,
+    2**62,
+    3 << 63,
+]
+
+
+@pytest.mark.parametrize("m", ZERO_TEST_MODULI)
+def test_zero_mod_matches_python_residues(m):
+    # Values at 0, at the multiples +-K m of m that end the range, next to
+    # them, at +-bound and at random, with K = bound // m from 0 up to
+    # 2^(63-e) - 1, the last K the int64 test reads: it tells the values
+    # that are 0 mod m as Python's v % m does.  The value 2^63 reads
+    # k = -2^(63-e), one past the signed range of [-K, K]; it is within
+    # the bound unless m' = 1.
+    e = (m & -m).bit_length() - 1
+    top = 1 << 63 - e
+    rng = random.Random(m)
+    edge = False
+    for k_max in sorted({0, min(1, top - 1), min(52 * m, top - 1), top - 1}):
+        for bound in {k_max * m, k_max * m + m - 1}:
+            ends = [0, k_max * m, k_max * m - 1, k_max * m + 1, bound, 1 << 63]
+            ends += [rng.randint(-bound, bound) for _ in range(40)]
+            ends += [rng.randint(-k_max, k_max) * m + rng.randint(-1, 1) for _ in range(40)]
+            values = [x for v in ends for x in (v, -v) if abs(x) <= bound]
+            passes, primes = _residue_passes(values, bound)
+            zero = equations._zero_mod(passes, primes, bound, m)
+            assert zero.tolist() == [x % m == 0 for x in values], (k_max, bound)
+            over_z = equations._zero_mod(passes, primes, bound, None)
+            assert over_z.tolist() == [x == 0 for x in values]
+            edge |= 1 << 63 in values
+    # Some bound reaches 2^63, unless m' = 1: then K m + m - 1 < 2^63.
+    assert edge == (m >> e > 1)
+    # Just past K = 2^(63-e) - 1 the test declines, so the values are lifted.
+    bound = top * m
+    passes, primes = _residue_passes([0, m, bound], bound)
+    assert equations._zero_mod(passes, primes, bound, m) is None
+    assert equations._zero_mod(passes, primes, bound - 1, m) is not None
+
+
+@pytest.mark.parametrize("m", [10**12 - 1, 2 * (10**12 - 1)])
+def test_dense_d7_orbit_points_over_large_moduli(system, eqset_for, m):
+    # Long words make orbit points whose coordinates are mostly nonzero and
+    # near m in size, so their values are decided by the int64 zero test.
+    # The same points with one coordinate moved fail, and check_vector
+    # names the form and value that evaluate_form finds first.
+    rs, signs = system("D7")
+    eqset = eqset_for("D7")
+    compiled = eqset.compiled()
+    ring = IntegersMod(m)
+    rng = random.Random(m)
+    for _ in range(3):
+        word = Word(tuple(Elementary(rng.choice(rs.roots), rng.randrange(m)) for _ in range(80)))
+        v = apply_word(rs, signs, word, basis_vector(rs, ring, rng.choice(rs.roots)))
+        assert sum(x != 0 for x in v.coords) > rs.dim_v * 3 // 4
+        off = v.copy()
+        i = rng.randrange(rs.dim_v)
+        off.coords[i] = (off.coords[i] + rng.randrange(1, m)) % m
+        for w in (v, off):
+            assert _route_name(compiled, w.coords, m) == "2^64 + primes, zero test"
+            assert eqset.check_vector(w) == _direct_check(eqset, w)
+        assert eqset.check_vector(v) == (True, None) and not eqset.check_vector(off)[0]
 
 
 def test_checks_build_only_the_witness_form(system, monkeypatch):
@@ -553,7 +648,10 @@ def test_check_vector_matches_evaluate_form_on_wide_coordinates(eqset_for, syste
     # primes; a single root coordinate gives a vector of the orbit cone.
     rs, _ = system("D5")
     eqset = eqset_for("D5")
-    edges = st.sampled_from([2**31 - 1, 2**31 + 1, 2**62, 2**64 - 1, 2**64 + 1])
+    edges = st.sampled_from(
+        [2**31 - 1, 2**31 + 1, 3 * (2**31 - 1), 2**40, 10**12 - 1, 2 * (10**12 - 1)]
+        + [2**57 - 1, 2**62, 2**64 - 1, 2**64 + 1]
+    )
     modulus = data.draw(st.none() | edges | st.integers(2, 2**70), label="modulus")
     ring = IntegerRing() if modulus is None else IntegersMod(modulus)
     bits = data.draw(st.integers(0, 130), label="bits")
@@ -1028,15 +1126,26 @@ def test_generation_memory_per_monomial(system):
 # make some L coordinates negative, so their residues are near m, yet the
 # values stay on the int64 pass.  Past 2^31 the values are lifted, with
 # one prime (10^12 - 1, 2^40) or several (2^64 + 1 and 2^64, whose
-# coordinates need all 64 bits or more).
+# coordinates need all 64 bits or more).  Over Z/(10^12 - 1) the int64
+# zero test tells the values that are 0 mod m.  Over Z/(2^64 + 1) every
+# value is lifted, since K = bound // m is past the test's range, but for
+# the vector with no coordinate set: its K is 0.
 LIFTED = {"int64", "2^64 + primes"}
 ROUTE_RINGS = {
     "int": (None, lambda rng: rng.choice((-3, -2, -1, 1, 2, 3)), {"int64"}),
     "zmod-6": (6, lambda rng: rng.randrange(1, 6) + 6 * rng.randint(-3, 3), {"int64"}),
     "zmod-2^31-2": (2**31 - 2, lambda rng: rng.randrange(1, 2**31 - 2), {"int64", "mod m"}),
-    "zmod-10^12-1": (10**12 - 1, lambda rng: rng.randrange(1, 10**12 - 1), LIFTED),
+    "zmod-10^12-1": (
+        10**12 - 1,
+        lambda rng: rng.randrange(1, 10**12 - 1),
+        {"int64", "2^64 + primes, zero test"},
+    ),
     "zmod-10^12-1-small": (10**12 - 1, lambda rng: rng.randrange(1, 4), {"int64"}),
-    "zmod-2^64+1": (2**64 + 1, lambda rng: rng.randrange(2**63, 2**64 + 1), {"2^64 + primes"}),
+    "zmod-2^64+1": (
+        2**64 + 1,
+        lambda rng: rng.randrange(2**63, 2**64 + 1),
+        {"2^64 + primes, zero test", "2^64 + primes, lifted"},
+    ),
     "int-above-2^40": (None, lambda rng: rng.choice((-1, 1)) * rng.randrange(2**40, 2**41), LIFTED),
     "int-above-2^64": (None, lambda rng: rng.choice((-1, 1)) * rng.randrange(2**64, 2**66), LIFTED),
 }
@@ -1056,7 +1165,9 @@ def _assert_routes_agree(eqset, rs, rng, supports, by_evaluate_form):
     """On vectors with these supports over every route ring, the restricted
     walk gives every form the value that the whole-set walk gives, and on
     the supports numbered in by_evaluate_form the value evaluate_form
-    gives.  Returns, per ring, the set of _route_name's routes taken."""
+    gives; first_nonzero names the first form that is nonzero among them,
+    and its value.  Returns, per ring, the set of _route_name's routes
+    taken."""
     compiled = eqset.compiled()
     forms = list(eqset.forms) if by_evaluate_form else []
     used = {}
@@ -1069,6 +1180,8 @@ def _assert_routes_agree(eqset, rs, rng, supports, by_evaluate_form):
             used.setdefault(label, set()).add(_route_name(compiled, coords, m))
             restricted = _route_values(compiled, coords, m, "restricted")
             assert restricted == _route_values(compiled, coords, m, "whole"), (m, support)
+            first = next(((f, x) for f, x in enumerate(restricted) if x), (None, None))
+            assert compiled.first_nonzero(coords, m) == first, (m, support)
             if i in by_evaluate_form:
                 v = AdjointVector(rs, ring, coords)
                 assert restricted == [evaluate_form(f, v) for f in forms], (m, support)
