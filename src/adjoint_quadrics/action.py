@@ -10,14 +10,17 @@ zero-weight coordinates v_s follows the classical coordinate rules:
   4. the rho coordinate becomes
      v_rho - sum_s <rho, alpha_s> xi v_s - xi^2 v_{-rho}.
 
-The root system holds these rules as sparse rows for every root, built
-with it (RootSystem.action_rows), indexed by source coordinate; a row of
-rule 2 stores coefficient 0 and reads its structure constant from the sign
-table each time it is used.  A row c xi^d v_s -> w_t adds nothing where
-v_s = 0, so apply_word keeps the vector's support, the coordinates that
-may be nonzero, and runs for each factor only the rows under it, adding
-each target it writes.  The same loop serves every ring.  Vectors are
-value-semantic: applying a unipotent or a word returns a fresh vector.
+Both readers take the rules straight from the tables the root system and
+the sign table hold: lambda from RootSystem.sums, N from SignTable.table,
+-rho from neg, m_s(rho) from coeffs and <rho, alpha_s> from pairings.
+apply_word reads them coordinate by coordinate.  elementary_rows joins
+them, for a block of roots, into the sparse rows of
+x_rho(xi) = I + xi E1 + xi^2 E2 that the batched ledger and commutator
+checks expand.  A term c xi^d v_s adds nothing where v_s = 0, so
+apply_word keeps the vector's support, the coordinates that may be
+nonzero, visits only those for each factor, and adds each target it
+writes.  The same loop serves every ring.  Vectors are value-semantic:
+applying a unipotent or a word returns a fresh vector.
 Words act left to right with the last factor applied first, so the word
 x_1 x_2 ... x_n sends v to x_1(x_2(...x_n(v))).
 """
@@ -101,17 +104,23 @@ def basis_vector(rs: RootSystem, ring: Ring, weight: Weight) -> AdjointVector:
 def elementary_rows(rs: RootSystem, signs: SignTable, rho: np.ndarray):
     """The rows of x_r(xi) for each root position r in rho, joined:
     (owner, target, degree, source, coef), owner being the index into rho.
-    A shift row, stored with coef 0, gets N_{r, source} from the sign
-    table here, so the rows always act with the table's signs."""
-    rows = rs.action_rows
-    lo, hi = rows.start[rho], rows.start[rho + 1]
-    count = hi - lo
-    owner = np.repeat(np.arange(len(rho)), count)
-    at = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(count) - count), count)
-    source, coef = rows.source[at], rows.coef[at]
-    shift = coef == 0
-    coef[shift] = signs.table[rho[owner[shift]], source[shift]]
-    return owner, rows.target[at], rows.degree[at], source, coef
+    A row adds coef xi^degree v[source] to w[target]; the rows come in no
+    particular order."""
+    n, neg = rs.n_roots, rs.neg
+    o2, mu = np.nonzero(rs.sums[rho] >= 0)
+    o3, z3 = np.nonzero(rs.coeffs[rho])
+    o4, z4 = np.nonzero(rs.pairings[rho])
+    every = np.arange(len(rho))
+    r2, r3, r4 = rho[o2], rho[o3], rho[o4]
+    ones = np.ones_like
+    owner = np.concatenate([o2, o3, o4, every])
+    target = np.concatenate([rs.sums[r2, mu], n + z3, r4, rho])
+    degree = np.concatenate([ones(o2), ones(o3), ones(o4), 2 * ones(every)])
+    source = np.concatenate([mu, neg[r3], n + z4, neg[rho]])
+    coef = np.concatenate(
+        [signs.table[r2, mu], rs.coeffs[r3, z3], -rs.pairings[r4, z4], -ones(every)]
+    )
+    return owner, target, degree, source, coef
 
 
 def apply_elementary(
@@ -128,8 +137,8 @@ def apply_elementary(
 def apply_word(rs: RootSystem, signs: SignTable, word: Word, v: AdjointVector) -> AdjointVector:
     """Apply the word to v, returning a fresh vector.
 
-    Each factor runs only the rows whose source is in the support, the
-    coordinates that may be nonzero, and adds the targets it writes to it.
+    Each factor reads only the coordinates in the support, those that may
+    be nonzero, and adds the coordinates it writes to it.
     """
     if v.rs is not rs and v.rs.system != rs.system:
         raise ValueError("vector and root system do not match")
@@ -137,26 +146,33 @@ def apply_word(rs: RootSystem, signs: SignTable, word: Word, v: AdjointVector) -
     if len(v.coords) != dim:
         raise ValueError(f"vector has {len(v.coords)} coordinates, {rs.system} has {dim}")
     ring = v.ring
-    zero = ring.zero
+    zero, c = ring.zero, ring.from_int
     w = list(v.coords)
     support = {s for s, x in enumerate(w) if x != zero}
-    rows = rs.action_rows
-    # Memoryviews read Python ints; a numpy scalar costs about 100 ns more.
-    target, degree, coef, run, by_source = map(
-        memoryview, (rows.target, rows.degree, rows.coef, rows.run, rows.by_source)
+    n, rank = rs.n_roots, rs.rank
+    # Flat memoryviews, read at r * width + s, give Python ints; a numpy
+    # scalar costs about 100 ns more.
+    sums, table, coeffs, pairings, neg = (
+        memoryview(a.ravel()) for a in (rs.sums, signs.table, rs.coeffs, rs.pairings, rs.neg)
     )
-    table = memoryview(signs.table)
     for e in reversed(word.factors):
         r = rs.root_index(e.rho)
-        powers = (None, e.xi, ring.mul(e.xi, e.xi))
-        at = r * dim
-        moved = []  # every row reads the vector before the factor
+        xi, minus = e.xi, neg[r]
+        at, row = r * n, r * rank
+        moved = []  # every rule reads the vector before the factor
         for s in support:
-            for k in range(run[at + s], run[at + s + 1]):
-                i = by_source[k]
-                c = coef[i] or table[r, s]
-                y = ring.mul(ring.from_int(c), ring.mul(powers[degree[i]], w[s]))
-                moved.append((target[i], y))
+            if s >= n:  # rule 4: a zero weight
+                m = pairings[row + s - n]
+                if m:
+                    moved.append((r, ring.mul(c(-m), ring.mul(xi, w[s]))))
+            elif (t := sums[at + s]) >= 0:  # rule 2
+                moved.append((t, ring.mul(c(table[at + s]), ring.mul(xi, w[s]))))
+            elif s == minus:  # rule 3, and the xi^2 term of rule 4
+                y = ring.mul(xi, w[s])
+                for z in range(rank):
+                    if coeffs[row + z]:
+                        moved.append((n + z, ring.mul(c(coeffs[row + z]), y)))
+                moved.append((r, ring.mul(c(-1), ring.mul(ring.mul(xi, xi), w[s]))))
         for t, y in moved:
             w[t] = ring.add(w[t], y)
             support.add(t)

@@ -16,9 +16,9 @@ cases and commutator suites, which draw (root, square) uniformly among the
 configurations at one doubled product of the root with sigma and keep
 them as root and square numbers up to their reports.  The ledger and
 commutator kernels at the end check a block of the cases and commutator
-suites' identities on integer coefficient arrays, through the roots'
-action rows; an evaluation over PolynomialRing, kept with the tests too,
-is their reference.
+suites' identities on integer coefficient arrays, through each root's
+rows from action.elementary_rows; an evaluation over PolynomialRing, kept
+with the tests too, is their reference.
 
 A sum or difference of two roots is read from RootSystem.sums.  The sum
 sigma - gamma of three roots is looked up by a signed mixed-radix key of
@@ -568,6 +568,8 @@ def ledger_block(rs: RootSystem, signs: SignTable, rho, form, target):
     dim = rs.dim_v
     owner, rt, rd, rsrc, rc = elementary_rows(rs, signs, rho)
     keys = owner * dim + rt
+    order = np.argsort(keys, kind="stable")
+    keys, rsrc, rd, rc = keys[order], rsrc[order], rd[order], rc[order]
     case, a, b, c = form
     la, na = _targeted(keys, case * dim + a)
     lb, nb = _targeted(keys, case * dim + b)

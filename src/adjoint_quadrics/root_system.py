@@ -183,30 +183,6 @@ class SquareIndex(NamedTuple):
         return p, pos, self.members[self.start[s][p] + pos]
 
 
-class ActionRows(NamedTuple):
-    """x_rho(xi) = I + xi E1 + xi^2 E2 for every root rho, as sparse rows.
-
-    Row i adds coef[i] xi^degree[i] v[source[i]] to w[target[i]].  Root r's
-    rows are start[r]:start[r + 1], sorted by (target, degree, source).  A
-    shift row (rule 2 of the action) stores coef 0: its coefficient is
-    N_{rho, source}, read from the sign table (see action.elementary_rows).
-    Every other row's coef is nonzero.
-
-    The rows of root r that read coordinate s are by_source[k] for k in
-    run[r * dim_v + s]:run[r * dim_v + s + 1], both int32, so a vector's
-    support picks its rows (see action.apply_word).  start is run[::dim_v],
-    a view of it.
-    """
-
-    target: np.ndarray
-    degree: np.ndarray
-    source: np.ndarray
-    coef: np.ndarray
-    start: np.ndarray
-    by_source: np.ndarray
-    run: np.ndarray
-
-
 def cartan_matrix(system: SystemId) -> np.ndarray:
     """Cartan matrix in Bourbaki numbering, as an integer array."""
     l = system.rank
@@ -274,9 +250,9 @@ class RootSystem:
     Its tables are public and read-only from construction (a write raises
     ValueError), so a system is immutable and safe to share across threads:
     ``cartan``; ``coeffs``, ``gram``, ``pairings``, ``neg``, ``sums`` and
-    ``lex``, by root position (see __init__); the maximal squares, sorted by
-    sigma, as ``squares`` and as arrays, ``square_index``; and the rows of
-    every root's unipotent, ``action_rows``.  Use :func:`build_root_system`.
+    ``lex``, by root position (see __init__); and the maximal squares,
+    sorted by sigma, as ``squares`` and as arrays, ``square_index``.  Use
+    :func:`build_root_system`.
     """
 
     def __init__(self, system: SystemId):
@@ -319,36 +295,9 @@ class RootSystem:
         self.lex = np.empty(self.n_roots, dtype=np.int64)
         self.lex[np.lexsort(r_mat.T[::-1])] = np.arange(self.n_roots)
         self._check_construction()
-        self.action_rows = self._build_action_rows()
         self.squares, self.square_index = self._build_squares()
         freeze(self.cartan, r_mat, self.gram, self.pairings, self.neg, sum_idx, self.lex)
-        freeze(*self.action_rows, *self.square_index)
-
-    def _build_action_rows(self) -> ActionRows:
-        """The rows of every x_rho(xi), by the four rules of the action
-        module: a root lambda = rho + mu gains N_{rho,mu} xi v_mu; zero
-        coordinate s gains rho_s xi v_{-rho}; the rho coordinate loses
-        <rho, alpha_s> xi v_s and xi^2 v_{-rho}."""
-        n, neg = self.n_roots, self.neg
-        r2, mu = np.nonzero(self.gram == -1)
-        r3, s3 = np.nonzero(self.coeffs)
-        r4, s4 = np.nonzero(self.pairings)
-        every = np.arange(n)
-        ones = np.ones_like
-        root = np.concatenate([r2, r3, r4, every])
-        target = np.concatenate([self.sums[r2, mu], n + s3, r4, every])
-        degree = np.concatenate([ones(r2), ones(r3), ones(r4), 2 * ones(every)])
-        source = np.concatenate([mu, neg[r3], n + s4, neg])
-        coef = np.concatenate(
-            [np.zeros_like(r2), self.coeffs[r3, s3], -self.pairings[r4, s4], -ones(every)]
-        )
-        order = np.argsort(((root * self.dim_v + target) * 3 + degree) * self.dim_v + source)
-        key = (root * self.dim_v + source)[order]
-        by_source = np.argsort(key, kind="stable").astype(np.int32)
-        run = np.cumsum(np.bincount(key, minlength=n * self.dim_v), dtype=np.int32)
-        run = np.concatenate([np.zeros(1, np.int32), run])
-        columns = (target, degree, source, coef)
-        return ActionRows(*(column[order] for column in columns), run[:: self.dim_v], by_source, run)
+        freeze(*self.square_index)
 
     def _build_squares(self) -> tuple[tuple[MaximalSquare, ...], SquareIndex]:
         """Every maximal square, sorted by sigma, and their index arrays.

@@ -21,17 +21,17 @@ The cases and commutator suites check their identities on exact integer
 coefficient arrays, a block of samples at a time (case_identities,
 commutator_reductions, batch.ledger_block and batch.commutator_block).
 Each identity is at most quadratic in v and quartic in xi, and x_rho(xi)
-is the root's action rows, I + xi E1 + xi^2 E2.  A ledger case expands f
-through the rows of its rho, subtracts the target forms and passes iff
-every coefficient of xi^k v_p v_q is zero; a reduction composes the four
-factors as a matrix polynomial over Z[xi] and compares it with the rows of
-x_rho(xi), coefficient by coefficient.  Both suites draw each sample
-uniformly among the (root, square) configurations of its angle class
-(batch.Configs; a ledger sample then takes the pair of the square its
-sub-case names), so samples counts configurations per check.  A sample
-stays root and square numbers from its draw to its report, read against
-the root system's tables and square index and classed by
-squares.position_class; its sub-case names its forms by kind and pair.
+is the root's rows from action.elementary_rows, I + xi E1 + xi^2 E2.  A
+ledger case expands f through the rows of its rho, subtracts the target
+forms and passes iff every coefficient of xi^k v_p v_q is zero; a
+reduction composes the four factors as a matrix polynomial over Z[xi] and
+compares it with the rows of x_rho(xi), coefficient by coefficient.  Both
+suites draw each sample uniformly among the (root, square) configurations
+of its angle class (batch.Configs; a ledger sample then takes the pair of
+the square its sub-case names), so samples counts configurations per
+check.  A sample stays root and square numbers from its draw to its
+report, read against the root system's tables and square index and classed
+by squares.position_class; its sub-case names its forms by kind and pair.
 The forms come from equations.form_monomials, the kernels that generate
 the equation set, so the ledger checks what check_vector evaluates.  A
 failing case's residual is printed as the Poly it equals.  The tests keep

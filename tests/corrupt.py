@@ -15,9 +15,8 @@ def corrupted(rs, signs, *names):
     copies, for the caller to corrupt; every other table is shared.
 
     A name is a RootSystem table ("gram", "sums", ...), "table" for the
-    sign table, or a field of the square index or of the action rows
-    ("square_index.sigma", "action_rows.coef").  The copied sign table
-    belongs to the copied system.
+    sign table, or a field of the square index ("square_index.sigma").  The
+    copied sign table belongs to the copied system.
     """
     rs, signs = copy.copy(rs), copy.copy(signs)
     signs.rs = rs

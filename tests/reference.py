@@ -17,7 +17,8 @@ stays independent of the code it checks:
   commutator suites;
 - apply_word_by_rules, which applies a word by the four rules of the
   action module's docstring, read through the root system's and the sign
-  table's public helpers, against the action rows that apply_word runs;
+  table's public helpers, against apply_word, which reads the same rules
+  from their flat tables coordinate by coordinate;
 - zero_weight_combo and inverse_word, which the action tests use.
 
 The Poly references share with the suites what is decided before any

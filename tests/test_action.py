@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from adjoint_quadrics import (
@@ -22,6 +23,7 @@ from adjoint_quadrics import (
     report_json,
     zero_vector,
 )
+from adjoint_quadrics.action import elementary_rows
 from adjoint_quadrics.verify import generic_vector, suite_cases
 from reference import apply_word_by_rules, inverse_word, zero_weight_combo
 
@@ -280,8 +282,8 @@ def test_wrong_length_rejected(system):
 
 
 def test_concurrent_words_leave_system_unchanged():
-    # The action rows are built with the root system and the signs are read
-    # from the table, so four threads applying words through a fresh D5,
+    # The action reads the root system's tables and the sign table and
+    # writes none of them, so four threads applying words through a fresh D5,
     # checking the vectors against one shared equation set and running the
     # cases suite get the serial answers and write nothing into the system,
     # the table or the set.
@@ -364,8 +366,8 @@ def _word(rs, rng, args):
 
 @pytest.mark.parametrize("name", ["D5", "D7", "E6", "E8"])
 def test_words_follow_the_rules(system, name):
-    # apply_word runs the action rows by source; the reference applies the
-    # four rules of the action through the public helpers.
+    # apply_word reads the four rules from the tables by source coordinate;
+    # the reference applies them through the public helpers.
     rs, signs = system(name)
     rng = random.Random(14)
     big = 10**12 - 1
@@ -385,3 +387,20 @@ def test_words_follow_the_rules(system, name):
     for v, args in ((sparse, (x, y, -x, ring.one)), (generic_vector(rs, ring), (x, -y))):
         word = _word(rs, rng, args)
         assert apply_word(rs, signs, word, v).coords == apply_word_by_rules(rs, signs, word, v)
+
+
+@pytest.mark.parametrize("name", ["D5", "E6"])
+def test_elementary_rows_act_like_apply_word(system, name):
+    # I + xi E1 + xi^2 E2 from each root's rows, at xi = 2 over Z, sends
+    # every basis vector where apply_word sends it.
+    rs, signs = system(name)
+    ring, dim = IntegerRing(), rs.dim_v
+    owner, target, degree, source, coef = elementary_rows(rs, signs, np.arange(rs.n_roots))
+    matrices = np.zeros((rs.n_roots, dim, dim), dtype=np.int64)
+    matrices[:, np.arange(dim), np.arange(dim)] = 1
+    np.add.at(matrices, (owner, target, source), coef * 2**degree)
+    for r, rho in enumerate(rs.roots):
+        for j in range(dim):
+            e = basis_vector(rs, ring, rs.weight_at(j))
+            image = apply_elementary(rs, signs, Elementary(rho, 2), e).coords
+            assert image == matrices[r, :, j].tolist(), (rho, j)

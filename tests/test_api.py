@@ -16,7 +16,7 @@ import pytest
 
 import adjoint_quadrics
 import reference
-from adjoint_quadrics.root_system import ActionRows, SquareIndex
+from adjoint_quadrics.root_system import SquareIndex
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -152,8 +152,7 @@ def _arrays(name, x):
 # The arrays each object must hold, by attribute name.
 HELD = {
     "RootSystem": {"cartan", "coeffs", "gram", "pairings", "neg", "sums", "lex"}
-    | {f"square_index.{f}" for f in SquareIndex._fields}
-    | {f"action_rows.{f}" for f in ActionRows._fields},
+    | {f"square_index.{f}" for f in SquareIndex._fields},
     "SignTable": {"table"},
     "EquationSet": {"_kinds", "_names", "_order", "_sorted"},
     "_Compiled": {"ia", "ib", "c", "offsets", "_by_a", "_a_start", "pairings"},

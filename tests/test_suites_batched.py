@@ -2,7 +2,7 @@
 
 The jacobi and combinatorics suites check every case, as root and square
 numbers a block at a time; the cases and commutator suites check their
-identities on integer coefficient arrays built from the action rows.
+identities on integer coefficient arrays built from each root's rows.
 These tests pin their reports, count their cases, compare each batched
 check sample by sample with the scalar helper or Poly computation it
 replaces, and show that corrupting a table makes the right checks fail.
@@ -924,13 +924,12 @@ def test_ledger_pins_are_the_poly_reports(monkeypatch, system):
 
 
 def test_corrupted_action_row_fails_both_suites(system):
-    # One fixed coefficient of one root's rows: the xi^2 row of root 0,
-    # -xi^2 v_{-rho} turned into +xi^2 v_{-rho}.
-    rs, signs = corrupted(*system("D5"), "action_rows.coef")
-    rows = rs.action_rows
-    at = rows.start[0] + np.flatnonzero(rows.degree[rows.start[0] : rows.start[1]] == 2)
-    assert len(at) == 1 and rows.coef[at[0]] == -1
-    rows.coef[at[0]] = 1
+    # One coefficient of one root's action: rule 3 of root 0, m_z(rho) at
+    # its first nonzero z, negated, so the zero coordinate z picks up
+    # -m_z(rho) xi v_{-rho}.
+    rs, signs = corrupted(*system("D5"), "coeffs")
+    z = np.flatnonzero(rs.coeffs[0])[0]
+    rs.coeffs[0, z] *= -1
     cases, commutator = suite_cases(rs, signs, seed=0), suite_commutator(rs, signs, seed=0)
     assert not cases.ok and not commutator.ok
     rho = [list(rs.roots[0])]
@@ -939,22 +938,54 @@ def test_corrupted_action_row_fails_both_suites(system):
     assert _same_case_results(rs, signs, 16, seed=5) > 0
 
 
+@pytest.mark.parametrize("name", ["coeffs", "pairings", "table", "sums"])
+def test_zeroed_rule_input_fails_both_suites_without_raising(system, name):
+    # The action reads its four rules from these tables, and no rule reads a
+    # stored marker value, so zeroing one entry that a rule reads (one at
+    # doubled product -1 for the sign and sum tables) changes the action:
+    # both suites report it and neither raises.
+    rs, signs = corrupted(*system("D5"), name)
+    entries = signs.table if name == "table" else getattr(rs, name)
+    hit = entries != 0
+    if name in ("table", "sums"):
+        hit &= rs.gram == -1
+    entries[tuple(np.argwhere(hit)[0])] = 0
+    reports = suite_cases(rs, signs, 0, 20), suite_commutator(rs, signs, 0, 20)
+    assert [r.ok for r in reports] == [False, False]
+
+
+def test_ledger_block_hands_targeted_sorted_keys(monkeypatch, system):
+    # elementary_rows returns its rows in no order; ledger_block sorts them
+    # by (owner, target), and commutator_block sorts its terms, before
+    # either searches them.
+    seen, targeted_by = [], batch._targeted
+
+    def targeted(keys, wanted):
+        seen.append(bool(np.all(np.diff(keys) >= 0)))
+        return targeted_by(keys, wanted)
+
+    monkeypatch.setattr(batch, "_targeted", targeted)
+    rs, signs = system("D5")
+    assert suite_cases(rs, signs, 0, 20).ok and suite_commutator(rs, signs, 0, 20).ok
+    assert seen and all(seen)
+
+
 def test_fixes_square_verdicts_follow_the_form_order(system):
-    # E_7 roots orthogonal to a whole square.  One zero-weight row of such a
-    # root is corrupted, so its unipotent moves the squares' 2pi/3 forms,
-    # and the second pair of every other picked square is dropped from the
-    # square index, so the pi/2 builder raises on that pair, before or after
-    # the first moved form.  Config by config, the batched check must give
-    # the Poly reference's verdict, or raise where it raises.
-    rs, signs = corrupted(*system("E7"), "action_rows.coef", "square_index.square_of")
-    index, rows, n = rs.square_index, rs.action_rows, rs.n_roots
+    # E_7 roots orthogonal to a whole square.  One rule-3 coefficient
+    # m_z(rho) of such a root is corrupted, so its unipotent moves the
+    # squares' 2pi/3 forms, and the second pair of every other picked square
+    # is dropped from the square index, so the pi/2 builder raises on that
+    # pair, before or after the first moved form.  Config by config, the
+    # batched check must give the Poly reference's verdict, or raise where
+    # it raises.
+    rs, signs = corrupted(*system("E7"), "coeffs", "square_index.square_of")
+    index = rs.square_index
     perp = []
     for s in range(len(rs.squares)):
         members = index.members[index.start[s] :][: index.size[s]]
         perp += [(r, s) for r in np.flatnonzero((rs.gram[:, members] == 0).all(1)).tolist()]
     rho = next(r for r, _ in perp if np.count_nonzero(rs.coeffs[r]) >= 3)
-    at = rows.start[rho] + np.flatnonzero(rows.target[rows.start[rho] : rows.start[rho + 1]] >= n)
-    rows.coef[at[0]] += 1
+    rs.coeffs[rho, np.flatnonzero(rs.coeffs[rho])[0]] += 1
     picked = [(r, s) for r, s in perp if r != rho][::150] + [(r, s) for r, s in perp if r == rho]
     for _, s in picked[::2]:
         g, d = (rs.root_index(x) for x in rs.squares[s].pairs[1])

@@ -199,8 +199,8 @@ def test_strict_mode_raises_on_corruption(system):
                 a, b = (rs.root_index(x) for x in pair)
                 for phi in (FormKind.PI2, FormKind.TWO_PI3, FormKind.PI):
                     verify_case_identity(rs, signs, a, b, a, phi, strict=True)
-    # A residual, not a builder's check: the action rows read the flipped
-    # signs from the table when they are used.
+    # A residual, not a builder's check: the action reads the flipped signs
+    # from the table when it is applied.
     assert caught.type is VerificationFailure
 
 
