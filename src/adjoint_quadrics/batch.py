@@ -7,7 +7,12 @@ and square numbers, built a block at a time (row_hits), and the kernels
 here check a block at a time, reading the root system's tables (gram,
 sums, neg, pairings, lex), the sign table and the square index.  Each
 kernel returns per-sample verdicts, and flagged keeps only the samples a
-failure entry needs.  The kernels are tested against
+failure entry needs.  A mask's entries are found by one flat scan
+(nonzero), in row_hits and in the companion-set scans.  The position lemma
+takes every root against a block of squares of one size (position_block):
+the doubled products with sigma are one matrix product, the products with
+the members one gather of gram, and position_failures puts the failing
+configurations back in (rho, square) order.  The kernels are tested against
 squares.classify_root_vs_square and against scalar helpers kept with the
 tests (pair_sets, conjugate_pair, sign_column, modified_square and
 extend_a3_to_d4 in tests/reference.py).  The draws below serve the suites
@@ -39,12 +44,16 @@ from .signs import SignTable
 
 # Samples (or rows of samples) per block.  The companion-set kernel holds a
 # few block x roots arrays and a few dozen member and scan rows per pair:
-# over all E7 pairs, blocks of 64, 256 and 1024 pairs took 0.19, 0.12 and
-# 0.11 s at a traced peak of 0.3, 0.9 and 3.3 MB, and at 1024 a verify-e7
-# session's peak memory rose by 1.7 MB.  The other kernels hold a few
-# numbers per sample, so they take larger blocks.
+# over all E7 pairs, blocks of 64, 256 and 1024 pairs took 76, 47 and
+# 46 ms at a traced peak of 0.3, 0.8 and 3.1 MB (best of five, one process,
+# 2 vCPUs).  The position kernel holds a few roots x block x pairs arrays:
+# over every E8 and D12 configuration, blocks of 64 to 1024 squares took
+# 41-50 and 110-125 ms, no trend above the noise, at a traced peak that
+# doubles with the block, 1.1 MB at 64 on both.  The other kernels hold a
+# few numbers per sample, so they take larger blocks.
 BLOCK = 64
 PAIR_BLOCK = 256
+SQUARE_BLOCK = 64
 ELEMENTWISE_BLOCK = 1024
 
 
@@ -152,8 +161,14 @@ def row_hits(rows: tuple, mask, size: int = BLOCK):
     array, so one chunk of it exists at a time."""
     for lo in range(0, max(len(rows[0]), 1), size):
         chunk = tuple(x[lo : lo + size] for x in rows)
-        r, c = np.nonzero(mask(*chunk))
+        r, c = nonzero(mask(*chunk))
         yield (*(x[r] for x in chunk), c)
+
+
+def nonzero(mask):
+    """np.nonzero of a 2-D mask by one flat scan, which is several times
+    faster than np.nonzero's scan per dimension."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 def flagged(kernel, tb: Tables, sample_blocks, flag):
@@ -194,6 +209,16 @@ def _unique(x):
     first = np.ones(len(x), dtype=bool)
     first[1:] = x[1:] != x[:-1]
     return x[first]
+
+
+def _isin(x, pool):
+    """np.isin(x, pool) by one sort and one binary search, several times
+    faster than np.isin on a block's tens of thousands of codes."""
+    pool = np.sort(pool)
+    at = np.searchsorted(pool, x)
+    hit = at < len(pool)
+    hit[hit] = pool[at[hit]] == x[hit]
+    return hit
 
 
 def _differ(n: int, codes: int, left, right):
@@ -247,17 +272,17 @@ def companion_block(tb: Tables, alpha, beta):
     ga, gb = gram[alpha], gram[beta]
     inner = tb.inner
     half = inner[alpha, beta] + 2
-    p, g = np.nonzero(inner[alpha] + inner[beta] == half[:, None])
+    p, g = nonzero(inner[alpha] + inner[beta] == half[:, None])
     partner = tb.lookup(key[alpha[p]] + key[beta[p]] - key[g])
     found = partner >= 0
     p, c = p[found], tb.code(g[found], partner[found])
     keep = c != own[p]
     half_scan = (p[keep], c[keep])
-    p, g = np.nonzero((ga == 1) & (gb != 0))
+    p, g = nonzero((ga == 1) & (gb != 0))
     two_scan = (p, tb.code(g, sums[alpha[p], neg[g]]))
-    p, g = np.nonzero((ga == -1) & (gb == -1))
+    p, g = nonzero((ga == -1) & (gb == -1))
     pi_scan = (p, tb.code(g, neg[g], ordered=True))
-    p, g = np.nonzero((ga == -1) & (gb == 1))
+    p, g = nonzero((ga == -1) & (gb == 1))
     pi_prime_scan = (p, tb.code(g, neg[g], ordered=True))
 
     # Square formulas, from the square index.
@@ -301,7 +326,7 @@ def companion_block(tb: Tables, alpha, beta):
     gp, dp = conjugate(tb, m, a_minus_m, a, beta[q])
     conj = tb.code(gp, dp)
     back = tb.code(*conjugate(tb, gp, dp, a, beta[q]))
-    ok = (gp >= 0) & (conj != pair) & np.isin(q * codes + conj, q * codes + pair)
+    ok = (gp >= 0) & (conj != pair) & _isin(q * codes + conj, q * codes + pair)
     ok &= back == pair
     orbit = np.minimum(pair, conj) * codes + np.maximum(pair, conj)
     conj_bad = np.bincount(q[~ok], minlength=b) > 0
@@ -309,13 +334,55 @@ def companion_block(tb: Tables, alpha, beta):
     return differ, wrong, conj_bad
 
 
-def position_block(tb: Tables, rho, s):
-    """Per (rho, square s): the doubled product with sigma, whether the
-    products with the members follow the pattern of its class, and whether
-    the member rho (class 0) or -rho (class pi) is missing, where
-    classify_root_vs_square would raise."""
-    d = np.einsum("ij,ij->i", tb.rs.pairings[rho], tb.rs.square_index.sigma[s])
-    return (d, *_by_size(tb, _positions, 2, (), s, rho, d))
+def position_block(tb: Tables, s):
+    """Every root rho against squares s, all of one size: (n_roots, len(s))
+    arrays of the doubled product with sigma, whether the products with the
+    members follow the pattern of its class, and whether the member rho
+    (class 0) or -rho (class pi) is missing, where classify_root_vs_square
+    would raise."""
+    rs = tb.rs
+    n, b = rs.n_roots, len(s)
+    m = tb.member_block(s, int(rs.square_index.size[s[0]]))
+    # float64 products of these small integers are exact, as in Configs.
+    d = (rs.pairings.astype(np.float64) @ rs.square_index.sigma[s].T).astype(np.int64)
+
+    # first[r, q]: the first position holding root r in square q, or -1;
+    # row n is the -1 that a root without a valid negation reads.
+    first = np.full((n + 1, b), -1, dtype=np.int16)
+    squares = np.arange(b)
+    for j in reversed(range(m.shape[1])):
+        first[m[:, j], squares] = j
+    neg = np.where((rs.neg >= 0) & (rs.neg < n), rs.neg, n)
+    # The signed index of rho or -rho in the square.
+    at = np.where(d == 2, first[:n], np.where(d == -2, first[neg], -1))
+    missing = (np.abs(d) == 2) & (at < 0)
+
+    # The products (x, y) of rho with each pair, read as one flat index
+    # into _PAIR_OK, the pair holding rho or -rho moved to its own cells.
+    g = rs.gram[:, m]
+    pair = g[..., 0::2] * 5 + g[..., 1::2] + 12
+    cell = ((np.clip(d, -3, 3) + 3) * 50).astype(np.int16)[..., None] + pair
+    r, q = nonzero(at >= 0)
+    cell[r, q, at[r, q] // 2] += 25
+    ok = _PAIR_OK.ravel()[cell].all(2) & ~missing
+    # Class pi/2 also needs a pair orthogonal to rho.
+    ok &= (d != 0) | (pair == 12).any(2)
+    return d, ok, missing
+
+
+def position_failures(tb: Tables, square_blocks):
+    """position_block over the blocks of squares: the number of (rho,
+    square) configurations, and the failing ones (rho, s) with their (d,
+    missing), in (rho, square) order."""
+    count, found = 0, []
+    for (s,) in square_blocks:
+        d, ok, missing = position_block(tb, s)
+        count += ok.size
+        r, q = nonzero(~ok)
+        found.append((r, s[q], d[r, q], missing[r, q]))
+    rho, s, d, missing = (np.concatenate(x) for x in zip(*found))
+    order = np.lexsort((s, rho))
+    return count, (rho[order], s[order]), (d[order], missing[order])
 
 
 # _PAIR_OK[d + 3, own, x + 2, y + 2]: does a pair whose members have doubled
@@ -333,25 +400,6 @@ for _d, _own, _x, _y in (
     (-1, 0, -1, 0),
 ):
     _PAIR_OK[_d + 3, _own, [_x + 2, _y + 2], [_y + 2, _x + 2]] = True
-
-
-def _positions(tb: Tables, width: int, s, rho, d):
-    m = tb.member_block(s, width)
-    # The signed index of rho or -rho in the square: the first position
-    # holding it.
-    target = np.where(d == 2, rho, np.where(d == -2, tb.rs.neg[rho], -1))
-    hit = m == target[:, None]
-    found = hit.any(1)
-    missing = (np.abs(d) == 2) & ~found
-    own = (np.arange(width // 2) == hit.argmax(1)[:, None] // 2) & found[:, None]
-
-    # The products (x, y) of rho with each pair, read as one flat index.
-    g = tb.rs.gram[rho[:, None], m] + 2
-    cell = ((np.clip(d, -3, 3)[:, None] + 3) * 2 + own) * 25 + g[:, 0::2] * 5 + g[:, 1::2]
-    ok = _PAIR_OK.ravel()[cell].all(1) & ~missing
-    # Class pi/2 also needs a pair orthogonal to rho.
-    ok &= (d != 0) | ((g[:, 0::2] == 2) & (g[:, 1::2] == 2)).any(1)
-    return ok, missing
 
 
 def sign_column_block(tb: Tables, s):
@@ -492,19 +540,20 @@ def jacobi_samples(rs: RootSystem):
 
 
 def combinatorics_samples(rs: RootSystem):
-    """Every sample of the combinatorics suite, as blocks of positions in
-    report order: orthogonal pairs, (rho, square) configurations, the
-    squares (for the sign-column and the modified-square checks), and A_3
-    triples."""
-    n, n_squares = rs.n_roots, len(rs.squares)
+    """Every sample of the combinatorics suite, as blocks of positions:
+    orthogonal pairs, the squares a block of one size at a time (every root
+    against each, for position_failures), the squares (for the sign-column
+    and the modified-square checks), and A_3 triples, each in report order
+    but the size blocks."""
     zero, up = rs.gram == 0, rs.gram == -1
-    every = np.arange(n_squares)
+    sizes = rs.square_index.size
+    every = np.arange(len(sizes))
     return (
         blocks(*np.nonzero(zero), size=PAIR_BLOCK),
-        row_hits(
-            (np.arange(n),),
-            lambda rho: np.ones((len(rho), n_squares), dtype=bool),
-            ELEMENTWISE_BLOCK // n_squares + 1,
+        (
+            block
+            for width in np.unique(sizes).tolist()
+            for block in blocks(np.flatnonzero(sizes == width), size=SQUARE_BLOCK)
         ),
         blocks(every),
         blocks(every),

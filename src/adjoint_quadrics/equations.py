@@ -834,6 +834,18 @@ def _held_rows(index, ii, jj):
     return np.bincount(p, hit, len(ii)) > 0, p, pos, m
 
 
+def _roots_only(n: int, held, p, x):
+    """x with every entry that is no root number (outside [0, n)) read as
+    0, each such entry's pair p marked not held in `held`: a sum or
+    negation table entry past the roots makes its pair's form missing, as
+    a misfiled pair's is, not an index error or a repeated monomial."""
+    if not len(x) or (x.min() >= 0 and x.max() < n):
+        return x
+    bad = (x < 0) | (x >= n)
+    held[p[bad]] = False
+    return np.where(bad, 0, x)
+
+
 def _other_members(index, ii, jj):
     """(held, p, m): _held_rows' held, and the members m of the square
     holding each pair (ii[p], jj[p]) other than the pair, grouped by p."""
@@ -846,12 +858,16 @@ def _pi2_monomials(f, ii, jj, rs: RootSystem, signs: SignTable):
     """The pi/2 form rooted at each pair (ii[p], jj[p]), numbered f[p] as in
     every kernel: that of its square, v_a v_b - sum N_{a,-g} N_{b,-d} v_g v_d
     with (a, b) the first pair, times the sign of v_ii v_jj in it."""
-    neg, t, index = rs.neg, signs.table, rs.square_index
+    t, index = signs.table, rs.square_index
     held, p, pos, m = _held_rows(index, ii, jj)
     form, lead, g, d = p[0::2], pos[0::2] == 0, m[0::2], m[1::2]
     first = index.start[index.square_of[ii, jj]]
     a, b = index.members[first][form], index.members[first + 1][form]
-    c = np.where(lead, 1, -t[a, neg[g]] * t[b, neg[d]])
+
+    def neg(x):
+        return _roots_only(rs.n_roots, held, form, rs.neg[x])
+
+    c = np.where(lead, 1, -t[a, neg(g)] * t[b, neg(d)])
     # A pair its square does not hold keeps sign 0, so its form gets no monomials.
     root = held[form] & ((g == ii[form]) | (d == ii[form]))
     sign = np.zeros(len(ii), dtype=c.dtype)
@@ -861,11 +877,13 @@ def _pi2_monomials(f, ii, jj, rs: RootSystem, signs: SignTable):
 
 def _two_pi3_monomials(f, ii, jj, rs: RootSystem, signs: SignTable):
     """The 2pi/3 form of each ordered pair (alpha, beta) = (ii[p], jj[p])."""
-    neg, t, dim = rs.neg, signs.table, _factored_dim(rs)
+    n, t, dim = rs.n_roots, signs.table, _factored_dim(rs)
     # N_{alpha,-m} v_{alpha-m} v_m over the other square members m.
     held, p, m = _other_members(rs.square_index, ii, jj)
-    a, neg_m = ii[p], neg[m]
-    members = _monomials(f[p], rs.sums[a, neg_m], m, t[a, neg_m], dim)
+    a, neg_m = ii[p], _roots_only(n, held, p, rs.neg[m])
+    g = _roots_only(n, held, p, rs.sums[a, neg_m])
+    c = np.where(held[p], t[a, neg_m], 0)
+    members = _monomials(f[p], g, m, c, dim)
     # The Cartan part, -v_alpha L_beta.
     cartan = _monomials(f, ii, rs.dim_v + jj, -held.astype(np.int8), dim)
     return held, *_merge(members, cartan)
@@ -873,13 +891,20 @@ def _two_pi3_monomials(f, ii, jj, rs: RootSystem, signs: SignTable):
 
 def _pi_monomials(f, ii, jj, rs: RootSystem):
     """The pi form of each unordered pair (alpha, beta) = (ii[p], jj[p])."""
-    neg, dim = rs.neg, _factored_dim(rs)
+    n, dim = rs.n_roots, _factored_dim(rs)
     # v_{alpha-m} v_{m-alpha} - v_m v_{-m} over the other square members m.
     held, p, m = _other_members(rs.square_index, ii, jj)
-    g = np.concatenate([rs.sums[ii[p], neg[m]], m])
-    c = np.ones(len(g), np.int8)
-    c[len(m) :] = -1
-    members = _monomials(f[np.concatenate([p, p])], g, neg[g], c, dim)
+    neg_m = _roots_only(n, held, p, rs.neg[m])
+    g = _roots_only(n, held, p, rs.sums[ii[p], neg_m])
+    neg_g = _roots_only(n, held, p, rs.neg[g])
+    c = held[p].astype(np.int8)
+    members = _monomials(
+        f[np.concatenate([p, p])],
+        np.concatenate([g, m]),
+        np.concatenate([neg_g, neg_m]),
+        np.concatenate([c, -c]),
+        dim,
+    )
     # The Cartan part, -L_alpha L_beta.
     cartan = _monomials(f, rs.dim_v + ii, rs.dim_v + jj, -held.astype(np.int8), dim)
     return held, *_merge(members, cartan)

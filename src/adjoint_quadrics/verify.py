@@ -45,7 +45,9 @@ The jacobi and combinatorics suites check every case on every system, so
 their reports depend on the system alone (the seed is only recorded, and
 samples does not reach them).  batch.jacobi_samples and
 batch.combinatorics_samples list the cases in report order as root and
-square numbers, and the batch module evaluates both sides of every
+square numbers (the position lemma's in blocks of squares of one size,
+whose failures batch.position_failures puts back in report order), and
+the batch module evaluates both sides of every
 comparison on blocks of them with numpy, over the sign table, the Gram and
 sum tables and the root system's square index.  Two-way checks keep both
 computations: the companion sets are a direct scan over the roots against
@@ -659,9 +661,7 @@ def suite_combinatorics(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport
 
     # Position lemma.  A class that cannot be resolved fails with
     # position_class's message.
-    count, (rho, cl_sq), (d, _, missing) = batch.flagged(
-        batch.position_block, tb, configs, lambda d, ok, missing: ~ok
-    )
+    count, (rho, cl_sq), (d, missing) = batch.position_failures(tb, configs)
     failures = []
     for r, s, dx, miss in zip(rho, cl_sq, d.tolist(), missing):
         root, sq = roots[r], squares[s]

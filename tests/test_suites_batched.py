@@ -30,8 +30,11 @@ from adjoint_quadrics.batch import (
     a3_block,
     companion_block,
     conjugate,
+    combinatorics_samples,
     modified_square_block,
+    nonzero,
     position_block,
+    position_failures,
     sign_column_block,
 )
 from adjoint_quadrics.equations import FormKind, _other_members, form_monomials
@@ -234,6 +237,30 @@ def _scalar_modified(rs, sq, j):
     return False, not ok
 
 
+def _compare_positions(rs, tb, rho, cl):
+    """position_block, every root against the squares of the configs
+    (rho, cl) a size at a time, against classify_root_vs_square and
+    _class_pattern_ok on those configs; returns the failing configs,
+    sorted."""
+    size = rs.square_index.size
+    failing = []
+    for width in np.unique(size[cl]).tolist():
+        sel = size[cl] == width
+        squares = np.unique(cl[sel])
+        d, ok, missing = position_block(tb, squares)
+        assert d.shape == ok.shape == missing.shape == (rs.n_roots, len(squares))
+        assert not missing.any()
+        r, s = rho[sel], cl[sel]
+        q = np.searchsorted(squares, s)
+        for x, y, dr, okr in zip(r, s, d[r, q], ok[r, q]):
+            cls = classify_root_vs_square(rs, rs.roots[x], rs.squares[y])
+            assert _ANGLE_BY_DOT2[int(dr)] is cls.kind
+            assert okr == _class_pattern_ok(rs, rs.roots[x], rs.squares[y], cls)
+            if not okr:
+                failing.append((int(x), int(y)))
+    return sorted(failing)
+
+
 def _compare_with_scalar(rs, signs, samples):
     """Every batched check against its scalar helper, sample by sample."""
     tb = Tables(rs, signs)
@@ -256,13 +283,7 @@ def _compare_with_scalar(rs, signs, samples):
                 continue
             assert {roots[u], roots[v]} == set(conj)
 
-    # Position classes.
-    d, ok, missing = position_block(tb, rho, cl)
-    assert not missing.any()
-    for r, s, dr, okr in zip(rho, cl, d, ok):
-        cls = classify_root_vs_square(rs, roots[r], rs.squares[s])
-        assert _ANGLE_BY_DOT2[int(dr)] is cls.kind
-        assert okr == _class_pattern_ok(rs, roots[r], rs.squares[s], cls)
+    _compare_positions(rs, tb, rho, cl)
 
     # Sign columns: bad[j, h] over signed-index positions.
     (bad,) = sign_column_block(tb, squares)
@@ -325,9 +346,72 @@ def test_batched_checks_match_scalar_helpers_on_corrupted_tables(system):
     assert differ.tolist() == [True]
     (alpha, beta), (rho, cl), squares, (a, b, c) = samples
     assert np.array(companion_block(tb, alpha, beta)).any()
-    assert not position_block(tb, rho, cl)[1].all()
+    count, (rho, cl), _ = position_failures(tb, combinatorics_samples(rs)[1])
+    assert count == rs.n_roots * len(rs.squares) and len(rho)
     assert sign_column_block(tb, squares)[0].any()
     assert np.array(modified_square_block(tb, squares)).any()
+
+
+def _zero_one_gram_pair(rs, signs):
+    """A copy of the system with the doubled product of root 0 and the
+    first root at product 1 to it recorded as 0."""
+    rs, signs = corrupted(rs, signs, "gram")
+    x, y = 0, int(np.flatnonzero(rs.gram[0] == 1)[0])
+    rs.gram[x, y] = rs.gram[y, x] = 0
+    return rs, signs
+
+
+@pytest.mark.parametrize("name, corrupt", [("D6", False), ("D6", True), ("E6", True)])
+def test_position_block_matches_scalar_helpers_on_every_config(system, name, corrupt):
+    # Every root against every square, with two square sizes on D6; a
+    # zeroed Gram pair moves the patterns of its two roots, and the kernel
+    # must read them as the scalar helpers do.  The failures come out in
+    # (rho, square) order, the order of the report.
+    rs, signs = system(name)
+    if corrupt:
+        rs, signs = _zero_one_gram_pair(rs, signs)
+    tb = Tables(rs, signs)
+    rho, cl = np.divmod(np.arange(rs.n_roots * len(rs.squares)), len(rs.squares))
+    want = _compare_positions(rs, tb, rho, cl)
+    count, (rho, cl), (d, missing) = position_failures(tb, combinatorics_samples(rs)[1])
+    assert count == rs.n_roots * len(rs.squares) and not missing.any()
+    assert list(zip(rho.tolist(), cl.tolist())) == want
+    assert bool(want) == corrupt
+
+
+# sha256 of report_json([suite_combinatorics(..., seed=0)]), every failure
+# kept, on _zero_one_gram_pair's tables: the position-class failures, taken
+# from the kernel of one (rho, square) at a time, in their order and with
+# their messages.
+ZEROED_GRAM = {
+    "D5": "71164cc2bb7fa383311acaba15d925b9a149874479cf9cfed90d2be4ff1b1b6c",
+    "E6": "0f00933f778ff03b0ff176b6e23c629b64354859ebb0180b0114992581112fd9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZEROED_GRAM))
+def test_zeroed_gram_pair_report_pinned(monkeypatch, system, name):
+    add = SuiteReport.add
+    monkeypatch.setattr(
+        SuiteReport, "add", lambda self, *args, **kw: add(self, *args, witness_limit=10**6)
+    )
+    rep = suite_combinatorics(*_zero_one_gram_pair(*system(name)), seed=0)
+    positions = next(c for c in rep.checks if c["name"] == "position-classes")
+    assert positions["failures"]
+    assert _digest([rep]) == ZEROED_GRAM[name]
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0), (4, 7), (64, 126)])
+@pytest.mark.parametrize("fill", ["empty", "full", "mixed"])
+def test_nonzero_is_numpys(shape, fill):
+    mask = {
+        "empty": np.zeros(shape, dtype=bool),
+        "full": np.ones(shape, dtype=bool),
+        "mixed": np.random.default_rng(3).random(shape) < 0.3,
+    }[fill]
+    got, want = nonzero(mask), np.nonzero(mask)
+    assert [x.dtype for x in got] == [x.dtype for x in want]
+    assert [x.tolist() for x in got] == [x.tolist() for x in want]
 
 
 def test_tables_keep_only_what_they_derive(system):
@@ -952,6 +1036,24 @@ def test_zeroed_rule_input_fails_both_suites_without_raising(system, name):
     entries[tuple(np.argwhere(hit)[0])] = 0
     reports = suite_cases(rs, signs, 0, 20), suite_commutator(rs, signs, 0, 20)
     assert [r.ok for r in reports] == [False, False]
+
+
+@pytest.mark.parametrize("name", ["sums", "neg"])
+def test_entry_past_the_roots_fails_cases_without_raising(system, name):
+    # A sum past the roots, at the first pair of doubled product -1, or a
+    # negation of -1: the form kernels read both, and a pair whose entry is
+    # no root gets no form, like a misfiled pair, so the cases suite
+    # reports the cases and raises nothing.
+    rs, signs = corrupted(*system("D5"), name)
+    if name == "sums":
+        i, j = (int(x[0]) for x in np.nonzero(rs.gram == -1))
+        rs.sums[i, j] = rs.dim_v + 3
+    else:
+        rs.neg[5] = -1
+    rep = suite_cases(rs, signs, 0, 20)
+    assert not rep.ok
+    errors = {f.get("error") for c in rep.checks for f in c["failures"]}
+    assert any(e and e.endswith("lie in no square") for e in errors)
 
 
 def test_ledger_block_hands_targeted_sorted_keys(monkeypatch, system):
