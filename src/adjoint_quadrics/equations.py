@@ -22,6 +22,10 @@ pair.  Bulk generation builds all three families at once as flat
 monomial arrays through the square descriptions above, from the square
 index, the sum table and the sign table; form_monomials runs the same
 kernels on any list of (kind, pair) for the verification suites.  The
+kernels only describe forms.  _form_keys sorts each block of pairs once
+and applies one rule: a form is missing, with no monomials, when the
+square its pair is filed under does not hold the pair, when a table entry
+read for it is no root number, or when it repeats a monomial.  The
 tests keep per-form builders that follow the other description, through
 the companion sets of the pair (tests/reference.py), and compare every
 generated form with them.  Neither side checks itself: the identities
@@ -125,6 +129,7 @@ from .action import AdjointVector
 from .rings import IntegerRing, IntegersMod
 from .root_system import RootSystem, SystemId, freeze
 from .signs import SignTable
+from .squares import _no_square
 
 # int64 products and sums wrap around, so one int64 pass gives every value
 # modulo 2^64 (_WRAP), and exactly while S * max|x|^2 is below 2^63.
@@ -407,14 +412,11 @@ def _layout(dim: int, c: np.ndarray):
 
 
 class _Compiled:
-    """Flattened monomial arrays for bulk evaluation of a whole set, and an
-    index of the monomials by their first coordinate.
-
-    The arrays are stored narrow, in _layout's dtypes: int16 coordinates
-    (int32 from 2^15 coordinates on) and the narrowest coefficient type,
-    int8 in generated sets.  A check widens only what it evaluates:
-    _gather copies the monomials it keeps as intp, and _passes widens each
-    piece of the whole-set walk once for every pass of the check."""
+    """Flattened monomial arrays for bulk evaluation of a whole set, stored
+    in _layout's dtypes, and an index of the monomials by their first
+    coordinate.  A check widens only what it evaluates: _gather copies the
+    monomials it keeps as intp, and _passes widens each piece of the
+    whole-set walk once for every pass of the check."""
 
     def __init__(self, ia, ib, c, offsets, pairings: np.ndarray):
         """Form f owns monomials offsets[f]:offsets[f+1] of the arrays, over
@@ -709,11 +711,10 @@ def _lift(passes, primes, bound: int) -> np.ndarray:
     return values
 
 
-# Bulk generation holds a family's monomials as two parallel arrays: the
-# sort key of _pack and the coefficient.  Pairs become monomials a block
-# at a time: that keeps the temporaries small next to the finished set (an
-# E8 block's pair x root mask is 0.25 MB).  Reading every form of a set
-# expands its L monomials a block of forms at a time too.
+# Bulk generation holds its monomials as two parallel arrays, the sort key
+# of _pack and the coefficient, and makes them a block of pairs at a time,
+# which keeps the temporaries small next to the finished set.  Reading
+# every form of a set expands its L monomials a block of forms at a time.
 _PAIR_BLOCK = 1024
 
 
@@ -739,24 +740,11 @@ def _unpack(key, dim: int, coord=np.int64):
 
 
 def _sort_keys(key, c):
-    """(key, c) in key order; the sort is stable, so a few already sorted
-    runs merge in linear time.  A repeated key is a program error."""
+    """(key, c, positions of the keys equal to the one before) in key order;
+    the sort is stable, so a few already sorted runs merge in linear time."""
     order = np.argsort(key, kind="stable")
     key = key[order]
-    if np.any(key[1:] == key[:-1]):
-        raise RuntimeError("quadratic form repeated a monomial")
-    return key, c[order]
-
-
-def _monomials(form, a, b, c, dim: int):
-    """Sorted (key, c) of the monomials c v_a v_b of form `form` with c != 0."""
-    keep = c != 0
-    a, b = a[keep], b[keep]
-    return _sort_keys(_pack(form[keep], np.minimum(a, b), np.maximum(a, b), dim), c[keep])
-
-
-def _merge(x, y):
-    return _sort_keys(np.concatenate([x[0], y[0]]), np.concatenate([x[1], y[1]]))
+    return key, c[order], np.flatnonzero(key[1:] == key[:-1]) + 1
 
 
 def _factored_dim(rs: RootSystem) -> int:
@@ -820,7 +808,9 @@ def _expand(pairings, f, a, b, c):
         s, t = _upper(rank)
         parts.append((f[two[p]], n + s[q], n + t[q], products[p, q]))
     f, a, b, c = (np.concatenate(column) for column in zip(*parts))
-    key, c = _sort_keys(_pack(f, a, b, dim), c)
+    key, c, repeated = _sort_keys(_pack(f, a, b, dim), c)
+    if len(repeated):
+        raise RuntimeError("quadratic form repeated a monomial")
     return (*_unpack(key, dim), c.astype(np.int64, copy=False))
 
 
@@ -835,10 +825,9 @@ def _held_rows(index, ii, jj):
 
 
 def _roots_only(n: int, held, p, x):
-    """x with every entry that is no root number (outside [0, n)) read as
-    0, each such entry's pair p marked not held in `held`: a sum or
-    negation table entry past the roots makes its pair's form missing, as
-    a misfiled pair's is, not an index error or a repeated monomial."""
+    """x with each entry that is no root number (outside [0, n)) read as 0
+    and its pair p marked not held in `held`, so that a sum or negation
+    past the roots makes the form missing, as a misfiled pair does."""
     if not len(x) or (x.min() >= 0 and x.max() < n):
         return x
     bad = (x < 0) | (x >= n)
@@ -847,77 +836,76 @@ def _roots_only(n: int, held, p, x):
 
 
 def _other_members(index, ii, jj):
-    """(held, p, m): _held_rows' held, and the members m of the square
-    holding each pair (ii[p], jj[p]) other than the pair, grouped by p."""
+    """(held, p, m): _held_rows' held, and the members m other than the pair
+    of the square that each pair (ii[p], jj[p]) is filed under, by p."""
     held, p, _, m = _held_rows(index, ii, jj)
-    keep = held[p] & (m != ii[p]) & (m != jj[p])
+    keep = (m != ii[p]) & (m != jj[p])
     return held, p[keep], m[keep]
 
 
-def _pi2_monomials(f, ii, jj, rs: RootSystem, signs: SignTable):
-    """The pi/2 form rooted at each pair (ii[p], jj[p]), numbered f[p] as in
-    every kernel: that of its square, v_a v_b - sum N_{a,-g} N_{b,-d} v_g v_d
-    with (a, b) the first pair, times the sign of v_ii v_jj in it."""
+def _cartan_part(a, b):
+    """The part -v_a[p] v_b[p] of the form of each pair p."""
+    return np.arange(len(a)), a, b, np.full(len(a), -1, dtype=np.int8)
+
+
+def _pi2_monomials(ii, jj, rs: RootSystem, signs: SignTable):
+    """The pi/2 form rooted at each pair (ii[p], jj[p]), as every kernel
+    gives forms (see _form_keys): its square's v_a v_b - sum N_{a,-g} N_{b,-d}
+    v_g v_d, (a, b) the first pair, times the sign of v_ii v_jj in it."""
     t, index = signs.table, rs.square_index
     held, p, pos, m = _held_rows(index, ii, jj)
-    form, lead, g, d = p[0::2], pos[0::2] == 0, m[0::2], m[1::2]
+    p, lead, g, d = p[0::2], pos[0::2] == 0, m[0::2], m[1::2]
     first = index.start[index.square_of[ii, jj]]
-    a, b = index.members[first][form], index.members[first + 1][form]
+    a, b = index.members[first][p], index.members[first + 1][p]
 
     def neg(x):
-        return _roots_only(rs.n_roots, held, form, rs.neg[x])
+        return _roots_only(rs.n_roots, held, p, rs.neg[x])
 
     c = np.where(lead, 1, -t[a, neg(g)] * t[b, neg(d)])
-    # A pair its square does not hold keeps sign 0, so its form gets no monomials.
-    root = held[form] & ((g == ii[form]) | (d == ii[form]))
+    root = (g == ii[p]) | (d == ii[p])
     sign = np.zeros(len(ii), dtype=c.dtype)
-    sign[form[root]] = c[root]
-    return held, *_monomials(f[form], g, d, c * sign[form], _factored_dim(rs))
+    sign[p[root]] = c[root]
+    return held, [(p, g, d, c * sign[p])]
 
 
-def _two_pi3_monomials(f, ii, jj, rs: RootSystem, signs: SignTable):
+def _two_pi3_monomials(ii, jj, rs: RootSystem, signs: SignTable):
     """The 2pi/3 form of each ordered pair (alpha, beta) = (ii[p], jj[p])."""
-    n, t, dim = rs.n_roots, signs.table, _factored_dim(rs)
     # N_{alpha,-m} v_{alpha-m} v_m over the other square members m.
     held, p, m = _other_members(rs.square_index, ii, jj)
-    a, neg_m = ii[p], _roots_only(n, held, p, rs.neg[m])
-    g = _roots_only(n, held, p, rs.sums[a, neg_m])
-    c = np.where(held[p], t[a, neg_m], 0)
-    members = _monomials(f[p], g, m, c, dim)
+    a, neg_m = ii[p], _roots_only(rs.n_roots, held, p, rs.neg[m])
+    g = _roots_only(rs.n_roots, held, p, rs.sums[a, neg_m])
     # The Cartan part, -v_alpha L_beta.
-    cartan = _monomials(f, ii, rs.dim_v + jj, -held.astype(np.int8), dim)
-    return held, *_merge(members, cartan)
+    return held, [(p, g, m, signs.table[a, neg_m]), _cartan_part(ii, rs.dim_v + jj)]
 
 
-def _pi_monomials(f, ii, jj, rs: RootSystem):
+def _pi_monomials(ii, jj, rs: RootSystem):
     """The pi form of each unordered pair (alpha, beta) = (ii[p], jj[p])."""
-    n, dim = rs.n_roots, _factored_dim(rs)
     # v_{alpha-m} v_{m-alpha} - v_m v_{-m} over the other square members m.
     held, p, m = _other_members(rs.square_index, ii, jj)
-    neg_m = _roots_only(n, held, p, rs.neg[m])
-    g = _roots_only(n, held, p, rs.sums[ii[p], neg_m])
-    neg_g = _roots_only(n, held, p, rs.neg[g])
-    c = held[p].astype(np.int8)
-    members = _monomials(
-        f[np.concatenate([p, p])],
-        np.concatenate([g, m]),
-        np.concatenate([neg_g, neg_m]),
-        np.concatenate([c, -c]),
-        dim,
-    )
+    neg_m = _roots_only(rs.n_roots, held, p, rs.neg[m])
+    g = _roots_only(rs.n_roots, held, p, rs.sums[ii[p], neg_m])
+    neg_g = _roots_only(rs.n_roots, held, p, rs.neg[g])
+    one = np.ones(len(p), dtype=np.int8)
     # The Cartan part, -L_alpha L_beta.
-    cartan = _monomials(f, rs.dim_v + ii, rs.dim_v + jj, -held.astype(np.int8), dim)
-    return held, *_merge(members, cartan)
+    cartan = _cartan_part(rs.dim_v + ii, rs.dim_v + jj)
+    return held, [(p, g, neg_g, one), (p, m, neg_m, -one), cartan]
 
 
 def _form_keys(rs: RootSystem, signs: SignTable, codes, ii, jj):
     """The form of kind _KINDS[codes[f]] at each pair (ii[f], jj[f]), a
     block of pairs at a time: the pi/2 form rooted at the pair, the 2pi/3
     form of the ordered and the pi form of the unordered pair.  Returns
-    (missing, (key, c)): the pairs not held by the square they are filed
-    under (the kernels return their held mask first), which get no form,
-    and the monomials with _pack's keys of form f over _factored_dim's
-    coordinates, in key order within a kind."""
+    (missing, (key, c)): the pairs that get no form, and the monomials with
+    _pack's keys of form f over _factored_dim's coordinates, in key order
+    within a kind.
+
+    Each kernel returns held, whether the square that pair p of the block
+    is filed under holds it and every entry read for it is a root number,
+    and parts (p, a, b, c) of monomials c v_a v_b.  Monomials are dropped
+    here alone, by one rule: before packing, the parts of pairs not held
+    (which can read -1 as a root number, corrupting a key) and zero
+    coefficients; after the block's one sort, every key of a form that
+    repeats one, and the form is missing."""
     codes, ii, jj = np.asarray(codes), np.asarray(ii, np.int64), np.asarray(jj, np.int64)
     missing = np.zeros(len(codes), dtype=bool)
     kernels = ((_pi2_monomials, signs), (_two_pi3_monomials, signs), (_pi_monomials,))
@@ -926,8 +914,20 @@ def _form_keys(rs: RootSystem, signs: SignTable, codes, ii, jj):
         forms = np.flatnonzero(codes == code)
         for lo in range(0, len(forms), _PAIR_BLOCK):
             f = forms[lo : lo + _PAIR_BLOCK]
-            held, key, c = kernel(f, ii[f], jj[f], rs, *args)
+            held, parts = kernel(ii[f], jj[f], rs, *args)
+            key, c = [], []
+            for p, a, b, coef in parts:
+                keep = held[p] & (coef != 0)
+                p, a, b = p[keep], a[keep], b[keep]
+                key.append(_pack(f[p], np.minimum(a, b), np.maximum(a, b), _factored_dim(rs)))
+                c.append(coef[keep])
+            del parts  # freed before the sort, to keep generation's peak low
+            key, c, repeated = _sort_keys(np.concatenate(key), np.concatenate(c))
             missing[f] = ~held
+            if len(repeated):
+                form = _unpack(key.copy(), _factored_dim(rs))[0]
+                missing[form[repeated]] = True
+                key, c = key[~missing[form]], c[~missing[form]]
             keys.append(key)
             cs.append(c)
     return missing, (np.concatenate(keys), np.concatenate(cs))
@@ -935,18 +935,18 @@ def _form_keys(rs: RootSystem, signs: SignTable, codes, ii, jj):
 
 def form_monomials(rs: RootSystem, signs: SignTable, kinds, ii, jj):
     """The form of kind kinds[f] (a FormKind) at each pair (ii[f], jj[f]),
-    as a set generated by generate_all_equations holds it: the pi/2 form
-    rooted at the pair, the 2pi/3 form of the ordered and the pi form of
-    the unordered pair.  Returns (missing, (f, a, b, c)): _form_keys'
-    missing, and the monomials c v_a v_b of each form f over the weight
-    coordinates, its Cartan part expanded, in (f, a, b) order."""
+    built by _form_keys as generate_all_equations builds it.  Returns
+    (missing, (f, a, b, c)): _form_keys' missing, and the monomials c v_a v_b
+    of each form f over the weight coordinates, its Cartan part expanded, in
+    (f, a, b) order."""
     missing, (key, c) = _form_keys(rs, signs, [_KINDS.index(k) for k in kinds], ii, jj)
     return missing, _expand(rs.pairings, *_unpack(key, _factored_dim(rs)), c)
 
 
 def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     """One pi/2 form per square, one 2pi/3 form per ordered orthogonal pair,
-    one pi form per unordered pair, in deterministic key order."""
+    one pi form per unordered pair, in deterministic key order; a
+    RuntimeError names the first pair that _form_keys gives no form."""
     ii, jj = np.nonzero(rs.gram == 0)
     upper = ii < jj
     index = rs.square_index
@@ -955,7 +955,10 @@ def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     codes = np.repeat(np.arange(3, dtype=np.int8), [len(rs.squares), len(ii), upper.sum()])
     ii = np.concatenate([index.members[index.start], ii, ii[upper]])
     jj = np.concatenate([index.members[index.start + 1], jj, jj[upper]])
-    _, (key, c) = _form_keys(rs, signs, codes, ii, jj)
+    missing, (key, c) = _form_keys(rs, signs, codes, ii, jj)
+    if missing.any():
+        x = int(missing.argmax())
+        raise RuntimeError(_no_square(rs.roots[ii[x]], rs.roots[jj[x]]))
     dim = _factored_dim(rs)
     form, ia, ib = _unpack(key, dim, _layout(dim, c)[0])
     offsets = np.searchsorted(form, np.arange(len(names) + 1))

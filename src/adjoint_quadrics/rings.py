@@ -37,9 +37,6 @@ class Ring:
         """Image of an integer under the unique ring map from Z."""
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def is_zero(self, a) -> bool:
         return a == self.zero
 

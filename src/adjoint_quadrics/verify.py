@@ -164,9 +164,9 @@ def report_json(reports: list[SuiteReport], include_timing: bool = False) -> str
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def generic_vector(rs: RootSystem, ring: PolynomialRing, prefix: str = "v") -> AdjointVector:
-    """A vector whose coordinates are independent polynomial variables."""
-    return AdjointVector(rs, ring, [ring.variable(f"{prefix}{i}") for i in range(rs.dim_v)])
+def generic_vector(rs: RootSystem, ring: PolynomialRing) -> AdjointVector:
+    """A vector whose coordinates are the independent variables v0, v1, ..."""
+    return AdjointVector(rs, ring, [ring.variable(f"v{i}") for i in range(rs.dim_v)])
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,20 @@ def test_verify_rejects_samples_below_one(capsys, system, suite, samples):
     assert "samples" in json.loads(err.splitlines()[-1])["error"]
 
 
+def test_verify_ring_option(capsys):
+    # --ring picks the words suite's rings, one check each, in the order
+    # given; a ring name that names no ring is bad input.
+    args = ("verify", "--system", "D5", "--suite", "words", "--samples", "5")
+    code, out, _ = run_cli(capsys, *args, "--ring", "zmod:5", "--ring", "int")
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert [c["name"] for c in report["checks"]] == ["ring-zmod:5", "ring-int"]
+    for ring in ("zmod:1", "bogus"):
+        code, out, err = run_cli(capsys, *args, "--ring", ring)
+        assert code == 2 and out == ""
+        assert set(json.loads(err.splitlines()[-1])) == {"error"}
+
+
 _DEEP = "[" * 100000 + "]" * 100000
 
 

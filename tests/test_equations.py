@@ -1102,9 +1102,9 @@ def test_coordinates_past_int16_are_stored_exactly():
 
 
 def test_generation_memory_per_monomial(system):
-    # E7 generation, traced after a warm-up, peaks at about 21 bytes a
-    # monomial and keeps about 13 (5 for the narrow arrays, about 4 for the
-    # index).  int64 arrays peaked at 48 and kept 32; int64 coefficients
+    # E7 generation, traced after a warm-up, peaks at about 21.2 bytes a
+    # monomial and keeps about 12.7 (5 for the narrow arrays, about 4 for
+    # the index).  int64 arrays peaked at 48 and kept 32; int64 coefficients
     # from the kernels on, or the key buffer kept while the index is built,
     # each peak at 28.
     rs, signs = system("E7")

@@ -21,6 +21,7 @@ from adjoint_quadrics import (
     build_root_system,
     build_sign_table,
     classify_root_vs_square,
+    generate_all_equations,
     report_json,
     square_of_pair,
 )
@@ -39,7 +40,7 @@ from adjoint_quadrics.batch import (
 )
 from adjoint_quadrics.equations import FormKind, _other_members, form_monomials
 from adjoint_quadrics import verify
-from adjoint_quadrics.squares import _ANGLE_BY_DOT2
+from adjoint_quadrics.squares import _ANGLE_BY_DOT2, _no_square
 from adjoint_quadrics.verify import (
     CASE_PRODUCTS,
     LEDGER_ENTRIES,
@@ -1054,6 +1055,78 @@ def test_entry_past_the_roots_fails_cases_without_raising(system, name):
     assert not rep.ok
     errors = {f.get("error") for c in rep.checks for f in c["failures"]}
     assert any(e and e.endswith("lie in no square") for e in errors)
+
+
+@pytest.mark.parametrize("name", ["neg", "sums"])
+def test_entry_moved_to_another_root_fails_without_raising(system, name):
+    # One negation, or one sum at doubled product -1, moved to another root
+    # number, on 16 seeded copies: the form kernels can then build a form
+    # that repeats a monomial, and such a form is missing, as a misfiled
+    # pair's is, so neither suite raises and the change is reported.
+    healthy = system("D5")
+    rng = np.random.default_rng(79)
+    for _ in range(16):
+        rs, signs = corrupted(*healthy, name)
+        entries = getattr(rs, name)
+        if name == "neg":
+            at = int(rng.integers(rs.n_roots))
+        else:
+            at = tuple(rng.choice(np.argwhere(rs.gram == -1)))
+        other = int(rng.integers(rs.n_roots - 1))
+        entries[at] = other + (other >= entries[at])
+        reports = suite_cases(rs, signs, 0, 10), suite_commutator(rs, signs, 0, 10)
+        assert not all(r.ok for r in reports), at
+
+
+def _moved_pair(rs, signs):
+    """A copy in which the first pair of square 0 is filed under square 1."""
+    rs, signs = corrupted(rs, signs, "square_index.square_of")
+    index = rs.square_index
+    a, b = index.members[index.start[0] :][:2].tolist()
+    index.square_of[a, b] = index.square_of[b, a] = 1
+    return rs, signs, a, b
+
+
+def _all_pair_forms(rs, signs):
+    """form_monomials of every kind at every ordered orthogonal pair:
+    (missing, each form's a, b and c rows as bytes)."""
+    ii, jj = np.nonzero(rs.gram == 0)
+    kinds = [k for k in FormKind for _ in ii]
+    missing, (f, *monomials) = form_monomials(rs, signs, kinds, *(np.tile(x, 3) for x in (ii, jj)))
+    monomials = np.stack(monomials)
+    ends = np.searchsorted(f, np.arange(len(kinds) + 1)).tolist()
+    return missing, [monomials[:, x:y].tobytes() for x, y in zip(ends, ends[1:])]
+
+
+@pytest.mark.parametrize("name", ["D5", "E6"])
+def test_missing_forms_are_whole_forms(system, name):
+    # A moved square_of pair, or a sum past the roots: each form is the
+    # healthy one or missing, with no monomials, and some are missing.
+    # With neg[5] = neg[6], 12 forms on D5 and 30 on E6 repeat a monomial:
+    # they are missing too, not an error, next to the 80 and 252 that read
+    # a sum that is no root.
+    healthy_missing, healthy = _all_pair_forms(*system(name))
+    assert not healthy_missing.any()
+    rs, signs = corrupted(*system(name), "sums")
+    i, j = (int(x[0]) for x in np.nonzero(rs.gram == -1))
+    rs.sums[i, j] = rs.dim_v + 3
+    for copy in (_moved_pair(*system(name))[:2], (rs, signs)):
+        missing, forms = _all_pair_forms(*copy)
+        assert missing.any()
+        assert all(x == (b"" if m else y) for m, x, y in zip(missing, forms, healthy))
+    rs, signs = corrupted(*system(name), "neg")
+    rs.neg[5] = rs.neg[6]
+    missing, forms = _all_pair_forms(rs, signs)
+    assert missing.sum() == {"D5": 92, "E6": 282}[name]
+    assert all(x == b"" for m, x in zip(missing, forms) if m)
+
+
+def test_generation_names_a_pair_it_cannot_build(system):
+    rs, signs, a, b = _moved_pair(*system("D5"))
+    # The first pi/2 form is rooted at that pair, so generation names it.
+    with pytest.raises(RuntimeError) as error:
+        generate_all_equations(rs, signs)
+    assert str(error.value) == _no_square(rs.roots[a], rs.roots[b])
 
 
 def test_ledger_block_hands_targeted_sorted_keys(monkeypatch, system):
