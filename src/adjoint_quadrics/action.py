@@ -27,6 +27,7 @@ x_1 x_2 ... x_n sends v to x_1(x_2(...x_n(v))).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,9 +147,10 @@ def apply_word(rs: RootSystem, signs: SignTable, word: Word, v: AdjointVector) -
     if len(v.coords) != dim:
         raise ValueError(f"vector has {len(v.coords)} coordinates, {rs.system} has {dim}")
     ring = v.ring
-    zero, c = ring.zero, ring.from_int
+    c = ring.from_int
     w = list(v.coords)
-    support = {s for s, x in enumerate(w) if x != zero}
+    # Truthiness is the zero test on every ring (Poly defines __bool__).
+    support = set(itertools.compress(range(dim), w))
     n, rank = rs.n_roots, rs.rank
     # Flat memoryviews, read at r * width + s, give Python ints; a numpy
     # scalar costs about 100 ns more.

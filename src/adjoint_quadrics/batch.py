@@ -19,7 +19,11 @@ extend_a3_to_d4 in tests/reference.py).  The draws below serve the suites
 that still sample: draw_root the words and orbit suites, and Configs the
 cases and commutator suites, which draw (root, square) uniformly among the
 configurations at one doubled product of the root with sigma and keep
-them as root and square numbers up to their reports.  The ledger and
+them as root and square numbers up to their reports.  A suite's draw loop
+makes only the random calls, one configuration number per draw and what
+its sub-case asks, bisecting the running counts for a square's size;
+Configs.at then resolves the whole loop's numbers, one product with the
+sigma of each distinct square of a block of them.  The ledger and
 commutator kernels at the end check a block of the cases and commutator
 suites' identities on integer coefficient arrays, through each root's
 rows from action.elementary_rows; an evaluation over PolynomialRing, kept
@@ -33,7 +37,6 @@ gamma.
 
 from __future__ import annotations
 
-import bisect
 import random
 
 import numpy as np
@@ -49,9 +52,15 @@ from .signs import SignTable
 # 2 vCPUs).  The position kernel holds a few roots x block x pairs arrays:
 # over every E8 and D12 configuration, blocks of 64 to 1024 squares took
 # 41-50 and 110-125 ms, no trend above the noise, at a traced peak that
-# doubles with the block, 1.1 MB at 64 on both.  The other kernels hold a
-# few numbers per sample, so they take larger blocks.
+# doubles with the block, 1.1 MB at 64 on both.  The ledger kernel holds a
+# few terms per monomial of its cases' forms: over the 1,900 cases of an E7
+# cases suite, blocks of 64, 128, 256 and 512 cases took 36, 33, 28 and
+# 26 ms at a traced peak of 1.9, 2.3, 3.4 and 5.3 MB (best of 21, one
+# process, 2 vCPUs); at 256 the peak RSS of a verify session on E7 rose by
+# 1.1 MB, at 128 it stayed where blocks of 64 had it.  The other kernels
+# hold a few numbers per sample, so they take larger blocks.
 BLOCK = 64
+LEDGER_BLOCK = 128
 PAIR_BLOCK = 256
 SQUARE_BLOCK = 64
 ELEMENTWISE_BLOCK = 1024
@@ -66,11 +75,12 @@ def draw_root(rs: RootSystem, rng: random.Random) -> int:
 
 class Configs:
     """The (root, square) configurations at doubled product d with the
-    square's sigma, numbered by square, then by root: at(x) is the x-th, for
-    x in range(total), and draw picks one uniformly.  counts[s] is square
-    s's number of them, summed a block of squares at a time, so no roots x
-    squares array is held; at(x) finds its square among the running sums
-    and its root by one row product with that square's sigma."""
+    square's sigma, numbered by square, then by root: at(x) gives the x-th
+    of each x in range(total), so a uniform x is a uniform configuration.
+    counts[s] is square s's number of them, summed a block of squares at a
+    time, so no roots x squares array is held; at(x) finds each square
+    among the running sums, and the roots of a block of numbers by one
+    product with the sigmas of their distinct squares."""
 
     def __init__(self, rs: RootSystem, d: int):
         # float64 products of these small integers are exact, and run
@@ -83,19 +93,26 @@ class Configs:
                 for (sigma,) in blocks(self.sigma, size=PAIR_BLOCK)
             ]
         )
-        # starts[s] is the number of square s's first configuration.
-        self.starts = [0] + np.cumsum(self.counts).tolist()
+        # starts[s] is the number of square s's first configuration, kept
+        # as well as a list, which the draw loops bisect one number at a time.
+        self._starts = np.concatenate([[0], np.cumsum(self.counts)])
+        self.starts = self._starts.tolist()
         self.total = self.starts[-1]
+        self.size = rs.square_index.size.tolist()
+        self.empty = f"no square with roots at doubled product {d} with sigma found"
 
-    def at(self, x: int) -> tuple[int, int]:
-        s = bisect.bisect_right(self.starts, x) - 1
-        roots = np.flatnonzero(self.pairings @ self.sigma[s] == self.d)
-        return int(roots[x - self.starts[s]]), s
-
-    def draw(self, rng: random.Random) -> tuple[int, int]:
-        if not self.total:
-            raise RuntimeError(f"no square with roots at doubled product {self.d} with sigma found")
-        return self.at(rng.randrange(self.total))
+    def at(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, s): the root and square numbers of configurations x."""
+        x, starts = np.asarray(x, dtype=np.int64), self._starts
+        rho, s = np.zeros_like(x), np.searchsorted(starts, x, side="right") - 1
+        for lo in range(0, len(x), PAIR_BLOCK):
+            part = slice(lo, lo + PAIR_BLOCK)
+            squares, which = np.unique(s[part], return_inverse=True)
+            # Column q: the roots of square squares[q], read in order.
+            q, roots = nonzero((self.pairings @ self.sigma[squares].T == self.d).T)
+            first = np.searchsorted(q, np.arange(len(squares)))
+            rho[part] = roots[first[which] + x[part] - starts[s[part]]]
+        return rho, s
 
 
 class Tables:
@@ -593,9 +610,12 @@ def _collect(dim: int, *parts):
 
 def _targeted(keys, wanted):
     """For each key in wanted: the first index of it in the sorted keys and
-    how many times it occurs there."""
-    lo = np.searchsorted(keys, wanted)
-    return lo, np.searchsorted(keys, wanted, side="right") - lo
+    how many times it occurs there.  The keys are small nonnegative
+    integers, so both are read from a table over every key up to the
+    largest: on a block's few thousand unsorted keys, many times faster
+    than a binary search for each."""
+    count = np.bincount(keys, minlength=int(wanted.max()) + 1 if len(wanted) else 0)
+    return (np.cumsum(count) - count)[wanted], count[wanted]
 
 
 def _expand(counts):
@@ -612,16 +632,19 @@ def ledger_block(rs: RootSystem, signs: SignTable, rho, form, target):
     monomials c v_a v_b of each f; target is (case, degree, a, b, c) for the
     terms c xi^degree v_a v_b of each t.  Every monomial of f is expanded
     through the rows of x_rho(xi) on both of its coordinates, leaving out
-    the product of the two identity rows, which is f(v) itself.
+    the product of the two identity rows, which is f(v) itself.  The rows
+    are built once per distinct rho of the block (10% of the kernel's time
+    on E7's cases).
     """
     dim = rs.dim_v
-    owner, rt, rd, rsrc, rc = elementary_rows(rs, signs, rho)
+    roots, which = np.unique(rho, return_inverse=True)
+    owner, rt, rd, rsrc, rc = elementary_rows(rs, signs, roots)
     keys = owner * dim + rt
     order = np.argsort(keys, kind="stable")
     keys, rsrc, rd, rc = keys[order], rsrc[order], rd[order], rc[order]
     case, a, b, c = form
-    la, na = _targeted(keys, case * dim + a)
-    lb, nb = _targeted(keys, case * dim + b)
+    la, na = _targeted(keys, which[case] * dim + a)
+    lb, nb = _targeted(keys, which[case] * dim + b)
     # Per monomial, the pairs (i, j) of a row into a and a row into b, 0
     # standing for the identity row, without (0, 0).
     m, k = _expand((na + 1) * (nb + 1) - 1)

@@ -25,7 +25,8 @@ kernels on any list of (kind, pair) for the verification suites.  The
 kernels only describe forms.  _form_keys sorts each block of pairs once
 and applies one rule: a form is missing, with no monomials, when the
 square its pair is filed under does not hold the pair, when a table entry
-read for it is no root number, or when it repeats a monomial.  The
+read for it is no root number, or when it repeats a monomial, and it
+returns that cause per missing form (missing_form words it).  The
 tests keep per-form builders that follow the other description, through
 the companion sets of the pair (tests/reference.py), and compare every
 generated form with them.  Neither side checks itself: the identities
@@ -814,33 +815,52 @@ def _expand(pairings, f, a, b, c):
     return (*_unpack(key, dim), c.astype(np.int64, copy=False))
 
 
+# Why _form_keys gives a pair no form, by precedence: the square that
+# square_of files it under does not hold it, a table entry read for its form
+# is no root number, or its form repeats a monomial.  0 is a built form.
+UNFILED, NOT_A_ROOT, REPEATED = 1, 2, 3
+
+
+def missing_form(rs: RootSystem, cause: int, i: int, j: int) -> str:
+    """Why the pair of root numbers (i, j) gets no form, by its cause."""
+    alpha, beta = rs.roots[i], rs.roots[j]
+    if cause == UNFILED:
+        return _no_square(alpha, beta)
+    if cause == NOT_A_ROOT:
+        return f"the form of {alpha} and {beta} reads a table entry that is no root"
+    return f"the form of {alpha} and {beta} repeats a monomial"
+
+
 def _held_rows(index, ii, jj):
-    """(held, p, pos, m): whether the square that square_of files each pair
-    (ii[p], jj[p]) under holds it as a pair, and that square's member_rows."""
+    """(cause, p, pos, m): per pair (ii[p], jj[p]), UNFILED where the square
+    that square_of files it under does not hold it as a pair, else 0, and
+    that square's member_rows."""
     s = index.square_of[ii, jj]
     p, pos, m = index.member_rows(s)
     # Each square's rows start at an even position, so row k ^ 1 is k's mate.
     hit = (m == ii[p]) & (m[np.arange(len(m)) ^ 1] == jj[p]) & (s[p] >= 0)
-    return np.bincount(p, hit, len(ii)) > 0, p, pos, m
+    return np.where(np.bincount(p, hit, len(ii)) > 0, 0, UNFILED).astype(np.int8), p, pos, m
 
 
-def _roots_only(n: int, held, p, x):
-    """x with each entry that is no root number (outside [0, n)) read as 0
-    and its pair p marked not held in `held`, so that a sum or negation
-    past the roots makes the form missing, as a misfiled pair does."""
+def _roots_only(n: int, cause, p, x):
+    """x with each entry that is no root number (outside [0, n)) read as 0,
+    and the cause of its pair p set to NOT_A_ROOT unless one is set, so
+    that a sum or negation past the roots makes the form missing, as a
+    misfiled pair does."""
     if not len(x) or (x.min() >= 0 and x.max() < n):
         return x
     bad = (x < 0) | (x >= n)
-    held[p[bad]] = False
+    at = p[bad]
+    cause[at[cause[at] == 0]] = NOT_A_ROOT
     return np.where(bad, 0, x)
 
 
 def _other_members(index, ii, jj):
-    """(held, p, m): _held_rows' held, and the members m other than the pair
-    of the square that each pair (ii[p], jj[p]) is filed under, by p."""
-    held, p, _, m = _held_rows(index, ii, jj)
+    """(cause, p, m): _held_rows' cause, and the members m other than the
+    pair of the square that each pair (ii[p], jj[p]) is filed under, by p."""
+    cause, p, _, m = _held_rows(index, ii, jj)
     keep = (m != ii[p]) & (m != jj[p])
-    return held, p[keep], m[keep]
+    return cause, p[keep], m[keep]
 
 
 def _cartan_part(a, b):
@@ -853,100 +873,103 @@ def _pi2_monomials(ii, jj, rs: RootSystem, signs: SignTable):
     gives forms (see _form_keys): its square's v_a v_b - sum N_{a,-g} N_{b,-d}
     v_g v_d, (a, b) the first pair, times the sign of v_ii v_jj in it."""
     t, index = signs.table, rs.square_index
-    held, p, pos, m = _held_rows(index, ii, jj)
+    cause, p, pos, m = _held_rows(index, ii, jj)
     p, lead, g, d = p[0::2], pos[0::2] == 0, m[0::2], m[1::2]
     first = index.start[index.square_of[ii, jj]]
     a, b = index.members[first][p], index.members[first + 1][p]
 
     def neg(x):
-        return _roots_only(rs.n_roots, held, p, rs.neg[x])
+        return _roots_only(rs.n_roots, cause, p, rs.neg[x])
 
     c = np.where(lead, 1, -t[a, neg(g)] * t[b, neg(d)])
     root = (g == ii[p]) | (d == ii[p])
     sign = np.zeros(len(ii), dtype=c.dtype)
     sign[p[root]] = c[root]
-    return held, [(p, g, d, c * sign[p])]
+    return cause, [(p, g, d, c * sign[p])]
 
 
 def _two_pi3_monomials(ii, jj, rs: RootSystem, signs: SignTable):
     """The 2pi/3 form of each ordered pair (alpha, beta) = (ii[p], jj[p])."""
     # N_{alpha,-m} v_{alpha-m} v_m over the other square members m.
-    held, p, m = _other_members(rs.square_index, ii, jj)
-    a, neg_m = ii[p], _roots_only(rs.n_roots, held, p, rs.neg[m])
-    g = _roots_only(rs.n_roots, held, p, rs.sums[a, neg_m])
+    cause, p, m = _other_members(rs.square_index, ii, jj)
+    a, neg_m = ii[p], _roots_only(rs.n_roots, cause, p, rs.neg[m])
+    g = _roots_only(rs.n_roots, cause, p, rs.sums[a, neg_m])
     # The Cartan part, -v_alpha L_beta.
-    return held, [(p, g, m, signs.table[a, neg_m]), _cartan_part(ii, rs.dim_v + jj)]
+    return cause, [(p, g, m, signs.table[a, neg_m]), _cartan_part(ii, rs.dim_v + jj)]
 
 
 def _pi_monomials(ii, jj, rs: RootSystem):
     """The pi form of each unordered pair (alpha, beta) = (ii[p], jj[p])."""
     # v_{alpha-m} v_{m-alpha} - v_m v_{-m} over the other square members m.
-    held, p, m = _other_members(rs.square_index, ii, jj)
-    neg_m = _roots_only(rs.n_roots, held, p, rs.neg[m])
-    g = _roots_only(rs.n_roots, held, p, rs.sums[ii[p], neg_m])
-    neg_g = _roots_only(rs.n_roots, held, p, rs.neg[g])
+    cause, p, m = _other_members(rs.square_index, ii, jj)
+    neg_m = _roots_only(rs.n_roots, cause, p, rs.neg[m])
+    g = _roots_only(rs.n_roots, cause, p, rs.sums[ii[p], neg_m])
+    neg_g = _roots_only(rs.n_roots, cause, p, rs.neg[g])
     one = np.ones(len(p), dtype=np.int8)
     # The Cartan part, -L_alpha L_beta.
     cartan = _cartan_part(rs.dim_v + ii, rs.dim_v + jj)
-    return held, [(p, g, neg_g, one), (p, m, neg_m, -one), cartan]
+    return cause, [(p, g, neg_g, one), (p, m, neg_m, -one), cartan]
 
 
 def _form_keys(rs: RootSystem, signs: SignTable, codes, ii, jj):
     """The form of kind _KINDS[codes[f]] at each pair (ii[f], jj[f]), a
     block of pairs at a time: the pi/2 form rooted at the pair, the 2pi/3
     form of the ordered and the pi form of the unordered pair.  Returns
-    (missing, (key, c)): the pairs that get no form, and the monomials with
-    _pack's keys of form f over _factored_dim's coordinates, in key order
-    within a kind.
+    (missing, (key, c)): per pair, 0 or the cause (UNFILED, NOT_A_ROOT,
+    REPEATED) of its missing form, and the monomials with _pack's keys of
+    form f over _factored_dim's coordinates, in key order within a kind.
 
-    Each kernel returns held, whether the square that pair p of the block
-    is filed under holds it and every entry read for it is a root number,
-    and parts (p, a, b, c) of monomials c v_a v_b.  Monomials are dropped
-    here alone, by one rule: before packing, the parts of pairs not held
-    (which can read -1 as a root number, corrupting a key) and zero
-    coefficients; after the block's one sort, every key of a form that
-    repeats one, and the form is missing."""
+    Each kernel returns cause, per pair p of the block UNFILED where the
+    square it is filed under does not hold it, else NOT_A_ROOT where an
+    entry read for it is no root number, else 0, and parts (p, a, b, c) of
+    monomials c v_a v_b.  Monomials are dropped here alone, by one rule:
+    before packing, the parts of pairs with a cause (which can read -1 as a
+    root number, corrupting a key) and zero coefficients; after the block's
+    one sort, every key of a form that repeats one, and the form's cause is
+    REPEATED."""
     codes, ii, jj = np.asarray(codes), np.asarray(ii, np.int64), np.asarray(jj, np.int64)
-    missing = np.zeros(len(codes), dtype=bool)
+    missing = np.zeros(len(codes), dtype=np.int8)
     kernels = ((_pi2_monomials, signs), (_two_pi3_monomials, signs), (_pi_monomials,))
     keys, cs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int8)]
     for code, (kernel, *args) in enumerate(kernels):
         forms = np.flatnonzero(codes == code)
         for lo in range(0, len(forms), _PAIR_BLOCK):
             f = forms[lo : lo + _PAIR_BLOCK]
-            held, parts = kernel(ii[f], jj[f], rs, *args)
+            cause, parts = kernel(ii[f], jj[f], rs, *args)
             key, c = [], []
             for p, a, b, coef in parts:
-                keep = held[p] & (coef != 0)
+                keep = (cause[p] == 0) & (coef != 0)
                 p, a, b = p[keep], a[keep], b[keep]
                 key.append(_pack(f[p], np.minimum(a, b), np.maximum(a, b), _factored_dim(rs)))
                 c.append(coef[keep])
             del parts  # freed before the sort, to keep generation's peak low
             key, c, repeated = _sort_keys(np.concatenate(key), np.concatenate(c))
-            missing[f] = ~held
+            missing[f] = cause
             if len(repeated):
                 form = _unpack(key.copy(), _factored_dim(rs))[0]
-                missing[form[repeated]] = True
-                key, c = key[~missing[form]], c[~missing[form]]
+                missing[form[repeated]] = REPEATED
+                kept = missing[form] == 0
+                key, c = key[kept], c[kept]
             keys.append(key)
             cs.append(c)
     return missing, (np.concatenate(keys), np.concatenate(cs))
 
 
 def form_monomials(rs: RootSystem, signs: SignTable, kinds, ii, jj):
-    """The form of kind kinds[f] (a FormKind) at each pair (ii[f], jj[f]),
+    """The form of kind kinds[f] (a position in FormKind) at each pair (ii[f], jj[f]),
     built by _form_keys as generate_all_equations builds it.  Returns
-    (missing, (f, a, b, c)): _form_keys' missing, and the monomials c v_a v_b
+    (missing, (f, a, b, c)): _form_keys' causes, and the monomials c v_a v_b
     of each form f over the weight coordinates, its Cartan part expanded, in
     (f, a, b) order."""
-    missing, (key, c) = _form_keys(rs, signs, [_KINDS.index(k) for k in kinds], ii, jj)
+    missing, (key, c) = _form_keys(rs, signs, kinds, ii, jj)
     return missing, _expand(rs.pairings, *_unpack(key, _factored_dim(rs)), c)
 
 
 def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     """One pi/2 form per square, one 2pi/3 form per ordered orthogonal pair,
     one pi form per unordered pair, in deterministic key order; a
-    RuntimeError names the first pair that _form_keys gives no form."""
+    RuntimeError names the first pair that _form_keys gives no form, and
+    why (missing_form)."""
     ii, jj = np.nonzero(rs.gram == 0)
     upper = ii < jj
     index = rs.square_index
@@ -957,8 +980,8 @@ def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     jj = np.concatenate([index.members[index.start + 1], jj, jj[upper]])
     missing, (key, c) = _form_keys(rs, signs, codes, ii, jj)
     if missing.any():
-        x = int(missing.argmax())
-        raise RuntimeError(_no_square(rs.roots[ii[x]], rs.roots[jj[x]]))
+        x = int(np.flatnonzero(missing)[0])
+        raise RuntimeError(missing_form(rs, int(missing[x]), ii[x], jj[x]))
     dim = _factored_dim(rs)
     form, ia, ib = _unpack(key, dim, _layout(dim, c)[0])
     offsets = np.searchsorted(form, np.arange(len(names) + 1))

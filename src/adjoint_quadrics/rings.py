@@ -209,6 +209,11 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """Nonzero iff the polynomial has a term, as for an int, so that
+        truthiness is the zero test on every ring."""
+        return bool(self.terms)
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"

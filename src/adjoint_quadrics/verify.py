@@ -29,17 +29,26 @@ compares it with the rows of x_rho(xi), coefficient by coefficient.  Both
 suites draw each sample uniformly among the (root, square) configurations
 of its angle class (batch.Configs; a ledger sample then takes the pair of
 the square its sub-case names), so samples counts configurations per
-check.  A sample stays root and square numbers from its draw to its
-report, read against the root system's tables and square index and classed
-by squares.position_class; its sub-case names its forms by kind and pair.
-The forms come from equations.form_monomials, the kernels that generate
-the equation set, so the ledger checks what check_vector evaluates.  A
-failing case's residual is printed as the Poly it equals.  The tests keep
-an evaluation of the same forms over PolynomialRing, one case at a time,
-as the reference the batched checks are compared with
-(tests/reference.py); it shares with the suites what _prepare_case,
-_reduction_plan, _square_forms and _square_verdict decide and the forms
-_ledger_arrays reads.
+check.  A check's draws are one loop of random calls whose numbers are
+resolved as arrays afterwards (sample_case_configs, Configs.at), and a
+sample stays root and square numbers from its draw to its report.  The
+cases suite sets every entry's samples up together as arrays
+(_case_setup): the angle class from rho's doubled product with the
+square's sigma, the sub-case, and the target forms, named by kind and
+pair.  It checks them LEDGER_BLOCK cases at a time and builds a CaseResult,
+with its config and residual, only for a case that its report lists.  The
+commutator suite classes each sample by squares.position_class
+(_reduction_plan).  The forms come from equations.form_monomials, the
+kernels that generate the equation set, so the ledger checks what
+check_vector evaluates; a form they do not build fails its case with the
+cause that equations.missing_form words.  A failing case's residual is
+printed as the Poly it equals.  Under --timing both suites report the time
+and item count of their draw, setup and ledger phases (SuiteReport.phases).
+The tests keep the draws and the set-up one case at a time, and an
+evaluation of the same forms over PolynomialRing, as the references the
+batched suites are compared with (tests/reference.py); they share with the
+suites what _reduction_plan, _square_forms and _square_verdict decide and
+the forms _ledger_arrays reads.
 
 The jacobi and combinatorics suites check every case on every system, so
 their reports depend on the system alone (the seed is only recorded, and
@@ -59,11 +68,11 @@ kept with the tests (tests/reference.py).
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -76,7 +85,14 @@ from .action import (
     apply_word,
     basis_vector,
 )
-from .equations import EquationSet, FormKind, form_monomials, generate_all_equations
+from .equations import (
+    _KINDS,
+    EquationSet,
+    FormKind,
+    form_monomials,
+    generate_all_equations,
+    missing_form,
+)
 from .rings import IntegerRing, IntegersMod, Poly, PolynomialRing, Ring
 from .root_system import Root, RootSystem, ZeroWeight, build_root_system
 from .signs import SignTable, build_sign_table
@@ -106,6 +122,9 @@ class SuiteReport:
     seed: int | None
     checks: list[dict] = field(default_factory=list)
     wall_time_s: float = 0.0
+    # Per phase of the cases and commutator suites (draw, setup, ledger):
+    # {"s": seconds, "items": count}, reported only with the timing.
+    phases: dict = field(default_factory=dict)
 
     @property
     def attempted(self) -> int:
@@ -141,6 +160,8 @@ class SuiteReport:
         }
         if include_timing:
             doc["wall_time_s"] = self.wall_time_s
+            if self.phases:
+                doc["phases"] = self.phases
         return doc
 
 
@@ -194,6 +215,13 @@ LEDGER_ENTRIES: tuple[tuple[str, FormKind, str], ...] = (
     ("2pi/3", FormKind.PI, "(b1,rho)=0"),
 )
 
+# A form's kind is its position in _KINDS (FormKind's order), a case's
+# sub-case its position in SUBCASES, and its angle class ANGLES[d + 2] for
+# rho's doubled product d with the square's sigma.
+SUBCASES = ("re-rooted", "any", "j=1", "j=-1", "j!=+-1", "(b1,rho)=-1", "(b1,rho)=0")
+_RE_ROOTED, _ANY, _J1, _J_1, _J_OTHER, _B_1, _B0 = range(len(SUBCASES))
+ANGLES = np.array([_ANGLE_BY_DOT2[d].value for d in range(-2, 3)])
+
 
 @dataclass
 class CaseResult:
@@ -205,120 +233,130 @@ class CaseResult:
     residual: str | None = None
 
 
-def _ledger_target(rs, signs, phi: FormKind, a, b, r, kind: SquareAngle, mate):
-    """(subcase label, [(int coeff, xi power, target form), ...]) for one
-    ledger case, a form being (kind, i, j) for its orthogonal pair of root
-    numbers.  a, b and r are alpha, beta and rho, and mate the member paired
-    with rho (class 0) or with -rho (class pi)."""
-    neg, sums = rs.neg, rs.sums
-    PI2, TWO_PI3, PI = FormKind
-    if kind is SquareAngle.IN_SQUARE:
-        if phi is PI2:
-            # Rooted at rho's own pair by the caller.
-            return "re-rooted", [(-1, 1, (TWO_PI3, mate, neg[r])), (-1, 2, (PI2, mate, neg[r]))]
-        if phi is TWO_PI3:
-            if r == a:
-                return "j=1", [(-1, 1, (PI, a, b)), (1, 2, (TWO_PI3, neg[a], neg[b]))]
-            if r == b:
-                return "j=-1", [(-2, 1, (PI2, a, neg[b]))]
-            c = int(signs.table[a, neg[r]])
-            return "j!=+-1", [(c, 1, (TWO_PI3, sums[a, neg[r]], sums[r, neg[b]]))]
-        if r == a:
-            return "j=1", [(-2, 1, (TWO_PI3, neg[a], neg[b]))]
-        if r == b:
-            return "j=-1", [(-2, 1, (TWO_PI3, neg[b], neg[a]))]
-        return "j!=+-1", [(1, 1, (TWO_PI3, neg[r], mate))]
-
-    if kind is SquareAngle.OPPOSITE_SQUARE:
-        m = neg[r]  # the member
-        if phi is PI2:
-            return "any", []
-        if phi is TWO_PI3:
-            if m == a:
-                return "j=1", []
-            if m == b:
-                return "j=-1", [(2, 1, (PI2, a, b))]
-            return "j!=+-1", []
-        if m == a:
-            return "j=1", [(2, 1, (TWO_PI3, a, neg[b]))]
-        if m == b:
-            return "j=-1", [(-2, 1, (TWO_PI3, b, a))]
-        return "j!=+-1", [(1, 1, (TWO_PI3, m, neg[mate]))]
-
-    if kind is SquareAngle.TWO_THIRDS:
-        d = rs.gram[a, r]
-        if phi is PI2:
-            return "any", []
-        if phi is TWO_PI3:
-            if d == -1:
-                return "(b1,rho)=-1", []
-            return "(b1,rho)=0", [(1, 1, (PI2, a, neg[r]))]
-        if d == -1:
-            return "(b1,rho)=-1", [(-1, 1, (TWO_PI3, neg[r], b))]
-        return "(b1,rho)=0", [(-1, 1, (TWO_PI3, neg[r], a))]
-
-    raise RuntimeError(f"no ledger entry for angle class {kind.value}")
+def _position(index, s, member):
+    """Per case x: the first position in square s[x]'s members (pair
+    layout) that holds the root number member[x], or -1."""
+    j = np.arange(int(index.size.max()))
+    at = np.minimum(index.start[s][:, None] + j, len(index.members) - 1)
+    hit = (index.members[at] == member[:, None]) & (j < index.size[s][:, None])
+    return np.where(hit.any(1), hit.argmax(1), -1)
 
 
-def _members(rs, s: int) -> list[int]:
-    """The member numbers of square s, in pair layout."""
-    index = rs.square_index
-    return index.members[index.start[s] :][: index.size[s]].tolist()
+def _case_setup(rs, signs, phi, a, b, r):
+    """What the ledger cases of the forms phi (positions in FormKind) at
+    root numbers (alpha, beta, rho) decide before any arithmetic, as arrays:
+    (d, sub, a, b, rows, errors).
+
+    d is rho's doubled product with the sigma of the square that (alpha,
+    beta) is filed under, which names the angle class; sub is the sub-case,
+    a position in SUBCASES; (a, b) is the form's pair, the pi/2 form rooted
+    at rho's own pair in class 0.  rows are the forms the ledger reads,
+    (case, coeff, power, kind, i, j), each case's own form (power -1)
+    before its target forms coeff xi^power g.  errors maps each case whose
+    set-up fails to the message of the first check it fails."""
+    index, neg, sums = rs.square_index, rs.neg, rs.sums
+    PI2, TWO_PI3, PI = range(3)
+    s = index.square_of[a, b]
+    unfiled = s < 0
+    s = np.where(unfiled, 0, s)
+    d = (rs.pairings[r] * index.sigma[s]).sum(1)
+    # The position p of rho (class 0) or -rho (class pi) in the square, and
+    # the member it is paired with.
+    own = np.where(d == 2, r, neg[r])
+    p = _position(index, s, own)
+    mate = index.members[index.start[s] + (p ^ 1)]
+
+    errors = {}
+    for bad, message in (
+        (unfiled, lambda x: _no_square(rs.roots[a[x]], rs.roots[b[x]])),
+        (
+            (d < -2) | (d > 2),
+            lambda x: _impossible_product(int(d[x]), tuple(int(v) for v in index.sigma[s[x]])),
+        ),
+        ((np.abs(d) == 2) & (p < 0), lambda x: _not_a_member(rs.roots[r[x]], d[x] == -2)),
+        ((d == 0) | (d == 1), lambda x: f"no ledger entry for angle class {ANGLES[d[x] + 2]}"),
+    ):
+        for x in np.flatnonzero(bad).tolist():
+            errors.setdefault(x, message(x))
+
+    in0 = d == 2
+    rooted = in0 & (phi == PI2)
+    a, b = np.where(rooted, r, a), np.where(rooted, mate, b)
+    j = np.select([own == a, own == b], [_J1, _J_1], _J_OTHER)
+    two_thirds = np.where(rs.gram[a, r] == -1, _B_1, _B0)
+    sub = np.where(phi == PI2, np.where(in0, _RE_ROOTED, _ANY), np.where(d == -1, two_thirds, j))
+
+    n = len(r)
+    ok = np.ones(n, dtype=bool)
+    ok[list(errors)] = False
+    nr, na, nb = neg[r], neg[a], neg[b]
+    c0, cpi, c23 = ok & in0, ok & (d == -2), ok & (d == -1)
+
+    def entry(cls, kind, subcase):
+        return cls & (phi == kind) & (sub == subcase)
+
+    # (cases, coeff, power, kind, i, j): the target forms, the first of each
+    # case before its second.
+    targets = (
+        (c0 & (phi == PI2), -1, 1, TWO_PI3, mate, nr),
+        (entry(c0, TWO_PI3, _J1), -1, 1, PI, a, b),
+        (entry(c0, TWO_PI3, _J_1), -2, 1, PI2, a, nb),
+        (entry(c0, TWO_PI3, _J_OTHER), signs.table[a, nr], 1, TWO_PI3, sums[a, nr], sums[r, nb]),
+        (entry(c0, PI, _J1), -2, 1, TWO_PI3, na, nb),
+        (entry(c0, PI, _J_1), -2, 1, TWO_PI3, nb, na),
+        (entry(c0, PI, _J_OTHER), 1, 1, TWO_PI3, nr, mate),
+        (entry(cpi, TWO_PI3, _J_1), 2, 1, PI2, a, b),
+        (entry(cpi, PI, _J1), 2, 1, TWO_PI3, a, nb),
+        (entry(cpi, PI, _J_1), -2, 1, TWO_PI3, b, a),
+        (entry(cpi, PI, _J_OTHER), 1, 1, TWO_PI3, nr, neg[mate]),
+        (entry(c23, TWO_PI3, _B0), 1, 1, PI2, a, nr),
+        (entry(c23, PI, _B_1), -1, 1, TWO_PI3, nr, b),
+        (entry(c23, PI, _B0), -1, 1, TWO_PI3, nr, a),
+        (c0 & (phi == PI2), -1, 2, PI2, mate, nr),
+        (entry(c0, TWO_PI3, _J1), 1, 2, TWO_PI3, na, nb),
+    )
+    rows = []
+    for cases, *columns in ((ok, 1, -1, phi, a, b), *targets):
+        x = np.flatnonzero(cases)
+        rows.append((x, *(np.broadcast_to(c, n)[x] for c in columns)))
+    rows = tuple(np.concatenate(c) for c in zip(*rows))
+    return d, sub, a, b, rows, errors
 
 
-def _prepare_case(rs, signs, a: int, b: int, r: int, phi: FormKind):
-    """What the ledger case of the form phi at root numbers (alpha, beta,
-    rho) decides before any arithmetic: (angle class, sub-case, config, r,
-    form, _ledger_target's targets)."""
-    s = int(rs.square_index.square_of[a, b])
-    if s < 0:
-        raise RuntimeError(_no_square(rs.roots[a], rs.roots[b]))
-    members = _members(rs, s)
-    kind, p = position_class(rs, r, rs.square_index.sigma[s], members)
-    mate = None if p is None else members[p ^ 1]
-    if phi is FormKind.PI2 and kind is SquareAngle.IN_SQUARE:
-        # The pi/2 form is square-keyed up to sign; root it at rho's pair.
-        a, b = r, mate
-    subcase, targets = _ledger_target(rs, signs, phi, a, b, r, kind, mate)
-    roots = rs.roots
-    config = dict(alpha=list(roots[a]), beta=list(roots[b]), rho=list(roots[r]), phi=phi.value)
-    return kind.value, subcase, config, r, (phi, a, b), targets
-
-
-def _ledger_arrays(rs, signs, cases):
-    """What batch.ledger_block reads for the cases (rho's root number, form,
-    [(coeff, power, target form)]), from form_monomials: (rho, (case, a, b,
-    c), (case, power, a, b, coeff * c)), and per case None or the
-    RuntimeError naming the first of its forms whose pair is in no square."""
-    # Each case's own form, marked by power -1, then its target forms.
-    rows = [
-        (x, coeff, power, *g)
-        for x, (_, form, targets) in enumerate(cases)
-        for coeff, power, g in ((1, -1, form), *targets)
-    ]
-    owner, weight, power, kinds, ii, jj = zip(*rows)
+def _ledger_arrays(rs, signs, rows):
+    """What batch.ledger_block reads for the cases whose forms are rows,
+    (case, coeff, power, kind, i, j) with each case's own form (power -1)
+    before its target forms, from form_monomials: the own forms' monomials
+    (case, a, b, c), the targets' terms (case, power, a, b, coeff * c), and
+    a dict from each case with a form that form_monomials does not build
+    to the message naming the first such form and why (missing_form)."""
+    case, weight, power, kinds, ii, jj = rows
     missing, (f, a, b, c) = form_monomials(rs, signs, kinds, ii, jj)
-    errors = [None] * len(cases)
-    for x in np.flatnonzero(missing)[::-1].tolist():
-        errors[owner[x]] = RuntimeError(_no_square(rs.roots[ii[x]], rs.roots[jj[x]]))
-    case, weight, power = (np.array(x, dtype=np.int64)[f] for x in (owner, weight, power))
+    bad = np.flatnonzero(missing)
+    bad = bad[np.unique(case[bad], return_index=True)[1]]
+    errors = {int(case[x]): missing_form(rs, int(missing[x]), ii[x], jj[x]) for x in bad}
+    case, weight, power = case[f], weight[f], power[f]
     own = power < 0
-    rho = np.array([r for r, _, _ in cases], dtype=np.int64)
     target = (case[~own], power[~own], a[~own], b[~own], weight[~own] * c[~own])
-    return rho, (case[own], a[own], b[own], c[own]), target, errors
+    return (case[own], a[own], b[own], c[own]), target, errors
 
 
-def _ledger_residuals(rs, signs, cases) -> list:
-    """Per case as in _ledger_arrays: the nonzero terms (degree, p, q, coef)
-    of f(x_rho(xi) v) - f(v) - sum coeff xi^power g(v), from
-    batch.ledger_block, or the RuntimeError."""
-    if not cases:
-        return []
-    rho, form, target, errors = _ledger_arrays(rs, signs, cases)
-    case, *terms = batch.ledger_block(rs, signs, rho, form, target)
-    bounds = np.searchsorted(case, np.arange(len(cases) + 1)).tolist()
-    terms = list(zip(*(t.tolist() for t in terms)))
-    return [error or terms[lo:hi] for error, lo, hi in zip(errors, bounds, bounds[1:])]
+def _ledger_residuals(rs, signs, rho, rows):
+    """The cases of root numbers rho whose forms are rows (as _ledger_arrays
+    reads them), through batch.ledger_block LEDGER_BLOCK cases at a time:
+    the nonzero terms (case, degree, p, q, coef) of f(x_rho(xi) v) - f(v) -
+    sum coeff xi^power g(v), v generic, in case order, and _ledger_arrays'
+    errors."""
+    rows = tuple(x[np.argsort(rows[0], kind="stable")] for x in rows)
+    terms, errors = [(np.zeros(0, dtype=np.int64),) * 5], {}
+    for lo in range(0, len(rho), batch.LEDGER_BLOCK):
+        hi = lo + batch.LEDGER_BLOCK
+        case, *rest = (x[slice(*np.searchsorted(rows[0], [lo, hi]))] for x in rows)
+        form, target, missing = _ledger_arrays(rs, signs, (case - lo, *rest))
+        errors.update((lo + x, message) for x, message in missing.items())
+        case, *found = batch.ledger_block(rs, signs, rho[lo:hi], form, target)
+        terms.append((case + lo, *found))
+    return tuple(np.concatenate(c) for c in zip(*terms)), errors
 
 
 def _residual_text(rs, terms) -> str:
@@ -330,25 +368,47 @@ def _residual_text(rs, terms) -> str:
     return str(Poly(ring, {(0,) * d + (p + 1, q + 1): c for d, p, q, c in terms}))
 
 
-def case_identities(rs: RootSystem, signs: SignTable, phi: FormKind, configs) -> list:
-    """The ledger identity of the form phi at each (alpha, beta, rho) of
-    root numbers, checked together on integer coefficient arrays: per
-    config, its CaseResult, or the RuntimeError its set-up raised."""
-    results, prepared = [], []
-    for a, b, r in configs:
-        try:
-            prepared.append((len(results), *_prepare_case(rs, signs, a, b, r, phi)))
-            results.append(None)
-        except RuntimeError as exc:
-            results.append(exc)
-    residuals = _ledger_residuals(rs, signs, [case[-3:] for case in prepared])
-    for (i, angle, subcase, config, *_), terms in zip(prepared, residuals):
-        if isinstance(terms, RuntimeError):
-            results[i] = terms
-        else:
-            residual = _residual_text(rs, terms) if terms else None
-            results[i] = CaseResult(not terms, angle, phi.value, subcase, config, residual)
-    return results
+class CaseResults:
+    """case_identities' outcome.  Per case x: ok[x], whether its identity
+    holds; angle[x] and subcase[x], the labels of the ledger entry it
+    landed in (meaningful where its set-up did not fail); and result(x), its
+    CaseResult or the RuntimeError its set-up raised, built when it is read."""
+
+    def __init__(self, rs, phi, a, b, r, d, sub, errors, terms):
+        self._rs, self._phi, self._pairs, self._errors = rs, phi, (a, b, r), errors
+        self._case, *self._terms = terms
+        self.ok = np.bincount(self._case, minlength=len(r)) == 0
+        self.ok[list(errors)] = False
+        self.angle = ANGLES[np.clip(d + 2, 0, 4)]
+        self.subcase = np.array(SUBCASES)[sub]
+
+    def result(self, x: int):
+        if x in self._errors:
+            return RuntimeError(self._errors[x])
+        rs, phi = self._rs, _KINDS[self._phi[x]]
+        roots = [list(rs.roots[v[x]]) for v in self._pairs]
+        config = dict(zip(("alpha", "beta", "rho"), roots), phi=phi.value)
+        lo, hi = np.searchsorted(self._case, [x, x + 1])
+        terms = list(zip(*(t[lo:hi].tolist() for t in self._terms)))
+        residual = _residual_text(rs, terms) if terms else None
+        return CaseResult(
+            not terms, str(self.angle[x]), phi.value, str(self.subcase[x]), config, residual
+        )
+
+
+def case_identities(rs: RootSystem, signs: SignTable, phi, alpha, beta, rho, phases=None):
+    """The ledger identity of the form phi[x] (a position in FormKind) at
+    each (alpha[x], beta[x], rho[x]) of root numbers, set up as arrays and
+    checked together on integer coefficient arrays: their CaseResults.
+    phases, a SuiteReport's, gets the set-up and ledger times."""
+    t0 = time.perf_counter()
+    phi, a, b, r = (np.asarray(x, dtype=np.int64) for x in (phi, alpha, beta, rho))
+    d, sub, a, b, rows, errors = _case_setup(rs, signs, phi, a, b, r)
+    t0 = _clock(phases, "setup", len(r), t0)
+    terms, missing = _ledger_residuals(rs, signs, r, rows)
+    _clock(phases, "ledger", len(r) - len(errors), t0)
+    errors.update(missing)
+    return CaseResults(rs, phi, a, b, r, d, sub, errors, terms)
 
 
 @dataclass
@@ -365,9 +425,15 @@ _MOVED = "a form moved under a root orthogonal to the square"
 _NO_EPSILON = "no epsilon makes the commutator match"
 
 
+def _members(rs, s: int) -> list[int]:
+    """The member numbers of square s, in pair layout."""
+    index = rs.square_index
+    return index.members[index.start[s] :][: index.size[s]].tolist()
+
+
 def _square_forms(rs, s: int):
-    """The forms attached to square s, named as in _ledger_target, in the
-    order the fixes-square check reads them."""
+    """The forms attached to square s, each (FormKind, i, j) for its pair of
+    root numbers, in the order the fixes-square check reads them."""
     PI2, TWO_PI3, PI = FormKind
     m = _members(rs, s)
     ij = zip(m[::2], m[1::2])
@@ -429,16 +495,19 @@ def _reduction_plan(rs, r: int, s: int):
     return config, (a, b, factor_classes)
 
 
-def commutator_reductions(rs: RootSystem, signs: SignTable, configs) -> list:
+def commutator_reductions(rs: RootSystem, signs: SignTable, configs, phases=None) -> list:
     """The commutator reduction of each (rho, square) of root and square
     numbers, checked together on integer coefficient arrays: per config,
-    its CommutatorResult, or the RuntimeError its set-up raised.  The reduction is found for rho's
-    angle class and holds if some eps in (1, -1) makes the commutator equal
+    its CommutatorResult, or the RuntimeError its set-up raised.  phases, a
+    SuiteReport's, gets the set-up and ledger times.  The reduction is found
+    for rho's angle class and holds if some eps in (1, -1) makes the
+    commutator equal
     x_rho(xi) as a matrix polynomial in xi.  One sub-case of class pi/2 has
     no such decomposition: rho orthogonal to every member of the square
     (on D_l for l >= 6 and on E_7, never on D_5, E_6 or E_8).  There
     x_rho(xi) must fix every form of the square, checked as the ledger
     check with no target forms (mode "fixes-square")."""
+    t0 = time.perf_counter()
     results, reductions, fixed = [], [], []
     for r, s in configs:
         try:
@@ -452,6 +521,7 @@ def commutator_reductions(rs: RootSystem, signs: SignTable, configs) -> list:
             a, b, classes = plan
             reductions.append((len(results), config, classes, (r, a, b)))
         results.append(plan)
+    t0 = _clock(phases, "setup", len(configs), t0)
 
     if reductions:
         rho, a, b = np.array([pos for *_, pos in reductions], dtype=np.int64).T
@@ -467,11 +537,20 @@ def commutator_reductions(rs: RootSystem, signs: SignTable, configs) -> list:
             else:
                 results[i] = CommutatorResult(False, config, detail=_NO_EPSILON)
 
-    residuals = iter(
-        _ledger_residuals(rs, signs, [(rho, g, []) for _, _, rho, forms in fixed for g in forms])
+    # The fixes-square check: each form of the square is a case with no
+    # target forms.
+    forms = [(r, _KINDS.index(k), i, j) for _, _, r, fs in fixed for k, i, j in fs]
+    rho, kinds, ii, jj = np.array(forms, dtype=np.int64).reshape(-1, 4).T
+    n = len(rho)
+    rows = (np.arange(n), np.ones(n, dtype=np.int64), np.full(n, -1), kinds, ii, jj)
+    (case, *_), errors = _ledger_residuals(rs, signs, rho, rows)
+    moved = iter(
+        RuntimeError(errors[x]) if x in errors else m
+        for x, m in enumerate((np.bincount(case, minlength=n) > 0).tolist())
     )
     for i, config, _, forms in fixed:
-        results[i] = _square_verdict(config, [next(residuals) for _ in forms])
+        results[i] = _square_verdict(config, [next(moved) for _ in forms])
+    _clock(phases, "ledger", len(reductions) + len(fixed), t0)
     return results
 
 
@@ -500,51 +579,96 @@ def _rng_for(seed, label: str) -> random.Random:
     return random.Random(f"{seed}/{label}")
 
 
+def _clock(phases: dict | None, name: str, items: int, t0: float) -> float:
+    """Add the seconds since t0 and the items to phase `name` of phases (a
+    SuiteReport's), unless phases is None; return the time now."""
+    now = time.perf_counter()
+    if phases is not None:
+        phase = phases.setdefault(name, {"s": 0.0, "items": 0})
+        phase["s"] += now - t0
+        phase["items"] += items
+    return now
+
+
 # The doubled product with sigma of a root in each angle class of the ledger.
 CASE_PRODUCTS = {"0": 2, "pi": -2, "2pi/3": -1}
 
 
-def sample_case_config(rs, rng, entry, configs: batch.Configs) -> tuple[int, int, int]:
-    """A single (alpha, beta, rho) of root numbers landing in the given
-    ledger entry: (rho, square) drawn from configs, the configurations at
-    the doubled product CASE_PRODUCTS names for the entry's angle, and the
-    pair (alpha, beta) of that square the sub-case names."""
+def sample_case_configs(rs, rng, entry, configs: batch.Configs, samples: int):
+    """`samples` draws of (alpha, beta, rho), root numbers landing in the
+    given ledger entry: (rho, square) drawn from configs, the configurations
+    at the doubled product CASE_PRODUCTS names for the entry's angle, and
+    the pair (alpha, beta) of that square the sub-case names.  Returns
+    (alpha, beta, rho), -1 at a failed draw, and a dict from each failed
+    draw to its message.
+
+    The loop makes only the random calls: per draw, the configuration
+    number, then what the sub-case asks, a position among the square's
+    members, or all but rho's pair, and for class 2pi/3 the product with
+    rho to put on alpha (tests/reference.py draws one at a time with the
+    same calls).  The numbers are resolved after the loop.  A class 0 or
+    pi draw whose rho (or -rho) is not a member fails before its sub-case's
+    call, so where one does, the loop is made again from the same state
+    with that call skipped, until every draw it skips is one that fails."""
     angle, phi, subcase = entry
-    r, s = configs.draw(rng)
-    members = _members(rs, s)
+    if not configs.total:
+        none = np.full(samples, -1)
+        return (none, none, none), dict.fromkeys(range(samples), configs.empty)
+    # What the sub-case draws: a position among all members but `cut`.
+    cut = 0 if angle == "2pi/3" else {"j=1": None, "j=-1": None, "j!=+-1": 2}.get(subcase, 0)
+    choose = angle == "2pi/3" and subcase == "any"
+    randrange, starts, total, size = rng.randrange, configs.starts, configs.total, configs.size
+    index, state, skip = rs.square_index, rng.getstate(), set()
+    while True:
+        xs, ys, want = [], [], []
+        for i in range(samples):
+            x = randrange(total)
+            xs.append(x)
+            if cut is None or i in skip:
+                ys.append(0)
+                continue
+            ys.append(randrange(size[bisect.bisect_right(starts, x) - 1] - cut))
+            if choose:
+                want.append(rng.choice((-1, 0)))
+        r, s = configs.at(xs)
+        start, y = index.start[s], np.array(ys)
+        if angle == "2pi/3":
+            break
+        p = _position(index, s, r if angle == "0" else rs.neg[r])
+        failed = np.flatnonzero(p < 0).tolist()
+        if cut is None or set(failed) == skip:
+            break
+        skip = set(failed)
+        rng.setstate(state)
+
     if angle == "2pi/3":
         # Order a pair to put the product with rho the sub-case names on alpha.
-        x = rng.randrange(len(members))
-        want = rng.choice((-1, 0)) if subcase == "any" else -1 if subcase == "(b1,rho)=-1" else 0
-        x ^= int(rs.gram[members[x], r] != want)
-        if rs.gram[members[x], r] != want:
-            raise RuntimeError("2pi/3 pair pattern violated")
-        return members[x], members[x ^ 1], r
-    # Classes 0 and pi: p is the position of rho or -rho in the square.
-    _, p = position_class(rs, r, rs.square_index.sigma[s], members)
-    if subcase == "j=1":
-        x = p
-    elif subcase == "j=-1":
-        x = p ^ 1
-    elif subcase == "j!=+-1":
-        x = rng.randrange(len(members) - 2)
-        x += 2 * (x >= p - p % 2)
+        if not choose:
+            want = -1 if subcase == "(b1,rho)=-1" else 0
+        x = y ^ (rs.gram[index.members[start + y], r] != want)
+        failed = np.flatnonzero(rs.gram[index.members[start + x], r] != want).tolist()
+        errors = dict.fromkeys(failed, "2pi/3 pair pattern violated")
     else:
-        x = rng.randrange(len(members))
-    return members[x], members[x ^ 1], r
+        # p is the position of rho or -rho in the square.
+        x = {"j=1": p, "j=-1": p ^ 1, "j!=+-1": y + 2 * (y >= p - p % 2)}.get(subcase, y)
+        errors = {i: _not_a_member(rs.roots[r[i]], angle == "pi") for i in failed}
+    alpha, beta = index.members[start + x], index.members[start + (x ^ 1)]
+    for v in (alpha, beta, r):
+        v[failed] = -1
+    return (alpha, beta, r), errors
 
 
-def _checked(samples: int, draw, check, failures: list):
-    """(config, result) for each of `samples` draws, checked a block at a
-    time by check(configs); a draw that raises is a failure entry instead."""
+def _in_blocks(samples: int, errors: dict, flagged, failure) -> list:
+    """The failure entries of a check of `samples` draws, in the order the
+    suites listed them when they checked a block of BLOCK draws at a time:
+    per block, its failed draws' errors, then failure(i) for each flagged
+    draw i (in order)."""
+    failures = []
     for lo in range(0, samples, batch.BLOCK):
-        configs = []
-        for _ in range(min(batch.BLOCK, samples - lo)):
-            try:
-                configs.append(draw())
-            except RuntimeError as exc:
-                failures.append({"error": str(exc)})
-        yield from zip(configs, check(configs))
+        hi = lo + batch.BLOCK
+        failures += [{"error": errors[i]} for i in sorted(errors) if lo <= i < hi]
+        failures += [failure(i) for i in flagged if lo <= i < hi]
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -715,32 +839,51 @@ def suite_combinatorics(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport
     return rep
 
 
-def suite_cases(rs: RootSystem, signs: SignTable, seed=0, samples: int | None = None) -> SuiteReport:
+def suite_cases(
+    rs: RootSystem, signs: SignTable, seed=0, samples: int | None = None
+) -> SuiteReport:
     """The symbolic case-identity ledger, sampled per entry; a draw that
-    fails is a failure entry of its entry's check."""
+    fails is a failure entry of its entry's check.  Every entry's draws are
+    set up and checked together."""
     t0 = time.perf_counter()
     rep = SuiteReport("cases", str(rs.system), seed)
     if samples is None:
         samples = 100
     configs = {angle: batch.Configs(rs, d) for angle, d in CASE_PRODUCTS.items()}
+    draws = []
     for entry in LEDGER_ENTRIES:
         angle, phi, subcase = entry
         rng = _rng_for(seed, f"cases/{angle}/{phi.value}/{subcase}")
-        failures = []
-        draw = partial(sample_case_config, rs, rng, entry, configs[angle])
-        check = partial(case_identities, rs, signs, phi)
-        for drawn, result in _checked(samples, draw, check, failures):
+        (a, b, r), errors = sample_case_configs(rs, rng, entry, configs[angle], samples)
+        kept = np.flatnonzero(r >= 0)
+        phis = np.full(len(kept), _KINDS.index(phi))
+        draws.append((kept, errors, (phis, a[kept], b[kept], r[kept])))
+    _clock(rep.phases, "draw", samples * len(LEDGER_ENTRIES), t0)
+    cases = map(np.concatenate, zip(*(c for *_, c in draws)))
+    results = case_identities(rs, signs, *cases, rep.phases)
+
+    offset = 0
+    for (angle, phi, subcase), (kept, errors, (_, a, b, r)) in zip(LEDGER_ENTRIES, draws):
+        span = slice(offset, offset + len(kept))
+        flagged = ~results.ok[span] | (results.angle[span] != angle)
+        if subcase not in ("re-rooted", "any"):
+            flagged |= results.subcase[span] != subcase
+        at = {int(i): x for x, i in enumerate(kept)}
+
+        def failure(i):
+            result = results.result(offset + at[i])
             if isinstance(result, RuntimeError):
-                roots = (list(rs.roots[x]) for x in drawn)
-                config = dict(zip(("alpha", "beta", "rho"), roots))
-                failures.append({"config": config, "error": str(result)})
-            elif result.angle != angle or (
+                roots = (list(rs.roots[x[at[i]]]) for x in (a, b, r))
+                return {"config": dict(zip(("alpha", "beta", "rho"), roots)), "error": str(result)}
+            if result.angle != angle or (
                 subcase not in ("re-rooted", "any") and result.subcase != subcase
             ):
-                failures.append({"config": result.config, "error": "sampler missed the sub-case"})
-            elif not result.ok:
-                failures.append({"config": result.config, "residual": result.residual})
+                return {"config": result.config, "error": "sampler missed the sub-case"}
+            return {"config": result.config, "residual": result.residual}
+
+        failures = _in_blocks(samples, errors, kept[flagged].tolist(), failure)
         rep.add(f"{angle}/{phi.value}/{subcase}", samples, failures)
+        offset += len(kept)
     rep.wall_time_s = time.perf_counter() - t0
     return rep
 
@@ -756,13 +899,22 @@ def suite_commutator(
     rep = SuiteReport("commutator", str(rs.system), seed)
     if samples is None:
         samples = 100
-    check = partial(commutator_reductions, rs, signs)
     for label, d in (("pi/2", 0), ("pi/3", 1)):
+        t = time.perf_counter()
         rng = _rng_for(seed, f"commutator/{label}")
         configs = batch.Configs(rs, d)
-        failures = []
+        drawn, failures = [], []
+        if configs.total:
+            r, s = configs.at([rng.randrange(configs.total) for _ in range(samples)])
+            drawn = list(zip(r.tolist(), s.tolist()))
+        else:
+            failures = [{"error": configs.empty} for _ in range(samples)]
+        _clock(rep.phases, "draw", samples, t)
+        results = []
+        for lo in range(0, len(drawn), batch.BLOCK):
+            results += commutator_reductions(rs, signs, drawn[lo : lo + batch.BLOCK], rep.phases)
         modes = {"reduction": 0, "fixes-square": 0}
-        for (r, s), result in _checked(samples, partial(configs.draw, rng), check, failures):
+        for (r, s), result in zip(drawn, results):
             if isinstance(result, RuntimeError):
                 rho, sigma = list(rs.roots[r]), rs.square_index.sigma[s].tolist()
                 failures.append({"rho": rho, "sigma": sigma, "error": str(result)})

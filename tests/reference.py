@@ -11,6 +11,12 @@ stays independent of the code it checks:
   the companion-set descriptions of the forms (pi2_form reads the square's
   pairs), against the generation kernels, which build every form through
   its square;
+- config_at, draw_config and sample_case_config, which draw one (root,
+  square) configuration and one ledger case at a time, against
+  batch.Configs.at and verify.sample_case_configs, which make the same
+  random calls in one loop and resolve its numbers as arrays;
+- _prepare_case and _ledger_target, which set up one ledger case, against
+  the array set-up of verify.case_identities;
 - verify_case_identity and verify_commutator_reduction, which evaluate the
   ledger and the commutator reductions over PolynomialRing on a generic
   vector, against the integer coefficient arrays of the cases and
@@ -21,15 +27,17 @@ stays independent of the code it checks:
   from their flat tables coordinate by coordinate;
 - zero_weight_combo and inverse_word, which the action tests use.
 
-The Poly references share with the suites what is decided before any
-arithmetic (verify._prepare_case, verify._reduction_plan,
-verify._square_forms, verify._square_verdict) and the forms the ledger
-reads (verify._ledger_arrays), so they check the same forms the suites do.
-Like those, they take their configurations as root and square numbers.
+verify_case_identity sets its case up with _prepare_case.  The Poly
+references share with the suites what the commutator suite decides before
+any arithmetic (verify._reduction_plan, verify._square_forms,
+verify._square_verdict) and the forms the ledger reads
+(verify._ledger_arrays), so they check the same forms the suites do.  Like
+those, they take their configurations as root and square numbers.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +53,8 @@ from adjoint_quadrics.squares import (
     InvalidPairError,
     SquareAngle,
     _no_extension,
+    _no_square,
+    position_class,
     square_of_pair,
 )
 from adjoint_quadrics.verify import (
@@ -52,7 +62,7 @@ from adjoint_quadrics.verify import (
     CaseResult,
     CommutatorResult,
     _ledger_arrays,
-    _prepare_case,
+    _members,
     _reduction_plan,
     _square_forms,
     _square_verdict,
@@ -391,6 +401,142 @@ def pi_form(rs: RootSystem, signs: SignTable, alpha: Root, beta: Root) -> Quadra
 
 
 # ---------------------------------------------------------------------------
+# The draws and the set-up of the ledger cases, one case at a time.
+
+
+def config_at(configs, x: int) -> tuple[int, int]:
+    """The x-th configuration (rho, s) of a batch.Configs: its square among
+    the running counts, and its root by one row product with that square's
+    sigma."""
+    s = bisect.bisect_right(configs.starts, x) - 1
+    roots = np.flatnonzero(configs.pairings @ configs.sigma[s] == configs.d)
+    return int(roots[x - configs.starts[s]]), s
+
+
+def draw_config(rng, configs) -> tuple[int, int]:
+    """One configuration of a batch.Configs, uniformly."""
+    if not configs.total:
+        raise RuntimeError(configs.empty)
+    return config_at(configs, rng.randrange(configs.total))
+
+
+def sample_case_config(rs, rng, entry, configs) -> tuple[int, int, int]:
+    """A single (alpha, beta, rho) of root numbers landing in the given
+    ledger entry: (rho, square) drawn from configs, the configurations at
+    the doubled product verify.CASE_PRODUCTS names for the entry's angle,
+    and the pair (alpha, beta) of that square the sub-case names."""
+    angle, phi, subcase = entry
+    r, s = draw_config(rng, configs)
+    members = _members(rs, s)
+    if angle == "2pi/3":
+        # Order a pair to put the product with rho the sub-case names on alpha.
+        x = rng.randrange(len(members))
+        want = rng.choice((-1, 0)) if subcase == "any" else -1 if subcase == "(b1,rho)=-1" else 0
+        x ^= int(rs.gram[members[x], r] != want)
+        if rs.gram[members[x], r] != want:
+            raise RuntimeError("2pi/3 pair pattern violated")
+        return members[x], members[x ^ 1], r
+    # Classes 0 and pi: p is the position of rho or -rho in the square.
+    _, p = position_class(rs, r, rs.square_index.sigma[s], members)
+    if subcase == "j=1":
+        x = p
+    elif subcase == "j=-1":
+        x = p ^ 1
+    elif subcase == "j!=+-1":
+        x = rng.randrange(len(members) - 2)
+        x += 2 * (x >= p - p % 2)
+    else:
+        x = rng.randrange(len(members))
+    return members[x], members[x ^ 1], r
+
+
+def _ledger_target(rs, signs, phi: FormKind, a, b, r, kind: SquareAngle, mate):
+    """(subcase label, [(int coeff, xi power, target form), ...]) for one
+    ledger case, a form being (kind, i, j) for its orthogonal pair of root
+    numbers.  a, b and r are alpha, beta and rho, and mate the member paired
+    with rho (class 0) or with -rho (class pi)."""
+    neg, sums = rs.neg, rs.sums
+    PI2, TWO_PI3, PI = FormKind
+    if kind is SquareAngle.IN_SQUARE:
+        if phi is PI2:
+            # Rooted at rho's own pair by the caller.
+            return "re-rooted", [(-1, 1, (TWO_PI3, mate, neg[r])), (-1, 2, (PI2, mate, neg[r]))]
+        if phi is TWO_PI3:
+            if r == a:
+                return "j=1", [(-1, 1, (PI, a, b)), (1, 2, (TWO_PI3, neg[a], neg[b]))]
+            if r == b:
+                return "j=-1", [(-2, 1, (PI2, a, neg[b]))]
+            c = int(signs.table[a, neg[r]])
+            return "j!=+-1", [(c, 1, (TWO_PI3, sums[a, neg[r]], sums[r, neg[b]]))]
+        if r == a:
+            return "j=1", [(-2, 1, (TWO_PI3, neg[a], neg[b]))]
+        if r == b:
+            return "j=-1", [(-2, 1, (TWO_PI3, neg[b], neg[a]))]
+        return "j!=+-1", [(1, 1, (TWO_PI3, neg[r], mate))]
+
+    if kind is SquareAngle.OPPOSITE_SQUARE:
+        m = neg[r]  # the member
+        if phi is PI2:
+            return "any", []
+        if phi is TWO_PI3:
+            if m == a:
+                return "j=1", []
+            if m == b:
+                return "j=-1", [(2, 1, (PI2, a, b))]
+            return "j!=+-1", []
+        if m == a:
+            return "j=1", [(2, 1, (TWO_PI3, a, neg[b]))]
+        if m == b:
+            return "j=-1", [(-2, 1, (TWO_PI3, b, a))]
+        return "j!=+-1", [(1, 1, (TWO_PI3, m, neg[mate]))]
+
+    if kind is SquareAngle.TWO_THIRDS:
+        d = rs.gram[a, r]
+        if phi is PI2:
+            return "any", []
+        if phi is TWO_PI3:
+            if d == -1:
+                return "(b1,rho)=-1", []
+            return "(b1,rho)=0", [(1, 1, (PI2, a, neg[r]))]
+        if d == -1:
+            return "(b1,rho)=-1", [(-1, 1, (TWO_PI3, neg[r], b))]
+        return "(b1,rho)=0", [(-1, 1, (TWO_PI3, neg[r], a))]
+
+    raise RuntimeError(f"no ledger entry for angle class {kind.value}")
+
+
+def _prepare_case(rs, signs, a: int, b: int, r: int, phi: FormKind):
+    """What the ledger case of the form phi at root numbers (alpha, beta,
+    rho) decides before any arithmetic: (angle class, sub-case, config, r,
+    form, _ledger_target's targets)."""
+    s = int(rs.square_index.square_of[a, b])
+    if s < 0:
+        raise RuntimeError(_no_square(rs.roots[a], rs.roots[b]))
+    members = _members(rs, s)
+    kind, p = position_class(rs, r, rs.square_index.sigma[s], members)
+    mate = None if p is None else members[p ^ 1]
+    if phi is FormKind.PI2 and kind is SquareAngle.IN_SQUARE:
+        # The pi/2 form is square-keyed up to sign; root it at rho's pair.
+        a, b = r, mate
+    subcase, targets = _ledger_target(rs, signs, phi, a, b, r, kind, mate)
+    roots = rs.roots
+    config = dict(alpha=list(roots[a]), beta=list(roots[b]), rho=list(roots[r]), phi=phi.value)
+    return kind.value, subcase, config, r, (phi, a, b), targets
+
+
+def ledger_rows(cases):
+    """The rows verify._ledger_arrays reads for cases (rho, form, [(coeff,
+    power, target form)]), a form being (FormKind, i, j): (case, coeff,
+    power, kind, i, j), each case's own form (power -1) first."""
+    rows = [
+        (x, coeff, power, list(FormKind).index(kind), i, j)
+        for x, (_, form, targets) in enumerate(cases)
+        for coeff, power, (kind, i, j) in ((1, -1, form), *targets)
+    ]
+    return tuple(np.array(c, dtype=np.int64) for c in zip(*rows))
+
+
+# ---------------------------------------------------------------------------
 # The ledger and the commutator reductions over PolynomialRing.
 
 
@@ -402,18 +548,18 @@ def _poly_residuals(rs, signs, cases):
     """Per case as in verify._ledger_arrays, one at a time: f(x_rho(xi) v) -
     f(v) - sum coeff xi^power g(v) over PolynomialRing, v generic, or the
     error."""
-    rho, form, target, errors = _ledger_arrays(rs, signs, cases)
+    form, target, errors = _ledger_arrays(rs, signs, ledger_rows(cases))
     ring = PolynomialRing()
     xi = ring.variable("xi")
     v = generic_vector(rs, ring)
-    for x, error in enumerate(errors):
-        w = apply_elementary(rs, signs, Elementary(rs.roots[rho[x]], xi), v).coords
+    for x, (rho, _, _) in enumerate(cases):
+        w = apply_elementary(rs, signs, Elementary(rs.roots[rho], xi), v).coords
         total = ring.zero
         for _, i, j, c in zip(*(col[form[0] == x].tolist() for col in form)):
             total = total + c * (w[i] * w[j] - v.coords[i] * v.coords[j])
         for _, power, i, j, c in zip(*(col[target[0] == x].tolist() for col in target)):
             total = total - c * xi**power * v.coords[i] * v.coords[j]
-        yield error or total
+        yield RuntimeError(errors[x]) if x in errors else total
 
 
 def verify_case_identity(

@@ -29,6 +29,12 @@ REFERENCE_NAMES = (
     "pi_form",
     "_put",
     "_finish",
+    "config_at",
+    "draw_config",
+    "sample_case_config",
+    "_ledger_target",
+    "_prepare_case",
+    "ledger_rows",
     "verify_case_identity",
     "verify_commutator_reduction",
     "_poly_residuals",

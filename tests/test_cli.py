@@ -169,6 +169,25 @@ def test_verify_timing_adds_set_up_phases(capsys):
     assert all(t >= 0 for t in phases.values())
 
 
+def test_verify_timing_reports_the_ledger_phases(capsys):
+    # cases and commutator report the time and item count of their draws,
+    # set-up and ledger arithmetic under --timing, and nothing without it.
+    args = ("--quiet", "verify", "--system", "D6", "--suite", "all", "--samples", "7")
+    _, plain, _ = run_cli(capsys, *args)
+    _, timed, _ = run_cli(capsys, *args, "--timing")
+    assert "phases" not in plain
+    reports = {r["suite"]: r for r in json.loads(timed)["reports"]}
+    assert {name for name, r in reports.items() if "phases" in r} == {"cases", "commutator"}
+    cases, commutator = reports["cases"]["phases"], reports["commutator"]["phases"]
+    for phases in (cases, commutator):
+        assert set(phases) == {"draw", "setup", "ledger"}
+        assert all(p["s"] >= 0 for p in phases.values())
+    counts = {name: p["items"] for name, p in cases.items()}
+    assert counts == {"draw": 7 * 19, "setup": 7 * 19, "ledger": 7 * 19}
+    counts = {name: p["items"] for name, p in commutator.items()}
+    assert counts == {"draw": 14, "setup": 14, "ledger": 14}
+
+
 def test_bad_system_errors(capsys):
     with pytest.raises(SystemExit):
         main(["roots"])  # missing --system

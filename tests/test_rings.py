@@ -64,6 +64,8 @@ def test_poly_additive_inverse(s1):
     a = _poly_from_spec(ring, s1)
     assert (a + (-a)).is_zero()
     assert a - a == ring.zero
+    # Truthiness is the zero test, as for the integers of the other rings.
+    assert not (a - a) and bool(a) == (not a.is_zero())
 
 
 def test_poly_powers_and_str():

@@ -49,7 +49,7 @@ from adjoint_quadrics.verify import (
     case_identities,
     commutator_reductions,
     run_suite,
-    sample_case_config,
+    sample_case_configs,
     suite_cases,
     suite_combinatorics,
     suite_commutator,
@@ -58,11 +58,16 @@ from adjoint_quadrics.verify import (
 from corrupt import corrupted
 from reference import (
     _class_pattern_ok,
+    _prepare_case,
+    config_at,
     conjugate_pair,
+    draw_config,
     extend_a3_to_d4,
     index_of,
+    ledger_rows,
     modified_square,
     pair_sets,
+    sample_case_config,
     sign_column,
     verify_case_identity,
     verify_commutator_reduction,
@@ -445,8 +450,8 @@ def test_batched_checks_on_d17():
     assert not np.array(companion_block(tb, alpha, beta)).any()
     for x, y in zip(alpha[:4], beta[:4]):
         assert _scalar_companion(rs, roots[x], roots[y]) == (False, False, False)
-    held, q, others = _other_members(index, alpha, beta)
-    assert held.all()
+    cause, q, others = _other_members(index, alpha, beta)
+    assert not cause.any()
     for k, (x, y, s) in enumerate(zip(alpha.tolist(), beta.tolist(), squares[p[first]])):
         members = index.members[index.start[s] :][: index.size[s]].tolist()
         assert sorted(others[q == k].tolist()) == sorted(set(members) - {x, y})
@@ -672,7 +677,7 @@ def test_misfiled_pairs_are_failure_entries(system):
     index.square_of[index.square_of >= 0] &= ~1
     for s, missing in ((0, False), (1, True)):
         a, b = index.members[index.start[s] :][:2].tolist()
-        got, _ = form_monomials(rs, signs, list(FormKind), [a] * 3, [b] * 3)
+        got, _ = form_monomials(rs, signs, [0, 1, 2], [a] * 3, [b] * 3)
         assert got.tolist() == [missing] * 3
     rep = suite_cases(rs, signs, seed=0, samples=10)
     assert not rep.ok
@@ -739,10 +744,159 @@ def test_configs_number_every_configuration_once(system, name):
         table = products == d
         assert configs.counts.tolist() == table.sum(0).tolist()
         s, r = np.nonzero(table.T)
-        assert [configs.at(x) for x in range(configs.total)] == list(zip(r.tolist(), s.tolist()))
+        want = list(zip(r.tolist(), s.tolist()))
+        assert [config_at(configs, x) for x in range(configs.total)] == want
+        # The batched lookup, on every x at once and on every x alone.
+        assert list(zip(*(v.tolist() for v in configs.at(np.arange(configs.total))))) == want
+        assert [tuple(int(v[0]) for v in configs.at([x])) for x in range(configs.total)] == want
         totals[d] = configs.total
     if name == "D5":
         assert totals == {2: 560, -2: 560, -1: 640, 0: 1200, 1: 640}
+
+
+def _one_at_a_time(rs, rng, entry, configs, samples):
+    """sample_case_config `samples` times: each draw's (alpha, beta, rho),
+    or the message of its RuntimeError."""
+    draws = []
+    for _ in range(samples):
+        try:
+            draws.append(sample_case_config(rs, rng, entry, configs))
+        except RuntimeError as exc:
+            draws.append(str(exc))
+    return draws
+
+
+def _same_setup(rs, signs, phi, drawn):
+    """verify._case_setup on the drawn cases against _prepare_case, case by
+    case: the same angle class and sub-case, the same form, the same rows
+    for the ledger in the same order, and the same errors."""
+    a, b, r = np.array(drawn, dtype=np.int64).reshape(-1, 3).T
+    code = list(FormKind).index(phi)
+    d, sub, a, b, rows, errors = verify._case_setup(rs, signs, np.full(len(r), code), a, b, r)
+    rows = list(zip(*(x.tolist() for x in rows)))
+    for x, config in enumerate(drawn):
+        try:
+            angle, subcase, _, rho, form, targets = _prepare_case(rs, signs, *config, phi)
+        except RuntimeError as exc:
+            assert errors.get(x) == str(exc)
+            continue
+        assert x not in errors
+        assert (verify.ANGLES[d[x] + 2], verify.SUBCASES[sub[x]]) == (angle, subcase)
+        assert form == (phi, a[x], b[x])
+        want = list(zip(*(c.tolist() for c in ledger_rows([(rho, form, targets)]))))
+        assert [row for row in rows if row[0] == x] == [(x, *row[1:]) for row in want]
+    return len(errors)
+
+
+def _misfiled_sigma(rs, signs):
+    """A copy whose square index gives each odd square the sigma of the
+    square before it: a class 0 or pi draw on an odd square lands on a
+    root that is not one of its members."""
+    rs, signs = corrupted(rs, signs, "square_index.sigma")
+    sigma = rs.square_index.sigma
+    sigma[1::2] = sigma[0::2][: len(sigma) // 2]
+    return rs, signs
+
+
+@pytest.mark.parametrize("name", ["D5", "D6", "E6"])
+@pytest.mark.parametrize("corrupt", [None, "sigma", "square_of"])
+def test_batched_draws_and_setup_match_the_references(system, name, corrupt):
+    # Every ledger entry at two seeds and two sample counts: the draws of
+    # one loop, resolved as arrays, are sample_case_config's one at a
+    # time, with the same random calls (the generators end in the same
+    # state), and the array set-up is _prepare_case's.  With misfiled
+    # sigmas, class 0 and pi draws fail mid-entry before their sub-case's
+    # call, so the loop must skip it; with misfiled pairs, the set-up
+    # fails.
+    rs, signs = system(name)
+    if corrupt == "sigma":
+        rs, signs = _misfiled_sigma(rs, signs)
+    elif corrupt == "square_of":
+        rs, signs = corrupted(rs, signs, "square_index.square_of")
+        rs.square_index.square_of[rs.square_index.square_of >= 0] &= ~1
+    configs = _case_configs(rs)
+    skipped = failed = 0
+    for seed, samples in ((0, 100), (3, 37)):
+        for entry in LEDGER_ENTRIES:
+            angle, phi, subcase = entry
+            label = f"cases/{angle}/{phi.value}/{subcase}"
+            batched, scalar = _rng_for(seed, label), _rng_for(seed, label)
+            (a, b, r), errors = sample_case_configs(rs, batched, entry, configs[angle], samples)
+            got = [
+                errors[i] if i in errors else (int(a[i]), int(b[i]), int(r[i]))
+                for i in range(samples)
+            ]
+            want = _one_at_a_time(rs, scalar, entry, configs[angle], samples)
+            assert got == want
+            assert batched.getstate() == scalar.getstate()
+            if angle != "2pi/3" and subcase not in ("j=1", "j=-1"):
+                skipped += len(errors)
+            failed += _same_setup(rs, signs, phi, [x for x in want if not isinstance(x, str)])
+    assert (skipped > 0) == (corrupt == "sigma")
+    assert (failed > 0) == (corrupt == "square_of")
+
+
+def _one_block_at_a_time(rs, signs, seed, samples):
+    """The failure entries of suite_cases' checks as the suite listed them
+    when it drew and checked a block of BLOCK draws at a time, drawing one
+    at a time: per block, the failed draws, then the block's failing cases."""
+    configs, checks = _case_configs(rs), []
+    for entry in LEDGER_ENTRIES:
+        angle, phi, subcase = entry
+        rng = _rng_for(seed, f"cases/{angle}/{phi.value}/{subcase}")
+        failures = []
+        for lo in range(0, samples, batch.BLOCK):
+            drawn = []
+            for _ in range(min(batch.BLOCK, samples - lo)):
+                try:
+                    drawn.append(sample_case_config(rs, rng, entry, configs[angle]))
+                except RuntimeError as exc:
+                    failures.append({"error": str(exc)})
+            for config, result in zip(drawn, _case_results(rs, signs, phi, drawn)):
+                if isinstance(result, RuntimeError):
+                    roots = (list(rs.roots[x]) for x in config)
+                    config = dict(zip(("alpha", "beta", "rho"), roots))
+                    failures.append({"config": config, "error": str(result)})
+                elif result.angle != angle or (
+                    subcase not in ("re-rooted", "any") and result.subcase != subcase
+                ):
+                    missed = "sampler missed the sub-case"
+                    failures.append({"config": result.config, "error": missed})
+                elif not result.ok:
+                    failures.append({"config": result.config, "residual": result.residual})
+        checks.append(failures)
+    return checks
+
+
+def test_failure_entries_keep_the_block_order(monkeypatch, system):
+    # A flipped sign fails cases and misfiled sigmas fail draws: in a check
+    # of 100 draws, the first block's failing cases come before the second
+    # block's failed draws, as when the suite checked a block at a time.
+    add = SuiteReport.add
+    monkeypatch.setattr(
+        SuiteReport, "add", lambda self, *args, **kw: add(self, *args, witness_limit=10**6)
+    )
+    rs, signs = _misfiled_sigma(*_flip_one_sign(*system("D5")))
+    got = [c["failures"] for c in suite_cases(rs, signs, 0, 100).checks]
+    assert got == _one_block_at_a_time(rs, signs, 0, 100)
+    kinds = [["config" in f for f in failures] for failures in got]
+    assert any(True in x and False in x[x.index(True) :] for x in kinds)
+
+
+def test_missing_forms_name_their_cause(system):
+    # One negation moved to another root's: the ledger's failure entries
+    # word each cause of a missing form, and generation names the first.
+    rs, signs = corrupted(*system("D5"), "neg")
+    rs.neg[5] = rs.neg[6]
+    rep = suite_cases(rs, signs, 0, 20)
+    errors = {f.get("error", "") for c in rep.checks for f in c["failures"]}
+    for ending in ("lie in no square", "reads a table entry that is no root", "repeats a monomial"):
+        assert any(e.endswith(ending) for e in errors), ending
+    rs, signs = corrupted(*system("D5"), "sums")
+    i, j = (int(x[0]) for x in np.nonzero(rs.gram == -1))
+    rs.sums[i, j] = rs.dim_v + 3
+    with pytest.raises(RuntimeError, match="reads a table entry that is no root"):
+        generate_all_equations(rs, signs)
 
 
 def test_configs_hold_no_roots_by_squares_array(system):
@@ -782,7 +936,7 @@ def _ledger_forms(rs, signs, seed, samples):
         angle, phi, subcase = entry
         rng = _rng_for(seed, f"cases/{angle}/{phi.value}/{subcase}")
         for _ in range(samples):
-            *_, form, targets = verify._prepare_case(
+            *_, form, targets = _prepare_case(
                 rs, signs, *sample_case_config(rs, rng, entry, configs[angle]), phi
             )
             forms += [form] + [g for _, _, g in targets]
@@ -800,10 +954,10 @@ def test_ledger_forms_are_the_generated_forms(system, eqset_for, name):
     eqset = eqset_for(name)
     forms = _ledger_forms(rs, signs, seed=0, samples=100)
     # Each form as the own form of a case of its own, as ledger_block reads it.
-    _, (case, *monomials), _, errors = verify._ledger_arrays(
-        rs, signs, [(0, form, []) for form in forms]
+    (case, *monomials), _, errors = verify._ledger_arrays(
+        rs, signs, ledger_rows([(0, form, []) for form in forms])
     )
-    assert errors == [None] * len(forms)
+    assert errors == {}
     order = np.argsort(case, kind="stable")
     bounds = np.searchsorted(case[order], np.arange(len(forms) + 1)).tolist()
     got = list(zip(*(m[order].tolist() for m in monomials)))
@@ -834,9 +988,9 @@ def test_ledger_arrays_hold_no_l_coordinate(system):
         rng = _rng_for(0, f"cases/{angle}/{phi.value}/{subcase}")
         for _ in range(20):
             config = sample_case_config(rs, rng, entry, configs[angle])
-            cases.append(verify._prepare_case(rs, signs, *config, phi)[-3:])
-    _, (_, *own), (_, _, *target), errors = verify._ledger_arrays(rs, signs, cases)
-    assert errors == [None] * len(cases)
+            cases.append(_prepare_case(rs, signs, *config, phi)[-3:])
+    (_, *own), (_, _, *target), errors = verify._ledger_arrays(rs, signs, ledger_rows(cases))
+    assert errors == {}
     a, b = (np.concatenate([x, y]) for x, y in zip(own[:2], target[:2]))
     assert max(a.max(), b.max()) < rs.dim_v
     assert (b >= rs.n_roots).any() and (a >= rs.n_roots).any()
@@ -855,6 +1009,14 @@ def test_roots_orthogonal_to_a_square_are_checked_where_they_occur(system):
     assert counts == {"D5": 0, "D6": 960, "D7": 6720, "E6": 0, "E7": 1512, "E8": 0}
 
 
+def _case_results(rs, signs, phi, configs):
+    """case_identities of the form phi at each config (alpha, beta, rho),
+    every result read."""
+    a, b, r = np.array(configs, dtype=np.int64).reshape(-1, 3).T
+    results = case_identities(rs, signs, np.full(len(r), list(FormKind).index(phi)), a, b, r)
+    return [results.result(x) for x in range(len(r))]
+
+
 def _same_case_results(rs, signs, per_entry, seed):
     """case_identities against verify_case_identity on per_entry seeded
     samples of every ledger entry: the same verdicts and residual strings,
@@ -864,7 +1026,7 @@ def _same_case_results(rs, signs, per_entry, seed):
         rng = _rng_for(seed, f"agree/{entry}")
         configs = [sample_case_config(rs, rng, entry, draws[entry[0]]) for _ in range(per_entry)]
         phi = entry[1]
-        for config, got in zip(configs, case_identities(rs, signs, phi, configs)):
+        for config, got in zip(configs, _case_results(rs, signs, phi, configs)):
             try:
                 want = verify_case_identity(rs, signs, *config, phi)
             except RuntimeError as exc:
@@ -887,7 +1049,7 @@ def _commutator_configs(rs, seed, per_class):
     configs = []
     for label, dval in (("pi/2", 0), ("pi/3", 1)):
         rng, pool = _rng_for(seed, f"commutator/{label}"), batch.Configs(rs, dval)
-        configs += [pool.draw(rng) for _ in range(per_class)]
+        configs += [draw_config(rng, pool) for _ in range(per_class)]
     return configs
 
 
@@ -985,20 +1147,34 @@ def _or_error(check, *args):
         return exc
 
 
+class _Listed:
+    """case_identities' outcome, from a list of CaseResults and errors."""
+
+    def __init__(self, results):
+        self.result = results.__getitem__
+        self.ok = np.array([not isinstance(x, RuntimeError) and x.ok for x in results], dtype=bool)
+        self.angle = np.array([getattr(x, "angle", "") for x in results], dtype=str)
+        self.subcase = np.array([getattr(x, "subcase", "") for x in results], dtype=str)
+
+
 def test_ledger_pins_are_the_poly_reports(monkeypatch, system):
-    # The suites with every identity checked by the Poly reference, one
-    # config at a time, on the suites' own draws, give the pinned reports.
-    monkeypatch.setattr(
-        verify,
-        "case_identities",
-        lambda rs, signs, phi, configs: [
-            _or_error(verify_case_identity, rs, signs, *c, phi) for c in configs
-        ],
-    )
+    # The suites with every identity set up and checked by the Poly
+    # reference, one config at a time, on the suites' own draws, give the
+    # pinned reports.
+    def poly_cases(rs, signs, phi, alpha, beta, rho, phases=None):
+        configs = zip(phi.tolist(), alpha.tolist(), beta.tolist(), rho.tolist())
+        return _Listed(
+            [
+                _or_error(verify_case_identity, rs, signs, a, b, r, list(FormKind)[k])
+                for k, a, b, r in configs
+            ]
+        )
+
+    monkeypatch.setattr(verify, "case_identities", poly_cases)
     monkeypatch.setattr(
         verify,
         "commutator_reductions",
-        lambda rs, signs, configs: [
+        lambda rs, signs, configs, phases=None: [
             _or_error(verify_commutator_reduction, rs, signs, *c) for c in configs
         ],
     )
@@ -1044,7 +1220,7 @@ def test_entry_past_the_roots_fails_cases_without_raising(system, name):
     # A sum past the roots, at the first pair of doubled product -1, or a
     # negation of -1: the form kernels read both, and a pair whose entry is
     # no root gets no form, like a misfiled pair, so the cases suite
-    # reports the cases and raises nothing.
+    # reports the cases, with that cause, and raises nothing.
     rs, signs = corrupted(*system("D5"), name)
     if name == "sums":
         i, j = (int(x[0]) for x in np.nonzero(rs.gram == -1))
@@ -1054,7 +1230,7 @@ def test_entry_past_the_roots_fails_cases_without_raising(system, name):
     rep = suite_cases(rs, signs, 0, 20)
     assert not rep.ok
     errors = {f.get("error") for c in rep.checks for f in c["failures"]}
-    assert any(e and e.endswith("lie in no square") for e in errors)
+    assert any(e and e.endswith("reads a table entry that is no root") for e in errors)
 
 
 @pytest.mark.parametrize("name", ["neg", "sums"])
@@ -1091,7 +1267,7 @@ def _all_pair_forms(rs, signs):
     """form_monomials of every kind at every ordered orthogonal pair:
     (missing, each form's a, b and c rows as bytes)."""
     ii, jj = np.nonzero(rs.gram == 0)
-    kinds = [k for k in FormKind for _ in ii]
+    kinds = np.repeat(np.arange(3), len(ii))
     missing, (f, *monomials) = form_monomials(rs, signs, kinds, *(np.tile(x, 3) for x in (ii, jj)))
     monomials = np.stack(monomials)
     ends = np.searchsorted(f, np.arange(len(kinds) + 1)).tolist()
@@ -1117,7 +1293,11 @@ def test_missing_forms_are_whole_forms(system, name):
     rs, signs = corrupted(*system(name), "neg")
     rs.neg[5] = rs.neg[6]
     missing, forms = _all_pair_forms(rs, signs)
-    assert missing.sum() == {"D5": 92, "E6": 282}[name]
+    # The causes: none unfiled, the sums that are no root, the repeats.
+    assert np.bincount(missing, minlength=4)[1:].tolist() == {
+        "D5": [0, 80, 12],
+        "E6": [0, 252, 30],
+    }[name]
     assert all(x == b"" for m, x in zip(missing, forms) if m)
 
 

@@ -17,7 +17,6 @@ from adjoint_quadrics.verify import (
     CASE_PRODUCTS,
     LEDGER_ENTRIES,
     run_suite,
-    sample_case_config,
     suite_cases,
     suite_commutator,
     suite_orbit,
@@ -25,7 +24,12 @@ from adjoint_quadrics.verify import (
     _rng_for,
 )
 from corrupt import corrupted
-from reference import VerificationFailure, verify_case_identity, verify_commutator_reduction
+from reference import (
+    VerificationFailure,
+    sample_case_config,
+    verify_case_identity,
+    verify_commutator_reduction,
+)
 
 
 def test_ledger_entry_labels_cover_all_cases():
