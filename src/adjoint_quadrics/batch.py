@@ -57,10 +57,16 @@ from .signs import SignTable
 # cases suite, blocks of 64, 128, 256 and 512 cases took 36, 33, 28 and
 # 26 ms at a traced peak of 1.9, 2.3, 3.4 and 5.3 MB (best of 21, one
 # process, 2 vCPUs); at 256 the peak RSS of a verify session on E7 rose by
-# 1.1 MB, at 128 it stayed where blocks of 64 had it.  The other kernels
-# hold a few numbers per sample, so they take larger blocks.
+# 1.1 MB, at 128 it stayed where blocks of 64 had it.  The cases suite sets
+# up CASE_CHUNK draws of each of its 19 entries at a time: at 1,000 samples
+# on E7, chunks of 64, 256 and 512 took 0.45, 0.25-0.29 and 0.23-0.24 s at a
+# traced peak of 2.3, 4.0 and 5.4 MB (0.32-0.33 s on E8 at 256 and 512).
+# A chunk is a whole number of BLOCKs, so the failure entries of each block
+# of draws keep their order.  The other kernels hold a few numbers per
+# sample, so they take larger blocks.
 BLOCK = 64
 LEDGER_BLOCK = 128
+CASE_CHUNK = 256
 PAIR_BLOCK = 256
 SQUARE_BLOCK = 64
 ELEMENTWISE_BLOCK = 1024
@@ -611,9 +617,9 @@ def _collect(dim: int, *parts):
 def _targeted(keys, wanted):
     """For each key in wanted: the first index of it in the sorted keys and
     how many times it occurs there.  The keys are small nonnegative
-    integers, so both are read from a table over every key up to the
-    largest: on a block's few thousand unsorted keys, many times faster
-    than a binary search for each."""
+    integers, so both are read from a count of every key up to the largest
+    wanted: for a block's few thousand wanted keys, in no order, many times
+    faster than a binary search for each."""
     count = np.bincount(keys, minlength=int(wanted.max()) + 1 if len(wanted) else 0)
     return (np.cumsum(count) - count)[wanted], count[wanted]
 

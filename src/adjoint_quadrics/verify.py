@@ -35,10 +35,11 @@ sample stays root and square numbers from its draw to its report.  The
 cases suite sets every entry's samples up together as arrays
 (_case_setup): the angle class from rho's doubled product with the
 square's sigma, the sub-case, and the target forms, named by kind and
-pair.  It checks them LEDGER_BLOCK cases at a time and builds a CaseResult,
-with its config and residual, only for a case that its report lists.  The
-commutator suite classes each sample by squares.position_class
-(_reduction_plan).  The forms come from equations.form_monomials, the
+pair.  It draws, sets up and checks CASE_CHUNK draws of every entry
+together, the ledger LEDGER_BLOCK cases at a time, and builds a
+CaseResult, with its config and residual, only for a case that its report
+lists.  The commutator suite classes each sample by
+squares.position_class (_reduction_plan).  The forms come from equations.form_monomials, the
 kernels that generate the equation set, so the ledger checks what
 check_vector evaluates; a form they do not build fails its case with the
 cause that equations.missing_form words.  A failing case's residual is
@@ -843,26 +844,42 @@ def suite_cases(
     rs: RootSystem, signs: SignTable, seed=0, samples: int | None = None
 ) -> SuiteReport:
     """The symbolic case-identity ledger, sampled per entry; a draw that
-    fails is a failure entry of its entry's check.  Every entry's draws are
-    set up and checked together."""
+    fails is a failure entry of its entry's check.  The draws of every
+    entry are set up and checked together, CASE_CHUNK of each at a time."""
     t0 = time.perf_counter()
     rep = SuiteReport("cases", str(rs.system), seed)
     if samples is None:
         samples = 100
     configs = {angle: batch.Configs(rs, d) for angle, d in CASE_PRODUCTS.items()}
-    draws = []
-    for entry in LEDGER_ENTRIES:
-        angle, phi, subcase = entry
-        rng = _rng_for(seed, f"cases/{angle}/{phi.value}/{subcase}")
-        (a, b, r), errors = sample_case_configs(rs, rng, entry, configs[angle], samples)
-        kept = np.flatnonzero(r >= 0)
-        phis = np.full(len(kept), _KINDS.index(phi))
-        draws.append((kept, errors, (phis, a[kept], b[kept], r[kept])))
-    _clock(rep.phases, "draw", samples * len(LEDGER_ENTRIES), t0)
-    cases = map(np.concatenate, zip(*(c for *_, c in draws)))
-    results = case_identities(rs, signs, *cases, rep.phases)
+    rngs = [_rng_for(seed, f"cases/{a}/{phi.value}/{sub}") for a, phi, sub in LEDGER_ENTRIES]
+    # Counting the configurations is part of drawing.
+    _clock(rep.phases, "draw", 0, t0)
+    failures = [[] for _ in LEDGER_ENTRIES]
+    for lo in range(0, samples, batch.CASE_CHUNK):
+        n = min(batch.CASE_CHUNK, samples - lo)
+        for found, more in zip(failures, _check_cases(rs, signs, rngs, configs, n, rep.phases)):
+            found += more
+    for (angle, phi, subcase), found in zip(LEDGER_ENTRIES, failures):
+        rep.add(f"{angle}/{phi.value}/{subcase}", samples, found)
+    rep.wall_time_s = time.perf_counter() - t0
+    return rep
 
-    offset = 0
+
+def _check_cases(rs, signs, rngs, configs, n: int, phases) -> list:
+    """The next n draws of every ledger entry, each from its generator in
+    rngs, set up and checked together: per entry, their failure entries."""
+    t0 = time.perf_counter()
+    draws = []
+    for entry, rng in zip(LEDGER_ENTRIES, rngs):
+        (a, b, r), errors = sample_case_configs(rs, rng, entry, configs[entry[0]], n)
+        kept = np.flatnonzero(r >= 0)
+        phis = np.full(len(kept), _KINDS.index(entry[1]))
+        draws.append((kept, errors, (phis, a[kept], b[kept], r[kept])))
+    _clock(phases, "draw", n * len(LEDGER_ENTRIES), t0)
+    cases = map(np.concatenate, zip(*(c for *_, c in draws)))
+    results = case_identities(rs, signs, *cases, phases)
+
+    out, offset = [], 0
     for (angle, phi, subcase), (kept, errors, (_, a, b, r)) in zip(LEDGER_ENTRIES, draws):
         span = slice(offset, offset + len(kept))
         flagged = ~results.ok[span] | (results.angle[span] != angle)
@@ -881,11 +898,9 @@ def suite_cases(
                 return {"config": result.config, "error": "sampler missed the sub-case"}
             return {"config": result.config, "residual": result.residual}
 
-        failures = _in_blocks(samples, errors, kept[flagged].tolist(), failure)
-        rep.add(f"{angle}/{phi.value}/{subcase}", samples, failures)
+        out.append(_in_blocks(n, errors, kept[flagged].tolist(), failure))
         offset += len(kept)
-    rep.wall_time_s = time.perf_counter() - t0
-    return rep
+    return out
 
 
 def suite_commutator(
@@ -903,25 +918,26 @@ def suite_commutator(
         t = time.perf_counter()
         rng = _rng_for(seed, f"commutator/{label}")
         configs = batch.Configs(rs, d)
-        drawn, failures = [], []
-        if configs.total:
-            r, s = configs.at([rng.randrange(configs.total) for _ in range(samples)])
-            drawn = list(zip(r.tolist(), s.tolist()))
-        else:
-            failures = [{"error": configs.empty} for _ in range(samples)]
-        _clock(rep.phases, "draw", samples, t)
-        results = []
-        for lo in range(0, len(drawn), batch.BLOCK):
-            results += commutator_reductions(rs, signs, drawn[lo : lo + batch.BLOCK], rep.phases)
+        failures = []
         modes = {"reduction": 0, "fixes-square": 0}
-        for (r, s), result in zip(drawn, results):
-            if isinstance(result, RuntimeError):
-                rho, sigma = list(rs.roots[r]), rs.square_index.sigma[s].tolist()
-                failures.append({"rho": rho, "sigma": sigma, "error": str(result)})
-            elif not result.ok:
-                failures.append({"config": result.config, "detail": result.detail})
+        # A block of draws at a time, each one configuration number.
+        for lo in range(0, samples, batch.BLOCK):
+            n, drawn = min(batch.BLOCK, samples - lo), []
+            if configs.total:
+                r, s = configs.at([rng.randrange(configs.total) for _ in range(n)])
+                drawn = list(zip(r.tolist(), s.tolist()))
             else:
-                modes[result.mode] += 1
+                failures += [{"error": configs.empty} for _ in range(n)]
+            t = _clock(rep.phases, "draw", n, t)
+            for (r, s), result in zip(drawn, commutator_reductions(rs, signs, drawn, rep.phases)):
+                if isinstance(result, RuntimeError):
+                    rho, sigma = list(rs.roots[r]), rs.square_index.sigma[s].tolist()
+                    failures.append({"rho": rho, "sigma": sigma, "error": str(result)})
+                elif not result.ok:
+                    failures.append({"config": result.config, "detail": result.detail})
+                else:
+                    modes[result.mode] += 1
+            t = time.perf_counter()
         rep.add(f"class-{label}", samples, failures)
         rep.checks[-1]["reductions"] = modes["reduction"]
         rep.checks[-1]["fixes_square"] = modes["fixes-square"]

@@ -871,7 +871,8 @@ def _one_block_at_a_time(rs, signs, seed, samples):
 def test_failure_entries_keep_the_block_order(monkeypatch, system):
     # A flipped sign fails cases and misfiled sigmas fail draws: in a check
     # of 100 draws, the first block's failing cases come before the second
-    # block's failed draws, as when the suite checked a block at a time.
+    # block's failed draws, as when the suite checked a block at a time,
+    # whatever the number of draws it sets up together.
     add = SuiteReport.add
     monkeypatch.setattr(
         SuiteReport, "add", lambda self, *args, **kw: add(self, *args, witness_limit=10**6)
@@ -879,6 +880,9 @@ def test_failure_entries_keep_the_block_order(monkeypatch, system):
     rs, signs = _misfiled_sigma(*_flip_one_sign(*system("D5")))
     got = [c["failures"] for c in suite_cases(rs, signs, 0, 100).checks]
     assert got == _one_block_at_a_time(rs, signs, 0, 100)
+    # The same report when the suite sets up one block of draws at a time.
+    monkeypatch.setattr(batch, "CASE_CHUNK", batch.BLOCK)
+    assert [c["failures"] for c in suite_cases(rs, signs, 0, 100).checks] == got
     kinds = [["config" in f for f in failures] for failures in got]
     assert any(True in x and False in x[x.index(True) :] for x in kinds)
 
