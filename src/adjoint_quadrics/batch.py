@@ -30,8 +30,8 @@ rows from action.elementary_rows; an evaluation over PolynomialRing, kept
 with the tests too, is their reference.
 
 A sum or difference of two roots is read from RootSystem.sums.  The sum
-sigma - gamma of three roots is looked up by a signed mixed-radix key of
-its coefficient vector (Tables.lookup), one key subtraction per candidate
+sigma - gamma of three roots is looked up by the root system's key of its
+coefficient vector (RootSystem.lookup), one key subtraction per candidate
 gamma.
 """
 
@@ -122,15 +122,8 @@ class Configs:
 
 
 class Tables:
-    """The tables the batched checks read (rs, signs), and roots by key.
-
-    key(v) = sum_s v_s R^s is linear, so key(sigma - gamma) is
-    key(sigma) - key(gamma).  Every vector looked up here is a signed sum
-    of at most three roots, so its coefficients are at most 3h in absolute
-    value, h being the largest root coefficient; R = 8h + 1 makes the key
-    injective on such vectors and the roots together.  Where 3h sum_s R^s
-    does not fit in int64 (D_16 and up), the keys are Python ints.
-    """
+    """The tables the batched checks read (rs, signs), the doubled products
+    again and the largest pair count of a square."""
 
     def __init__(self, rs: RootSystem, signs: SignTable):
         self.rs, self.signs = rs, signs
@@ -138,22 +131,7 @@ class Tables:
         # Cartan matrix: the S_pi/2 scan narrows its candidates with them and,
         # like the scalar pair_sets' scan over every root, does not read gram.
         self.inner = (rs.coeffs @ rs.pairings.T).astype(np.int8)
-        h = int(np.abs(rs.coeffs).max())
-        powers = [(8 * h + 1) ** s for s in range(rs.rank)]
-        dtype = np.int64 if 3 * h * sum(powers) <= np.iinfo(np.int64).max else object
-        self.key = rs.coeffs.astype(dtype) @ np.array(powers, dtype=dtype)
-        self._order = np.argsort(self.key)
-        self._sorted = self.key[self._order]
         self.kmax = int(rs.square_index.size.max()) // 2
-
-    def lookup(self, key):
-        """Position of the root with each key, or -1 where there is none."""
-        pos = np.searchsorted(self._sorted, key)
-        np.minimum(pos, self.rs.n_roots - 1, out=pos)
-        missing = self._sorted[pos] != key
-        pos = self._order[pos]
-        pos[missing] = -1
-        return pos
 
     def code(self, x, y, ordered: bool = False):
         """One integer per (ordered or unordered) pair of positions in [-1, n)."""
@@ -280,7 +258,7 @@ def companion_block(tb: Tables, alpha, beta):
     """Per orthogonal pair: (the direct scans and the square formulas give
     different companion sets or the pair lies in no square, a size or the
     member set is wrong, the conjugate-pair involution fails)."""
-    rs, codes, key = tb.rs, tb.codes, tb.key
+    rs, codes, key = tb.rs, tb.codes, tb.rs.key
     gram, neg, sums, index = rs.gram, rs.neg, rs.sums, rs.square_index
     b = len(alpha)
     s = index.square_of[alpha, beta]
@@ -296,7 +274,7 @@ def companion_block(tb: Tables, alpha, beta):
     inner = tb.inner
     half = inner[alpha, beta] + 2
     p, g = nonzero(inner[alpha] + inner[beta] == half[:, None])
-    partner = tb.lookup(key[alpha[p]] + key[beta[p]] - key[g])
+    partner = rs.lookup(key[alpha[p]] + key[beta[p]] - key[g])
     found = partner >= 0
     p, c = p[found], tb.code(g[found], partner[found])
     keep = c != own[p]

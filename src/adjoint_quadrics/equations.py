@@ -116,19 +116,17 @@ write raises ValueError), so a set is safe to share across threads.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .action import AdjointVector
 from .rings import IntegerRing, IntegersMod
-from .root_system import RootSystem, SystemId, freeze
+from .root_system import LazySequence, RootSystem, SystemId, freeze
 from .signs import SignTable
 from .squares import _no_square
 
@@ -244,16 +242,18 @@ _KINDS = tuple(FormKind)
 
 def _name(rs: RootSystem, kind: FormKind, key) -> int:
     """EquationSet's name for the form of that kind and key: the number of
-    the square with sum key, or i * n_roots + j for key = (root i, root j).
-    KeyError when the key names no square or no pair of roots."""
+    the square with sum key, found among the ascending keys of the squares'
+    sums, or i * n_roots + j for key = (root i, root j).  KeyError when the
+    key names no square or no pair of roots."""
     try:
         if kind is not FormKind.PI2:
             alpha, beta = key
             return rs.index[tuple(alpha)] * rs.n_roots + rs.index[tuple(beta)]
-        s = bisect.bisect_left(rs.squares, tuple(key), key=lambda sq: sq.sigma)
-        if rs.squares[s].sigma == tuple(key):
+        index = rs.square_index
+        s = int(np.searchsorted(index.key, rs.key_of(key)))
+        if index.sigma[s].tolist() == list(key):
             return s
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, IndexError, OverflowError):
         pass
     raise KeyError((kind, key))
 
@@ -290,8 +290,8 @@ class EquationSet:
         freeze(self._kinds, self._names, self._order, self._sorted)
 
     @property
-    def forms(self) -> "_Forms":
-        return _Forms(self)
+    def forms(self) -> LazySequence:
+        return LazySequence(self._compiled.n_forms, self._read, _PAIR_BLOCK)
 
     def _read(self, lo: int, hi: int) -> list[QuadraticForm]:
         """Forms lo to hi - 1, their L monomials expanded."""
@@ -311,7 +311,7 @@ class EquationSet:
         """(kind, key) of form i, the key read from the root system."""
         kind, name, rs = _KINDS[self._kinds[i]], int(self._names[i]), self.rs
         if kind is FormKind.PI2:
-            return kind, rs.squares[name].sigma
+            return kind, tuple(rs.square_index.sigma[name].tolist())
         return kind, tuple(rs.roots[r] for r in divmod(name, rs.n_roots))
 
     def counts(self) -> dict[str, int]:
@@ -369,36 +369,6 @@ class EquationSet:
 
     def to_json(self, rs: RootSystem) -> str:
         return json.dumps(self.to_json_doc(rs), sort_keys=True, separators=(",", ":"))
-
-
-class _Forms(Sequence):
-    """The forms of a set, read-only; each is built when it is read."""
-
-    __slots__ = ("_eqset",)
-
-    def __init__(self, eqset: EquationSet):
-        self._eqset = eqset
-
-    def __len__(self) -> int:
-        return self._eqset._compiled.n_forms
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        i = range(len(self))[i]
-        return self._eqset._read(i, i + 1)[0]
-
-    def __iter__(self):
-        n = len(self)
-        for lo in range(0, n, _PAIR_BLOCK):
-            yield from self._eqset._read(lo, min(lo + _PAIR_BLOCK, n))
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, list, _Forms)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
 
 
 def _layout(dim: int, c: np.ndarray):
@@ -716,7 +686,14 @@ def _lift(passes, primes, bound: int) -> np.ndarray:
 # of _pack and the coefficient, and makes them a block of pairs at a time,
 # which keeps the temporaries small next to the finished set.  Reading
 # every form of a set expands its L monomials a block of forms at a time.
-_PAIR_BLOCK = 1024
+# The block is set by the page faults of a cold set-up, where generation
+# faults in most of the heap it uses: the root system's build frees few
+# large temporaries before it.  Minor faults of cold E7 and E8
+# generation at 256, 512 and 1024 pairs: 747 and 4,671, 723 and 4,836,
+# 776 and 4,950 (root system, signs and generation together: 748 and
+# 5,608 at 512).  Reading every E8 form after set-up peaks at 52.3 MB RSS
+# at 512 and 53.5 MB at 1024.
+_PAIR_BLOCK = 512
 
 
 def _pack(form, a, b, dim: int) -> np.ndarray:
@@ -974,8 +951,9 @@ def generate_all_equations(rs: RootSystem, signs: SignTable) -> EquationSet:
     upper = ii < jj
     index = rs.square_index
     pairs = ii * rs.n_roots + jj
-    names = np.concatenate([np.arange(len(rs.squares)), pairs, pairs[upper]])
-    codes = np.repeat(np.arange(3, dtype=np.int8), [len(rs.squares), len(ii), upper.sum()])
+    n_squares = len(index.start)
+    names = np.concatenate([np.arange(n_squares), pairs, pairs[upper]])
+    codes = np.repeat(np.arange(3, dtype=np.int8), [n_squares, len(ii), upper.sum()])
     ii = np.concatenate([index.members[index.start], ii, ii[upper]])
     jj = np.concatenate([index.members[index.start + 1], jj, jj[upper]])
     missing, (key, c) = _form_keys(rs, signs, codes, ii, jj)

@@ -16,6 +16,7 @@ zero weights 1..l.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -165,7 +166,8 @@ class SquareIndex(NamedTuple):
     (g, d), or -1.  Square s has the members members[start[s]:][:size[s]]
     in its pair layout: pair p is members[start[s] + 2p] and the entry after
     it, so position 2p holds signed index p+1 and position 2p+1 holds
-    -(p+1).  sigma[s] is the square's common pair sum.
+    -(p+1).  sigma[s] is the square's common pair sum, and key[s] its
+    RootSystem key, so the keys ascend with s.
     """
 
     square_of: np.ndarray
@@ -173,6 +175,7 @@ class SquareIndex(NamedTuple):
     start: np.ndarray
     size: np.ndarray
     sigma: np.ndarray
+    key: np.ndarray
 
     def member_rows(self, s):
         """(p, pos, m) for every member m of square s[p], grouped by p; pos
@@ -181,6 +184,39 @@ class SquareIndex(NamedTuple):
         p = np.repeat(np.arange(len(s)), size)
         pos = np.arange(len(p)) - np.repeat(np.cumsum(size) - size, size)
         return p, pos, self.members[self.start[s][p] + pos]
+
+
+class LazySequence(Sequence):
+    """A read-only sequence of n items, each built when it is read:
+    read(lo, hi) builds items lo to hi - 1, and iteration reads `block`
+    items at a time.  Slices give tuples.  Equality with a tuple, a list or
+    another such sequence compares the items, so an item read twice is
+    equal but not identical."""
+
+    __slots__ = ("_n", "_read", "_block")
+
+    def __init__(self, n: int, read, block: int):
+        self._n, self._read, self._block = n, read, block
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = range(len(self))[i]
+        return self._read(i, i + 1)[0]
+
+    def __iter__(self):
+        for lo in range(0, self._n, self._block):
+            yield from self._read(lo, min(lo + self._block, self._n))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, list, LazySequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
 
 
 def cartan_matrix(system: SystemId) -> np.ndarray:
@@ -226,22 +262,14 @@ def _positive_roots(cartan: np.ndarray) -> list[Root]:
     return sorted(found)
 
 
+# Squares read a block at a time when they are iterated.
+_SQUARE_BLOCK = 256
+
+
 def freeze(*arrays) -> None:
     """Make the arrays read-only in place: views, no copies."""
     for a in arrays:
         a.flags.writeable = False
-
-
-def _find_rows(table: np.ndarray, rows) -> np.ndarray:
-    """The position of each of `rows` among the rows of the int64 `table`,
-    or -1 where it is none.  Rows are compared as whole byte strings, so
-    the lookup is exact whatever the size of the coefficients or the rank."""
-    row = np.dtype((np.void, table.itemsize * table.shape[1]))
-    keys = np.ascontiguousarray(table).view(row).ravel()
-    queries = np.ascontiguousarray(rows, dtype=table.dtype).view(row).ravel()
-    order = np.argsort(keys)
-    pos = order[np.minimum(np.searchsorted(keys, queries, sorter=order), len(keys) - 1)]
-    return np.where(keys[pos] == queries, pos, -1)
 
 
 class RootSystem:
@@ -249,10 +277,21 @@ class RootSystem:
 
     Its tables are public and read-only from construction (a write raises
     ValueError), so a system is immutable and safe to share across threads:
-    ``cartan``; ``coeffs``, ``gram``, ``pairings``, ``neg``, ``sums`` and
-    ``lex``, by root position (see __init__); and the maximal squares,
-    sorted by sigma, as ``squares`` and as arrays, ``square_index``.  Use
+    ``cartan``; ``coeffs``, ``gram``, ``pairings``, ``key``, ``neg``,
+    ``sums`` and ``lex``, by root position (see __init__); and the maximal
+    squares, sorted by sigma, as arrays, ``square_index``, from which
+    ``squares`` builds each MaximalSquare when it is read.  Use
     :func:`build_root_system`.
+
+    key(v) = sum_s v_s R^(l-1-s) is a signed mixed-radix number of the
+    coefficient vector v, most significant digit first, and linear, so
+    key(sigma - gamma) is key(sigma) - key(gamma).  The vectors keyed here
+    are signed sums of at most three roots, so their coefficients are at
+    most 3h in absolute value, h being the largest root coefficient;
+    R = 8h + 1 makes the key injective on them, and key order is the
+    lexicographic order of their coefficient rows.  The keys are int64
+    where 3h sum_s R^s fits (up to D_15), Python ints past it.  ``lookup``
+    finds the root of each key.
     """
 
     def __init__(self, system: SystemId):
@@ -268,7 +307,7 @@ class RootSystem:
         allroots.sort(key=lambda r: (sum(r), r))
         self.roots: tuple[Root, ...] = tuple(allroots)
         self.index: dict[Root, int] = {r: i for i, r in enumerate(self.roots)}
-        self.n_roots = len(self.roots)
+        self.n_roots = n = len(self.roots)
         if self.n_roots != self.dim_v - self.rank:
             raise RuntimeError(
                 f"{system}: generated {self.n_roots} roots, "
@@ -281,47 +320,65 @@ class RootSystem:
         # Doubled inner products of all root pairs (the Gram matrix under
         # the unit-length normalization, times two), in {-2, ..., 2}.
         self.gram = (r_mat @ self.cartan @ r_mat.T).astype(np.int8)
-        self.neg = _find_rows(r_mat, -r_mat)  # the position of -root_i
+        h = int(np.abs(r_mat).max())
+        powers = [(8 * h + 1) ** s for s in reversed(range(self.rank))]
+        dtype = np.int64 if 3 * h * sum(powers) <= np.iinfo(np.int64).max else object
+        self._powers = np.array(powers, dtype=dtype)
+        self.key = self.key_of(r_mat)
+        # The root positions in key order, and their keys.
+        self._order = np.argsort(self.key)
+        self._sorted = self.key[self._order]
+        # Rank of each root in lexicographic order (canonical order is by
+        # height first).
+        self.lex = np.empty(n, dtype=np.int64)
+        self.lex[self._order] = np.arange(n)
+        self.neg = self.lookup(-self.key)  # the position of -root_i
         # Sum table: index of root_i + root_j, or -1.  Sums are roots exactly
         # where the doubled product is -1.
-        sum_idx = np.full((self.n_roots, self.n_roots), -1, dtype=np.int64)
+        sum_idx = np.full((n, n), -1, dtype=np.int64)
         ii, jj = np.nonzero(self.gram == -1)
-        sum_idx[ii, jj] = _find_rows(r_mat, r_mat[ii] + r_mat[jj])
+        sum_idx[ii, jj] = self.lookup(self.key[ii] + self.key[jj])
         if np.any(sum_idx[ii, jj] < 0):
             raise RuntimeError(f"{system}: a sum at doubled product -1 is not a root")
         self.sums = sum_idx
-        # Rank of each root in lexicographic order (canonical order is by
-        # height first).
-        self.lex = np.empty(self.n_roots, dtype=np.int64)
-        self.lex[np.lexsort(r_mat.T[::-1])] = np.arange(self.n_roots)
         self._check_construction()
-        self.squares, self.square_index = self._build_squares()
-        freeze(self.cartan, r_mat, self.gram, self.pairings, self.neg, sum_idx, self.lex)
-        freeze(*self.square_index)
+        self.square_index = self._square_index()
+        freeze(self.cartan, r_mat, self.gram, self.pairings, self._powers, self.key)
+        freeze(self._order, self._sorted, self.lex, self.neg, sum_idx, *self.square_index)
 
-    def _build_squares(self) -> tuple[tuple[MaximalSquare, ...], SquareIndex]:
-        """Every maximal square, sorted by sigma, and their index arrays.
+    def key_of(self, rows) -> np.ndarray:
+        """The key of each coefficient row (of one vector, a scalar)."""
+        return np.asarray(rows).astype(self._powers.dtype) @ self._powers
+
+    def lookup(self, key) -> np.ndarray:
+        """The position of the root with each key, or -1 where there is none."""
+        pos = np.searchsorted(self._sorted, key)
+        np.minimum(pos, self.n_roots - 1, out=pos)
+        missing = self._sorted[pos] != key
+        pos = self._order[pos]
+        pos[missing] = -1
+        return pos
+
+    def _square_index(self) -> SquareIndex:
+        """The index arrays of every maximal square, sorted by sigma.
 
         The orthogonal pairs are grouped by their sum.  Within a pair the
         lexicographically smaller root comes first, and pairs are sorted by
         their smaller member; the source never fixes an indexing, so
         determinism is the only requirement.
         """
-        n, coeffs = self.n_roots, self.coeffs
-        ii, jj = np.nonzero(np.triu(self.gram == 0, k=1))
-        sums = coeffs[ii] + coeffs[jj]
-        order = np.lexsort(sums.T[::-1])
-        ii, jj, sums = ii[order], jj[order], sums[order]
+        n, order = self.n_roots, self._order
+        # The pairs (a, b) of lexicographic ranks a < b, sorted by a, then
+        # by their sum's key, which keeps that order within each square.
+        a, b = np.nonzero(np.triu(self.gram[np.ix_(order, order)] == 0, k=1))
+        first, second = order[a], order[b]
+        sums = self.key[first] + self.key[second]
+        by_sum = np.argsort(sums, kind="stable")
+        first, second, sums = first[by_sum], second[by_sum], sums[by_sum]
         new = np.ones(len(sums), dtype=bool)
-        new[1:] = (sums[1:] != sums[:-1]).any(axis=1)
+        new[1:] = sums[1:] != sums[:-1]
         sid = np.cumsum(new) - 1
-        sigma = sums[new]
-        lex = self.lex
-        swap = lex[jj] < lex[ii]
-        first, second = np.where(swap, jj, ii), np.where(swap, ii, jj)
-        order = np.lexsort((lex[first], sid))
-        first, second, sid = first[order], second[order], sid[order]
-        k = np.bincount(sid, minlength=len(sigma))
+        k = np.bincount(sid)
         if np.any(k < 2):
             raise RuntimeError(f"{self.system}: a square has fewer than two pairs")
         members = np.empty(2 * len(first), dtype=np.int64)
@@ -329,26 +386,38 @@ class RootSystem:
         square_of = np.full((n, n), -1, dtype=np.int32)
         square_of[first, second] = sid
         square_of[second, first] = sid
+        sigma = self.coeffs[first[new]] + self.coeffs[second[new]]
         size = 2 * k
-        index = SquareIndex(square_of, members, np.cumsum(size) - size, size, sigma)
+        return SquareIndex(square_of, members, np.cumsum(size) - size, size, sigma, sums[new])
 
-        root = self.roots.__getitem__
-        pairs = list(zip(map(root, first.tolist()), map(root, second.tolist())))
-        bounds = np.cumsum(k).tolist()
-        squares = tuple(
-            MaximalSquare(tuple(sig), tuple(pairs[hi - kk : hi]))
-            for sig, hi, kk in zip(sigma.tolist(), bounds, k.tolist())
-        )
-        return squares, index
+    @property
+    def squares(self) -> LazySequence:
+        """The maximal squares, sorted by sigma, each built from
+        square_index when it is read."""
+        return LazySequence(len(self.square_index.start), self._read_squares, _SQUARE_BLOCK)
+
+    def _read_squares(self, lo: int, hi: int) -> list[MaximalSquare]:
+        """Squares lo to hi - 1, from the square index."""
+        index, root = self.square_index, self.roots.__getitem__
+        _, _, m = index.member_rows(np.arange(lo, hi))
+        pairs = list(zip(map(root, m[0::2].tolist()), map(root, m[1::2].tolist())))
+        k = (index.size[lo:hi] // 2).tolist()
+        ends = np.cumsum(k).tolist()
+        return [
+            MaximalSquare(tuple(sig), tuple(pairs[end - kk : end]))
+            for sig, end, kk in zip(index.sigma[lo:hi].tolist(), ends, k)
+        ]
 
     def _check_construction(self) -> None:
         # Cross-check: the set must be closed under all simple reflections
         # and under negation, and all roots must have unit length.
         if not np.all(np.diag(self.gram) == 2):
             raise RuntimeError(f"{self.system}: non-unit root generated")
-        # Row (i, s): root i reflected in alpha_s.
-        refl = self.coeffs[:, None] - self.pairings[:, :, None] * np.eye(self.rank, dtype=int)
-        if np.any(_find_rows(self.coeffs, refl.reshape(-1, self.rank)) < 0):
+        if np.any(self.neg < 0):
+            raise RuntimeError(f"{self.system}: root set not closed under negation")
+        # Entry (i, s): the key of root i reflected in alpha_s.
+        refl = self.key[:, None] - self.pairings * self._powers
+        if np.any(self.lookup(refl.ravel()) < 0):
             raise RuntimeError(f"{self.system}: root set not closed under reflection")
 
     # -- basic queries ----------------------------------------------------

@@ -12,9 +12,10 @@ where triality lives, and why rank 4 is refused.  All operations here
 work with each square's own pair count.
 
 Signed indices follow the pair layout: pair p (0-based) holds members
-with signed indices p+1 and -(p+1).  The squares are built once, with the
-root system (RootSystem.squares and its square index); the functions here
-only read them.
+with signed indices p+1 and -(p+1).  The root system keeps its squares as
+index arrays (RootSystem.square_index), and RootSystem.squares builds a
+MaximalSquare from them only when it is read; the functions here only
+read them.
 
 This module also decides the position of a root relative to a square,
 one of five angle classes by the doubled product with sigma, in one
@@ -32,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .root_system import MaximalSquare, Root, RootSystem
+from .root_system import LazySequence, MaximalSquare, Root, RootSystem
 
 
 class InvalidPairError(ValueError):
@@ -73,9 +74,10 @@ def square_of_pair(rs: RootSystem, alpha: Root, beta: Root) -> MaximalSquare:
     return rs.squares[s]
 
 
-def enumerate_squares(rs: RootSystem) -> list[MaximalSquare]:
-    """Every maximal square exactly once, sorted by sigma."""
-    return list(rs.squares)
+def enumerate_squares(rs: RootSystem) -> LazySequence:
+    """Every maximal square exactly once, sorted by sigma, as the root
+    system's read-only view, which builds each square when it is read."""
+    return rs.squares
 
 
 class SquareAngle(enum.Enum):

@@ -741,22 +741,21 @@ def suite_combinatorics(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport
     t0 = time.perf_counter()
     rep = SuiteReport("combinatorics", str(rs.system), seed)
     tb = batch.Tables(rs, signs)
-    gram, roots, squares = rs.gram, rs.roots, rs.squares
-    size = rs.square_index.size
+    gram, roots, size = rs.gram, rs.roots, rs.square_index.size
+    sigma = rs.square_index.sigma
 
     n_pairs = int(np.count_nonzero(np.triu(gram == 0, k=1)))
     # Squares partition the orthogonal pairs; every E-system square has
     # exactly k pairs, D_l squares have l-1 or 3.
-    sizes_ok = (
-        all(sq.k == rs.k for sq in squares)
-        if rs.system.family == "E"
-        else all(sq.k in (rs.rank - 1, 3) for sq in squares)
+    k = size // 2
+    sizes_ok = bool(
+        np.all(k == rs.k) if rs.system.family == "E" else np.all((k == rs.rank - 1) | (k == 3))
     )
-    ok_census = sum(sq.k for sq in squares) == n_pairs and sizes_ok
+    ok_census = int(k.sum()) == n_pairs and sizes_ok
     rep.add(
         "square-census",
         1,
-        [] if ok_census else [{"squares": len(squares), "k": rs.k, "pairs": n_pairs}],
+        [] if ok_census else [{"squares": len(k), "k": rs.k, "pairs": n_pairs}],
     )
 
     pairs, configs, sign_squares, modified, triples = batch.combinatorics_samples(rs)
@@ -789,11 +788,11 @@ def suite_combinatorics(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport
     count, (rho, cl_sq), (d, missing) = batch.position_failures(tb, configs)
     failures = []
     for r, s, dx, miss in zip(rho, cl_sq, d.tolist(), missing):
-        root, sq = roots[r], squares[s]
-        failure = {"rho": list(root), "sigma": list(sq.sigma)}
+        root = roots[r]
+        failure = {"rho": list(root), "sigma": sigma[s].tolist()}
         kind = _ANGLE_BY_DOT2.get(dx)
         if kind is None:
-            failure["error"] = _impossible_product(dx, sq.sigma)
+            failure["error"] = _impossible_product(dx, tuple(failure["sigma"]))
         elif miss:
             failure["error"] = _not_a_member(root, kind is SquareAngle.OPPOSITE_SQUARE)
         else:
@@ -806,7 +805,7 @@ def suite_combinatorics(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport
         batch.sign_column_block, tb, sign_squares, lambda bad: bad.any((1, 2))
     )
     failures = [
-        {"sigma": list(squares[sc_sq[x]].sigma), "j": signed(j), "h": signed(h)}
+        {"sigma": sigma[sc_sq[x]].tolist(), "j": signed(j), "h": signed(h)}
         for x, j, h in zip(*np.nonzero(bad))
     ]
     rep.add("sign-columns", int(np.sum(size**2)), failures)
@@ -816,9 +815,9 @@ def suite_combinatorics(rs: RootSystem, signs: SignTable, seed=0) -> SuiteReport
         batch.modified_square_block, tb, modified, lambda error, bad: (error | bad).any(1)
     )
     failures = [
-        {"sigma": list(squares[ms_sq[x]].sigma), "j": signed(j), "error": _NOT_A_ROOT}
+        {"sigma": sigma[ms_sq[x]].tolist(), "j": signed(j), "error": _NOT_A_ROOT}
         if error[x, j]
-        else {"sigma": list(squares[ms_sq[x]].sigma), "j": signed(j)}
+        else {"sigma": sigma[ms_sq[x]].tolist(), "j": signed(j)}
         for x, j in zip(*np.nonzero(error | bad))
     ]
     rep.add("modified-squares", int(np.sum(size)), failures)

@@ -157,7 +157,7 @@ def _arrays(name, x):
 
 # The arrays each object must hold, by attribute name.
 HELD = {
-    "RootSystem": {"cartan", "coeffs", "gram", "pairings", "neg", "sums", "lex"}
+    "RootSystem": {"cartan", "coeffs", "gram", "pairings", "key", "neg", "sums", "lex"}
     | {f"square_index.{f}" for f in SquareIndex._fields},
     "SignTable": {"table"},
     "EquationSet": {"_kinds", "_names", "_order", "_sorted"},

@@ -724,6 +724,33 @@ def test_form_for_misses(eqset_for, system):
     assert eqset.form_for(FormKind.TWO_PI3, (beta, alpha)).key == (beta, alpha)
 
 
+@pytest.mark.parametrize("name", ["D5", "E6"])
+def test_every_pi2_key_resolves(eqset_for, system, name):
+    # A pi/2 key is found among the ascending keys of the squares' sums and
+    # confirmed against the sigma table.  A sum that is no square's, with a
+    # key between, below or above theirs, of the wrong length or past
+    # int64, raises KeyError.
+    rs, _ = system(name)
+    eqset = eqset_for(name)
+    sigmas = [tuple(x) for x in rs.square_index.sigma.tolist()]
+    pi2 = eqset.of_kind(FormKind.PI2).forms
+    for s, sigma in enumerate(sigmas):
+        assert eqset.form_for(FormKind.PI2, sigma) == pi2[s]
+    lowest, highest = sigmas[0], sigmas[-1]
+    misses = [
+        tuple(a + b for a, b in zip(sigmas[3], rs.roots[-1])),
+        tuple(2 * x for x in lowest),
+        tuple(2 * x for x in highest),
+        highest[:-1],
+        (2**70,) + highest[1:],
+        rs.roots[0],
+    ]
+    for sigma in misses:
+        assert sigma not in sigmas
+        with pytest.raises(KeyError):
+            eqset.form_for(FormKind.PI2, sigma)
+
+
 def test_e8_set_holds_no_per_form_objects(system):
     # A set keeps its forms' kinds, names and monomials in arrays: after a
     # warm-up, a fresh E8 set holds fewer small Python objects than a tenth

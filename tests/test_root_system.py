@@ -10,7 +10,6 @@ from adjoint_quadrics import (
     build_root_system,
     cartan_matrix,
 )
-from adjoint_quadrics.root_system import _find_rows
 
 EXPECTED = {
     # name: (roots, dim_v, k)
@@ -158,28 +157,58 @@ def test_reflection_closure(system):
             assert rs.is_root(tuple(refl))
 
 
+def _tuple_squares(rs):
+    """(sigma, pairs) of every square, from the root tuples: orthogonal pairs
+    grouped by their sum, the smaller root of a pair first, pairs sorted by
+    it and squares by sigma."""
+    by_sigma = {}
+    for i, j in zip(*np.nonzero(np.triu(rs.gram == 0, k=1))):
+        pair = tuple(sorted((rs.roots[i], rs.roots[j])))
+        sigma = tuple(a + b for a, b in zip(*pair))
+        by_sigma.setdefault(sigma, []).append(pair)
+    return [(sigma, tuple(sorted(by_sigma[sigma]))) for sigma in sorted(by_sigma)]
+
+
 @pytest.mark.parametrize("name", ["D5", "D7", "E6", "E7", "E8", "D19"])
 def test_sum_table_matches_tuple_sums(name):
-    # The sum table is filled by one lookup of coefficient rows.  The
-    # reference adds the coefficient tuples of every pair at doubled product
-    # -1 and finds the sum in the root index.  From D19 up a base-11 code of
-    # the coefficient vectors overflows int64, so the lookup must not rest
-    # on such a code.
+    # The tables are built from one integer key per root.  The references
+    # work on the coefficient tuples: the sum of every pair at doubled
+    # product -1 and the negative of every root are found in the root
+    # index, the lexicographic ranks by sorting the tuples, and the squares
+    # by grouping tuple sums.  The keys are the mixed-radix numbers of the
+    # tuples as Python ints, held as such exactly where a signed sum of
+    # three roots could pass int64 (D19 here).
     rs = build_root_system(name)
-    want = np.full((rs.n_roots, rs.n_roots), -1)
+    n, roots = rs.n_roots, rs.roots
+    want = np.full((n, n), -1)
     for i, j in zip(*np.nonzero(rs.gram == -1)):
-        s = tuple(a + b for a, b in zip(rs.roots[i], rs.roots[j]))
+        s = tuple(a + b for a, b in zip(roots[i], roots[j]))
         want[i, j] = rs.index[s]
     assert np.array_equal(rs.sums, want)
-    assert (11**rs.rank > np.iinfo(np.int64).max) == (name == "D19")
+    assert rs.neg.tolist() == [rs.index[tuple(-x for x in r)] for r in roots]
+    ranks = sorted(range(n), key=roots.__getitem__)
+    assert rs.lex.tolist() == sorted(range(n), key=ranks.__getitem__)
+    assert [(sq.sigma, sq.pairs) for sq in rs.squares] == _tuple_squares(rs)
+    h = max(abs(x) for r in roots for x in r)
+    radix = 8 * h + 1
+    assert rs.key.tolist() == [sum(x * radix**s for s, x in enumerate(r[::-1])) for r in roots]
+    overflows = 3 * h * sum(radix**s for s in range(rs.rank)) > np.iinfo(np.int64).max
+    assert (rs.key.dtype == object) == overflows == (name == "D19")
+
+
+def test_keys_are_python_ints_from_d16():
+    # 3h sum_s R^s first passes int64 at D16, so D15 keeps int64 keys.
+    assert build_root_system("D15").key.dtype == np.int64
+    assert build_root_system("D16").key.dtype == object
 
 
 def test_row_lookup_reports_misses(system):
-    # A row that is not in the table, such as a sum of two roots at doubled
-    # product 2 or 0, is found at -1; the root system raises on such a sum
-    # at product -1.
+    # A vector that is not a root, such as a sum of two roots at doubled
+    # product 2 or 0, or one whose key lies below or above every root's,
+    # is found at -1; the root system raises on such a sum at product -1.
     rs, _ = system("D5")
     r = rs.coeffs
     i, j = map(int, np.argwhere(rs.gram == 0)[0])
-    rows = np.array([r[3], 2 * r[3], r[i] + r[j], r[-1]])
-    assert _find_rows(r, rows).tolist() == [3, -1, -1, rs.n_roots - 1]
+    rows = np.array([r[3], 2 * r[3], r[i] + r[j], r[-1], 2 * r[0], 2 * r[-1]])
+    assert rs.lookup(rs.key_of(rows)).tolist() == [3, -1, -1, rs.n_roots - 1, -1, -1]
+    assert rs.key_of(r[7]) == rs.key[7]

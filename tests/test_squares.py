@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 from adjoint_quadrics import (
+    AdjointVector,
+    IntegerRing,
     InvalidPairError,
+    MaximalSquare,
+    basis_vector,
     build_root_system,
+    build_sign_table,
+    generate_all_equations,
     SquareAngle,
     classify_root_vs_square,
     enumerate_squares,
@@ -266,6 +272,64 @@ def test_extension_rejects_non_triples(system):
         extend_a3_to_d4(rs, a, a, a)
 
 
+@pytest.mark.parametrize("name", ["D5", "E7"])
+def test_squares_view(system, name):
+    # enumerate_squares gives the root system's read-only view, which
+    # builds each square from the index when it is read: E7's 756 squares
+    # are read in several blocks.  A square read twice is equal, not
+    # identical.
+    rs, _ = system(name)
+    squares = enumerate_squares(rs)
+    n = len(rs.square_index.sigma)
+    assert len(squares) == n and squares == rs.squares
+    one_by_one = [squares[s] for s in range(n)]
+    assert list(squares) == one_by_one and squares == one_by_one
+    assert squares == tuple(one_by_one) and squares != one_by_one[::-1]
+    assert squares != one_by_one[:-1] and squares != {}
+    assert [sq.sigma for sq in squares] == [tuple(x) for x in rs.square_index.sigma.tolist()]
+    assert squares[-1] == squares[n - 1] and squares[-n] == squares[0]
+    assert squares[0] is not squares[0]
+    for part in (squares[3:7], squares[::-5], squares[n:]):
+        assert type(part) is tuple
+    assert squares[3:7] == tuple(one_by_one[3:7]) and squares[::-5] == tuple(one_by_one[::-5])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            squares[i]
+    with pytest.raises(TypeError):
+        hash(squares)
+
+
+def test_set_up_and_checks_build_no_square(monkeypatch):
+    # The root system keeps its squares as index arrays.  Building it,
+    # generating its forms, enumerate_squares and checks, one with a pi/2
+    # witness among them, read the arrays and build no MaximalSquare;
+    # only reading the view does.
+    built = []
+    init = MaximalSquare.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(MaximalSquare, "__init__", counted)
+    rs = build_root_system("E6")
+    eqset = generate_all_equations(rs, build_sign_table(rs))
+    squares = enumerate_squares(rs)
+    assert len(squares) == 270
+    assert eqset.check_vector(basis_vector(rs, IntegerRing(), rs.roots[5])) == (True, None)
+    # On e_i + e_j of an orthogonal pair, the pi/2 form of its square reads 1.
+    i, j = map(int, np.argwhere(rs.gram == 0)[0])
+    coords = [0] * rs.dim_v
+    coords[i] = coords[j] = 1
+    ok, witness = eqset.check_vector(AdjointVector(rs, IntegerRing(), coords))
+    s = int(rs.square_index.square_of[i, j])
+    assert not ok and witness["kind"] == "pi/2"
+    assert witness["key"] == {"sigma": rs.square_index.sigma[s].tolist()}
+    assert built == []
+    sq = squares[s]
+    assert sq.sigma == tuple(witness["key"]["sigma"]) and built == [sq.sigma]
+
+
 def test_square_of_pair_past_int16_on_d17():
     # D_17 has 16 C(17, 4) + 34 = 38,114 squares, more than an int16 numbers.
     rs = build_root_system("D17")
@@ -273,13 +337,14 @@ def test_square_of_pair_past_int16_on_d17():
     for s in (32_767, 32_768, len(rs.squares) - 1):
         sq = rs.squares[s]
         for a, b in sq.pairs:
-            assert square_of_pair(rs, a, b) is sq
+            assert square_of_pair(rs, a, b) == sq
             assert sq.sigma == tuple(x + y for x, y in zip(a, b))
 
 
 def test_concurrent_square_lookups_leave_system_unchanged():
-    # The squares are built with the root system, so four threads sharing a
-    # fresh D5 get the serial answers and write nothing into it.
+    # Squares are built from the square index when they are read, and
+    # nothing is kept, so four threads sharing a fresh D5 get the serial
+    # answers and write nothing into it.
     serial_rs = build_root_system("D5")
     pairs = _orthogonal_pairs(serial_rs)
 

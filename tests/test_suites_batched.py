@@ -421,25 +421,25 @@ def test_nonzero_is_numpys(shape, fill):
 
 
 def test_tables_keep_only_what_they_derive(system):
-    # The kernels read the root system's and the sign table's own arrays;
-    # Tables adds the keys, the doubled products from the coordinates and
-    # kmax, and holds no second name or copy of a table.
+    # The kernels read the root system's and the sign table's own arrays,
+    # the root keys included; Tables adds the doubled products from the
+    # coordinates and kmax, and holds no second name or copy of a table.
     rs, signs = system("D5")
     tb = Tables(rs, signs)
-    assert set(vars(tb)) == {"rs", "signs", "inner", "key", "_order", "_sorted", "kmax"}
+    assert set(vars(tb)) == {"rs", "signs", "inner", "kmax"}
     assert rs.gram.dtype == np.int8 and np.array_equal(tb.inner, rs.gram)
 
 
 def test_batched_checks_on_d17():
     # D_17 has 38,114 squares, so square numbers pass 2^15, and its root
-    # keys pass int64, so Tables holds them as Python ints.
+    # keys pass int64, so the root system holds them as Python ints.
     rs = build_root_system("D17")
     signs = build_sign_table(rs)
     tb = Tables(rs, signs)
-    assert tb.key.dtype == object
+    assert rs.key.dtype == object
     rng = np.random.default_rng(17)
     i, j = rng.integers(0, rs.n_roots, (2, 2000))
-    assert tb.lookup(tb.key[i] - tb.key[j]).tolist() == rs.sums[i, rs.neg[j]].tolist()
+    assert rs.lookup(rs.key[i] - rs.key[j]).tolist() == rs.sums[i, rs.neg[j]].tolist()
 
     index, roots = rs.square_index, rs.roots
     squares = np.arange(len(rs.squares) - 8, len(rs.squares))
