@@ -688,11 +688,12 @@ def _lift(passes, primes, bound: int) -> np.ndarray:
 # every form of a set expands its L monomials a block of forms at a time.
 # The block is set by the page faults of a cold set-up, where generation
 # faults in most of the heap it uses: the root system's build frees few
-# large temporaries before it.  Minor faults of cold E7 and E8
-# generation at 256, 512 and 1024 pairs: 747 and 4,671, 723 and 4,836,
-# 776 and 4,950 (root system, signs and generation together: 748 and
-# 5,608 at 512).  Reading every E8 form after set-up peaks at 52.3 MB RSS
-# at 512 and 53.5 MB at 1024.
+# large temporaries before it, so glibc's dynamic mmap threshold stays low
+# and larger block temporaries are mmapped and faulted in afresh.  Minor
+# faults of generation in a fresh process, after the root system and the
+# signs, at 256, 512 and 1024 pairs: E7 723, 725 and 1,729; E8 4,559,
+# 4,589 and 4,779.  Reading every E8 form after set-up peaks at 52.0 MB
+# RSS at 512 and 53.0 MB at 1024.
 _PAIR_BLOCK = 512
 
 
